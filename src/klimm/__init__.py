@@ -41,7 +41,6 @@ from .grid import (
     is_admissible,
     is_sandwiched,
     largest_square,
-    multichoose,
     row_support,
     squares_match_noninversions,
     young_shape,

@@ -33,26 +33,13 @@ from .grid import (
     permutation_graph,
 )
 from .immanant import dual_canonical_eval
-from .klpoly import KLCache, cache_path_for, kl_polynomial
+from .klpoly import KLCacheRegistry, kl_polynomial
 from .perm import Perm, parse_perm
 from .suites import Config, run_search, run_suite, SEARCHES, SUITES
 
 
 def _cache_base(args) -> str | None:
     return args.kl_cache or os.environ.get("KLIMM_CACHE")
-
-
-def _load_cache(base: str | None, n: int) -> KLCache:
-    if base:
-        path = cache_path_for(base, n)
-        if os.path.exists(path):
-            return KLCache.load(path)
-    return KLCache(n)
-
-
-def _save_cache(base: str | None, cache: KLCache) -> None:
-    if base and len(cache):
-        cache.save(cache_path_for(base, cache.n))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -70,10 +57,9 @@ def _parse_labels(text: str) -> tuple[int, ...]:
 def cmd_kl(args) -> int:
     x = parse_perm(args.x)
     y = parse_perm(args.y)
-    base = _cache_base(args)
-    cache = _load_cache(base, len(x))
-    poly = kl_polynomial(x, y, cache)
-    _save_cache(base, cache)
+    caches = KLCacheRegistry(_cache_base(args))
+    poly = kl_polynomial(x, y, caches.for_n(len(x)))
+    caches.persist()
     print(poly)
     print(f"at q=1: {poly(1)}")
     return 0
@@ -84,8 +70,8 @@ def cmd_imm(args) -> int:
     M = Matrix.from_doc(json.load(open(args.matrix)))
     R = _parse_labels(args.R) if args.R else tuple(range(1, len(v) + 1))
     C = _parse_labels(args.C) if args.C else tuple(range(1, len(v) + 1))
-    base = _cache_base(args)
-    cache = _load_cache(base, len(v))
+    caches = KLCacheRegistry(_cache_base(args))
+    cache = caches.for_n(len(v))
     if args.method == "definition":
         result = dual_canonical_eval(v, R, C, M, "definition", cache)
     elif args.method == "det":
@@ -98,7 +84,7 @@ def cmd_imm(args) -> int:
                   f"determinantal={result.value}", file=sys.stderr)
             return 3
         print(f"methods agree: {result.value}", file=sys.stderr)
-    _save_cache(base, cache)
+    caches.persist()
     _emit(json.dumps(result.to_doc(), sort_keys=True, indent=2) + "\n",
           args.out)
     return 0

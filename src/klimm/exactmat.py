@@ -28,8 +28,6 @@ from typing import Iterable, Sequence
 from .errors import ShapeError
 from .grid import LabeledGrid
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class Matrix:
@@ -169,8 +167,9 @@ def deleted_det(M: Matrix, gone_rows: Iterable[int],
                 gone_cols: Iterable[int]) -> Fraction:
     """Determinant after removing the named rows and columns."""
     n = _require_square(M)
-    keep_rows = [i for i in range(1, n + 1) if i not in set(gone_rows)]
-    keep_cols = [j for j in range(1, n + 1) if j not in set(gone_cols)]
+    gone_rows, gone_cols = set(gone_rows), set(gone_cols)
+    keep_rows = [i for i in range(1, n + 1) if i not in gone_rows]
+    keep_cols = [j for j in range(1, n + 1) if j not in gone_cols]
     return minor(M, keep_rows, keep_cols)
 
 

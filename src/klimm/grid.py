@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     PatternPreconditionError,
@@ -51,11 +51,6 @@ def as_multiset(entries: Iterable[int], m: int | None = None) -> tuple[int, ...]
     elif any(e < 1 for e in ms):
         raise ValueError(f"labels {ms} must be positive")
     return ms
-
-
-def multichoose(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All weakly increasing n-tuples over [m]."""
-    return itertools.combinations_with_replacement(range(1, m + 1), n)
 
 
 def label_patterns(n: int, max_labels: int) -> list[tuple[int, ...]]:

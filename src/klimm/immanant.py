@@ -40,6 +40,7 @@ from .exactmat import (
 )
 from .grid import (
     FORBIDDEN_PATTERNS,
+    LabeledGrid,
     as_multiset,
     block_antidiagonal_split,
     bounding_boxes,
@@ -80,6 +81,27 @@ def _require_square_of_size(M: Matrix, n: int) -> None:
     if not (M.is_square and M.rows == n):
         raise ShapeError(
             f"matrix is {M.rows}x{M.cols}, expected {n}x{n}")
+
+
+def _require_k_positive(M: Matrix, k: int) -> None:
+    if not is_k_positive(M, k):
+        raise PositivityPreconditionError(f"matrix is not {k}-positive")
+
+
+def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
+    """
+    The sign law at one evaluation: a signed restricted determinant must
+    be strictly positive where the law predicts it (an admissible grid)
+    and zero everywhere else.
+    """
+    return signed > 0 if positive else signed == 0
+
+
+def _signed_restricted_det(M: Matrix, R: tuple[int, ...], C: tuple[int, ...],
+                           grid: LabeledGrid, exponent: int) -> Fraction:
+    """(-1)^exponent times det of M[R, C] restricted to the grid."""
+    value = det(restrict(repeat_submatrix(M, R, C), grid))
+    return -value if exponent % 2 else value
 
 
 def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction:
@@ -257,12 +279,9 @@ def young_sign_law(parts: Sequence[int], R: Sequence[int],
     C = as_multiset(C, M.rows)
     n = len(R)
     shape = young_diagram_grid(parts, n, R, C)
-    value = det(restrict(repeat_submatrix(M, R, C), shape))
-    if not _staircase_contained(parts, n) or not is_admissible(shape):
-        return value == 0
-    mu_size = n * n - sum(parts)
-    signed = -value if mu_size % 2 else value
-    return signed > 0
+    signed = _signed_restricted_det(M, R, C, shape, n * n - sum(parts))
+    return obeys_sign_law(
+        signed, _staircase_contained(parts, n) and is_admissible(shape))
 
 
 def young_sign_check(parts: Sequence[int], R: Sequence[int],
@@ -275,8 +294,7 @@ def young_sign_check(parts: Sequence[int], R: Sequence[int],
     if durfee(parts) > k:
         raise PreconditionError(
             f"Durfee square {durfee(parts)} exceeds the stated order {k}")
-    if not is_k_positive(M, k):
-        raise PositivityPreconditionError(f"matrix is not {k}-positive")
+    _require_k_positive(M, k)
     return young_sign_law(parts, R, C, M)
 
 
@@ -294,11 +312,10 @@ def young_complement_sign_law(parts: Sequence[int], R: Sequence[int],
     C = as_multiset(C, M.rows)
     n = len(R)
     shape = young_complement_grid(parts, n, R, C)
-    value = det(restrict(repeat_submatrix(M, R, C), shape))
-    if not _contained_in_reverse_staircase(parts, n) or not is_admissible(shape):
-        return value == 0
-    signed = -value if sum(parts) % 2 else value
-    return signed > 0
+    signed = _signed_restricted_det(M, R, C, shape, sum(parts))
+    return obeys_sign_law(
+        signed,
+        _contained_in_reverse_staircase(parts, n) and is_admissible(shape))
 
 
 def young_complement_sign_check(parts: Sequence[int], R: Sequence[int],
@@ -310,8 +327,7 @@ def young_complement_sign_check(parts: Sequence[int], R: Sequence[int],
     if largest_square(shape) > k:
         raise PreconditionError(
             f"largest square {largest_square(shape)} exceeds the stated order {k}")
-    if not is_k_positive(M, k):
-        raise PositivityPreconditionError(f"matrix is not {k}-positive")
+    _require_k_positive(M, k)
     return young_complement_sign_law(parts, R, C, M)
 
 
@@ -366,14 +382,9 @@ def sign_theorem_check(v: Perm, R: Sequence[int], C: Sequence[int],
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
     labeled = graph_of_upper_interval(v, R, C)
-    k = largest_square(labeled)
-    if not is_k_positive(M, k):
-        raise PositivityPreconditionError(f"matrix is not {k}-positive")
-    value = det(restrict(repeat_submatrix(M, R, C), labeled))
-    signed = -value if length(v) % 2 else value
-    if is_admissible(labeled):
-        return signed > 0
-    return signed == 0
+    _require_k_positive(M, largest_square(labeled))
+    signed = _signed_restricted_det(M, R, C, labeled, length(v))
+    return obeys_sign_law(signed, is_admissible(labeled))
 
 
 @dataclass(frozen=True)
@@ -405,6 +416,31 @@ class SignProbeReport:
         }
 
 
+def sign_probe_anchor(v: Perm) -> tuple[tuple[int, int] | None,
+                                         tuple[str, ...]]:
+    """
+    The structural hypotheses of the sign probe: the last bounding box
+    is anchored at (n, v_n) and the second-to-last has a unique anchor
+    (a, v_a) with a < n and 1 < v_a < v_n.  Returns that anchor and no
+    reasons when they hold, else None and the reasons they fail.
+    """
+    n = len(v)
+    boxes = bounding_boxes(v)
+    if len(boxes) < 2:
+        return None, ("fewer than two bounding boxes",)
+    last, second = boxes[-1], boxes[-2]
+    reasons = []
+    if (n, v[n - 1]) not in last.corners:
+        reasons.append("last bounding box is not anchored at (n, v_n)")
+    if len(second.corners) != 1:
+        reasons.append("second-to-last box has no unique anchor")
+        return None, tuple(reasons)
+    a, va = second.corners[0]
+    if not (a < n and 1 < va < v[n - 1]):
+        reasons.append("second-to-last anchor fails a < n, 1 < v_a < v_n")
+    return (None if reasons else (a, va)), tuple(reasons)
+
+
 def lewis_carroll_sign_probe(v: Perm, R: Sequence[int], C: Sequence[int],
                              M: Matrix) -> SignProbeReport:
     """
@@ -421,37 +457,21 @@ def lewis_carroll_sign_probe(v: Perm, R: Sequence[int], C: Sequence[int],
     reported, never silently skipped.
     """
     v = tuple(v)
-    reasons = []
     if not avoids(v, *FORBIDDEN_PATTERNS):
-        reasons.append("v contains 1324 or 2143")
-        return SignProbeReport(False, tuple(reasons))
-    n = len(v)
-    boxes = bounding_boxes(v)
-    if len(boxes) < 2:
-        reasons.append("fewer than two bounding boxes")
-        return SignProbeReport(False, tuple(reasons))
-    last, second = boxes[-1], boxes[-2]
-    if (n, v[n - 1]) not in last.corners:
-        reasons.append("last bounding box is not anchored at (n, v_n)")
-    if len(second.corners) != 1:
-        reasons.append("second-to-last box has no unique anchor")
-        return SignProbeReport(False, tuple(reasons))
-    a, va = second.corners[0]
-    if not (a < n and 1 < va < v[n - 1]):
-        reasons.append("second-to-last anchor fails a < n, 1 < v_a < v_n")
-    if reasons:
-        return SignProbeReport(False, tuple(reasons))
+        return SignProbeReport(False, ("v contains 1324 or 2143",))
+    anchor, reasons = sign_probe_anchor(v)
+    if anchor is None:
+        return SignProbeReport(False, reasons)
+    a, d = anchor  # d = v_a
 
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
     A = restrict(repeat_submatrix(M, R, C),
                  graph_of_upper_interval(v, R, C))
     b = inverse(v)[0]
-    d = va
     reference = deleted_det(A, {b}, {1}) * deleted_det(A, {a}, {d})
     if reference == 0:
-        reasons.append("reference product vanishes")
-        return SignProbeReport(False, tuple(reasons))
+        return SignProbeReport(False, ("reference product vanishes",))
     sigma = 1 if reference > 0 else -1
 
     def status(value: Fraction, expected_sign: int) -> str:

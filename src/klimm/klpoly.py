@@ -8,7 +8,7 @@ the two can be cross-checked against each other on small groups.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
-1 and nonnegative coefficients.  These facts are asserted on every value
+1 and nonnegative coefficients.  These facts are checked on every value
 the recursion produces rather than assumed.
 """
 from __future__ import annotations
@@ -188,9 +188,11 @@ class KLCache:
             raise ValueError(f"unsupported cache format in {path}")
         cache = cls(doc["n"])
         for key, coeffs in doc["table"].items():
-            x_text, y_text = key.split("|")
-            cache._table[(parse_perm(x_text), parse_perm(y_text))] = \
-                IntPolynomial(tuple(coeffs))
+            x, y = (parse_perm(text) for text in key.split("|"))
+            if len(x) != cache.n or len(y) != cache.n:
+                raise ValueError(
+                    f"cache entry {key} in {path} is not in S_{cache.n}")
+            cache._table[(x, y)] = IntPolynomial(tuple(coeffs))
         return cache
 
 
@@ -198,6 +200,41 @@ def cache_path_for(base_path: str, n: int) -> str:
     """Per-n cache file derived from a base path: kl.json -> kl.s4.json."""
     stem, ext = os.path.splitext(base_path)
     return f"{stem}.s{n}{ext or '.json'}"
+
+
+class KLCacheRegistry:
+    """
+    One :class:`KLCache` per group size, read from and written back to
+    the per-n files under a base path (or kept in memory when there is
+    none).  A file whose size differs from the one its name says is
+    rejected, and a cache is written back only if it gained entries.
+    """
+
+    def __init__(self, base_path: str | None):
+        self.base_path = base_path
+        self._caches: dict[int, KLCache] = {}
+        self._loaded_entries: dict[int, int] = {}
+
+    def for_n(self, n: int) -> KLCache:
+        if n not in self._caches:
+            path = cache_path_for(self.base_path, n) if self.base_path else None
+            if path and os.path.exists(path):
+                cache = KLCache.load(path)
+                if cache.n != n:
+                    raise ValueError(
+                        f"{path} holds a cache for S_{cache.n}, not S_{n}")
+            else:
+                cache = KLCache(n)
+            self._caches[n] = cache
+            self._loaded_entries[n] = len(cache)
+        return self._caches[n]
+
+    def persist(self) -> None:
+        if not self.base_path:
+            return
+        for n, cache in self._caches.items():
+            if len(cache) > self._loaded_entries[n]:
+                cache.save(cache_path_for(self.base_path, n))
 
 
 def _check_same_size(x: Perm, y: Perm) -> None:
@@ -259,10 +296,12 @@ def _kl(x: Perm, y: Perm, cache: KLCache) -> IntPolynomial:
         if mu:
             p = p - _kl(x, z, cache).times(mu).shifted((ly - lz) // 2)
 
-    lx = length(x)
-    assert p.coeff(0) == 1, f"P_{x},{y} has constant term {p.coeff(0)}"
-    assert all(coeff >= 0 for coeff in p.coeffs), f"negative coefficient in P_{x},{y}"
-    assert 2 * p.degree() <= ly - lx - 1, f"degree bound violated for P_{x},{y}"
+    if p.coeff(0) != 1:
+        raise ArithmeticError(f"P_{x},{y} has constant term {p.coeff(0)}")
+    if any(coeff < 0 for coeff in p.coeffs):
+        raise ArithmeticError(f"negative coefficient in P_{x},{y}")
+    if 2 * p.degree() > ly - length(x) - 1:
+        raise ArithmeticError(f"degree bound violated for P_{x},{y}")
     cache.put(x, y, p)
     return p
 

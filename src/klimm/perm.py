@@ -113,8 +113,9 @@ def _prefix_dominance(v: Perm) -> tuple[int, int, int]:
     # every digit, "D_x >= D_y entrywise" becomes a single subtraction
     # plus mask test: no digit of (hi_x - lo_y) borrows, and the offset
     # bit survives exactly in the digits where x's count >= y's count.
+    # Counts lie in [0, n], so the offset 2^bit_length(n) exceeds them.
     n = len(v)
-    width = 4 if n <= 7 else 8
+    width = n.bit_length() + 1
     offset = 1 << (width - 1)
     lo = hi = mask = 0
     shift = 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -56,10 +55,12 @@ from .immanant import (
     imm_definition,
     imm_determinantal,
     lewis_carroll_sign_probe,
+    obeys_sign_law,
+    sign_probe_anchor,
     young_complement_sign_law,
     young_sign_law,
 )
-from .klpoly import KLCache, cache_path_for
+from .klpoly import KLCacheRegistry
 from .perm import (
     Perm,
     avoids,
@@ -145,6 +146,7 @@ class SuiteReport:
 
 
 Case = tuple[str, bool, dict | None]
+CaseGenerator = Callable[[Config, KLCacheRegistry, dict], Iterator[Case]]
 
 
 def _case_rng(seed: int, suite: str, key: str) -> random.Random:
@@ -199,36 +201,11 @@ def _random_multiset(m: int, n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(sorted(rng.choices(range(1, m + 1), k=n)))
 
 
-class _KLCaches:
-    """Per-n caches, optionally persisted under a base path."""
-
-    def __init__(self, base_path: str | None):
-        self.base_path = base_path
-        self._caches: dict[int, KLCache] = {}
-
-    def for_n(self, n: int) -> KLCache:
-        if n not in self._caches:
-            cache = None
-            if self.base_path:
-                path = cache_path_for(self.base_path, n)
-                if os.path.exists(path):
-                    cache = KLCache.load(path)
-            self._caches[n] = cache or KLCache(n)
-        return self._caches[n]
-
-    def persist(self) -> None:
-        if not self.base_path:
-            return
-        for n, cache in self._caches.items():
-            if len(cache):
-                cache.save(cache_path_for(self.base_path, n))
-
-
 # ---------------------------------------------------------------------------
 # Suite case generators.  Each yields (case_key, passed, witness_or_None).
 
 
-def _suite_interval_graph(config: Config, caches: _KLCaches,
+def _suite_interval_graph(config: Config, caches: KLCacheRegistry,
                           notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 7
     for n in range(1, max_n + 1):
@@ -239,7 +216,7 @@ def _suite_interval_graph(config: Config, caches: _KLCaches,
             yield key, passed, None if passed else {"v": format_perm(v)}
 
 
-def _suite_squares(config: Config, caches: _KLCaches,
+def _suite_squares(config: Config, caches: KLCacheRegistry,
                    notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 7
     for n in range(1, max_n + 1):
@@ -249,7 +226,7 @@ def _suite_squares(config: Config, caches: _KLCaches,
             yield key, passed, None if passed else {"v": format_perm(v)}
 
 
-def _suite_box_cover(config: Config, caches: _KLCaches,
+def _suite_box_cover(config: Config, caches: KLCacheRegistry,
                      notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 7
     for n in range(1, max_n + 1):
@@ -262,7 +239,7 @@ def _suite_box_cover(config: Config, caches: _KLCaches,
             yield key, passed, None if passed else {"v": format_perm(v)}
 
 
-def _suite_alternation(config: Config, caches: _KLCaches,
+def _suite_alternation(config: Config, caches: KLCacheRegistry,
                        notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 7
     for n in range(1, max_n + 1):
@@ -280,7 +257,7 @@ def _suite_alternation(config: Config, caches: _KLCaches,
                                    "colors": [b.color for b in boxes]}
 
 
-def _suite_determinantal_formula(config: Config, caches: _KLCaches,
+def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
                                  notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 5
     samples = config.samples or 3
@@ -300,7 +277,7 @@ def _suite_determinantal_formula(config: Config, caches: _KLCaches,
                 yield key, passed, witness
 
 
-def _suite_lewis_carroll(config: Config, caches: _KLCaches,
+def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
                          notes: dict) -> Iterator[Case]:
     samples = config.samples or 200
     for t in range(samples):
@@ -320,7 +297,7 @@ def _suite_lewis_carroll(config: Config, caches: _KLCaches,
         yield key, passed, witness
 
 
-def _suite_block_factorization(config: Config, caches: _KLCaches,
+def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
                                notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 6
     samples = config.samples or 3
@@ -341,7 +318,7 @@ def _suite_block_factorization(config: Config, caches: _KLCaches,
                 yield key, passed, witness
 
 
-def _suite_deletion(config: Config, caches: _KLCaches,
+def _suite_deletion(config: Config, caches: KLCacheRegistry,
                     notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 5
     samples = config.samples or 3
@@ -364,7 +341,7 @@ def _suite_deletion(config: Config, caches: _KLCaches,
                         "v": format_perm(v), "i": i, "matrix": M.to_doc()}
 
 
-def _suite_young(config: Config, caches: _KLCaches,
+def _suite_young(config: Config, caches: KLCacheRegistry,
                  notes: dict) -> Iterator[Case]:
     n = config.max_n or 4
     m = config.max_m or 4
@@ -394,7 +371,7 @@ def _suite_young(config: Config, caches: _KLCaches,
                         "variant": "complement"}
 
 
-def _suite_main_sq(config: Config, caches: _KLCaches,
+def _suite_main_sq(config: Config, caches: KLCacheRegistry,
                    notes: dict) -> Iterator[Case]:
     n = config.max_n or 4
     m = config.max_m or 4
@@ -409,17 +386,14 @@ def _suite_main_sq(config: Config, caches: _KLCaches,
                 for s, M in enumerate(mats):
                     key = f"v={format_perm(v)}:R={R}:C={C}:s={s}"
                     result = dual_canonical_eval(v, R, C, M)
-                    if result.admissible:
-                        passed = result.value > 0
-                    else:
-                        passed = result.value == 0
+                    passed = obeys_sign_law(result.value, result.admissible)
                     yield key, passed, None if passed else {
                         "v": format_perm(v), "R": list(R), "C": list(C),
                         "matrix": M.to_doc(), "value": str(result.value),
                         "admissible": result.admissible, "k": k}
 
 
-def _suite_sign_probe(config: Config, caches: _KLCaches,
+def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
                       notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 5
     samples = config.samples or 2
@@ -427,14 +401,7 @@ def _suite_sign_probe(config: Config, caches: _KLCaches,
     for n in range(3, max_n + 1):
         patterns = label_patterns(n, n)
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
-            boxes = bounding_boxes(v)
-            if len(boxes) < 2:
-                continue
-            last, second = boxes[-1], boxes[-2]
-            if (n, v[n - 1]) not in last.corners or len(second.corners) != 1:
-                continue
-            a, va = second.corners[0]
-            if not (a < n and 1 < va < v[n - 1]):
+            if sign_probe_anchor(v)[0] is None:
                 continue
             k = largest_square(graph_of_upper_interval(v))
             mats = _k_positive_samples(
@@ -454,7 +421,7 @@ def _suite_sign_probe(config: Config, caches: _KLCaches,
     notes["preconditions_not_met"] = skipped
 
 
-SUITES: dict[str, Callable[[Config, _KLCaches, dict], Iterator[Case]]] = {
+SUITES: dict[str, CaseGenerator] = {
     "lemma-2.11": _suite_interval_graph,
     "lemma-2.12": _suite_squares,
     "lemma-2.16": _suite_box_cover,
@@ -483,23 +450,27 @@ SUITE_DESCRIPTIONS = {
 }
 
 
-def run_suite(name: str, config: Config) -> SuiteReport:
-    """Run one verification suite and assemble its deterministic report."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{sorted(SUITES)}")
-    caches = _KLCaches(config.kl_cache_path)
-    notes = {"description": SUITE_DESCRIPTIONS[name]}
+def _generator(table: dict[str, CaseGenerator], name: str,
+               kind: str) -> CaseGenerator:
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; choose from "
+                         f"{sorted(table)}")
+    return table[name]
+
+
+def _run(suite: str, cases: CaseGenerator, config: Config,
+         notes: dict) -> SuiteReport:
+    """Run one case generator and assemble its deterministic report."""
+    caches = KLCacheRegistry(config.kl_cache_path)
     start = time.perf_counter()
-    results = sorted(SUITES[name](config, caches, notes),
-                     key=lambda case: case[0])
+    results = sorted(cases(config, caches, notes), key=lambda case: case[0])
     elapsed = time.perf_counter() - start
     caches.persist()
     counterexamples = [
         {"case": key, **witness}
         for key, passed, witness in results if not passed and witness]
     return SuiteReport(
-        suite=name,
+        suite=suite,
         params={
             "max_n": config.max_n, "max_m": config.max_m,
             "samples": config.samples, "seed": config.seed,
@@ -513,15 +484,18 @@ def run_suite(name: str, config: Config) -> SuiteReport:
     )
 
 
+def run_suite(name: str, config: Config) -> SuiteReport:
+    """Run one verification suite and assemble its deterministic report."""
+    cases = _generator(SUITES, name, "suite")
+    return _run(name, cases, config,
+                {"description": SUITE_DESCRIPTIONS[name]})
+
+
 # ---------------------------------------------------------------------------
 # Conjecture searches.  These only ever report; they never claim a proof.
 
 
-def _increasing_pattern(k: int) -> Perm:
-    return identity(k)
-
-
-def _search_plain_immanant(config: Config, caches: _KLCaches,
+def _search_plain_immanant(config: Config, caches: KLCacheRegistry,
                            notes: dict) -> Iterator[Case]:
     # For sampled (n, k, v) with v avoiding the increasing pattern of
     # length k+1, the plain immanant should be positive on verified
@@ -539,7 +513,7 @@ def _search_plain_immanant(config: Config, caches: _KLCaches,
         else:
             n = rng.randint(2, max_n)
             k = rng.randint(1, n - 1)
-        pool = _avoiders(n, (_increasing_pattern(k + 1),))
+        pool = _avoiders(n, (identity(k + 1),))
         v = pool[rng.randrange(len(pool))]
         M = _k_positive_samples(n, k, f"{config.seed}:5.1:{t}", 1)[0]
         value = imm_definition(v, M, caches.for_n(n))
@@ -562,7 +536,7 @@ def _reverify_positive_immanant(v_text: str, k: int, matrix_doc: dict) -> bool:
     return imm_definition(v, M) <= 0
 
 
-def _search_sign_control(config: Config, caches: _KLCaches,
+def _search_sign_control(config: Config, caches: KLCacheRegistry,
                          notes: dict) -> Iterator[Case]:
     # Hypothesis source: the proven sufficient condition (avoid 1324 and
     # 2143 with largest square at most k) stands in for "the plain
@@ -588,17 +562,14 @@ def _search_sign_control(config: Config, caches: _KLCaches,
         C = _random_multiset(m, n, rng)
         M = _k_positive_samples(m, k, f"{config.seed}:5.2:{t}", 1)[0]
         result = dual_canonical_eval(v, R, C, M)
-        if result.admissible:
-            passed = result.value > 0
-        else:
-            passed = result.value == 0
+        passed = obeys_sign_law(result.value, result.admissible)
         yield key, passed, None if passed else {
             "v": format_perm(v), "R": list(R), "C": list(C), "k": k,
             "matrix": M.to_doc(), "value": str(result.value),
             "admissible": result.admissible}
 
 
-def _search_pattern_positivity(config: Config, caches: _KLCaches,
+def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
                                notes: dict) -> Iterator[Case]:
     # Sampled (n, k, m, v, R, C) with v avoiding the increasing pattern
     # of length k+1: when the repeated-label immanant is not identically
@@ -620,7 +591,7 @@ def _search_pattern_positivity(config: Config, caches: _KLCaches,
             n = rng.randint(2, max_n)
             k = rng.randint(1, n - 1)
         m = rng.randint(n, max(n, max_m))
-        pool = _avoiders(n, (_increasing_pattern(k + 1),))
+        pool = _avoiders(n, (identity(k + 1),))
         v = pool[rng.randrange(len(pool))]
         R = _random_multiset(m, n, rng)
         C = _random_multiset(m, n, rng)
@@ -644,7 +615,7 @@ def _search_pattern_positivity(config: Config, caches: _KLCaches,
     notes["identically_zero_cases"] = vacuous
 
 
-SEARCHES: dict[str, Callable[[Config, _KLCaches, dict], Iterator[Case]]] = {
+SEARCHES: dict[str, CaseGenerator] = {
     "5.1": _search_plain_immanant,
     "5.2": _search_sign_control,
     "5.3": _search_pattern_positivity,
@@ -662,35 +633,15 @@ SEARCH_NOTES = {
 
 def run_search(conjecture: str, config: Config) -> SuiteReport:
     """Randomized counterexample search for one conjecture."""
-    if conjecture not in SEARCHES:
-        raise ValueError(f"unknown conjecture {conjecture!r}; choose from "
-                         f"{sorted(SEARCHES)}")
-    caches = _KLCaches(config.kl_cache_path)
-    notes = dict(SEARCH_NOTES[conjecture])
-    start = time.perf_counter()
-    results = sorted(SEARCHES[conjecture](config, caches, notes),
-                     key=lambda case: case[0])
-    elapsed = time.perf_counter() - start
-    caches.persist()
-    counterexamples = [
-        {"case": key, **witness}
-        for key, passed, witness in results if not passed and witness]
-    if counterexamples:
-        notes["conclusion"] = (f"{len(counterexamples)} candidate "
-                               "counterexample(s) found; see witnesses")
+    cases = _generator(SEARCHES, conjecture, "conjecture")
+    report = _run(f"search-{conjecture}", cases, config,
+                  dict(SEARCH_NOTES[conjecture]))
+    if report.counterexamples:
+        report.notes["conclusion"] = (
+            f"{len(report.counterexamples)} candidate counterexample(s) "
+            "found; see witnesses")
     else:
-        notes["conclusion"] = (f"no counterexample found in {len(results)} "
-                               "trials (this is not a proof)")
-    return SuiteReport(
-        suite=f"search-{conjecture}",
-        params={
-            "max_n": config.max_n, "max_m": config.max_m,
-            "samples": config.samples, "seed": config.seed,
-            "k": config.k,
-        },
-        cases_run=len(results),
-        cases_passed=sum(1 for _, passed, _ in results if passed),
-        counterexamples=counterexamples,
-        wall_time=elapsed,
-        notes=notes,
-    )
+        report.notes["conclusion"] = (
+            f"no counterexample found in {report.cases_run} trials "
+            "(this is not a proof)")
+    return report

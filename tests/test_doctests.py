@@ -1,7 +1,10 @@
+import ast
 import doctest
+import pathlib
 
 import pytest
 
+import klimm
 import klimm.exactmat
 import klimm.grid
 import klimm.klpoly
@@ -15,3 +18,13 @@ def test_module_doctests(module):
     results = doctest.testmod(module)
     assert results.failed == 0
     assert results.attempted > 0
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so checks must raise explicitly.
+    package = pathlib.Path(klimm.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -199,6 +199,9 @@ def test_deleted_det_and_submatrix():
     assert deleted_det(FIXTURE, {1}, {1}) == minor(FIXTURE, [2, 3, 4], [2, 3, 4])
     assert deleted_det(FIXTURE, {1, 2, 3, 4}, {1, 2, 3, 4}) == 1
     assert submatrix(FIXTURE, [1, 2], [3, 4]).entries == ((6, 3), (3, 2))
+    # The deleted index sets are read once, not once per kept row.
+    assert deleted_det(FIXTURE, {2}, {2}) == -7
+    assert deleted_det(FIXTURE, iter([2]), iter([2])) == -7
 
 
 def test_minor_equals_repeat_submatrix_det_on_strict_sets():

@@ -8,6 +8,7 @@ from klimm.klpoly import (
     ZERO,
     IntPolynomial,
     KLCache,
+    KLCacheRegistry,
     cache_path_for,
     kl_at_one,
     kl_polynomial,
@@ -114,3 +115,48 @@ def test_cache_rejects_unknown_format(tmp_path):
 def test_cache_path_per_n():
     assert cache_path_for("/x/kl.json", 5) == "/x/kl.s5.json"
     assert cache_path_for("cache", 4) == "cache.s4.json"
+
+
+def test_recursion_rejects_a_corrupt_cache_entry():
+    # P_{123,213} = 1; a cache holding 2 makes P_{123,231} = 2, whose
+    # constant term breaks a property every KL polynomial has.
+    cache = KLCache(3)
+    cache.put((1, 2, 3), (2, 1, 3), IntPolynomial((2,)))
+    with pytest.raises(ArithmeticError):
+        kl_polynomial((1, 2, 3), (2, 3, 1), cache)
+
+
+def test_cache_load_rejects_entries_of_another_size(tmp_path):
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1,
+                                "table": {"13245|34125": [1, 1]}}))
+    with pytest.raises(ValueError):
+        KLCache.load(str(path))
+
+
+def test_registry_rejects_a_file_named_for_another_size(tmp_path):
+    cache = KLCache(5)
+    kl_polynomial((1, 3, 2, 4, 5), (3, 4, 1, 2, 5), cache)
+    cache.save(str(tmp_path / "kl.s4.json"))
+    with pytest.raises(ValueError):
+        KLCacheRegistry(str(tmp_path / "kl.json")).for_n(4)
+
+
+def test_registry_writes_back_only_grown_caches(tmp_path, monkeypatch):
+    base = str(tmp_path / "kl.json")
+    first = KLCacheRegistry(base)
+    kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), first.for_n(4))
+    first.for_n(3)  # stays empty, so no file
+    first.persist()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kl.s4.json"]
+
+    saved = []
+    monkeypatch.setattr(KLCache, "save",
+                        lambda cache, path: saved.append((cache.n, path)))
+    again = KLCacheRegistry(base)
+    kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), again.for_n(4))
+    again.persist()
+    assert saved == []  # every lookup hit: nothing to write
+    kl_polynomial((1, 2, 3, 4), (4, 3, 2, 1), again.for_n(4))
+    again.persist()
+    assert saved == [(4, cache_path_for(base, 4))]

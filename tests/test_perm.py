@@ -70,6 +70,9 @@ def test_bruhat_examples():
     assert not bruhat_leq((3, 4, 1, 2), (2, 1, 4, 3))
     with pytest.raises(SizeMismatchError):
         bruhat_leq((1, 2), (1, 2, 3))
+    # past 8-bit prefix counts
+    assert bruhat_leq(identity(130), longest_element(130))
+    assert not bruhat_leq(longest_element(130), identity(130))
 
 
 def _bruhat_by_covers(n):
@@ -95,6 +98,35 @@ def test_bruhat_against_covering_closure(n):
     for x in symmetric_group(n):
         for y in symmetric_group(n):
             assert bruhat_leq(x, y) == (y in reachable[x])
+
+
+def _bruhat_by_sorted_prefixes(x, y):
+    """x <= y iff every sorted prefix of x is entrywise <= that of y."""
+    return all(a <= b
+               for i in range(1, len(x) + 1)
+               for a, b in zip(sorted(x[:i]), sorted(y[:i])))
+
+
+@st.composite
+def bruhat_pairs(draw):
+    """(x, y) with x <= y, built by undoing inversions of a random y."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 15, 16, 31, 64, 127, 128, 140]))
+    y = tuple(draw(st.permutations(list(range(1, n + 1)))))
+    x = list(y)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=8)):
+        if i < j and x[i] > x[j]:
+            x[i], x[j] = x[j], x[i]
+    return tuple(x), y
+
+
+@given(bruhat_pairs())
+@settings(max_examples=60, deadline=None)
+def test_bruhat_matches_sorted_prefix_oracle(pair):
+    x, y = pair
+    assert _bruhat_by_sorted_prefixes(x, y)
+    assert bruhat_leq(x, y)
+    assert bruhat_leq(y, x) == _bruhat_by_sorted_prefixes(y, x)
 
 
 def test_pattern_examples():

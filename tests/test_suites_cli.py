@@ -121,6 +121,18 @@ def test_cli_kl_cache_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "cache.s4.json").exists()
 
 
+def test_cli_kl_rejects_mislabelled_cache_file(tmp_path, capsys):
+    base = str(tmp_path / "kl.json")
+    assert main(["kl", "13245", "34125", "--kl-cache", base]) == 0
+    s5 = tmp_path / "kl.s5.json"
+    (tmp_path / "kl.s4.json").write_bytes(s5.read_bytes())
+    before = s5.read_bytes()
+    capsys.readouterr()
+    assert main(["kl", "1324", "3412", "--kl-cache", base]) == 1
+    assert "S_5" in capsys.readouterr().err
+    assert s5.read_bytes() == before
+
+
 def _write_fixture_matrix(path) -> str:
     with open(path, "w") as handle:
         json.dump(fixtures.TWO_POSITIVE_NOT_THREE.to_doc(), handle)
