@@ -67,7 +67,8 @@ def cmd_kl(args) -> int:
 
 def cmd_imm(args) -> int:
     v = parse_perm(args.v)
-    M = Matrix.from_doc(json.load(open(args.matrix)))
+    with open(args.matrix) as handle:
+        M = Matrix.from_doc(json.load(handle))
     R = _parse_labels(args.R) if args.R else tuple(range(1, len(v) + 1))
     C = _parse_labels(args.C) if args.C else tuple(range(1, len(v) + 1))
     caches = KLCacheRegistry(_cache_base(args))

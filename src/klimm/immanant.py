@@ -57,14 +57,14 @@ from .klpoly import KLCache, kl_at_one
 from .perm import (
     Perm,
     avoids,
-    bruhat_leq,
+    bruhat_table,
     compose,
     delete_entry,
     format_perm,
     inverse,
+    iter_bits,
     length,
     longest_element,
-    symmetric_group,
 )
 
 DEFINITION_SIZE_GUARD = 7
@@ -108,8 +108,10 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     """
     The defining sum: over w >= v (all other Kazhdan-Lusztig values
     vanish), add (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1) times the
-    w-monomial of M.  Works for every v; cost grows with the upper
-    interval, so the size is guarded at n <= 7.
+    w-monomial of M.  The w run over the set bits of ``above[v]`` in the
+    Bruhat table of :func:`klimm.perm.bruhat_table`, which also gives
+    l(w).  Works for every v; cost grows with the upper interval, so the
+    size is guarded at n <= 7.
     """
     v = tuple(v)
     n = len(v)
@@ -119,20 +121,20 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
             f"the defining sum is guarded at n <= {DEFINITION_SIZE_GUARD}")
     if cache is None:
         cache = KLCache(n)
+    table = bruhat_table(n)
     w0 = longest_element(n)
     y = compose(w0, v)
     lv = length(v)
     total = Fraction(0)
-    for w in symmetric_group(n):
-        if not bruhat_leq(v, w):
-            continue  # equivalently w0 w <= w0 v fails and P vanishes
+    for k in iter_bits(table.above[table.index[v]]):
+        w = table.perms[k]
         multiplicity = kl_at_one(compose(w0, w), y, cache)
         if multiplicity == 0:
             continue
         monomial = prod(M.entry(i, w[i - 1]) for i in range(1, n + 1))
         if monomial == 0:
             continue
-        sign = -1 if (length(w) - lv) % 2 else 1
+        sign = -1 if (table.lengths[k] - lv) % 2 else 1
         total += sign * multiplicity * monomial
     return total
 

@@ -3,8 +3,11 @@ Kazhdan-Lusztig polynomials P_{x,y}(q) for the symmetric group.
 
 Two independent computations are provided.  The production path is the
 classical recursion on a right descent of y, fully memoized in a
-:class:`KLCache`.  The second path inverts R-polynomials; it exists so
-the two can be cross-checked against each other on small groups.
+:class:`KLCache`.  On a miss its mu-sum runs over the set bits of the
+Bruhat-interval bitsets of :func:`klimm.perm.bruhat_table`, not over all
+of S_n; that table, and so any uncached value, is guarded at n <= 7.
+The second path inverts R-polynomials by brute force; it exists so the
+two can be cross-checked against each other on small groups.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -20,7 +23,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeMismatchError
-from .perm import Perm, bruhat_leq, format_perm, length, parse_perm, symmetric_group
+from .perm import (
+    Perm,
+    bruhat_leq,
+    bruhat_table,
+    format_perm,
+    iter_bits,
+    length,
+    parse_perm,
+    symmetric_group,
+)
 
 
 @dataclass(frozen=True)
@@ -243,11 +255,6 @@ def _check_same_size(x: Perm, y: Perm) -> None:
             f"permutations have different sizes {len(x)} and {len(y)}")
 
 
-@lru_cache(maxsize=None)
-def _perms_with_lengths(n: int) -> tuple[tuple[Perm, int], ...]:
-    return tuple((v, length(v)) for v in symmetric_group(n))
-
-
 def kl_polynomial(x: Perm, y: Perm, cache: KLCache | None = None) -> IntPolynomial:
     """
     The Kazhdan-Lusztig polynomial P_{x,y}(q).
@@ -274,6 +281,7 @@ def _kl(x: Perm, y: Perm, cache: KLCache) -> IntPolynomial:
         return known
 
     n = len(y)
+    table = bruhat_table(n)
     # Right descent of y: a position i with y_i > y_{i+1} (0-based scan).
     i = next(k for k in range(n - 1) if y[k] > y[k + 1])
     ys = y[:i] + (y[i + 1], y[i]) + y[i + 2:]
@@ -282,16 +290,17 @@ def _kl(x: Perm, y: Perm, cache: KLCache) -> IntPolynomial:
 
     p = _kl(xs, ys, cache).shifted(1 - c) + _kl(x, ys, cache).shifted(c)
 
-    ly = length(y)
+    ly = table.lengths[table.index[y]]
     lys = ly - 1
-    for z, lz in _perms_with_lengths(n):
-        if z[i] <= z[i + 1]:
-            continue
+    # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
+    # i.e. l(z) = l(y) mod 2: the set bits of one AND of Bruhat-table
+    # bitsets, in symmetric_group order, not a scan of S_n.
+    parity = table.odd if ly % 2 else ~table.odd
+    candidates = (table.below[table.index[ys]] & table.above[table.index[x]]
+                  & table.descents[i] & parity)
+    for k in iter_bits(candidates):
+        z, lz = table.perms[k], table.lengths[k]
         gap = lys - lz
-        if gap <= 0 or gap % 2 == 0:
-            continue
-        if not (bruhat_leq(x, z) and bruhat_leq(z, ys)):
-            continue
         mu = _kl(z, ys, cache).coeff((gap - 1) // 2)
         if mu:
             p = p - _kl(x, z, cache).times(mu).shifted((ly - lz) // 2)
@@ -300,7 +309,7 @@ def _kl(x: Perm, y: Perm, cache: KLCache) -> IntPolynomial:
         raise ArithmeticError(f"P_{x},{y} has constant term {p.coeff(0)}")
     if any(coeff < 0 for coeff in p.coeffs):
         raise ArithmeticError(f"negative coefficient in P_{x},{y}")
-    if 2 * p.degree() > ly - length(x) - 1:
+    if 2 * p.degree() > ly - table.lengths[table.index[x]] - 1:
         raise ArithmeticError(f"degree bound violated for P_{x},{y}")
     cache.put(x, y, p)
     return p

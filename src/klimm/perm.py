@@ -13,8 +13,10 @@ the compact digit string "2413" is also accepted.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SizeGuardError, SizeMismatchError
 
@@ -216,6 +218,94 @@ def is_in_maximal_parabolic(w: Perm) -> bool:
 def symmetric_group(n: int) -> Iterator[Perm]:
     """All permutations of [n] in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
+
+
+BRUHAT_TABLE_GUARD = 7
+
+
+@dataclass(frozen=True, eq=False)
+class BruhatTable:
+    """
+    S_n in :func:`symmetric_group` order, with its Bruhat order as
+    Python-int bitsets over positions in that order: bit j of ``below[k]``
+    is set iff perms[j] <= perms[k], and bit j of ``above[k]`` iff
+    perms[j] >= perms[k].  Bit k of ``descents[i]`` is set iff
+    ``perms[k][i] > perms[k][i + 1]`` (a right descent at the 0-based
+    position i), and bit k of ``odd`` iff l(perms[k]) is odd.
+    """
+
+    perms: tuple[Perm, ...]
+    lengths: tuple[int, ...]
+    index: Mapping[Perm, int]
+    below: tuple[int, ...]
+    above: tuple[int, ...]
+    descents: tuple[int, ...]
+    odd: int
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """
+    Positions of the set bits of a nonnegative mask, ascending.
+
+    >>> list(iter_bits(0b101001))
+    [0, 3, 5]
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=None)
+def bruhat_table(n: int) -> BruhatTable:
+    """
+    The :class:`BruhatTable` of S_n (guarded at n <= 7, where it holds
+    2 * 5040 bitsets of 5040 bits).
+
+    ``below`` comes from the lifting property, not from comparisons: if
+    s is a right descent of w, then u <= w iff u <= ws or us <= ws, so
+    below(w) = below(ws) | below(ws)s.  Swapping a descent pair makes
+    the word lexicographically smaller, so ws is built before w.
+
+    >>> t = bruhat_table(3)
+    >>> [format_perm(t.perms[j]) for j in iter_bits(t.below[t.index[(2, 3, 1)]])]
+    ['123', '132', '213', '231']
+    >>> [format_perm(t.perms[j]) for j in iter_bits(t.above[t.index[(2, 1, 3)]])]
+    ['213', '231', '312', '321']
+    """
+    if n > BRUHAT_TABLE_GUARD:
+        raise SizeGuardError(
+            f"Bruhat tables are guarded at n <= {BRUHAT_TABLE_GUARD}")
+    perms = tuple(symmetric_group(n))
+    size = len(perms)
+    index = {v: k for k, v in enumerate(perms)}
+    lengths = tuple(map(length, perms))
+    # times_s[i][k] is the position of perms[k] times s_{i+1}, which swaps
+    # the entries at 0-based positions i and i + 1.
+    times_s = [[index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms]
+               for i in range(n - 1)]
+    below = []
+    for k, w in enumerate(perms):
+        i = next((t for t in range(n - 1) if w[t] > w[t + 1]), None)
+        if i is None:
+            below.append(1 << k)  # the identity
+            continue
+        lower = below[times_s[i][k]]
+        lifted = 0
+        for j in iter_bits(lower):
+            lifted |= 1 << times_s[i][j]
+        below.append(lower | lifted)
+    # Left multiplication by w_0 reverses both the Bruhat order and the
+    # lexicographic order (position k <-> size - 1 - k), so above(w) is
+    # w_0 below(w_0 w): the bit-reversed below of the mirror position.
+    above = tuple(int(format(below[size - 1 - k], f"0{size}b")[::-1], 2)
+                  for k in range(size))
+    descents = tuple(
+        sum(1 << k for k, v in enumerate(perms) if v[i] > v[i + 1])
+        for i in range(n - 1))
+    odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
+    return BruhatTable(perms, lengths, MappingProxyType(index), tuple(below),
+                       above, descents, odd)
 
 
 def bruhat_interval_to_top(v: Perm, guard: int = 7) -> list[Perm]:

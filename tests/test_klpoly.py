@@ -1,8 +1,10 @@
+import functools
 import json
 
 import pytest
 
-from klimm.errors import SizeMismatchError
+from klimm import perm
+from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.klpoly import (
     ONE,
     ZERO,
@@ -16,7 +18,15 @@ from klimm.klpoly import (
     kl_table_via_r,
     mu_coefficient,
 )
-from klimm.perm import bruhat_leq, identity, length, longest_element, symmetric_group
+from klimm.perm import (
+    avoids,
+    bruhat_leq,
+    identity,
+    length,
+    longest_element,
+    symmetric_group,
+)
+from klimm.suites import Config, run_suite
 
 
 def test_polynomial_basics():
@@ -50,11 +60,58 @@ def test_smallest_nontrivial_polynomial(kl_cache_s4):
     assert kl_polynomial_via_r((1, 3, 2, 4), (3, 4, 1, 2)) == p
 
 
-def test_two_implementations_agree_on_all_of_s4(kl_cache_s4):
-    for y in symmetric_group(4):
+@pytest.mark.parametrize("n", [4, 5])
+def test_two_implementations_agree_on_all_of_sn(n):
+    cache = KLCache(n)
+    for y in symmetric_group(n):
         table = kl_table_via_r(y)
-        for x in symmetric_group(4):
-            assert kl_polynomial(x, y, kl_cache_s4) == table.get(x, ZERO)
+        for x in symmetric_group(n):
+            assert kl_polynomial(x, y, cache) == table.get(x, ZERO)
+
+
+def test_identity_polynomial_detects_smoothness_on_s6():
+    # Lakshmibai-Sandhya: the Schubert variety of y is smooth iff y avoids
+    # 3412 and 4231, and in type A that holds iff P_{e,y} = 1.
+    cache = KLCache(6)
+    for y in symmetric_group(6):
+        smooth = avoids(y, (3, 4, 1, 2), (4, 2, 3, 1))
+        assert (kl_polynomial(identity(6), y, cache) == ONE) == smooth
+
+
+def test_prop31_kl_lookup_pattern_is_pinned(monkeypatch):
+    # The KL values a cold prop-3.1 run looks up, and how often, do not
+    # depend on how the recursion finds its terms; the benchmark's S_6
+    # anchor relies on that.
+    caches = {}
+    for_n = KLCacheRegistry.for_n
+
+    def recording(registry, n):
+        caches[n] = for_n(registry, n)
+        return caches[n]
+
+    monkeypatch.setattr(KLCacheRegistry, "for_n", recording)
+    assert run_suite("prop-3.1", Config(max_n=5, samples=1, seed=0)).ok
+    assert [caches[n].stats() for n in sorted(caches)] == [
+        {"n": 1, "entries": 0, "hits": 0, "misses": 0},
+        {"n": 2, "entries": 1, "hits": 0, "misses": 1},
+        {"n": 3, "entries": 13, "hits": 13, "misses": 13},
+        {"n": 4, "entries": 170, "hits": 280, "misses": 170},
+        {"n": 5, "entries": 2508, "hits": 6293, "misses": 2508},
+    ]
+
+
+def test_uncached_values_past_the_table_guard_are_rejected():
+    e = identity(8)
+    assert kl_polynomial(e, e) == ONE
+    assert kl_polynomial(longest_element(8), e) == ZERO
+    with pytest.raises(SizeGuardError):
+        kl_polynomial(e, (2, 1, 3, 4, 5, 6, 7, 8))
+
+
+def test_bruhat_table_is_a_module_level_lru_cache():
+    # A memo of this kind, bound at module level, is what a benchmark
+    # harness can find and clear to make every run cold.
+    assert isinstance(perm.bruhat_table, functools._lru_cache_wrapper)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

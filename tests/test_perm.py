@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klimm.errors import SizeMismatchError
+from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.perm import (
     as_perm,
     avoids,
     bruhat_leq,
+    bruhat_table,
     compose,
     delete_entry,
     format_perm,
     identity,
     inverse,
     is_in_maximal_parabolic,
+    iter_bits,
     length,
     longest_element,
     non_inversions,
@@ -127,6 +129,70 @@ def test_bruhat_matches_sorted_prefix_oracle(pair):
     assert _bruhat_by_sorted_prefixes(x, y)
     assert bruhat_leq(x, y)
     assert bruhat_leq(y, x) == _bruhat_by_sorted_prefixes(y, x)
+
+
+def _has_bit(mask, k):
+    return mask >> k & 1 == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bruhat_table_matches_bruhat_leq_exhaustively(n):
+    table = bruhat_table(n)
+    assert table.perms == tuple(symmetric_group(n))
+    assert table.lengths == tuple(map(length, table.perms))
+    assert all(table.index[v] == k for k, v in enumerate(table.perms))
+    for j, x in enumerate(table.perms):
+        for k, y in enumerate(table.perms):
+            assert _has_bit(table.below[k], j) == bruhat_leq(x, y)
+            assert _has_bit(table.above[j], k) == bruhat_leq(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bruhat_table_descent_and_parity_masks(n):
+    table = bruhat_table(n)
+    assert len(table.descents) == max(n - 1, 0)
+    for k, v in enumerate(table.perms):
+        for i, mask in enumerate(table.descents):
+            assert _has_bit(mask, k) == (v[i] > v[i + 1])
+        assert _has_bit(table.odd, k) == (length(v) % 2 == 1)
+    assert table.odd >> len(table.perms) == 0
+
+
+@st.composite
+def s6_pairs(draw):
+    """(x, y) in S_6: independent, or x below y by undoing inversions."""
+    s6 = st.permutations(list(range(1, 7))).map(tuple)
+    y = draw(s6)
+    if draw(st.booleans()):
+        return draw(s6), y
+    x = list(y)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 5),
+                                        st.integers(0, 5)), max_size=6)):
+        if i < j and x[i] > x[j]:
+            x[i], x[j] = x[j], x[i]
+    return tuple(x), y
+
+
+@given(s6_pairs())
+@settings(max_examples=300, deadline=None)
+def test_bruhat_table_matches_bruhat_leq_on_s6(pair):
+    x, y = pair
+    table = bruhat_table(6)
+    j, k = table.index[x], table.index[y]
+    assert _has_bit(table.below[k], j) == bruhat_leq(x, y)
+    assert _has_bit(table.above[j], k) == bruhat_leq(x, y)
+    assert _has_bit(table.below[j], k) == bruhat_leq(y, x)
+
+
+def test_bruhat_table_is_guarded():
+    with pytest.raises(SizeGuardError):
+        bruhat_table(8)
+
+
+def test_iter_bits_ascends():
+    assert list(iter_bits(0)) == []
+    mask = (1 << 700) | (1 << 64) | 0b1011
+    assert list(iter_bits(mask)) == [0, 1, 3, 64, 700]
 
 
 def test_pattern_examples():

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import warnings
 
 import pytest
 
@@ -163,6 +165,15 @@ def test_cli_imm_identity_defaults_and_det_method(tmp_path, capsys):
     assert main(["imm", "1324", "-m", matrix, "--method", "det"]) == 1
     # the defining sum handles it fine
     assert main(["imm", "1324", "-m", matrix, "--method", "definition"]) == 0
+
+
+def test_cli_imm_closes_the_matrix_file(tmp_path, capsys):
+    matrix = _write_fixture_matrix(tmp_path / "m.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["imm", "2413", "-m", matrix, "--method", "det"]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_cli_graph(tmp_path, capsys):
