@@ -21,8 +21,8 @@ from .exactmat import (
     gen_totally_positive,
     is_k_positive,
     lewis_carroll_residual,
-    max_positivity_order,
     minor,
+    positivity_order,
     repeat_submatrix,
     restrict,
 )

@@ -22,7 +22,7 @@ from .exactmat import (
     Matrix,
     gen_k_positive_not_higher,
     gen_totally_positive,
-    max_positivity_order,
+    positivity_order,
 )
 from . import fixtures
 from .grid import (
@@ -175,7 +175,7 @@ def cmd_gen(args) -> int:
                   f"{n}x{n} matrix", file=sys.stderr)
             return 1
     _emit(json.dumps(M.to_doc(), sort_keys=True, indent=2) + "\n", args.out)
-    print(f"max positivity order: {max_positivity_order(M)}", file=sys.stderr)
+    print(f"max positivity order: {positivity_order(M)}", file=sys.stderr)
     return 0
 
 

@@ -4,7 +4,9 @@ Exact rational matrices and the minor machinery built on them.
 Entries are :class:`fractions.Fraction`, so every sign decision in the
 positivity tests is exact.  Determinants go through fraction-free
 Bareiss elimination on integers after clearing denominators, which keeps
-intermediate growth polynomial.  The 0 x 0 determinant is 1; the
+intermediate growth polynomial.  k-positivity needs only the solid minors
+(Fekete's criterion), which Dodgson condensation builds from Lewis
+Carroll's identity.  The 0 x 0 determinant is 1; the
 two-rows-two-columns-removed form of Lewis Carroll's identity at n = 2
 needs exactly that convention.
 
@@ -13,16 +15,15 @@ arguments.  Total positivity is produced constructively from a product
 of elementary lower bidiagonal factors, a positive diagonal, and
 elementary upper bidiagonal factors along reduced words of the longest
 permutation; matrices that are k-positive but not (k+1)-positive come
-from rejection sampling around a totally positive base point, verified
-exactly before being returned.
+from rejection sampling around a totally positive base point.  Every
+generated matrix is verified exactly.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -121,6 +122,13 @@ def _bareiss_int_det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1]
 
 
+def _cleared_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    # Each row times the lcm of its denominators, and those multipliers.
+    denoms = [lcm(*(x.denominator for x in row)) for row in M.entries]
+    return ([[int(x * d) for x in row] for row, d in zip(M.entries, denoms)],
+            denoms)
+
+
 def det(M: Matrix) -> Fraction:
     """
     Exact determinant (empty matrix has determinant 1).
@@ -131,13 +139,8 @@ def det(M: Matrix) -> Fraction:
     n = _require_square(M)
     if n == 0:
         return Fraction(1)
-    scale = 1
-    int_rows = []
-    for row in M.entries:
-        denom = lcm(*(x.denominator for x in row))
-        scale *= denom
-        int_rows.append([int(x * denom) for x in row])
-    return Fraction(_bareiss_int_det(int_rows), scale)
+    int_rows, denoms = _cleared_rows(M)
+    return Fraction(_bareiss_int_det(int_rows), prod(denoms))
 
 
 def submatrix(M: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
@@ -199,34 +202,54 @@ def repeat_submatrix(M: Matrix, R: Sequence[int], C: Sequence[int]) -> Matrix:
     return Matrix(tuple(tuple(M.entries[r - 1][c - 1] for c in C) for r in R))
 
 
-def _all_minors_of_size(M: Matrix, s: int):
-    n = M.rows
-    for rows in itertools.combinations(range(1, n + 1), s):
-        for cols in itertools.combinations(range(1, n + 1), s):
-            yield minor(M, rows, cols)
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
+
+
+def positivity_order(M: Matrix, upto: int | None = None) -> int:
+    """
+    The largest s <= upto (default n) such that every minor of size at
+    most s is positive.  By Fekete's criterion only the solid minors
+    (contiguous rows and columns) count; they are built size by size in
+    integers by Dodgson condensation, after scaling each row by the lcm of
+    its denominators, which keeps the sign of every minor.
+
+    >>> positivity_order(Matrix.from_rows([[3, 2, 1], [2, 2, 2], [1, 2, 3]]))
+    2
+    """
+    n = _require_square(M)
+    upto = n if upto is None else upto
+    if not 0 <= upto <= n:
+        raise ValueError(f"upto must lie in [0, {n}], got {upto}")
+    lower = [[1] * (n + 1) for _ in range(n + 1)]  # the size-0 minors
+    level, _ = _cleared_rows(M)
+    for s in range(1, upto + 1):
+        if s > 1:
+            # Lewis Carroll's identity; each divisor is a solid minor of
+            # size s - 2, already shown positive.
+            lower, level = level, [
+                [_exact_quotient(level[i][j] * level[i + 1][j + 1]
+                                 - level[i][j + 1] * level[i + 1][j],
+                                 lower[i + 1][j + 1])
+                 for j in range(n - s + 1)]
+                for i in range(n - s + 1)]
+        if min(map(min, level)) <= 0:
+            return s - 1
+    return upto
 
 
 def is_k_positive(M: Matrix, k: int) -> bool:
     """
-    Are all minors of size at most k strictly positive?  Every minor is
-    enumerated; no solid-minor shortcut is assumed because the classical
-    criteria are stated for total positivity, not k-positivity.
+    Are all minors of size at most k positive?  Only the solid ones are
+    checked (Fekete's criterion), by condensation: see positivity_order.
     """
     n = _require_square(M)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    return all(value > 0
-               for s in range(1, k + 1)
-               for value in _all_minors_of_size(M, s))
-
-
-def max_positivity_order(M: Matrix) -> int:
-    """Largest k with all minors of size <= k positive; 0 if none."""
-    n = _require_square(M)
-    for s in range(1, n + 1):
-        if not all(value > 0 for value in _all_minors_of_size(M, s)):
-            return s - 1
-    return n
+    return positivity_order(M, k) == k
 
 
 def _longest_word(n: int) -> list[int]:
@@ -244,11 +267,10 @@ def _elementary(n: int, i: int, t: Fraction, lower: bool) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def gen_totally_positive(n: int, seed: int, verify: bool | None = None) -> Matrix:
+def gen_totally_positive(n: int, seed: int) -> Matrix:
     """
     A totally positive n x n matrix with positive rational parameters
-    drawn from a seeded generator.  For n <= 6 the result is verified
-    minor-by-minor before being returned (override with ``verify``).
+    drawn from a seeded generator, verified exactly before being returned.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -263,15 +285,9 @@ def gen_totally_positive(n: int, seed: int, verify: bool | None = None) -> Matri
         M = _elementary(n, i, parameter(), lower=True) @ M
     for i in reversed(_longest_word(n)):
         M = M @ _elementary(n, i, parameter(), lower=False)
-    if verify is None:
-        verify = n <= 6
-    if verify and not is_k_positive(M, n):
+    if positivity_order(M) != n:
         raise ArithmeticError("generated matrix failed total positivity check")
     return M
-
-
-def has_nonpositive_minor_of_size(M: Matrix, s: int) -> bool:
-    return any(value <= 0 for value in _all_minors_of_size(M, s))
 
 
 def gen_k_positive_not_higher(n: int, k: int, seed: int,
@@ -286,21 +302,17 @@ def gen_k_positive_not_higher(n: int, k: int, seed: int,
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     rng = random.Random(f"kpos:{n}:{k}:{seed}")
-    base = gen_totally_positive(n, seed=rng.randint(0, 2**30), verify=False)
-    smallest = min(x for row in base.entries for x in row)
     for trial in range(budget):
+        if trial % 500 == 0:
+            base = gen_totally_positive(n, seed=rng.randint(0, 2**30))
+            smallest = min(x for row in base.entries for x in row)
         magnitude = (smallest / 10) * (1 + Fraction(trial, 200))
         candidate = Matrix(tuple(
             tuple(x + magnitude * Fraction(rng.randint(-100, 100), 100)
                   for x in row)
             for row in base.entries))
-        if (is_k_positive(candidate, k)
-                and has_nonpositive_minor_of_size(candidate, k + 1)):
+        if positivity_order(candidate, k + 1) == k:
             return candidate
-        if trial % 500 == 499:
-            base = gen_totally_positive(n, seed=rng.randint(0, 2**30),
-                                        verify=False)
-            smallest = min(x for row in base.entries for x in row)
     return None
 
 

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    PatternPreconditionError,
-    PreconditionError,
-    SizeGuardError,
-)
+from .errors import PatternPreconditionError, PreconditionError
 from .perm import (
     Perm,
     avoids,
@@ -165,8 +161,6 @@ def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     [v, w_0] directly and union the permutation graphs.  Guarded at
     n <= 7 because it walks all of S_n.
     """
-    if len(v) > 7:
-        raise SizeGuardError("brute-force interval graphs are guarded at n <= 7")
     cells: set[Cell] = set()
     for u in bruhat_interval_to_top(v):
         cells |= permutation_graph(u)

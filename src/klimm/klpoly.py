@@ -25,6 +25,7 @@ from functools import lru_cache
 from .errors import SizeMismatchError
 from .perm import (
     Perm,
+    as_perm,
     bruhat_leq,
     bruhat_table,
     format_perm,
@@ -264,7 +265,7 @@ def kl_polynomial(x: Perm, y: Perm, cache: KLCache | None = None) -> IntPolynomi
     >>> str(kl_polynomial((4, 3, 2, 1), (1, 2, 3, 4)))
     '0'
     """
-    x, y = tuple(x), tuple(y)
+    x, y = as_perm(x), as_perm(y)
     _check_same_size(x, y)
     if cache is None:
         cache = KLCache(len(x))

@@ -221,6 +221,7 @@ def symmetric_group(n: int) -> Iterator[Perm]:
 
 
 BRUHAT_TABLE_GUARD = 7
+BRUTE_FORCE_GUARD = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +309,11 @@ def bruhat_table(n: int) -> BruhatTable:
                        above, descents, odd)
 
 
-def bruhat_interval_to_top(v: Perm, guard: int = 7) -> list[Perm]:
-    """All u with v <= u <= w_0, enumerated by brute force (n <= guard)."""
-    if len(v) > guard:
+def bruhat_interval_to_top(v: Perm) -> list[Perm]:
+    """All u with v <= u <= w_0, by brute force (n <= BRUTE_FORCE_GUARD)."""
+    if len(v) > BRUTE_FORCE_GUARD:
         raise SizeGuardError(
-            f"brute-force interval enumeration guarded at n <= {guard}")
+            f"brute-force intervals are guarded at n <= {BRUTE_FORCE_GUARD}")
     return [u for u in symmetric_group(len(v)) if bruhat_leq(v, u)]
 
 

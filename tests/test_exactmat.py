@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rational_matrix
-from klimm import fixtures
+from klimm import exactmat, fixtures
 from klimm.errors import ShapeError
 from klimm.exactmat import (
     Matrix,
@@ -16,11 +17,10 @@ from klimm.exactmat import (
     det,
     gen_k_positive_not_higher,
     gen_totally_positive,
-    has_nonpositive_minor_of_size,
     is_k_positive,
     lewis_carroll_residual,
-    max_positivity_order,
     minor,
+    positivity_order,
     repeat_submatrix,
     restrict,
     submatrix,
@@ -35,6 +35,11 @@ rationals = st.fractions(
 
 def square_matrices(n):
     return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix.from_rows)
+
+
+def small_nonnegative_matrices(n):
+    return st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),
                     min_size=n, max_size=n).map(Matrix.from_rows)
 
 
@@ -99,31 +104,81 @@ def test_repeat_submatrix_examples():
 def test_k_positivity_of_fixture():
     assert is_k_positive(FIXTURE, 2)
     assert not is_k_positive(FIXTURE, 3)
-    assert max_positivity_order(FIXTURE) == 2
+    assert positivity_order(FIXTURE) == 2
+    assert positivity_order(FIXTURE, 1) == 1
     assert not is_k_positive(Matrix.from_rows([[1, -1], [1, 1]]), 1)
-    assert max_positivity_order(Matrix.identity(3)) == 0
+    assert positivity_order(Matrix.identity(3)) == 0
+    assert positivity_order(Matrix(())) == 0
     with pytest.raises(ValueError):
         is_k_positive(FIXTURE, 5)
+    with pytest.raises(ValueError):
+        is_k_positive(FIXTURE, 0)
+    with pytest.raises(ValueError):
+        positivity_order(FIXTURE, 5)
+    with pytest.raises(ValueError):
+        positivity_order(FIXTURE, -1)
+    with pytest.raises(ShapeError):
+        positivity_order(Matrix.zeros(2, 3))
+    with pytest.raises(ShapeError):
+        is_k_positive(Matrix.zeros(3, 2), 1)
 
 
-def test_k_positivity_is_monotone_in_k():
-    rng = random.Random(3)
-    for _ in range(5):
-        M = random_rational_matrix(4, rng, span=9, den=3)
-        orders = [is_k_positive(M, k) if max_positivity_order(M) >= 0 else None
-                  for k in range(1, 5)]
-        # once False, stays False
-        seen_false = False
-        for value in orders:
-            if seen_false:
-                assert not value
-            seen_false = seen_false or not value
+def _order_by_enumeration(M: Matrix) -> int:
+    # Oracle: every minor of every size, not only the solid ones.
+    n = M.rows
+    for s in range(1, n + 1):
+        sets = list(itertools.combinations(range(1, n + 1), s))
+        if any(minor(M, rows, cols) <= 0 for rows in sets for cols in sets):
+            return s - 1
+    return n
+
+
+@st.composite
+def perturbed_totally_positive(draw):
+    # A totally positive matrix whose corner entry is moved to near the
+    # value that zeroes one of its leading minors, so that every order
+    # from 0 to n turns up.
+    n = draw(st.integers(2, 5))
+    base = gen_totally_positive(n, seed=draw(st.integers(0, 50)))
+    lead = range(1, draw(st.integers(2, n)) + 1)
+    crossing = minor(base, lead, lead) / minor(base, lead[1:], lead[1:])
+    rows = [list(row) for row in base.entries]
+    rows[0][0] -= crossing * Fraction(draw(st.integers(90, 110)), 100)
+    return Matrix.from_rows(rows)
+
+
+@given(st.one_of(st.integers(0, 5).flatmap(square_matrices),
+                 st.integers(1, 5).flatmap(small_nonnegative_matrices),
+                 perturbed_totally_positive()))
+@settings(max_examples=300, deadline=None)
+def test_positivity_order_matches_minor_enumeration(M):
+    n = M.rows
+    order = _order_by_enumeration(M)
+    for upto in range(n + 1):
+        assert positivity_order(M, upto) == min(order, upto)
+    # k-positivity is monotone in k: true up to the order, false beyond.
+    assert [is_k_positive(M, k) for k in range(1, n + 1)] == \
+        [k <= order for k in range(1, n + 1)]
+
+
+def test_condensation_rejects_an_inexact_division():
+    assert exactmat._exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        exactmat._exact_quotient(7, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generated_totally_positive(n):
     M = gen_totally_positive(n, seed=17)
-    assert max_positivity_order(M) == n
+    assert positivity_order(M) == n
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_generated_totally_positive_is_verified_at_every_size(n, monkeypatch):
+    assert positivity_order(gen_totally_positive(n, seed=17)) == n
+    monkeypatch.setattr(exactmat, "positivity_order", lambda M, upto=None: 0)
+    with pytest.raises(ArithmeticError):
+        gen_totally_positive(n, seed=17)
 
 
 def test_generators_are_deterministic():
@@ -139,8 +194,8 @@ def test_strictly_k_positive_sampling(n, k):
     M = gen_k_positive_not_higher(n, k, seed=11, budget=4000)
     assert M is not None
     assert is_k_positive(M, k)
-    assert has_nonpositive_minor_of_size(M, k + 1)
-    assert max_positivity_order(M) == k
+    assert not is_k_positive(M, k + 1)
+    assert positivity_order(M) == k
 
 
 def test_strict_sampling_budget_exhaustion_returns_none():
@@ -173,7 +228,7 @@ def test_antidiagonal_transpose():
     assert flipped.entry(1, 4) == FIXTURE.entry(1, 4)
     assert antidiagonal_transpose(flipped) == FIXTURE
     assert det(flipped) == det(FIXTURE)
-    assert max_positivity_order(flipped) == max_positivity_order(FIXTURE)
+    assert positivity_order(flipped) == positivity_order(FIXTURE)
 
 
 @given(square_matrices(4))
@@ -185,7 +240,7 @@ def test_antidiagonal_transpose_preserves_det(M):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_antidiagonal_transpose_preserves_positivity(n):
     M = gen_totally_positive(n, seed=23)
-    assert max_positivity_order(antidiagonal_transpose(M)) == n
+    assert positivity_order(antidiagonal_transpose(M)) == n
 
 
 def test_bar():

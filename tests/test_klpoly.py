@@ -52,6 +52,14 @@ def test_trivial_values(kl_cache_s4):
         kl_polynomial((1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("x,y", [((1, 1, 3), (3, 2, 1)),
+                                 ((1, 2, 3), (3, 3, 1)),
+                                 ((0, 1, 2), (2, 1, 0))])
+def test_kl_polynomial_rejects_words_that_are_not_permutations(x, y):
+    with pytest.raises(ValueError):
+        kl_polynomial(x, y, KLCache(3))
+
+
 def test_smallest_nontrivial_polynomial(kl_cache_s4):
     p = kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), kl_cache_s4)
     assert str(p) == "1 + q"

@@ -7,7 +7,7 @@ import pytest
 
 from klimm import fixtures
 from klimm.cli import main
-from klimm.exactmat import Matrix, is_k_positive, max_positivity_order
+from klimm.exactmat import Matrix, is_k_positive, positivity_order
 from klimm.suites import Config, SuiteReport, run_search, run_suite
 
 
@@ -216,7 +216,7 @@ def test_cli_gen(tmp_path, capsys):
     out = tmp_path / "tp.json"
     assert main(["gen", "4", "4", "--out", str(out)]) == 0
     M = Matrix.from_doc(json.loads(out.read_text()))
-    assert max_positivity_order(M) == 4
+    assert positivity_order(M) == 4
     assert "max positivity order: 4" in capsys.readouterr().err
 
     assert main(["gen", "4", "2", "--out", str(out)]) == 0
