@@ -24,10 +24,11 @@ from .errors import PatternPreconditionError, PreconditionError
 from .perm import (
     Perm,
     avoids,
-    bruhat_interval_to_top,
+    bruhat_table,
     compose,
     delete_entry,
     is_in_maximal_parabolic,
+    iter_bits,
     longest_element,
     non_inversions,
 )
@@ -157,13 +158,15 @@ def graph_of_upper_interval(v: Perm,
 
 def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     """
-    Oracle for :func:`graph_of_upper_interval`: enumerate the interval
-    [v, w_0] directly and union the permutation graphs.  Guarded at
-    n <= 7 because it walks all of S_n.
+    Oracle for :func:`graph_of_upper_interval`: list [v, w_0] from
+    ``above[v]`` of :func:`klimm.perm.bruhat_table` (itself tested against
+    ``bruhat_leq``), not from the sandwich description, and union the
+    permutation graphs.  Guarded at n <= 7 with the table.
     """
+    table = bruhat_table(len(v))
     cells: set[Cell] = set()
-    for u in bruhat_interval_to_top(v):
-        cells |= permutation_graph(u)
+    for k in iter_bits(table.above[table.index[tuple(v)]]):
+        cells |= permutation_graph(table.perms[k])
     return grid(len(v), cells)
 
 
@@ -301,16 +304,8 @@ class BoundingBox:
     corners: tuple[Cell, ...]
     color: Color
 
-    @property
-    def corner(self) -> Cell:
-        return self.corners[0]
-
     def side(self) -> int:
         return self.rows[1] - self.rows[0] + 1
-
-    def contains(self, other: "BoundingBox") -> bool:
-        return (self.rows[0] <= other.rows[0] and other.rows[1] <= self.rows[1]
-                and self.cols[0] <= other.cols[0] and other.cols[1] <= self.cols[1])
 
     def cells(self) -> frozenset[Cell]:
         return frozenset((i, j)

@@ -25,7 +25,6 @@ from .errors import (
     PositivityPreconditionError,
     PreconditionError,
     ShapeError,
-    SizeGuardError,
 )
 from .exactmat import (
     Matrix,
@@ -53,21 +52,17 @@ from .grid import (
     young_diagram_grid,
     young_shape,
 )
-from .klpoly import KLCache, kl_at_one
+from .klpoly import KLCache, kl_at
 from .perm import (
     Perm,
     avoids,
     bruhat_table,
-    compose,
     delete_entry,
     format_perm,
     inverse,
     iter_bits,
     length,
-    longest_element,
 )
-
-DEFINITION_SIZE_GUARD = 7
 
 
 def _require_avoiding(v: Perm) -> None:
@@ -108,33 +103,31 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     """
     The defining sum: over w >= v (all other Kazhdan-Lusztig values
     vanish), add (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1) times the
-    w-monomial of M.  The w run over the set bits of ``above[v]`` in the
-    Bruhat table of :func:`klimm.perm.bruhat_table`, which also gives
-    l(w).  Works for every v; cost grows with the upper interval, so the
-    size is guarded at n <= 7.
+    w-monomial of M.  It works on positions in the Bruhat table of
+    :func:`klimm.perm.bruhat_table`: the w run over the set bits of
+    ``above[v]``, the table gives l(w), and since left multiplication by
+    w0 reverses the lexicographic order, w0 w sits at position
+    n! - 1 - (position of w).  Works for every v; the table guards the
+    size at n <= 7.
     """
     v = tuple(v)
     n = len(v)
     _require_square_of_size(M, n)
-    if n > DEFINITION_SIZE_GUARD:
-        raise SizeGuardError(
-            f"the defining sum is guarded at n <= {DEFINITION_SIZE_GUARD}")
+    table = bruhat_table(n)
     if cache is None:
         cache = KLCache(n)
-    table = bruhat_table(n)
-    w0 = longest_element(n)
-    y = compose(w0, v)
-    lv = length(v)
+    iv = table.index[v]
+    top = len(table.perms) - 1
     total = Fraction(0)
-    for k in iter_bits(table.above[table.index[v]]):
-        w = table.perms[k]
-        multiplicity = kl_at_one(compose(w0, w), y, cache)
+    for k in iter_bits(table.above[iv]):
+        multiplicity = kl_at(table, top - k, top - iv, cache)(1)
         if multiplicity == 0:
             continue
+        w = table.perms[k]
         monomial = prod(M.entry(i, w[i - 1]) for i in range(1, n + 1))
         if monomial == 0:
             continue
-        sign = -1 if (table.lengths[k] - lv) % 2 else 1
+        sign = -1 if (table.lengths[k] - table.lengths[iv]) % 2 else 1
         total += sign * multiplicity * monomial
     return total
 

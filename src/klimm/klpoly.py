@@ -3,11 +3,12 @@ Kazhdan-Lusztig polynomials P_{x,y}(q) for the symmetric group.
 
 Two independent computations are provided.  The production path is the
 classical recursion on a right descent of y, fully memoized in a
-:class:`KLCache`.  On a miss its mu-sum runs over the set bits of the
-Bruhat-interval bitsets of :func:`klimm.perm.bruhat_table`, not over all
-of S_n; that table, and so any uncached value, is guarded at n <= 7.
-The second path inverts R-polynomials by brute force; it exists so the
-two can be cross-checked against each other on small groups.
+:class:`KLCache`.  It works on positions in :func:`klimm.perm.bruhat_table`:
+comparisons, descents and their products are table lookups, and the
+mu-sum runs over the set bits of one AND of table bitsets; the table, and
+so every value with x < y, is guarded at n <= 7.  The second path inverts
+R-polynomials by brute force on tuples and ``bruhat_leq``; it exists so
+the two can be cross-checked against each other on small groups.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -24,6 +25,7 @@ from functools import lru_cache
 
 from .errors import SizeMismatchError
 from .perm import (
+    BruhatTable,
     Perm,
     as_perm,
     bruhat_leq,
@@ -197,14 +199,26 @@ class KLCache:
     def load(cls, path: str) -> "KLCache":
         with open(path) as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
         if doc.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError(f"unsupported cache format in {path}")
-        cache = cls(doc["n"])
-        for key, coeffs in doc["table"].items():
-            x, y = (parse_perm(text) for text in key.split("|"))
-            if len(x) != cache.n or len(y) != cache.n:
-                raise ValueError(
-                    f"cache entry {key} in {path} is not in S_{cache.n}")
+        n, table = doc.get("n"), doc.get("table")
+        if type(n) is not int or not isinstance(table, dict):
+            raise ValueError(
+                f"{path} needs an integer 'n' and an object 'table'")
+        cache = cls(n)
+        for key, coeffs in table.items():
+            words = key.split("|")
+            if len(words) != 2:
+                raise ValueError(f"cache key {key!r} in {path} is not x|y")
+            x, y = map(parse_perm, words)
+            if len(x) != n or len(y) != n:
+                raise ValueError(f"cache entry {key} in {path} is not in S_{n}")
+            if not (isinstance(coeffs, list)
+                    and all(type(c) is int for c in coeffs)):
+                raise ValueError(f"cache entry {key} in {path} is not a "
+                                 "list of integers")
             cache._table[(x, y)] = IntPolynomial(tuple(coeffs))
         return cache
 
@@ -267,52 +281,52 @@ def kl_polynomial(x: Perm, y: Perm, cache: KLCache | None = None) -> IntPolynomi
     """
     x, y = as_perm(x), as_perm(y)
     _check_same_size(x, y)
-    if cache is None:
-        cache = KLCache(len(x))
-    return _kl(x, y, cache)
-
-
-def _kl(x: Perm, y: Perm, cache: KLCache) -> IntPolynomial:
     if x == y:
         return ONE
     if not bruhat_leq(x, y):
         return ZERO
-    known = cache.get(x, y)
+    table = bruhat_table(len(x))
+    if cache is None:
+        cache = KLCache(len(x))
+    return kl_at(table, table.index[x], table.index[y], cache)
+
+
+def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
+    """P_{x,y} for the permutations at positions x and y of ``table``."""
+    if x == y:
+        return ONE
+    if not table.below[y] >> x & 1:
+        return ZERO
+    px, py = table.perms[x], table.perms[y]
+    known = cache.get(px, py)
     if known is not None:
         return known
 
-    n = len(y)
-    table = bruhat_table(n)
-    # Right descent of y: a position i with y_i > y_{i+1} (0-based scan).
-    i = next(k for k in range(n - 1) if y[k] > y[k + 1])
-    ys = y[:i] + (y[i + 1], y[i]) + y[i + 2:]
-    xs = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
-    c = 1 if x[i] > x[i + 1] else 0
+    i = table.first_descent[y]
+    ys, xs = table.times_s[i][y], table.times_s[i][x]
+    c = table.descents[i] >> x & 1
+    p = (kl_at(table, xs, ys, cache).shifted(1 - c)
+         + kl_at(table, x, ys, cache).shifted(c))
 
-    p = _kl(xs, ys, cache).shifted(1 - c) + _kl(x, ys, cache).shifted(c)
-
-    ly = table.lengths[table.index[y]]
-    lys = ly - 1
+    ly = table.lengths[y]
     # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
     # i.e. l(z) = l(y) mod 2: the set bits of one AND of Bruhat-table
     # bitsets, in symmetric_group order, not a scan of S_n.
     parity = table.odd if ly % 2 else ~table.odd
-    candidates = (table.below[table.index[ys]] & table.above[table.index[x]]
-                  & table.descents[i] & parity)
-    for k in iter_bits(candidates):
-        z, lz = table.perms[k], table.lengths[k]
-        gap = lys - lz
-        mu = _kl(z, ys, cache).coeff((gap - 1) // 2)
+    candidates = table.below[ys] & table.above[x] & table.descents[i] & parity
+    for z in iter_bits(candidates):
+        lz = table.lengths[z]
+        mu = kl_at(table, z, ys, cache).coeff((ly - lz - 2) // 2)
         if mu:
-            p = p - _kl(x, z, cache).times(mu).shifted((ly - lz) // 2)
+            p = p - kl_at(table, x, z, cache).times(mu).shifted((ly - lz) // 2)
 
     if p.coeff(0) != 1:
-        raise ArithmeticError(f"P_{x},{y} has constant term {p.coeff(0)}")
+        raise ArithmeticError(f"P_{px},{py} has constant term {p.coeff(0)}")
     if any(coeff < 0 for coeff in p.coeffs):
-        raise ArithmeticError(f"negative coefficient in P_{x},{y}")
-    if 2 * p.degree() > ly - table.lengths[table.index[x]] - 1:
-        raise ArithmeticError(f"degree bound violated for P_{x},{y}")
-    cache.put(x, y, p)
+        raise ArithmeticError(f"negative coefficient in P_{px},{py}")
+    if 2 * p.degree() > ly - table.lengths[x] - 1:
+        raise ArithmeticError(f"degree bound violated for P_{px},{py}")
+    cache.put(px, py, p)
     return p
 
 

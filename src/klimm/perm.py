@@ -221,7 +221,6 @@ def symmetric_group(n: int) -> Iterator[Perm]:
 
 
 BRUHAT_TABLE_GUARD = 7
-BRUTE_FORCE_GUARD = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +232,10 @@ class BruhatTable:
     perms[j] >= perms[k].  Bit k of ``descents[i]`` is set iff
     ``perms[k][i] > perms[k][i + 1]`` (a right descent at the 0-based
     position i), and bit k of ``odd`` iff l(perms[k]) is odd.
+    ``times_s[i][k]`` is the position of perms[k] times s_{i+1} (entries
+    i and i + 1 swapped), and ``first_descent[k]`` is the smallest such
+    descent i of perms[k], or -1 for the identity.  Left multiplication
+    by w_0 sends position k to ``len(perms) - 1 - k``.
     """
 
     perms: tuple[Perm, ...]
@@ -242,6 +245,8 @@ class BruhatTable:
     above: tuple[int, ...]
     descents: tuple[int, ...]
     odd: int
+    times_s: tuple[tuple[int, ...], ...]
+    first_descent: tuple[int, ...]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -281,14 +286,14 @@ def bruhat_table(n: int) -> BruhatTable:
     size = len(perms)
     index = {v: k for k, v in enumerate(perms)}
     lengths = tuple(map(length, perms))
-    # times_s[i][k] is the position of perms[k] times s_{i+1}, which swaps
-    # the entries at 0-based positions i and i + 1.
-    times_s = [[index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms]
-               for i in range(n - 1)]
+    times_s = tuple(
+        tuple(index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms)
+        for i in range(n - 1))
+    first_descent = tuple(
+        next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
     below = []
-    for k, w in enumerate(perms):
-        i = next((t for t in range(n - 1) if w[t] > w[t + 1]), None)
-        if i is None:
+    for k, i in enumerate(first_descent):
+        if i < 0:
             below.append(1 << k)  # the identity
             continue
         lower = below[times_s[i][k]]
@@ -306,15 +311,7 @@ def bruhat_table(n: int) -> BruhatTable:
         for i in range(n - 1))
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
     return BruhatTable(perms, lengths, MappingProxyType(index), tuple(below),
-                       above, descents, odd)
-
-
-def bruhat_interval_to_top(v: Perm) -> list[Perm]:
-    """All u with v <= u <= w_0, by brute force (n <= BRUTE_FORCE_GUARD)."""
-    if len(v) > BRUTE_FORCE_GUARD:
-        raise SizeGuardError(
-            f"brute-force intervals are guarded at n <= {BRUTE_FORCE_GUARD}")
-    return [u for u in symmetric_group(len(v)) if bruhat_leq(v, u)]
+                       above, descents, odd, times_s, first_descent)
 
 
 def parse_perm(text: str) -> Perm:

@@ -2,9 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from klimm.exactmat import Matrix
 from klimm.klpoly import KLCache
+
+rationals = st.fractions(
+    min_value=-50, max_value=50, max_denominator=12)
+
+
+def square_matrices(n):
+    """Hypothesis strategy for n x n matrices of small rationals."""
+    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Matrix.from_rows)
 
 
 def random_rational_matrix(n: int, rng: random.Random,

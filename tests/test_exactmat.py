@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rational_matrix
+from conftest import random_rational_matrix, square_matrices
 from klimm import exactmat, fixtures
 from klimm.errors import ShapeError
 from klimm.exactmat import (
@@ -28,15 +28,6 @@ from klimm.exactmat import (
 from klimm.grid import graph_of_upper_interval, grid
 
 FIXTURE = fixtures.TWO_POSITIVE_NOT_THREE
-
-rationals = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12)
-
-
-def square_matrices(n):
-    return st.lists(st.lists(rationals, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix.from_rows)
-
 
 def small_nonnegative_matrices(n):
     return st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),

@@ -1,10 +1,13 @@
+import functools
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_rational_matrix
+from conftest import random_rational_matrix, square_matrices
 from klimm import fixtures
 from klimm.errors import (
     PatternPreconditionError,
@@ -42,7 +45,7 @@ from klimm.immanant import (
     young_sign_check,
     young_sign_law,
 )
-from klimm.klpoly import KLCache, kl_at_one
+from klimm.klpoly import ZERO, KLCache, kl_at_one, kl_table_via_r
 from klimm.perm import (
     avoids,
     bruhat_leq,
@@ -95,6 +98,39 @@ def test_definition_support_rule_matches_unpruned_sum(kl_cache_s4):
             vanishes = kl_at_one(compose(w0, w), compose(w0, v),
                                  kl_cache_s4) == 0
             assert vanishes == (not bruhat_leq(v, w))
+
+
+@functools.lru_cache(maxsize=None)
+def _unpruned_weights(v):
+    """
+    (w, (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1)) for every w in S_n, with the
+    Kazhdan-Lusztig values of the R-polynomial route (the table behind
+    kl_polynomial_via_r): neither the Bruhat table nor the recursion.
+    """
+    n = len(v)
+    w0 = longest_element(n)
+    values = kl_table_via_r(compose(w0, v))
+    return [(w, (-1 if (length(w) - length(v)) % 2 else 1)
+             * values.get(compose(w0, w), ZERO)(1))
+            for w in symmetric_group(n)]
+
+
+def _unpruned_definition(v, M):
+    return sum((weight * prod(M.entry(i, w[i - 1]) for i in range(1, len(v) + 1))
+                for w, weight in _unpruned_weights(v)), Fraction(0))
+
+
+@given(st.integers(1, 4).flatmap(square_matrices))
+@settings(max_examples=30, deadline=None)
+def test_defining_sum_matches_the_unpruned_sum_for_every_v_up_to_s4(M):
+    for v in symmetric_group(M.rows):
+        assert imm_definition(v, M) == _unpruned_definition(v, M)
+
+
+@given(st.permutations(list(range(1, 6))).map(tuple), square_matrices(5))
+@settings(max_examples=60, deadline=None)
+def test_defining_sum_matches_the_unpruned_sum_on_s5(v, M):
+    assert imm_definition(v, M) == _unpruned_definition(v, M)
 
 
 def test_determinantal_worked_example():

@@ -116,6 +116,18 @@ def test_uncached_values_past_the_table_guard_are_rejected():
         kl_polynomial(e, (2, 1, 3, 4, 5, 6, 7, 8))
 
 
+def test_cached_values_past_the_table_guard_are_rejected_too():
+    # Past the guard even a cached comparable pair goes through the table,
+    # so the cache cannot answer what the recursion could not check.
+    e, s1 = identity(8), (2, 1, 3, 4, 5, 6, 7, 8)
+    cache = KLCache(8)
+    cache.put(e, s1, ONE)
+    assert kl_polynomial(s1, s1, cache) == ONE
+    assert kl_polynomial(s1, e, cache) == ZERO
+    with pytest.raises(SizeGuardError):
+        kl_polynomial(e, s1, cache)
+
+
 def test_bruhat_table_is_a_module_level_lru_cache():
     # A memo of this kind, bound at module level, is what a benchmark
     # harness can find and clear to make every run cold.
@@ -195,6 +207,33 @@ def test_cache_load_rejects_entries_of_another_size(tmp_path):
     path = tmp_path / "kl.s4.json"
     path.write_text(json.dumps({"n": 4, "format_version": 1,
                                 "table": {"13245|34125": [1, 1]}}))
+    with pytest.raises(ValueError):
+        KLCache.load(str(path))
+
+
+MALFORMED_CACHE_DOCS = {
+    "document-is-a-list": [],
+    "n-missing": {"format_version": 1, "table": {}},
+    "n-not-an-int": {"n": 4.0, "format_version": 1,
+                     "table": {"1324|3412": [1, 1]}},
+    "table-not-an-object": {"n": 4, "format_version": 1, "table": []},
+    "key-not-x|y": {"n": 4, "format_version": 1,
+                    "table": {"1324|3412|4321": [1]}},
+    "coefficient-a-string": {"n": 4, "format_version": 1,
+                             "table": {"1324|3412": ["a"]}},
+    "coefficient-a-float": {"n": 4, "format_version": 1,
+                            "table": {"1324|3412": [1.5]}},
+    "coefficient-a-bool": {"n": 4, "format_version": 1,
+                           "table": {"1324|3412": [True]}},
+    "value-not-a-list": {"n": 4, "format_version": 1,
+                         "table": {"1324|3412": 2}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CACHE_DOCS))
+def test_cache_load_rejects_a_malformed_document(tmp_path, name):
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps(MALFORMED_CACHE_DOCS[name]))
     with pytest.raises(ValueError):
         KLCache.load(str(path))
 

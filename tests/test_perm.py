@@ -158,6 +158,21 @@ def test_bruhat_table_descent_and_parity_masks(n):
     assert table.odd >> len(table.perms) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bruhat_table_moves_and_w0_mirror(n):
+    table = bruhat_table(n)
+    top = len(table.perms) - 1
+    w0 = longest_element(n)
+    assert len(table.times_s) == max(n - 1, 0)
+    for k, v in enumerate(table.perms):
+        for i, moves in enumerate(table.times_s):
+            swapped = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+            assert moves[k] == table.index[swapped]
+        descents = [i for i in range(n - 1) if v[i] > v[i + 1]]
+        assert table.first_descent[k] == (descents[0] if descents else -1)
+        assert table.index[compose(w0, v)] == top - k
+
+
 @st.composite
 def s6_pairs(draw):
     """(x, y) in S_6: independent, or x below y by undoing inversions."""

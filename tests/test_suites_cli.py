@@ -135,6 +135,21 @@ def test_cli_kl_rejects_mislabelled_cache_file(tmp_path, capsys):
     assert s5.read_bytes() == before
 
 
+@pytest.mark.parametrize("doc", [
+    {"format_version": 1, "table": {}},
+    [],
+    {"n": 4, "format_version": 1, "table": {"1324|3412": ["a"]}},
+    {"n": 4, "format_version": 1, "table": {"1324|3412": [1.5]}},
+], ids=["n-missing", "list", "coefficient-a-string", "coefficient-a-float"])
+def test_cli_kl_rejects_a_malformed_cache_file(tmp_path, capsys, doc):
+    (tmp_path / "kl.s4.json").write_text(json.dumps(doc))
+    base = str(tmp_path / "kl.json")
+    assert main(["kl", "1324", "3412", "--kl-cache", base]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def _write_fixture_matrix(path) -> str:
     with open(path, "w") as handle:
         json.dump(fixtures.TWO_POSITIVE_NOT_THREE.to_doc(), handle)
