@@ -59,7 +59,7 @@ from .immanant import (
     young_complement_sign_check,
     young_sign_check,
 )
-from .klpoly import IntPolynomial, KLCache, kl_at_one, kl_polynomial
+from .klpoly import IntPolynomial, KLCache, kl_polynomial
 from .perm import (
     bruhat_leq,
     compose,

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .errors import PatternPreconditionError, PreconditionError
 from .perm import (
     Perm,
+    as_perm,
     avoids,
     bruhat_table,
     compose,
@@ -163,9 +164,10 @@ def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     ``bruhat_leq``), not from the sandwich description, and union the
     permutation graphs.  Guarded at n <= 7 with the table.
     """
+    v = as_perm(v)
     table = bruhat_table(len(v))
     cells: set[Cell] = set()
-    for k in iter_bits(table.above[table.index[tuple(v)]]):
+    for k in iter_bits(table.above[table.index[v]]):
         cells |= permutation_graph(table.perms[k])
     return grid(len(v), cells)
 

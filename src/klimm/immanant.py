@@ -28,6 +28,7 @@ from .errors import (
 )
 from .exactmat import (
     Matrix,
+    _cleared_rows,
     antidiagonal_transpose,
     bar,
     deleted_det,
@@ -55,6 +56,7 @@ from .grid import (
 from .klpoly import KLCache, kl_at
 from .perm import (
     Perm,
+    as_perm,
     avoids,
     bruhat_table,
     delete_entry,
@@ -107,29 +109,27 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     :func:`klimm.perm.bruhat_table`: the w run over the set bits of
     ``above[v]``, the table gives l(w), and since left multiplication by
     w0 reverses the lexicographic order, w0 w sits at position
-    n! - 1 - (position of w).  Works for every v; the table guards the
-    size at n <= 7.
+    n! - 1 - (position of w).  The monomials are products of the cleared
+    integer rows of M; every monomial takes one entry from each row, so
+    the integer total over the product of the row multipliers is exact.
+    Works for every v; the table guards the size at n <= 7.
     """
-    v = tuple(v)
+    v = as_perm(v)
     n = len(v)
     _require_square_of_size(M, n)
     table = bruhat_table(n)
     if cache is None:
         cache = KLCache(n)
+    rows, denoms = _cleared_rows(M)
     iv = table.index[v]
     top = len(table.perms) - 1
-    total = Fraction(0)
+    total = 0
     for k in iter_bits(table.above[iv]):
         multiplicity = kl_at(table, top - k, top - iv, cache)(1)
-        if multiplicity == 0:
-            continue
-        w = table.perms[k]
-        monomial = prod(M.entry(i, w[i - 1]) for i in range(1, n + 1))
-        if monomial == 0:
-            continue
+        monomial = prod(row[j - 1] for row, j in zip(rows, table.perms[k]))
         sign = -1 if (table.lengths[k] - table.lengths[iv]) % 2 else 1
         total += sign * multiplicity * monomial
-    return total
+    return Fraction(total, prod(denoms))
 
 
 def imm_determinantal(v: Perm, M: Matrix) -> Fraction:

@@ -84,12 +84,6 @@ class IntPolynomial:
     def times(self, scalar: int) -> "IntPolynomial":
         return IntPolynomial(tuple(scalar * c for c in self.coeffs))
 
-    def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by q^k."""
-        if self.is_zero or k == 0:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def truncated(self, max_degree: int) -> "IntPolynomial":
         """Drop all terms of degree above max_degree."""
         if max_degree < 0:
@@ -197,6 +191,12 @@ class KLCache:
 
     @classmethod
     def load(cls, path: str) -> "KLCache":
+        """
+        Read a file written by :meth:`save`, rejecting a malformed one with
+        ValueError.  Every word of every key is validated, but each
+        distinct word is parsed once, and entries with equal coefficient
+        lists share one polynomial.
+        """
         with open(path) as handle:
             doc = json.load(handle)
         if not isinstance(doc, dict):
@@ -208,18 +208,20 @@ class KLCache:
             raise ValueError(
                 f"{path} needs an integer 'n' and an object 'table'")
         cache = cls(n)
+        parse = lru_cache(maxsize=None)(parse_perm)
+        polynomial = lru_cache(maxsize=None)(IntPolynomial)
         for key, coeffs in table.items():
             words = key.split("|")
             if len(words) != 2:
                 raise ValueError(f"cache key {key!r} in {path} is not x|y")
-            x, y = map(parse_perm, words)
+            x, y = map(parse, words)
             if len(x) != n or len(y) != n:
                 raise ValueError(f"cache entry {key} in {path} is not in S_{n}")
             if not (isinstance(coeffs, list)
                     and all(type(c) is int for c in coeffs)):
                 raise ValueError(f"cache entry {key} in {path} is not a "
                                  "list of integers")
-            cache._table[(x, y)] = IntPolynomial(tuple(coeffs))
+            cache._table[(x, y)] = polynomial(tuple(coeffs))
         return cache
 
 
@@ -305,8 +307,10 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
     i = table.first_descent[y]
     ys, xs = table.times_s[i][y], table.times_s[i][x]
     c = table.descents[i] >> x & 1
-    p = (kl_at(table, xs, ys, cache).shifted(1 - c)
-         + kl_at(table, x, ys, cache).shifted(c))
+    # (scale, shift, coefficients) of each term of the recursion, summed
+    # into one list at the end.
+    terms = [(1, 1 - c, kl_at(table, xs, ys, cache).coeffs),
+             (1, c, kl_at(table, x, ys, cache).coeffs)]
 
     ly = table.lengths[y]
     # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
@@ -318,8 +322,15 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
         lz = table.lengths[z]
         mu = kl_at(table, z, ys, cache).coeff((ly - lz - 2) // 2)
         if mu:
-            p = p - kl_at(table, x, z, cache).times(mu).shifted((ly - lz) // 2)
+            terms.append((-mu, (ly - lz) // 2, kl_at(table, x, z, cache).coeffs))
 
+    # Sized from the terms, not from the degree bound, so a corrupt cached
+    # term fails the checks below rather than indexing past the list.
+    coeffs = [0] * max(shift + len(term) for _, shift, term in terms)
+    for scale, shift, term in terms:
+        for d, a in enumerate(term, shift):
+            coeffs[d] += scale * a
+    p = IntPolynomial(tuple(coeffs))
     if p.coeff(0) != 1:
         raise ArithmeticError(f"P_{px},{py} has constant term {p.coeff(0)}")
     if any(coeff < 0 for coeff in p.coeffs):
@@ -328,19 +339,6 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     cache.put(px, py, p)
     return p
-
-
-def kl_at_one(x: Perm, y: Perm, cache: KLCache | None = None) -> int:
-    """P_{x,y}(1); this is the multiplicity appearing in the immanant sum."""
-    return kl_polynomial(x, y, cache)(1)
-
-
-def mu_coefficient(x: Perm, y: Perm, cache: KLCache | None = None) -> int:
-    """The mu-coefficient: coefficient of q^((l(y)-l(x)-1)/2) in P_{x,y}."""
-    gap = length(y) - length(x)
-    if gap <= 0 or gap % 2 == 0:
-        return 0
-    return kl_polynomial(x, y, cache).coeff((gap - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from klimm.exactmat import Matrix
-from klimm.klpoly import KLCache
+from klimm.klpoly import KLCache, kl_polynomial
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
@@ -22,6 +22,11 @@ def random_rational_matrix(n: int, rng: random.Random,
     return Matrix.from_rows(
         [[Fraction(rng.randint(-span, span), rng.randint(1, den))
           for _ in range(n)] for _ in range(n)])
+
+
+def kl_at_one(x, y, cache=None) -> int:
+    """P_{x,y}(1), the multiplicity in the immanant sum (test oracle)."""
+    return kl_polynomial(x, y, cache)(1)
 
 
 @pytest.fixture(scope="session")

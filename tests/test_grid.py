@@ -77,6 +77,12 @@ def test_bruteforce_size_guard():
         graph_of_interval_bruteforce(identity(8))
 
 
+@pytest.mark.parametrize("word", [(1, 1, 3), (0, 1, 2)])
+def test_bruteforce_rejects_words_that_are_not_permutations(word):
+    with pytest.raises(ValueError):
+        graph_of_interval_bruteforce(word)
+
+
 def test_is_sandwiched():
     assert is_sandwiched((1, 3), V2413, (1, 2))
     assert not is_sandwiched((4, 4), V2413, (1, 2))

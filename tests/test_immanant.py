@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rational_matrix, square_matrices
+from conftest import kl_at_one, random_rational_matrix, square_matrices
 from klimm import fixtures
 from klimm.errors import (
     PatternPreconditionError,
@@ -45,7 +45,7 @@ from klimm.immanant import (
     young_sign_check,
     young_sign_law,
 )
-from klimm.klpoly import ZERO, KLCache, kl_at_one, kl_table_via_r
+from klimm.klpoly import ZERO, KLCache, kl_table_via_r
 from klimm.perm import (
     avoids,
     bruhat_leq,
@@ -77,6 +77,8 @@ def test_definition_extremes(kl_cache_s4):
         imm_definition((1, 2), FIXTURE, kl_cache_s4)
     with pytest.raises(SizeGuardError):
         imm_definition(identity(8), Matrix.identity(8))
+    with pytest.raises(ValueError):
+        imm_definition((1, 1, 3), Matrix.identity(3))
 
 
 def test_definition_support_rule_matches_unpruned_sum(kl_cache_s4):
@@ -131,6 +133,30 @@ def test_defining_sum_matches_the_unpruned_sum_for_every_v_up_to_s4(M):
 @settings(max_examples=60, deadline=None)
 def test_defining_sum_matches_the_unpruned_sum_on_s5(v, M):
     assert imm_definition(v, M) == _unpruned_definition(v, M)
+
+
+# Matrices the Hypothesis strategy rarely draws.  In the large-denominator
+# case every row has four distinct prime denominators near 10^4, so a sum
+# divided by anything but the product of the row multipliers is wrong.
+_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
+EDGE_MATRICES = {
+    "zero-row": Matrix.from_rows([[3, -1, Fraction(2, 7), 5], [0, 0, 0, 0],
+                                  [1, 4, -2, Fraction(7, 3)], [6, 2, 9, -6]]),
+    "large-coprime-denominators": Matrix.from_rows(
+        [[Fraction((-1) ** (i + j) * (97 * i + 31 * j + 1),
+                   _PRIMES[(i + j) % len(_PRIMES)])
+          for j in range(5)] for i in range(5)]),
+    "integer": Matrix.from_rows([[2, -3, 5, 1], [7, 0, -1, 4],
+                                 [-2, 6, 3, 8], [1, 1, -5, 2]]),
+    "1x1": Matrix.from_rows([[Fraction(-7, 3)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_defining_sum_matches_the_unpruned_sum_on_edge_matrices(name):
+    M = EDGE_MATRICES[name]
+    for v in symmetric_group(M.rows):
+        assert imm_definition(v, M) == _unpruned_definition(v, M)
 
 
 def test_determinantal_worked_example():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import kl_at_one
 from klimm import perm
 from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.klpoly import (
@@ -12,11 +13,9 @@ from klimm.klpoly import (
     KLCache,
     KLCacheRegistry,
     cache_path_for,
-    kl_at_one,
     kl_polynomial,
     kl_polynomial_via_r,
     kl_table_via_r,
-    mu_coefficient,
 )
 from klimm.perm import (
     avoids,
@@ -38,7 +37,6 @@ def test_polynomial_basics():
     assert p(1) == 2 and p(2) == 3
     assert IntPolynomial((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
     assert (p * p).coeffs == (1, 2, 1)
-    assert p.shifted(2).coeffs == (0, 0, 1, 1)
     assert p.mirrored(3).coeffs == (0, 0, 1, 1)
 
 
@@ -151,6 +149,14 @@ def test_degree_bound_constant_term_and_small_intervals(n):
                 assert p == ONE
 
 
+def mu_coefficient(x, y, cache=None) -> int:
+    """The mu-coefficient: coefficient of q^((l(y)-l(x)-1)/2) in P_{x,y}."""
+    gap = length(y) - length(x)
+    if gap <= 0 or gap % 2 == 0:
+        return 0
+    return kl_polynomial(x, y, cache).coeff((gap - 1) // 2)
+
+
 def test_mu_coefficient(kl_cache_s4):
     # mu is the top allowed coefficient; for the 1+q pair it equals 1
     assert mu_coefficient((1, 3, 2, 4), (3, 4, 1, 2), kl_cache_s4) == 1
@@ -201,6 +207,48 @@ def test_recursion_rejects_a_corrupt_cache_entry():
     cache.put((1, 2, 3), (2, 1, 3), IntPolynomial((2,)))
     with pytest.raises(ArithmeticError):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
+
+
+def test_recursion_rejects_a_cached_term_past_the_degree_bound():
+    # The corrupt term is longer than any polynomial the recursion could
+    # build at this pair; it must fail a check, not index past a list.
+    cache = KLCache(3)
+    cache.put((1, 2, 3), (2, 1, 3), IntPolynomial((1, 0, 0, 5)))
+    with pytest.raises(ArithmeticError):
+        kl_polynomial((1, 2, 3), (2, 3, 1), cache)
+
+
+def _cold_s5_cache():
+    cache = KLCache(5)
+    for y in symmetric_group(5):
+        kl_polynomial(identity(5), y, cache)
+    return cache
+
+
+@pytest.mark.parametrize("last_key", ["13245|11345", "11345|54321"])
+def test_cache_load_validates_the_words_of_the_last_key(tmp_path, last_key):
+    # Every earlier key reuses the same few words; the one malformed word
+    # comes last, so a load that stopped validating repeated words, or
+    # validated only the first occurrences, would accept the file.
+    path = tmp_path / "kl.s5.json"
+    _cold_s5_cache().save(str(path))
+    doc = json.loads(path.read_text())
+    doc["table"][last_key] = [1]
+    path.write_text(json.dumps(doc))
+    assert list(json.loads(path.read_text())["table"])[-1] == last_key
+    with pytest.raises(ValueError):
+        KLCache.load(str(path))
+
+
+def test_cold_s5_cache_round_trips_exactly(tmp_path):
+    cache = _cold_s5_cache()
+    first, second = tmp_path / "a.s5.json", tmp_path / "b.s5.json"
+    cache.save(str(first))
+    loaded = KLCache.load(str(first))
+    assert loaded.n == 5 and len(loaded) == len(cache) > 900
+    assert loaded._table == cache._table
+    loaded.save(str(second))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_cache_load_rejects_entries_of_another_size(tmp_path):
