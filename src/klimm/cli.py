@@ -24,7 +24,6 @@ from .exactmat import (
     gen_totally_positive,
     positivity_order,
 )
-from . import fixtures
 from .grid import (
     bounding_boxes,
     graph_of_upper_interval,
@@ -164,16 +163,7 @@ def cmd_gen(args) -> int:
     if k == n:
         M = gen_totally_positive(n, seed=args.seed)
     else:
-        M = gen_k_positive_not_higher(n, k, seed=args.seed,
-                                      budget=args.budget)
-        if M is None and (n, k) == (4, 2):
-            print("sampling budget exhausted; using the built-in "
-                  "2-positive fixture", file=sys.stderr)
-            M = fixtures.TWO_POSITIVE_NOT_THREE
-        if M is None:
-            print(f"generation budget exhausted for a strictly {k}-positive "
-                  f"{n}x{n} matrix", file=sys.stderr)
-            return 1
+        M = gen_k_positive_not_higher(n, k, seed=args.seed)
     _emit(json.dumps(M.to_doc(), sort_keys=True, indent=2) + "\n", args.out)
     print(f"max positivity order: {positivity_order(M)}", file=sys.stderr)
     return 0
@@ -237,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_gen)
 

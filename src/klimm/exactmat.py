@@ -14,9 +14,9 @@ Generators take explicit seeds and are deterministic given their
 arguments.  Total positivity is produced constructively from a product
 of elementary lower bidiagonal factors, a positive diagonal, and
 elementary upper bidiagonal factors along reduced words of the longest
-permutation; matrices that are k-positive but not (k+1)-positive come
-from rejection sampling around a totally positive base point.  Every
-generated matrix is verified exactly.
+permutation, each applied as one row or column operation.  A matrix that
+is k-positive but not (k+1)-positive is built in one step by lowering a
+corner of a totally positive one.  Every generated matrix is verified.
 """
 from __future__ import annotations
 
@@ -125,8 +125,8 @@ def _bareiss_int_det(rows: list[list[int]]) -> int:
 def _cleared_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
     # Each row times the lcm of its denominators, and those multipliers.
     denoms = [lcm(*(x.denominator for x in row)) for row in M.entries]
-    return ([[int(x * d) for x in row] for row, d in zip(M.entries, denoms)],
-            denoms)
+    return ([[x.numerator * (d // x.denominator) for x in row]
+             for row, d in zip(M.entries, denoms)], denoms)
 
 
 def det(M: Matrix) -> Fraction:
@@ -258,15 +258,6 @@ def _longest_word(n: int) -> list[int]:
     return [i for k in range(1, n) for i in range(k, 0, -1)]
 
 
-def _elementary(n: int, i: int, t: Fraction, lower: bool) -> Matrix:
-    rows = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-    if lower:
-        rows[i][i - 1] = t
-    else:
-        rows[i - 1][i] = t
-    return Matrix.from_rows(rows)
-
-
 def gen_totally_positive(n: int, seed: int) -> Matrix:
     """
     A totally positive n x n matrix with positive rational parameters
@@ -279,41 +270,50 @@ def gen_totally_positive(n: int, seed: int) -> Matrix:
     def parameter() -> Fraction:
         return Fraction(rng.randint(1, 8), rng.randint(1, 8))
 
-    M = Matrix.from_rows([[parameter() if i == j else 0 for j in range(n)]
-                          for i in range(n)])
+    rows = [[parameter() if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)]
+    # Each elementary factor as one row (left) or column (right) operation.
     for i in _longest_word(n):
-        M = _elementary(n, i, parameter(), lower=True) @ M
+        t = parameter()
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[i - 1])]
     for i in reversed(_longest_word(n)):
-        M = M @ _elementary(n, i, parameter(), lower=False)
+        t = parameter()
+        for row in rows:
+            row[i] += t * row[i - 1]
+    M = Matrix(tuple(map(tuple, rows)))
     if positivity_order(M) != n:
         raise ArithmeticError("generated matrix failed total positivity check")
     return M
 
 
-def gen_k_positive_not_higher(n: int, k: int, seed: int,
-                              budget: int = 10000) -> Matrix | None:
+def gen_k_positive_not_higher(n: int, k: int, seed: int) -> Matrix:
     """
-    Search for a matrix that is k-positive with some (k+1)-minor <= 0, by
-    perturbing a totally positive matrix entrywise and verifying each
-    candidate exactly.  The base perturbation magnitude is one tenth of
-    the smallest entry and is escalated slowly as trials fail; returns
-    None when the budget runs out.
+    Positivity order exactly k, in one step from a totally positive M.
+    With r_s = det M[1..s] / det M[2..s] (leading solid minors), Lewis
+    Carroll's identity gives r_1 > ... > r_n > 0.  Lowering m11 by delta
+    makes det M[1..s] = det M[2..s] (r_s - delta) and keeps every other
+    solid minor, so delta strictly between r_{k+1} and r_k gives order k
+    (Fekete).  Corner (n, n), drawn as often, goes the same way through
+    the antidiagonal transpose.  The result is verified exactly.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     rng = random.Random(f"kpos:{n}:{k}:{seed}")
-    for trial in range(budget):
-        if trial % 500 == 0:
-            base = gen_totally_positive(n, seed=rng.randint(0, 2**30))
-            smallest = min(x for row in base.entries for x in row)
-        magnitude = (smallest / 10) * (1 + Fraction(trial, 200))
-        candidate = Matrix(tuple(
-            tuple(x + magnitude * Fraction(rng.randint(-100, 100), 100)
-                  for x in row)
-            for row in base.entries))
-        if positivity_order(candidate, k + 1) == k:
-            return candidate
-    return None
+    M = gen_totally_positive(n, seed=rng.randint(0, 2**30))
+    far_corner = rng.randrange(2)
+    if far_corner:
+        M = antidiagonal_transpose(M)
+    high, low = (minor(M, range(1, s + 1), range(1, s + 1))  # r_k, r_{k+1}
+                 / minor(M, range(2, s + 1), range(2, s + 1))
+                 for s in (k, k + 1))
+    rows = [list(row) for row in M.entries]
+    rows[0][0] -= low + (high - low) * Fraction(rng.randint(1, 99), 100)
+    C = Matrix(tuple(map(tuple, rows)))
+    if far_corner:
+        C = antidiagonal_transpose(C)
+    if positivity_order(C) != k:
+        raise ArithmeticError("constructed matrix has the wrong order")
+    return C
 
 
 def lewis_carroll_residual(M: Matrix, a: int, a2: int,

@@ -175,6 +175,15 @@ def test_criterion_11_conjecture_searches(conjecture):
     report = run_search(conjecture, Config(max_n=4, max_m=4, samples=1000,
                                            seed=0))
     ok = report.ok and report.cases_run == 1000
+    if conjecture != "5.2":
+        # k < m on every trial, so no sample may be totally positive.
+        ok = ok and report.notes["sampled_matrices"]["totally_positive"] == 0
+    if conjecture == "5.1":
+        ok = ok and report.notes["sampled_matrices"]["constructed"] == 1000
+    if conjecture == "5.3":
+        tested = report.cases_run - report.notes["identically_zero_cases"]
+        ok = ok and (f"{tested} of them not identically zero"
+                     in report.notes["conclusion"])
     print(f"  [criterion 11] search {conjecture}: "
           f"{report.notes['conclusion']}")
     _announce(11, f"conjecture {conjecture} search at n <= 4", ok)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rational_matrix, square_matrices
@@ -158,6 +158,39 @@ def test_condensation_rejects_an_inexact_division():
         exactmat._exact_quotient(7, 2)
 
 
+def _tp_by_elementary_product(n: int, seed) -> Matrix:
+    # The generator's factorization as full matrix products, with the
+    # same parameter draws in the same order (test oracle).
+    rng = random.Random(f"tp:{n}:{seed}")
+
+    def parameter() -> Fraction:
+        return Fraction(rng.randint(1, 8), rng.randint(1, 8))
+
+    def elementary(i: int, lower: bool) -> Matrix:
+        rows = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+        if lower:
+            rows[i][i - 1] = parameter()
+        else:
+            rows[i - 1][i] = parameter()
+        return Matrix.from_rows(rows)
+
+    word = exactmat._longest_word(n)
+    M = Matrix.from_rows([[parameter() if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+    for i in word:
+        M = elementary(i, lower=True) @ M
+    for i in reversed(word):
+        M = M @ elementary(i, lower=False)
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_totally_positive_matches_the_elementary_product(n):
+    for seed in (0, 1, 17, "0:young:2,1,0,0:c:tp3"):
+        assert gen_totally_positive(n, seed) == _tp_by_elementary_product(
+            n, seed)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generated_totally_positive(n):
     M = gen_totally_positive(n, seed=17)
@@ -175,22 +208,61 @@ def test_generated_totally_positive_is_verified_at_every_size(n, monkeypatch):
 def test_generators_are_deterministic():
     assert gen_totally_positive(4, seed=5) == gen_totally_positive(4, seed=5)
     assert gen_totally_positive(4, seed=5) != gen_totally_positive(4, seed=6)
-    a = gen_k_positive_not_higher(3, 2, seed=1, budget=2000)
-    b = gen_k_positive_not_higher(3, 2, seed=1, budget=2000)
-    assert a == b
+    for n, k in [(2, 1), (4, 2), (7, 3)]:
+        for seed in (1, "0:5.1:7:k0"):
+            assert gen_k_positive_not_higher(n, k, seed) == \
+                gen_k_positive_not_higher(n, k, seed)
+        assert gen_k_positive_not_higher(n, k, 1) != \
+            gen_k_positive_not_higher(n, k, 2)
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8)
+                                 for k in range(1, n)])
 def test_strictly_k_positive_sampling(n, k):
-    M = gen_k_positive_not_higher(n, k, seed=11, budget=4000)
-    assert M is not None
+    M = gen_k_positive_not_higher(n, k, seed=11)
     assert is_k_positive(M, k)
     assert not is_k_positive(M, k + 1)
     assert positivity_order(M) == k
+    if n <= 5:
+        assert _order_by_enumeration(M) == k
 
 
-def test_strict_sampling_budget_exhaustion_returns_none():
-    assert gen_k_positive_not_higher(4, 2, seed=1, budget=0) is None
+def _lowered_corner(M: Matrix, k: int) -> str | None:
+    # Only the solid minors through the lowered corner change, so for
+    # k + 1 < n exactly one of these two (k + 1)-minors is nonpositive.
+    n = M.rows
+    if k + 1 == n:
+        return None
+    head, tail = range(1, k + 2), range(n - k, n + 1)
+    leading, trailing = minor(M, head, head) <= 0, minor(M, tail, tail) <= 0
+    assert leading != trailing
+    return "(1,1)" if leading else "(n,n)"
+
+
+@given(st.integers(2, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_constructed_order_is_exactly_k(n_k, seed):
+    n, k = n_k
+    M = gen_k_positive_not_higher(n, k, seed)
+    assert positivity_order(M) == k
+    event(f"corner {_lowered_corner(M, k)}")
+
+
+def test_constructor_lowers_both_corners():
+    assert {_lowered_corner(gen_k_positive_not_higher(5, k, seed), k)
+            for k in (1, 2, 3) for seed in range(8)} == {"(1,1)", "(n,n)"}
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (7, 6)])
+def test_constructed_matrix_is_verified(n, k, monkeypatch):
+    # A check that always reads order n lets every totally positive base
+    # through but must stop every constructed matrix.
+    monkeypatch.setattr(exactmat, "positivity_order",
+                        lambda M, upto=None: M.rows)
+    with pytest.raises(ArithmeticError):
+        gen_k_positive_not_higher(n, k, seed=3)
 
 
 def test_lewis_carroll_small_and_fixture():

@@ -5,9 +5,10 @@ import warnings
 
 import pytest
 
-from klimm import fixtures
+from klimm import fixtures, suites
 from klimm.cli import main
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
+from klimm.grid import FORBIDDEN_PATTERNS
 from klimm.suites import Config, SuiteReport, run_search, run_suite
 
 
@@ -94,6 +95,15 @@ def test_searches_find_no_counterexamples(conjecture):
     assert report.ok
     assert report.cases_run == 40
     assert "not a proof" in report.notes["conclusion"]
+
+
+def test_sample_tally_only_in_sampling_reports():
+    for suite in ("prop-3.1", "lemma-2.12"):
+        assert "sampled_matrices" not in run_suite(suite,
+                                                   small_config()).notes
+    report = run_suite("main-sq", small_config())
+    avoiders = suites._avoiders(4, FORBIDDEN_PATTERNS)
+    assert sum(report.notes["sampled_matrices"].values()) == 2 * len(avoiders)
 
 
 def test_search_rejects_unknown_conjecture():
@@ -267,14 +277,18 @@ def test_cli_imm_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     assert "DISAGREEMENT" in capsys.readouterr().err
 
 
-def test_cli_gen_fixture_fallback(tmp_path, capsys):
+def test_cli_gen_constructs_order_k(tmp_path, capsys):
     out = tmp_path / "m.json"
-    assert main(["gen", "4", "2", "--budget", "0", "--out", str(out)]) == 0
-    M = Matrix.from_doc(json.loads(out.read_text()))
-    assert M == fixtures.TWO_POSITIVE_NOT_THREE
-    assert "fixture" in capsys.readouterr().err
-    # no fixture for other shapes: budget exhaustion is an error
-    assert main(["gen", "3", "2", "--budget", "0"]) == 1
+    for n, k in [(4, 2), (3, 2)]:
+        for seed in range(3):
+            assert main(["gen", str(n), str(k), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            M = Matrix.from_doc(json.loads(out.read_text()))
+            assert positivity_order(M) == k
+            assert f"max positivity order: {k}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "4", "2", "--budget", "0"])
+    assert excinfo.value.code == 2
 
 
 def test_cli_usage_errors():
