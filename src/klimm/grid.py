@@ -9,14 +9,14 @@ labels drawn from [m]; when none are supplied the identity labels
 (1, ..., n) are used, which makes the unlabeled theory a special case of
 the labeled one.
 
-Cells are stored as a frozenset of pairs plus per-row bitmasks, so set
-algebra, support queries, and the largest-square dynamic program all
-work off the same immutable value.
+A grid is stored as one bitmask per row, bit j of row i marking the
+cell (i, j).  Supports, squares, deletions and block splits are mask
+arithmetic; the set of (row, col) pairs is derived only when asked for.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -75,35 +75,46 @@ def label_patterns(n: int, max_labels: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _columns(lo: int, hi: int) -> int:
+    """Row mask of the columns lo..hi; 0 when hi < lo."""
+    return (2 << hi) - (1 << lo)
+
+
 @dataclass(frozen=True)
 class LabeledGrid:
-    """A subset of [n]^2 with weakly increasing row and column labels."""
+    """
+    A subset of [n]^2 with weakly increasing row and column labels.  Bit j
+    of ``rows[i - 1]`` is the cell (i, j), so only bits 1..n may be set.
+    """
 
     n: int
-    cells: frozenset[Cell]
+    rows: tuple[int, ...]
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
-    _row_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.rows, tuple) or len(self.rows) != self.n:
+            raise ValueError("rows must be a tuple of n masks")
         if len(self.row_labels) != self.n or len(self.col_labels) != self.n:
             raise ValueError("labels must have length n")
         for labels in (self.row_labels, self.col_labels):
             if any(a > b for a, b in zip(labels, labels[1:])):
                 raise ValueError(f"labels must be weakly increasing: {labels}")
-        masks = [0] * (self.n + 1)
-        for (i, j) in self.cells:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"cell {(i, j)} outside [{self.n}]^2")
-            masks[i] |= 1 << j
-        object.__setattr__(self, "_row_masks", tuple(masks))
+        outside = ~_columns(1, self.n)
+        if any(mask & outside for mask in self.rows):
+            raise ValueError(f"row mask with a column outside [1, {self.n}]")
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return frozenset((i, j) for i, mask in enumerate(self.rows, start=1)
+                         for j in iter_bits(mask))
 
     def has_cell(self, i: int, j: int) -> bool:
-        return bool(self._row_masks[i] >> j & 1)
+        return 1 <= i <= self.n and bool(self.rows[i - 1] >> j & 1)
 
     def with_labels(self, row_labels: Sequence[int],
                     col_labels: Sequence[int]) -> "LabeledGrid":
-        return LabeledGrid(self.n, self.cells,
+        return LabeledGrid(self.n, self.rows,
                            tuple(row_labels), tuple(col_labels))
 
     def to_doc(self) -> dict:
@@ -116,17 +127,30 @@ class LabeledGrid:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LabeledGrid":
-        return cls(doc["n"], frozenset(tuple(c) for c in doc["cells"]),
-                   tuple(doc["row_labels"]), tuple(doc["col_labels"]))
+        return grid(doc["n"], doc["cells"], doc["row_labels"], doc["col_labels"])
+
+
+def _labeled(n: int, rows: Sequence[int],
+             row_labels: Sequence[int] | None = None,
+             col_labels: Sequence[int] | None = None) -> LabeledGrid:
+    """A LabeledGrid from row masks, defaulting to identity labels."""
+    identity_labels = tuple(range(1, n + 1))
+    return LabeledGrid(
+        n, tuple(rows),
+        identity_labels if row_labels is None else tuple(row_labels),
+        identity_labels if col_labels is None else tuple(col_labels))
 
 
 def grid(n: int, cells: Iterable[Cell],
          row_labels: Sequence[int] | None = None,
          col_labels: Sequence[int] | None = None) -> LabeledGrid:
-    """Build a LabeledGrid, defaulting to identity labels."""
-    rows = tuple(row_labels) if row_labels is not None else tuple(range(1, n + 1))
-    cols = tuple(col_labels) if col_labels is not None else tuple(range(1, n + 1))
-    return LabeledGrid(n, frozenset(cells), rows, cols)
+    """Build a LabeledGrid from its cells, defaulting to identity labels."""
+    rows = [0] * n
+    for (i, j) in cells:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"cell {(i, j)} outside [{n}]^2")
+        rows[i - 1] |= 1 << j
+    return _labeled(n, rows, row_labels, col_labels)
 
 
 def permutation_graph(v: Perm) -> frozenset[Cell]:
@@ -135,13 +159,13 @@ def permutation_graph(v: Perm) -> frozenset[Cell]:
 
 
 @lru_cache(maxsize=None)
-def _upper_interval_cells(v: Perm) -> frozenset[Cell]:
-    cells = set(permutation_graph(v))
+def _upper_interval_rows(v: Perm) -> tuple[int, ...]:
+    rows = [1 << x for x in v]
     for (k, l) in non_inversions(v):
-        lo, hi = v[k - 1], v[l - 1]
-        cells.update((i, j)
-                     for i in range(k, l + 1) for j in range(lo, hi + 1))
-    return frozenset(cells)
+        span = _columns(v[k - 1], v[l - 1])
+        for i in range(k - 1, l):
+            rows[i] |= span
+    return tuple(rows)
 
 
 def graph_of_upper_interval(v: Perm,
@@ -154,7 +178,7 @@ def graph_of_upper_interval(v: Perm,
     >>> sorted(graph_of_upper_interval((2, 4, 1, 3)).cells)[:3]
     [(1, 2), (1, 3), (1, 4)]
     """
-    return grid(len(v), _upper_interval_cells(tuple(v)), row_labels, col_labels)
+    return _labeled(len(v), _upper_interval_rows(tuple(v)), row_labels, col_labels)
 
 
 def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
@@ -166,10 +190,10 @@ def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     """
     v = as_perm(v)
     table = bruhat_table(len(v))
-    cells: set[Cell] = set()
+    rows = [0] * len(v)
     for k in iter_bits(table.above[table.index[v]]):
-        cells |= permutation_graph(table.perms[k])
-    return grid(len(v), cells)
+        rows = [mask | 1 << x for mask, x in zip(rows, table.perms[k])]
+    return _labeled(len(v), rows)
 
 
 def is_sandwiched(point: Cell, v: Perm, ni: tuple[int, int]) -> bool:
@@ -195,18 +219,14 @@ def largest_square(P: LabeledGrid) -> int:
     >>> largest_square(graph_of_upper_interval((2, 4, 1, 3)))
     2
     """
-    n = P.n
-    best = 0
-    prev = [0] * (n + 1)
-    for i in range(1, n + 1):
-        current = [0] * (n + 1)
-        for j in range(1, n + 1):
-            if P.has_cell(i, j):
-                current[j] = 1 + min(prev[j], current[j - 1], prev[j - 1])
-                if current[j] > best:
-                    best = current[j]
-        prev = current
-    return best
+    # Bit j of level[i] marks the full side x side square whose top-left
+    # cell is (i + 1, j); each pass grows every square by one.
+    level = list(P.rows)
+    side = 0
+    while any(level):
+        side += 1
+        level = [a & b & (a & b) >> 1 for a, b in zip(level, level[1:])]
+    return side
 
 
 def squares_match_noninversions(v: Perm) -> bool:
@@ -224,8 +244,7 @@ def row_support(P: LabeledGrid, r: int) -> frozenset[int]:
     """Columns c with (r, c) in P."""
     if not 1 <= r <= P.n:
         raise IndexError(f"row {r} out of range for size {P.n}")
-    mask = P._row_masks[r]
-    return frozenset(c for c in range(1, P.n + 1) if mask >> c & 1)
+    return frozenset(iter_bits(P.rows[r - 1]))
 
 
 def col_support(P: LabeledGrid, c: int) -> frozenset[int]:
@@ -253,16 +272,6 @@ def is_admissible(P: LabeledGrid) -> bool:
     return True
 
 
-def _order_preserving_reindex(n: int, deleted: frozenset[int]) -> dict[int, int]:
-    mapping = {}
-    new = 0
-    for old in range(1, n + 1):
-        if old not in deleted:
-            new += 1
-            mapping[old] = new
-    return mapping
-
-
 def delete_rows_cols(P: LabeledGrid, I: Iterable[int],
                      J: Iterable[int]) -> LabeledGrid:
     """
@@ -276,15 +285,13 @@ def delete_rows_cols(P: LabeledGrid, I: Iterable[int],
         raise ValueError("must delete equally many rows and columns")
     if any(not 1 <= i <= P.n for i in rows_gone | cols_gone):
         raise IndexError("deletion index out of range")
-    row_map = _order_preserving_reindex(P.n, rows_gone)
-    col_map = _order_preserving_reindex(P.n, cols_gone)
-    cells = frozenset((row_map[i], col_map[j]) for (i, j) in P.cells
-                      if i not in rows_gone and j not in cols_gone)
-    row_labels = tuple(P.row_labels[i - 1] for i in range(1, P.n + 1)
-                       if i not in rows_gone)
-    col_labels = tuple(P.col_labels[j - 1] for j in range(1, P.n + 1)
-                       if j not in cols_gone)
-    return LabeledGrid(P.n - len(rows_gone), cells, row_labels, col_labels)
+    kept_rows = [i for i in range(1, P.n + 1) if i not in rows_gone]
+    kept_cols = [j for j in range(1, P.n + 1) if j not in cols_gone]
+    rows = tuple(sum(1 << new for new, old in enumerate(kept_cols, start=1)
+                     if P.rows[i - 1] >> old & 1) for i in kept_rows)
+    return LabeledGrid(len(kept_rows), rows,
+                       tuple(P.row_labels[i - 1] for i in kept_rows),
+                       tuple(P.col_labels[j - 1] for j in kept_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +361,17 @@ def bounding_boxes(v: Perm) -> list[BoundingBox]:
     return sorted(maximal, key=lambda b: b.rows[0])
 
 
+def boxes_cover_interval_graph(v: Perm) -> bool:
+    """Self-check: the maximal bounding boxes cover the upper-interval graph."""
+    cover = [0] * len(v)
+    for box in bounding_boxes(v):
+        span = _columns(*box.cols)
+        for i in range(box.rows[0] - 1, box.rows[1]):
+            cover[i] |= span
+    return all(row & ~covered == 0 for row, covered
+               in zip(graph_of_upper_interval(v).rows, cover))
+
+
 def spanning_corners(v: Perm) -> frozenset[Cell]:
     """Graph points that span some maximal bounding box."""
     return frozenset(c for box in bounding_boxes(v) for c in box.corners)
@@ -406,10 +424,9 @@ def young_shape(P: LabeledGrid) -> tuple[int, ...] | None:
     otherwise None.
     """
     parts = []
-    for i in range(1, P.n + 1):
-        mask = P._row_masks[i]
-        width = mask.bit_length() - 1 if mask else 0
-        if mask and mask != ((1 << width) - 1) << 1:
+    for mask in P.rows:
+        width = mask.bit_count()
+        if mask != _columns(1, width):
             return None  # row is not a left-justified run starting in column 1
         parts.append(width)
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -424,11 +441,9 @@ def complement_young_shape(P: LabeledGrid) -> tuple[int, ...] | None:
     """
     n = P.n
     parts = []
-    for i in range(1, n + 1):
-        mask = P._row_masks[i]
+    for mask in P.rows:
         count = mask.bit_count()
-        expected = ((1 << count) - 1) << (n - count + 1) if count else 0
-        if mask != expected:
+        if mask != _columns(n - count + 1, n):
             return None  # row is not a right-justified run ending in column n
         parts.append(n - count)
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -441,8 +456,7 @@ def young_diagram_grid(parts: Sequence[int], n: int,
                        col_labels: Sequence[int] | None = None) -> LabeledGrid:
     """The grid {(i, j) : j <= lambda_i} inside [n]^2."""
     padded = _validated_partition(parts, n)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, padded[i - 1] + 1)]
-    return grid(n, cells, row_labels, col_labels)
+    return _labeled(n, [_columns(1, p) for p in padded], row_labels, col_labels)
 
 
 def young_complement_grid(parts: Sequence[int], n: int,
@@ -450,8 +464,7 @@ def young_complement_grid(parts: Sequence[int], n: int,
                           col_labels: Sequence[int] | None = None) -> LabeledGrid:
     """The grid {(i, j) : j > mu_i} inside [n]^2, for mu = parts."""
     padded = _validated_partition(parts, n)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(padded[i - 1] + 1, n + 1)]
-    return grid(n, cells, row_labels, col_labels)
+    return _labeled(n, [_columns(p + 1, n) for p in padded], row_labels, col_labels)
 
 
 def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
@@ -479,15 +492,12 @@ def block_antidiagonal_split(P: LabeledGrid) -> tuple[int, LabeledGrid, LabeledG
     n = P.n
     for j in range(1, n):
         s = n - j
-        if all((r <= s and c > j) or (r > s and c <= j) for (r, c) in P.cells):
-            upper = LabeledGrid(
-                s,
-                frozenset((r, c - j) for (r, c) in P.cells if r <= s),
-                P.row_labels[:s], P.col_labels[j:])
-            lower = LabeledGrid(
-                j,
-                frozenset((r - s, c) for (r, c) in P.cells if r > s),
-                P.row_labels[s:], P.col_labels[:j])
+        top, bottom = P.rows[:s], P.rows[s:]
+        if (not any(mask & _columns(1, j) for mask in top)
+                and all(mask < 2 << j for mask in bottom)):
+            upper = LabeledGrid(s, tuple(mask >> j for mask in top),
+                                P.row_labels[:s], P.col_labels[j:])
+            lower = LabeledGrid(j, bottom, P.row_labels[s:], P.col_labels[:j])
             return j, upper, lower
     return None
 
@@ -500,8 +510,7 @@ def cells_sandwiched_only_by(v: Perm, i: int) -> frozenset[Cell]:
     """
     nis = non_inversions(v)
     out = set()
-    graph_cells = permutation_graph(v)
-    for cell in _upper_interval_cells(tuple(v)) - graph_cells:
+    for cell in graph_of_upper_interval(v).cells - permutation_graph(v):
         r, c = cell
         witnesses = [(k, l) for (k, l) in nis
                      if k <= r <= l and v[k - 1] <= c <= v[l - 1]]
@@ -517,9 +526,9 @@ def deletion_pruned_grid_identity(v: Perm, i: int) -> bool:
     """
     x = delete_entry(v, i)
     pruned = grid(len(v),
-                  _upper_interval_cells(tuple(v)) - cells_sandwiched_only_by(v, i))
+                  graph_of_upper_interval(v).cells - cells_sandwiched_only_by(v, i))
     reduced = delete_rows_cols(pruned, {i}, {v[i - 1]})
-    return reduced.cells == _upper_interval_cells(x)
+    return reduced.rows == graph_of_upper_interval(x).rows
 
 
 def deletion_grid_identity(v: Perm, i: int) -> bool:
@@ -530,4 +539,4 @@ def deletion_grid_identity(v: Perm, i: int) -> bool:
     """
     x = delete_entry(v, i)
     reduced = delete_rows_cols(graph_of_upper_interval(v), {i}, {v[i - 1]})
-    return reduced.cells == _upper_interval_cells(x)
+    return reduced.rows == graph_of_upper_interval(x).rows

@@ -149,7 +149,7 @@ class ImmanantResult:
     """A single evaluation together with the grid facts that explain it."""
 
     value: Fraction
-    method: str  # "definition", "determinantal", or "factored"
+    method: str  # "definition" or "determinantal"
     v: Perm
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]

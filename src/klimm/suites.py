@@ -38,6 +38,7 @@ from .grid import (
     block_antidiagonal_split,
     bounding_boxes,
     boxes_alternate,
+    boxes_cover_interval_graph,
     deletion_grid_identity,
     durfee,
     graph_of_interval_bruteforce,
@@ -204,42 +205,36 @@ def _random_multiset(m: int, n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(sorted(rng.choices(range(1, m + 1), k=n)))
 
 
+def _draw_size_and_order(rng: random.Random, k: int | None,
+                         max_n: int) -> tuple[int, int]:
+    """Size n and positivity order k < n for one trial; a pinned k stays."""
+    if k is None:
+        n = rng.randint(2, max_n)
+        return n, rng.randint(1, n - 1)
+    if k + 1 > max_n:
+        raise ValueError(f"pinned k={k} needs max_n > k")
+    return rng.randint(k + 1, max_n), k
+
+
 # ---------------------------------------------------------------------------
 # Suite case generators.  Each yields (case_key, passed, witness_or_None).
 
 
-def _suite_interval_graph(config: Config, caches: KLCacheRegistry,
-                          notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 7
-    for n in range(1, max_n + 1):
-        for v in symmetric_group(n):
-            key = f"n={n}:v={format_perm(v)}"
-            passed = (graph_of_upper_interval(v).cells
-                      == graph_of_interval_bruteforce(v).cells)
-            yield key, passed, None if passed else {"v": format_perm(v)}
+def _every_permutation(holds: Callable[[Perm], bool]) -> CaseGenerator:
+    """Sweep one predicate over every permutation of size 1..max_n."""
+    def cases(config: Config, caches: KLCacheRegistry,
+              notes: dict) -> Iterator[Case]:
+        for n in range(1, (config.max_n or 7) + 1):
+            for v in symmetric_group(n):
+                passed = holds(v)
+                yield (f"n={n}:v={format_perm(v)}", passed,
+                       None if passed else {"v": format_perm(v)})
+    return cases
 
 
-def _suite_squares(config: Config, caches: KLCacheRegistry,
-                   notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 7
-    for n in range(1, max_n + 1):
-        for v in symmetric_group(n):
-            key = f"n={n}:v={format_perm(v)}"
-            passed = squares_match_noninversions(v)
-            yield key, passed, None if passed else {"v": format_perm(v)}
-
-
-def _suite_box_cover(config: Config, caches: KLCacheRegistry,
-                     notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 7
-    for n in range(1, max_n + 1):
-        for v in symmetric_group(n):
-            key = f"n={n}:v={format_perm(v)}"
-            cover: set = set()
-            for box in bounding_boxes(v):
-                cover |= box.cells()
-            passed = graph_of_upper_interval(v).cells <= cover
-            yield key, passed, None if passed else {"v": format_perm(v)}
+def _interval_graph_matches_oracle(v: Perm) -> bool:
+    return (graph_of_upper_interval(v).rows
+            == graph_of_interval_bruteforce(v).rows)
 
 
 def _suite_alternation(config: Config, caches: KLCacheRegistry,
@@ -425,9 +420,9 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
 
 
 SUITES: dict[str, CaseGenerator] = {
-    "lemma-2.11": _suite_interval_graph,
-    "lemma-2.12": _suite_squares,
-    "lemma-2.16": _suite_box_cover,
+    "lemma-2.11": _every_permutation(_interval_graph_matches_oracle),
+    "lemma-2.12": _every_permutation(squares_match_noninversions),
+    "lemma-2.16": _every_permutation(boxes_cover_interval_graph),
     "prop-2.17": _suite_alternation,
     "prop-3.1": _suite_determinantal_formula,
     "prop-3.2": _suite_lewis_carroll,
@@ -505,17 +500,10 @@ def _search_plain_immanant(config: Config, caches: KLCacheRegistry,
     # k-positive matrices.
     cases = config.samples or 1000
     max_n = config.max_n or 4
-    if config.k is not None and config.k + 1 > max_n:
-        raise ValueError(f"pinned k={config.k} needs max_n > k")
     for t in range(cases):
         key = f"t={t:05d}"
         rng = _case_rng(config.seed, "search-5.1", key)
-        if config.k is not None:
-            k = config.k
-            n = rng.randint(k + 1, max_n)
-        else:
-            n = rng.randint(2, max_n)
-            k = rng.randint(1, n - 1)
+        n, k = _draw_size_and_order(rng, config.k, max_n)
         pool = _avoiders(n, (identity(k + 1),))
         v = pool[rng.randrange(len(pool))]
         M = _k_positive_samples(n, k, f"{config.seed}:5.1:{t}", 1, notes)[0]
@@ -582,17 +570,10 @@ def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
     max_n = config.max_n or 4
     max_m = config.max_m or 4
     vacuous = 0
-    if config.k is not None and config.k + 1 > max_n:
-        raise ValueError(f"pinned k={config.k} needs max_n > k")
     for t in range(cases):
         key = f"t={t:05d}"
         rng = _case_rng(config.seed, "search-5.3", key)
-        if config.k is not None:
-            k = config.k
-            n = rng.randint(k + 1, max_n)
-        else:
-            n = rng.randint(2, max_n)
-            k = rng.randint(1, n - 1)
+        n, k = _draw_size_and_order(rng, config.k, max_n)
         m = rng.randint(n, max(n, max_m))
         pool = _avoiders(n, (identity(k + 1),))
         v = pool[rng.randrange(len(pool))]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from klimm.grid import (
     block_antidiagonal_split,
     bounding_boxes,
     boxes_alternate,
+    boxes_cover_interval_graph,
     cells_sandwiched_only_by,
     col_support,
     complement_young_shape,
@@ -178,6 +181,7 @@ def test_boxes_cover_interval_graph(n):
         for box in bounding_boxes(v):
             cover |= box.cells()
         assert graph_of_upper_interval(v).cells <= cover
+        assert boxes_cover_interval_graph(v)
 
 
 def test_alternation_preconditions():
@@ -275,3 +279,130 @@ def test_graph_contains_both_endpoints(v):
     cells = graph_of_upper_interval(v).cells
     assert permutation_graph(v) <= cells
     assert permutation_graph(longest_element(5)) <= cells
+
+
+# ---------------------------------------------------------------------------
+# The row-mask grid against the cell-set code it replaced, kept as oracles.
+
+
+def square_dp_oracle(P):
+    """Largest full square by the classic dynamic program over cells."""
+    cells = P.cells
+    best = 0
+    prev = [0] * (P.n + 1)
+    for i in range(1, P.n + 1):
+        current = [0] * (P.n + 1)
+        for j in range(1, P.n + 1):
+            if (i, j) in cells:
+                current[j] = 1 + min(prev[j], current[j - 1], prev[j - 1])
+                best = max(best, current[j])
+        prev = current
+    return best
+
+
+def delete_oracle(P, I, J):
+    """Row/column deletion by order-preserving maps on the cell set."""
+    row_map = {old: new for new, old in enumerate(
+        (i for i in range(1, P.n + 1) if i not in I), start=1)}
+    col_map = {old: new for new, old in enumerate(
+        (j for j in range(1, P.n + 1) if j not in J), start=1)}
+    return grid(P.n - len(I),
+                [(row_map[i], col_map[j]) for (i, j) in P.cells
+                 if i in row_map and j in col_map],
+                [P.row_labels[i - 1] for i in row_map],
+                [P.col_labels[j - 1] for j in col_map])
+
+
+def block_split_oracle(P):
+    """Block-antidiagonal split by testing and shifting every cell."""
+    n = P.n
+    for j in range(1, n):
+        s = n - j
+        if all((r <= s and c > j) or (r > s and c <= j) for (r, c) in P.cells):
+            upper = grid(s, [(r, c - j) for (r, c) in P.cells if r <= s],
+                         P.row_labels[:s], P.col_labels[j:])
+            lower = grid(j, [(r - s, c) for (r, c) in P.cells if r > s],
+                         P.row_labels[s:], P.col_labels[:j])
+            return j, upper, lower
+    return None
+
+
+def labels(n):
+    return st.lists(st.integers(1, 9), min_size=n, max_size=n).map(
+        lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def labeled_grids(draw, max_n=7):
+    """Arbitrary cell sets in [n]^2 (empty and full included), random labels."""
+    n = draw(st.integers(1, max_n))
+    square = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    cells = draw(st.one_of(st.just(()), st.just(square),
+                           st.sets(st.sampled_from(square))))
+    return grid(n, cells, draw(labels(n)), draw(labels(n)))
+
+
+@st.composite
+def near_block_grids(draw):
+    """Cells inside the two blocks of a split at j, plus at most one stray."""
+    n = draw(st.integers(2, 7))
+    j = draw(st.integers(1, n - 1))
+    square = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    blocks = [(r, c) for (r, c) in square if (r <= n - j) == (c > j)]
+    cells = draw(st.sets(st.sampled_from(blocks)))
+    stray = draw(st.sets(st.sampled_from(square), max_size=1))
+    return grid(n, cells | stray, draw(labels(n)), draw(labels(n)))
+
+
+@given(labeled_grids())
+@settings(max_examples=300, deadline=None)
+def test_largest_square_matches_the_cell_dp(P):
+    assert largest_square(P) == square_dp_oracle(P)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_largest_square_of_empty_and_full_grids(n):
+    square = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    assert largest_square(grid(n, [])) == 0
+    assert largest_square(grid(n, square)) == n
+
+
+@given(labeled_grids(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_delete_rows_cols_matches_the_cell_reindex(P, data):
+    count = data.draw(st.integers(0, P.n))
+    I = data.draw(st.sets(st.integers(1, P.n), min_size=count, max_size=count))
+    J = data.draw(st.sets(st.integers(1, P.n), min_size=count, max_size=count))
+    assert delete_rows_cols(P, I, J) == delete_oracle(P, I, J)
+
+
+@given(st.one_of(labeled_grids(), near_block_grids()))
+@settings(max_examples=400, deadline=None)
+def test_block_split_matches_the_cell_test(P):
+    assert block_antidiagonal_split(P) == block_split_oracle(P)
+
+
+@given(labeled_grids())
+@settings(max_examples=100, deadline=None)
+def test_grid_doc_round_trip_arbitrary(P):
+    assert LabeledGrid.from_doc(json.loads(json.dumps(P.to_doc()))) == P
+    assert grid(P.n, P.cells, P.row_labels, P.col_labels) == P
+
+
+@pytest.mark.parametrize("rows", [
+    (0b0011, 0, 0),  # bit 0 is no column
+    (0, 0b10000, 0),  # bit n + 1 lies past column n
+    (-2, 0, 0),
+    (0b10, 0b10),  # too few rows
+    (0b10, 0b10, 0b10, 0b10),  # too many rows
+    [0b10, 0b10, 0b10],  # a list would make the grid mutable and unhashable
+])
+def test_labeled_grid_rejects_malformed_rows(rows):
+    with pytest.raises(ValueError):
+        LabeledGrid(3, rows, (1, 2, 3), (1, 2, 3))
+
+
+def test_grid_rejects_cells_outside_the_square():
+    for cell in ((0, 1), (1, 0), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            grid(3, [cell])

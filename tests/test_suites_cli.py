@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import warnings
@@ -9,6 +10,7 @@ from klimm import fixtures, suites
 from klimm.cli import main
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
 from klimm.grid import FORBIDDEN_PATTERNS
+from klimm.perm import format_perm
 from klimm.suites import Config, SuiteReport, run_search, run_suite
 
 
@@ -298,3 +300,30 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as excinfo:
         main(["search", "6.1"])
     assert excinfo.value.code == 2
+
+
+# SHA-256 of grid-derived documents, pinned from the frozenset-cell grid
+# that preceded the row-mask one: a change of grid representation must
+# leave every byte of these outputs alone.
+GRID_DIGESTS = [
+    (["check", "lemma-2.11", "--max-n", "5"],
+     "0e33a5d9200b28f8228178abbf5983b91cd9e85315402e2df22fdad218646832"),
+    (["check", "lemma-2.12", "--max-n", "5"],
+     "c7aa6b1ef6700ee25410d8cd4730275e4cbb8675dfa8b031052cf41e92b1ee18"),
+    (["check", "lemma-2.16", "--max-n", "5"],
+     "c216ee3809eb03c757b2ec0991a6d944c24556fe2522b207b231da35fb8763a1"),
+    (["check", "prop-2.17", "--max-n", "5"],
+     "7b3a9b4eb006f4e49993d794cbe3800535b90217033fe9d89e9d20438893c49e"),
+    (["graph", "2413", "--format", "json"],
+     "3ffc79290826279cfe70907410aa56d75a50c04aa4b402decd40fe3380d3bedd"),
+    (["graph", format_perm(fixtures.BOX_COLORING_WORD), "--format", "json"],
+     "35c215f7bc1a3b8c3e797ce9d42a746829e9e67fc46540af459b89d9df38f423"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GRID_DIGESTS,
+                         ids=["-".join(argv[:2]) for argv, _ in GRID_DIGESTS])
+def test_grid_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
