@@ -6,7 +6,6 @@ scale.
 
 from .errors import (
     PatternPreconditionError,
-    PositivityPreconditionError,
     PreconditionError,
     ShapeError,
     SizeGuardError,
@@ -15,7 +14,6 @@ from .errors import (
 from .exactmat import (
     Matrix,
     antidiagonal_transpose,
-    bar,
     det,
     gen_k_positive_not_higher,
     gen_totally_positive,
@@ -33,17 +31,14 @@ from .grid import (
     bounding_boxes,
     boxes_alternate,
     col_support,
-    complement_young_shape,
     delete_rows_cols,
     durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     is_admissible,
-    is_sandwiched,
     largest_square,
     row_support,
     squares_match_noninversions,
-    young_shape,
 )
 from .immanant import (
     ImmanantResult,
@@ -53,11 +48,7 @@ from .immanant import (
     factor_block_antidiagonal,
     imm_definition,
     imm_determinantal,
-    inversions_equal_complement_boxes,
     lewis_carroll_sign_probe,
-    sign_theorem_check,
-    young_complement_sign_check,
-    young_sign_check,
 )
 from .klpoly import IntPolynomial, KLCache, kl_polynomial
 from .perm import (

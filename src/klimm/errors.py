@@ -24,7 +24,3 @@ class PreconditionError(ValueError):
 
 class PatternPreconditionError(PreconditionError):
     """The permutation contains a pattern the operation requires it to avoid."""
-
-
-class PositivityPreconditionError(PreconditionError):
-    """The supplied matrix is not k-positive at the required order k."""

@@ -48,33 +48,12 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i - 1][j - 1]
-
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ShapeError("rows have unequal lengths")
         return cls(data)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                         for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(tuple((Fraction(0),) * cols for _ in range(rows)))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} "
-                             f"by {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.entries))
-        return Matrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries))
 
     def to_doc(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -344,17 +323,3 @@ def antidiagonal_transpose(M: Matrix) -> Matrix:
     return Matrix(tuple(
         tuple(M.entries[n - 1 - j][n - 1 - i] for j in range(n))
         for i in range(n)))
-
-
-def bar(J: Sequence[int], m: int) -> tuple[int, ...]:
-    """
-    The label multiset reflected inside [m]: each j becomes m + 1 - j,
-    re-sorted increasingly.  This is how row/column labels transform
-    under antidiagonal transposition.
-
-    >>> bar((2, 3, 4), 4)
-    (1, 2, 3)
-    """
-    if any(not 1 <= j <= m for j in J):
-        raise ValueError(f"labels {tuple(J)} not all in [1, {m}]")
-    return tuple(sorted(m + 1 - j for j in J))

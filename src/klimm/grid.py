@@ -112,11 +112,6 @@ class LabeledGrid:
     def has_cell(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and bool(self.rows[i - 1] >> j & 1)
 
-    def with_labels(self, row_labels: Sequence[int],
-                    col_labels: Sequence[int]) -> "LabeledGrid":
-        return LabeledGrid(self.n, self.rows,
-                           tuple(row_labels), tuple(col_labels))
-
     def to_doc(self) -> dict:
         return {
             "n": self.n,
@@ -124,10 +119,6 @@ class LabeledGrid:
             "row_labels": list(self.row_labels),
             "col_labels": list(self.col_labels),
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "LabeledGrid":
-        return grid(doc["n"], doc["cells"], doc["row_labels"], doc["col_labels"])
 
 
 def _labeled(n: int, rows: Sequence[int],
@@ -194,21 +185,6 @@ def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     for k in iter_bits(table.above[table.index[v]]):
         rows = [mask | 1 << x for mask, x in zip(rows, table.perms[k])]
     return _labeled(len(v), rows)
-
-
-def is_sandwiched(point: Cell, v: Perm, ni: tuple[int, int]) -> bool:
-    """
-    Does the point lie inside the rectangle spanned by the two graph
-    points of the non-inversion <k, l>?  The point must not itself lie
-    on the graph of v.
-    """
-    k, l = ni
-    if not (1 <= k < l <= len(v) and v[k - 1] < v[l - 1]):
-        raise ValueError(f"<{k}, {l}> is not a non-inversion of {v}")
-    i, j = point
-    if point in permutation_graph(v):
-        raise PreconditionError(f"point {point} lies on the graph of {v}")
-    return k <= i <= l and v[k - 1] <= j <= v[l - 1]
 
 
 def largest_square(P: LabeledGrid) -> int:
@@ -313,14 +289,6 @@ class BoundingBox:
     corners: tuple[Cell, ...]
     color: Color
 
-    def side(self) -> int:
-        return self.rows[1] - self.rows[0] + 1
-
-    def cells(self) -> frozenset[Cell]:
-        return frozenset((i, j)
-                         for i in range(self.rows[0], self.rows[1] + 1)
-                         for j in range(self.cols[0], self.cols[1] + 1))
-
 
 def _box_extent(n: int, i: int, vi: int) -> tuple[tuple[int, int], tuple[int, int]]:
     r2 = n - vi + 1
@@ -415,40 +383,6 @@ def durfee(parts: Sequence[int]) -> int:
         if part >= s:
             best = s
     return best
-
-
-def young_shape(P: LabeledGrid) -> tuple[int, ...] | None:
-    """
-    If the cells are exactly {(i, j) : j <= lambda_i} for a weakly
-    decreasing lambda, return lambda (with trailing zeros, length n);
-    otherwise None.
-    """
-    parts = []
-    for mask in P.rows:
-        width = mask.bit_count()
-        if mask != _columns(1, width):
-            return None  # row is not a left-justified run starting in column 1
-        parts.append(width)
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        return None
-    return tuple(parts)
-
-
-def complement_young_shape(P: LabeledGrid) -> tuple[int, ...] | None:
-    """
-    If the cells are the complement of a Young diagram mu in the n x n
-    box, i.e. {(i, j) : j > mu_i}, return mu; otherwise None.
-    """
-    n = P.n
-    parts = []
-    for mask in P.rows:
-        count = mask.bit_count()
-        if mask != _columns(n - count + 1, n):
-            return None  # row is not a right-justified run ending in column n
-        parts.append(n - count)
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        return None
-    return tuple(parts)
 
 
 def young_diagram_grid(parts: Sequence[int], n: int,

@@ -20,20 +20,12 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .errors import (
-    PatternPreconditionError,
-    PositivityPreconditionError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import PatternPreconditionError, PreconditionError, ShapeError
 from .exactmat import (
     Matrix,
     _cleared_rows,
-    antidiagonal_transpose,
-    bar,
     deleted_det,
     det,
-    is_k_positive,
     repeat_submatrix,
     restrict,
     submatrix,
@@ -45,13 +37,11 @@ from .grid import (
     block_antidiagonal_split,
     bounding_boxes,
     delete_rows_cols,
-    durfee,
     graph_of_upper_interval,
     is_admissible,
     largest_square,
     young_complement_grid,
     young_diagram_grid,
-    young_shape,
 )
 from .klpoly import KLCache, kl_at
 from .perm import (
@@ -78,11 +68,6 @@ def _require_square_of_size(M: Matrix, n: int) -> None:
     if not (M.is_square and M.rows == n):
         raise ShapeError(
             f"matrix is {M.rows}x{M.cols}, expected {n}x{n}")
-
-
-def _require_k_positive(M: Matrix, k: int) -> None:
-    if not is_k_positive(M, k):
-        raise PositivityPreconditionError(f"matrix is not {k}-positive")
 
 
 def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
@@ -263,12 +248,12 @@ def _contained_in_reverse_staircase(parts: Sequence[int], n: int) -> bool:
 def young_sign_law(parts: Sequence[int], R: Sequence[int],
                    C: Sequence[int], M: Matrix) -> bool:
     """
-    The sign law itself, assuming M has already been verified k-positive
-    for some k at least the Durfee square of the shape: with mu the
-    complement of the shape in the n x n box, (-1)^|mu| times the
-    restricted determinant must be strictly positive when the shape
-    contains the staircase (n, ..., 1) and is (R, C)-admissible, and
-    zero otherwise.
+    Sign law for a Young-diagram grid, for M k-positive at some k at
+    least the Durfee square of the shape (the caller verifies that):
+    with mu the complement of the shape in the n x n box, (-1)^|mu|
+    times the restricted determinant must be strictly positive when the
+    shape contains the staircase (n, ..., 1) and is (R, C)-admissible,
+    and zero otherwise.
     """
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
@@ -279,25 +264,11 @@ def young_sign_law(parts: Sequence[int], R: Sequence[int],
         signed, _staircase_contained(parts, n) and is_admissible(shape))
 
 
-def young_sign_check(parts: Sequence[int], R: Sequence[int],
-                     C: Sequence[int], M: Matrix, k: int) -> bool:
-    """
-    Sign law for a Young-diagram grid, with the hypotheses verified:
-    the Durfee square must be at most k and M must be k-positive.
-    Returns whether the evaluation obeys the law.
-    """
-    if durfee(parts) > k:
-        raise PreconditionError(
-            f"Durfee square {durfee(parts)} exceeds the stated order {k}")
-    _require_k_positive(M, k)
-    return young_sign_law(parts, R, C, M)
-
-
 def young_complement_sign_law(parts: Sequence[int], R: Sequence[int],
                               C: Sequence[int], M: Matrix) -> bool:
     """
-    Mirror law for the complement grid, assuming M has already been
-    verified k-positive at k at least the largest square of the grid:
+    Mirror law for the complement grid, for M k-positive at some k at
+    least the largest square of the grid (the caller verifies that):
     deleting the shape ``parts`` from the top-left of the n x n box,
     (-1)^|parts| times the restricted determinant is strictly positive
     when ``parts`` fits inside the staircase (n-1, ..., 1, 0) and the
@@ -311,75 +282,6 @@ def young_complement_sign_law(parts: Sequence[int], R: Sequence[int],
     return obeys_sign_law(
         signed,
         _contained_in_reverse_staircase(parts, n) and is_admissible(shape))
-
-
-def young_complement_sign_check(parts: Sequence[int], R: Sequence[int],
-                                C: Sequence[int], M: Matrix, k: int) -> bool:
-    """Complement sign law with the hypotheses verified before evaluating."""
-    R = as_multiset(R, M.rows)
-    C = as_multiset(C, M.rows)
-    shape = young_complement_grid(parts, len(R), R, C)
-    if largest_square(shape) > k:
-        raise PreconditionError(
-            f"largest square {largest_square(shape)} exceeds the stated order {k}")
-    _require_k_positive(M, k)
-    return young_complement_sign_law(parts, R, C, M)
-
-
-def young_complement_via_transpose(parts: Sequence[int], R: Sequence[int],
-                                   C: Sequence[int], M: Matrix) -> Fraction:
-    """
-    The same restricted determinant as in the complement law, computed
-    through the antidiagonal transpose: reflect the matrix, flip the
-    label multisets inside [m], and reflect the shape into a straight
-    Young diagram.  Used as an independent route in tests.
-    """
-    R = as_multiset(R, M.rows)
-    C = as_multiset(C, M.rows)
-    n = len(R)
-    padded = tuple(parts) + (0,) * (n - len(parts))
-    # Reflecting {(i, j) : j > parts_i} across the antidiagonal yields the
-    # straight shape whose parts are n minus the conjugate, read backwards.
-    conjugate = tuple(sum(1 for p in padded if p >= t) for t in range(1, n + 1))
-    reflected = tuple(n - conjugate[n - i] for i in range(1, n + 1))
-    flipped = antidiagonal_transpose(M)
-    shape = young_diagram_grid(reflected, n, bar(C, M.rows), bar(R, M.rows))
-    return det(restrict(repeat_submatrix(flipped, bar(C, M.rows), bar(R, M.rows)),
-                        shape))
-
-
-def inversions_equal_complement_boxes(v: Perm) -> bool:
-    """
-    When the upper-interval graph is a Young diagram, its complement in
-    the n x n box has exactly one cell per inversion of v.
-    """
-    v = tuple(v)
-    _require_avoiding(v)
-    parts = young_shape(graph_of_upper_interval(v))
-    if parts is None:
-        raise PreconditionError(
-            f"the graph of [{format_perm(v)}, w0] is not a Young diagram")
-    n = len(v)
-    return n * n - sum(parts) == length(v)
-
-
-def sign_theorem_check(v: Perm, R: Sequence[int], C: Sequence[int],
-                       M: Matrix) -> bool:
-    """
-    The sharp sign statement: for v avoiding 1324 and 2143 and M
-    k-positive at k = largest square of the labeled grid, the signed
-    restricted determinant is strictly positive exactly when the grid is
-    (R, C)-admissible and zero exactly when it is not.  The positivity
-    hypothesis on M is verified, not assumed.
-    """
-    v = tuple(v)
-    _require_avoiding(v)
-    R = as_multiset(R, M.rows)
-    C = as_multiset(C, M.rows)
-    labeled = graph_of_upper_interval(v, R, C)
-    _require_k_positive(M, largest_square(labeled))
-    signed = _signed_restricted_det(M, R, C, labeled, length(v))
-    return obeys_sign_law(signed, is_admissible(labeled))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from .immanant import (
 )
 from .klpoly import KLCacheRegistry
 from .perm import (
+    BRUHAT_TABLE_GUARD,
     Perm,
     avoids,
     compose,
@@ -73,8 +74,6 @@ from .perm import (
     parse_perm,
     symmetric_group,
 )
-
-MAX_N_HARD_LIMIT = 7
 
 
 @dataclass
@@ -89,8 +88,8 @@ class Config:
     k: int | None = None  # pin the positivity order in searches
 
     def __post_init__(self):
-        if self.max_n is not None and not 1 <= self.max_n <= MAX_N_HARD_LIMIT:
-            raise ValueError(f"max_n must lie in [1, {MAX_N_HARD_LIMIT}]")
+        if self.max_n is not None and not 1 <= self.max_n <= BRUHAT_TABLE_GUARD:
+            raise ValueError(f"max_n must lie in [1, {BRUHAT_TABLE_GUARD}]")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be positive")
         if self.max_m is not None and self.max_m < 1:
@@ -164,9 +163,10 @@ def _k_positive_samples(m: int, k: int, tag: str, count: int,
                         notes: dict) -> list[Matrix]:
     """
     Deterministic verified k-positive m x m matrices, tallied by origin in
-    the notes: totally positive when k == m, else each constructed with
-    order exactly k from its own seed (the sharp fixture is sample 0 when
-    (m, k) == (4, 2) and count > 1).
+    the notes: totally positive when k >= m (an m x m matrix has no minor
+    larger than m), else each constructed with order exactly k from its
+    own seed (the sharp fixture is sample 0 when (m, k) == (4, 2) and
+    count > 1).
     """
     counts = notes.setdefault("sampled_matrices", dict.fromkeys(
         ("constructed", "fixture", "totally_positive"), 0))
@@ -182,7 +182,7 @@ def _k_positive_samples(m: int, k: int, tag: str, count: int,
         counts["fixture"] += fixture
         counts["constructed"] += count - fixture
     for M in out:
-        if not is_k_positive(M, k):
+        if not is_k_positive(M, min(k, m)):
             raise ArithmeticError("sampled matrix failed its positivity check")
     return out
 
@@ -619,6 +619,8 @@ SEARCH_NOTES = {
 def run_search(conjecture: str, config: Config) -> SuiteReport:
     """Randomized counterexample search for one conjecture."""
     cases = _generator(SEARCHES, conjecture, "conjecture")
+    if config.max_n is not None and config.max_n < 2:
+        raise ValueError(f"searches need max_n >= 2, got {config.max_n}")
     report = _run(f"search-{conjecture}", cases, config,
                   dict(SEARCH_NOTES[conjecture]))
     if report.counterexamples:

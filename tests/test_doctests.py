@@ -1,6 +1,7 @@
 import ast
 import doctest
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -28,3 +29,37 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Module-level functions the package keeps without a caller of its own.
+UNCALLED_BY_DESIGN = {
+    "kl_polynomial_via_r": "the R-polynomial oracle for the KL recursion",
+    "deletion_pruned_grid_identity": "acceptance criterion 4 is stated by it",
+}
+
+
+def _is_entry_point(name: str) -> bool:
+    # CLI handlers and main are called from outside the package.
+    return name == "main" or name.startswith("cmd_")
+
+
+def test_every_package_function_has_a_caller_in_the_package():
+    # A function only the tests call belongs in the tests.
+    package = pathlib.Path(klimm.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.rglob("*.py"))
+             if path.name != "__init__.py"}
+
+    def references(node) -> Counter:
+        return Counter(ref.id if isinstance(ref, ast.Name) else ref.attr
+                       for ref in ast.walk(node)
+                       if isinstance(ref, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    uncalled = [f"{name}:{node.name}"
+                for name, tree in trees.items() for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and everywhere[node.name] == references(node)[node.name]
+                and node.name not in UNCALLED_BY_DESIGN
+                and not _is_entry_point(node.name)]
+    assert uncalled == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import young_shapes
 from klimm import fixtures
 from klimm.errors import (
     PatternPreconditionError,
@@ -18,7 +19,6 @@ from klimm.grid import (
     boxes_cover_interval_graph,
     cells_sandwiched_only_by,
     col_support,
-    complement_young_shape,
     delete_rows_cols,
     deletion_pruned_grid_identity,
     durfee,
@@ -26,7 +26,6 @@ from klimm.grid import (
     graph_of_upper_interval,
     grid,
     is_admissible,
-    is_sandwiched,
     label_patterns,
     largest_square,
     permutation_graph,
@@ -35,12 +34,12 @@ from klimm.grid import (
     squares_match_noninversions,
     young_complement_grid,
     young_diagram_grid,
-    young_shape,
 )
 from klimm.perm import (
     delete_entry,
     identity,
     longest_element,
+    non_inversions,
     symmetric_group,
 )
 
@@ -86,15 +85,23 @@ def test_bruteforce_rejects_words_that_are_not_permutations(word):
         graph_of_interval_bruteforce(word)
 
 
+def sandwiched_by(v, k, l):
+    """The rectangle spanned by the graph points of the non-inversion <k, l>."""
+    return {(i, j) for i in range(k, l + 1)
+            for j in range(v[k - 1], v[l - 1] + 1)}
+
+
 def test_is_sandwiched():
-    assert is_sandwiched((1, 3), V2413, (1, 2))
-    assert not is_sandwiched((4, 4), V2413, (1, 2))
-    assert not is_sandwiched((4, 4), V2413, (1, 4))
-    assert not is_sandwiched((4, 4), V2413, (3, 4))
-    with pytest.raises(PreconditionError):
-        is_sandwiched((1, 2), V2413, (1, 2))  # on the graph of v
-    with pytest.raises(ValueError):
-        is_sandwiched((1, 3), V2413, (2, 3))  # not a non-inversion
+    assert non_inversions(V2413) == [(1, 2), (1, 4), (3, 4)]
+    off_graph = graph_of_upper_interval(V2413).cells - permutation_graph(V2413)
+    assert (1, 3) in off_graph & sandwiched_by(V2413, 1, 2)
+    assert all((4, 4) not in sandwiched_by(V2413, k, l)
+               for (k, l) in non_inversions(V2413))
+    assert (4, 4) not in graph_of_upper_interval(V2413).cells
+    # the graph of [v, w0] is the graph of v plus every sandwiched cell
+    for v in symmetric_group(4):
+        assert graph_of_upper_interval(v).cells == permutation_graph(v).union(
+            *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)))
 
 
 def test_largest_square_examples():
@@ -119,9 +126,10 @@ def test_support_of_empty_grid():
 
 def test_admissibility_examples():
     G = graph_of_upper_interval(V2413)
-    assert is_admissible(G.with_labels(fixtures.ADMISSIBLE_ROW_LABELS,
-                                       fixtures.ADMISSIBLE_COL_LABELS))
-    assert not is_admissible(G.with_labels((1, 2, 2, 3), (1, 2, 2, 3)))
+    assert is_admissible(graph_of_upper_interval(
+        V2413, fixtures.ADMISSIBLE_ROW_LABELS, fixtures.ADMISSIBLE_COL_LABELS))
+    assert not is_admissible(graph_of_upper_interval(
+        V2413, (1, 2, 2, 3), (1, 2, 2, 3)))
     assert is_admissible(G)  # identity labels are all distinct
 
 
@@ -171,7 +179,7 @@ def test_bounding_boxes_worked_example():
 def test_bounding_boxes_longest_element():
     for box in bounding_boxes(longest_element(5)):
         assert box.color == "green"
-        assert box.side() == 1
+        assert box.rows[0] == box.rows[1] and box.cols[0] == box.cols[1]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -179,7 +187,8 @@ def test_boxes_cover_interval_graph(n):
     for v in symmetric_group(n):
         cover = set()
         for box in bounding_boxes(v):
-            cover |= box.cells()
+            cover |= {(i, j) for i in range(box.rows[0], box.rows[1] + 1)
+                      for j in range(box.cols[0], box.cols[1] + 1)}
         assert graph_of_upper_interval(v).cells <= cover
         assert boxes_cover_interval_graph(v)
 
@@ -195,12 +204,13 @@ def test_alternation_preconditions():
 
 
 def test_young_shape_recognition():
-    assert young_shape(graph_of_upper_interval(identity(3))) == (3, 3, 3)
-    assert young_shape(graph_of_upper_interval((1, 3, 2))) == (3, 3, 2)
-    assert young_shape(graph_of_upper_interval(longest_element(3))) is None
-    assert young_shape(graph_of_upper_interval((2, 1, 4, 3))) is None
-    assert complement_young_shape(graph_of_upper_interval((2, 1, 3))) == (1, 0, 0)
-    assert complement_young_shape(graph_of_upper_interval(longest_element(3))) is None
+    G = graph_of_upper_interval
+    assert young_shapes(G(identity(3)), young_diagram_grid) == [(3, 3, 3)]
+    assert young_shapes(G((1, 3, 2)), young_diagram_grid) == [(3, 3, 2)]
+    assert young_shapes(G(longest_element(3)), young_diagram_grid) == []
+    assert young_shapes(G((2, 1, 4, 3)), young_diagram_grid) == []
+    assert young_shapes(G((2, 1, 3)), young_complement_grid) == [(1, 0, 0)]
+    assert young_shapes(G(longest_element(3)), young_complement_grid) == []
 
 
 def test_young_grids_and_durfee():
@@ -211,8 +221,10 @@ def test_young_grids_and_durfee():
     assert shape.cells == frozenset({(1, 1), (1, 2), (1, 3), (2, 1)})
     comp = young_complement_grid((3, 1), 3)
     assert comp.cells == frozenset({(2, 2), (2, 3), (3, 1), (3, 2), (3, 3)})
-    assert young_shape(young_diagram_grid((3, 3, 1), 3)) == (3, 3, 1)
-    assert complement_young_shape(young_complement_grid((2, 1), 3)) == (2, 1, 0)
+    assert young_diagram_grid((3, 3, 1), 3).cells == frozenset(
+        {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)})
+    assert young_complement_grid((2, 1), 3).cells == frozenset(
+        {(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)})
     with pytest.raises(ValueError):
         young_diagram_grid((1, 3), 3)  # not weakly decreasing
 
@@ -267,9 +279,14 @@ def test_label_patterns():
     assert label_patterns(4, 1) == [(1, 1, 1, 1)]
 
 
+def from_doc(doc):
+    # A grid document carries all that grid() needs to rebuild the grid.
+    return grid(doc["n"], doc["cells"], doc["row_labels"], doc["col_labels"])
+
+
 def test_grid_doc_round_trip():
     G = graph_of_upper_interval(V2413, row_labels=(1, 2, 2, 3))
-    assert LabeledGrid.from_doc(G.to_doc()) == G
+    assert from_doc(G.to_doc()) == G
 
 
 @given(st.permutations(list(range(1, 6))))
@@ -385,7 +402,7 @@ def test_block_split_matches_the_cell_test(P):
 @given(labeled_grids())
 @settings(max_examples=100, deadline=None)
 def test_grid_doc_round_trip_arbitrary(P):
-    assert LabeledGrid.from_doc(json.loads(json.dumps(P.to_doc()))) == P
+    assert from_doc(json.loads(json.dumps(P.to_doc()))) == P
     assert grid(P.n, P.cells, P.row_labels, P.col_labels) == P
 
 

@@ -7,28 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kl_at_one, random_rational_matrix, square_matrices
+from conftest import (
+    bar,
+    identity_matrix,
+    kl_at_one,
+    random_rational_matrix,
+    square_matrices,
+    young_shapes,
+)
 from klimm import fixtures
 from klimm.errors import (
     PatternPreconditionError,
-    PositivityPreconditionError,
     PreconditionError,
     ShapeError,
     SizeGuardError,
 )
 from klimm.exactmat import (
     Matrix,
+    antidiagonal_transpose,
     det,
     gen_totally_positive,
+    is_k_positive,
     repeat_submatrix,
     restrict,
 )
 from klimm.grid import (
     FORBIDDEN_PATTERNS,
+    as_multiset,
+    durfee,
     graph_of_upper_interval,
     largest_square,
     non_inversions,
     young_complement_grid,
+    young_diagram_grid,
 )
 from klimm.immanant import (
     deletion_det_identity,
@@ -36,13 +47,9 @@ from klimm.immanant import (
     factor_block_antidiagonal,
     imm_definition,
     imm_determinantal,
-    inversions_equal_complement_boxes,
     lewis_carroll_sign_probe,
-    sign_theorem_check,
-    young_complement_sign_check,
+    obeys_sign_law,
     young_complement_sign_law,
-    young_complement_via_transpose,
-    young_sign_check,
     young_sign_law,
 )
 from klimm.klpoly import ZERO, KLCache, kl_table_via_r
@@ -72,13 +79,13 @@ def test_definition_extremes(kl_cache_s4):
     assert imm_definition(identity(4), FIXTURE, kl_cache_s4) == det(FIXTURE)
     w0 = longest_element(4)
     assert imm_definition(w0, FIXTURE, kl_cache_s4) == \
-        prod(FIXTURE.entry(i, 5 - i) for i in range(1, 5))
+        prod(FIXTURE.entries[i][3 - i] for i in range(4))
     with pytest.raises(ShapeError):
         imm_definition((1, 2), FIXTURE, kl_cache_s4)
     with pytest.raises(SizeGuardError):
-        imm_definition(identity(8), Matrix.identity(8))
+        imm_definition(identity(8), identity_matrix(8))
     with pytest.raises(ValueError):
-        imm_definition((1, 1, 3), Matrix.identity(3))
+        imm_definition((1, 1, 3), identity_matrix(3))
 
 
 def test_definition_support_rule_matches_unpruned_sum(kl_cache_s4):
@@ -93,7 +100,7 @@ def test_definition_support_rule_matches_unpruned_sum(kl_cache_s4):
             coeff = kl_at_one(compose(w0, w), compose(w0, v), kl_cache_s4)
             sign = -1 if (length(w) - length(v)) % 2 else 1
             unpruned += sign * coeff * prod(
-                M.entry(i, w[i - 1]) for i in range(1, 5))
+                M.entries[i][w[i] - 1] for i in range(4))
         assert unpruned == imm_definition(v, M, kl_cache_s4)
         # and the support is exactly the upper interval
         for w in symmetric_group(4):
@@ -118,7 +125,7 @@ def _unpruned_weights(v):
 
 
 def _unpruned_definition(v, M):
-    return sum((weight * prod(M.entry(i, w[i - 1]) for i in range(1, len(v) + 1))
+    return sum((weight * prod(row[x - 1] for row, x in zip(M.entries, w))
                 for w, weight in _unpruned_weights(v)), Fraction(0))
 
 
@@ -169,14 +176,14 @@ def test_determinantal_extremes():
     assert imm_determinantal(identity(4), FIXTURE) == det(FIXTURE)
     w0 = longest_element(4)
     assert imm_determinantal(w0, FIXTURE) == \
-        prod(FIXTURE.entry(i, 5 - i) for i in range(1, 5))
+        prod(FIXTURE.entries[i][3 - i] for i in range(4))
 
 
 @pytest.mark.parametrize("bad", [(1, 3, 2, 4), (2, 1, 4, 3),
                                  (5, 1, 3, 2, 4), (2, 1, 5, 4, 3)])
 def test_determinantal_pattern_precondition(bad):
     with pytest.raises(PatternPreconditionError):
-        imm_determinantal(bad, Matrix.identity(len(bad)))
+        imm_determinantal(bad, identity_matrix(len(bad)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -282,26 +289,30 @@ def test_deletion_identity_exhaustive(n):
 
 def test_deletion_identity_preconditions():
     with pytest.raises(PatternPreconditionError):
-        deletion_det_identity((2, 1, 4, 3), 1, Matrix.identity(3))
+        deletion_det_identity((2, 1, 4, 3), 1, identity_matrix(3))
     with pytest.raises(ShapeError):
-        deletion_det_identity((2, 4, 1, 3), 1, Matrix.identity(4))
+        deletion_det_identity((2, 4, 1, 3), 1, identity_matrix(4))
 
 
 def test_young_sign_check_examples():
+    # The law's hypotheses, Durfee square at most k and M k-positive, are
+    # asserted before each evaluation.
     T4 = gen_totally_positive(4, seed=31)
-    assert young_sign_check((4, 4, 4, 4), (1, 2, 3, 4), (1, 2, 3, 4), T4, 4)
+    assert durfee((4, 4, 4, 4)) <= 4 and is_k_positive(T4, 4)
+    assert young_sign_law((4, 4, 4, 4), (1, 2, 3, 4), (1, 2, 3, 4), T4)
     T3 = gen_totally_positive(3, seed=31)
-    assert young_sign_check((3, 3, 1), (1, 2, 3), (1, 2, 3), T3, 2)
-    assert young_sign_check((2, 2, 2), (1, 2, 3), (1, 2, 3), T3, 2)
+    assert durfee((3, 3, 1)) <= 2 and durfee((2, 2, 2)) <= 2
+    assert is_k_positive(T3, 2)
+    assert young_sign_law((3, 3, 1), (1, 2, 3), (1, 2, 3), T3)
+    assert young_sign_law((2, 2, 2), (1, 2, 3), (1, 2, 3), T3)
     # the (2,2,2) case is a forced zero: the staircase is missing
     value = det(restrict(repeat_submatrix(T3, (1, 2, 3), (1, 2, 3)),
                          graph_of_upper_interval(identity(3))))
     assert value != 0  # sanity: zero above came from the shape, not T3
-    with pytest.raises(PreconditionError):
-        young_sign_check((3, 3, 1), (1, 2, 3), (1, 2, 3), T3, 1)
-    with pytest.raises(PositivityPreconditionError):
-        young_sign_check((2, 1), (1, 2), (1, 2),
-                         Matrix.from_rows([[1, 2], [2, 1]]), 2)
+    # outside the hypotheses: Durfee square 2 exceeds k = 1, and a
+    # matrix with a nonpositive 2-minor is not 2-positive
+    assert durfee((3, 3, 1)) > 1
+    assert not is_k_positive(Matrix.from_rows([[1, 2], [2, 1]]), 2)
 
 
 def test_young_sign_check_inadmissible_zero():
@@ -311,11 +322,38 @@ def test_young_sign_check_inadmissible_zero():
 
 
 def test_young_complement_examples():
+    # Hypotheses first: the grid's largest square is at most k and T3 is
+    # k-positive.
     T3 = gen_totally_positive(3, seed=7)
-    assert young_complement_sign_check((), (1, 2, 3), (1, 2, 3), T3, 3)
-    assert young_complement_sign_check((1,), (1, 2, 3), (1, 2, 3), T3, 2)
+    labels = (1, 2, 3)
+    for parts, k in [((), 3), ((1,), 2), ((3,), 3)]:
+        assert largest_square(young_complement_grid(parts, 3)) <= k
+        assert is_k_positive(T3, k)
+    assert young_complement_sign_law((), labels, labels, T3)
+    assert young_complement_sign_law((1,), labels, labels, T3)
     # removed shape sticking out of the staircase forces a zero
-    assert young_complement_sign_check((3,), (1, 2, 3), (1, 2, 3), T3, 3)
+    assert young_complement_sign_law((3,), labels, labels, T3)
+
+
+def young_complement_via_transpose(parts, R, C, M):
+    """
+    The same restricted determinant as in the complement law, computed
+    through the antidiagonal transpose: reflect the matrix, flip the
+    label multisets inside [m], and reflect the shape into a straight
+    Young diagram.  An independent route for the complement law.
+    """
+    R = as_multiset(R, M.rows)
+    C = as_multiset(C, M.rows)
+    n = len(R)
+    padded = tuple(parts) + (0,) * (n - len(parts))
+    # Reflecting {(i, j) : j > parts_i} across the antidiagonal yields the
+    # straight shape whose parts are n minus the conjugate, read backwards.
+    conjugate = tuple(sum(1 for p in padded if p >= t) for t in range(1, n + 1))
+    reflected = tuple(n - conjugate[n - i] for i in range(1, n + 1))
+    flipped = antidiagonal_transpose(M)
+    shape = young_diagram_grid(reflected, n, bar(C, M.rows), bar(R, M.rows))
+    return det(restrict(repeat_submatrix(flipped, bar(C, M.rows), bar(R, M.rows)),
+                        shape))
 
 
 def test_young_complement_reduces_to_antidiagonal_transpose():
@@ -341,24 +379,36 @@ def test_young_sweep_with_repeated_labels():
 
 
 def test_inversions_equal_complement_boxes():
-    assert inversions_equal_complement_boxes(identity(4))
+    # When the graph of [v, w0] is a Young diagram, its complement in the
+    # n x n box has one cell per inversion of v.
+    def shapes(v):
+        return young_shapes(graph_of_upper_interval(v), young_diagram_grid)
+
+    assert shapes(identity(4)) == [(4, 4, 4, 4)] and length(identity(4)) == 0
+    young = 0
     for v in qualifying(5):
-        try:
-            assert inversions_equal_complement_boxes(v)
-        except PreconditionError:
-            pass  # graph is not a Young diagram; outside the hypothesis
-    with pytest.raises(PreconditionError):
-        inversions_equal_complement_boxes(longest_element(3))
+        for parts in shapes(v):
+            assert 25 - sum(parts) == length(v)
+            young += 1
+    assert young > 1
+    assert shapes(longest_element(3)) == []  # outside the hypothesis
 
 
 def test_sign_theorem_check_worked_examples():
-    assert sign_theorem_check((2, 4, 1, 3), (1, 2, 3, 4), (1, 2, 3, 4), FIXTURE)
-    assert sign_theorem_check((2, 4, 1, 3), (1, 2, 2, 3), (1, 2, 2, 3), FIXTURE)
+    # The sharp sign law as main-sq runs it, with its hypotheses asserted:
+    # v avoids 1324 and 2143, and M is k-positive at k = largest square.
+    v = (2, 4, 1, 3)
+    assert avoids(v, *FORBIDDEN_PATTERNS)
+    for labels in [(1, 2, 3, 4), (1, 2, 2, 3)]:
+        assert is_k_positive(
+            FIXTURE, largest_square(graph_of_upper_interval(v, labels, labels)))
+        result = dual_canonical_eval(v, labels, labels, FIXTURE)
+        assert obeys_sign_law(result.value, result.admissible)
     with pytest.raises(PatternPreconditionError):
-        sign_theorem_check((2, 1, 4, 3), (1, 2, 3, 4), (1, 2, 3, 4), FIXTURE)
-    with pytest.raises(PositivityPreconditionError):
-        # the fixture is not 3-positive, but Gamma[id, w0] needs k = 4
-        sign_theorem_check(identity(4), (1, 2, 3, 4), (1, 2, 3, 4), FIXTURE)
+        dual_canonical_eval((2, 1, 4, 3), (1, 2, 3, 4), (1, 2, 3, 4), FIXTURE)
+    # the fixture is not 3-positive, but Gamma[id, w0] needs k = 4
+    assert largest_square(graph_of_upper_interval(identity(4))) == 4
+    assert not is_k_positive(FIXTURE, 4)
 
 
 def test_sign_probe_reports():

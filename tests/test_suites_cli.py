@@ -53,7 +53,7 @@ def test_sign_probe_suite_reports_skips():
 def test_unknown_suite_and_config_validation():
     with pytest.raises(ValueError):
         run_suite("nope", small_config())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"max_n must lie in \[1, 7\]"):
         Config(max_n=8)
     with pytest.raises(ValueError):
         Config(samples=0)
@@ -106,6 +106,30 @@ def test_sample_tally_only_in_sampling_reports():
     report = run_suite("main-sq", small_config())
     avoiders = suites._avoiders(4, FORBIDDEN_PATTERNS)
     assert sum(report.notes["sampled_matrices"].values()) == 2 * len(avoiders)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "main-sq", "--max-n", "4", "--max-m", "2", "--samples", "1"],
+    ["check", "young", "--max-n", "5", "--max-m", "2", "--samples", "1"],
+    ["search", "5.2", "--k", "3", "--max-n", "3"],
+], ids=["main-sq", "young", "search-5.2"])
+def test_positivity_order_above_the_matrix_size(tmp_path, capsys, argv):
+    # k > m asks for an m x m matrix with every minor positive: a totally
+    # positive one, verified at order m.
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["counterexamples"] == []
+    assert doc["cases_passed"] == doc["cases_run"] > 0
+    assert doc["notes"]["sampled_matrices"]["totally_positive"] > 0
+
+
+@pytest.mark.parametrize("conjecture", ["5.1", "5.2", "5.3"])
+def test_searches_need_two_by_two(capsys, conjecture):
+    with pytest.raises(ValueError, match="max_n >= 2, got 1"):
+        run_search(conjecture, Config(max_n=1))
+    assert main(["search", conjecture, "--max-n", "1"]) == 1
+    assert "max_n >= 2" in capsys.readouterr().err
 
 
 def test_search_rejects_unknown_conjecture():
@@ -257,7 +281,7 @@ def test_cli_gen_scalar(tmp_path, capsys):
     out = tmp_path / "one.json"
     assert main(["gen", "1", "1", "--out", str(out)]) == 0
     M = Matrix.from_doc(json.loads(out.read_text()))
-    assert M.rows == 1 and M.entry(1, 1) > 0
+    assert M.rows == 1 and M.entries[0][0] > 0
 
 
 def test_cli_imm_disagreement_exit_code(tmp_path, capsys, monkeypatch):
