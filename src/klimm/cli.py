@@ -17,7 +17,6 @@ import json
 import os
 import sys
 
-from .errors import PreconditionError
 from .exactmat import (
     Matrix,
     gen_k_positive_not_higher,
@@ -237,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (PreconditionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,10 +61,20 @@ class Matrix:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Matrix":
-        r, c = doc["rows"], doc["cols"]
-        flat = [Fraction(str(x)) for x in doc["entries"]]
-        if len(flat) != r * c:
-            raise ShapeError(f"expected {r * c} entries, got {len(flat)}")
+        """Read a :meth:`to_doc` document back; ValueError if malformed."""
+        doc = doc if isinstance(doc, dict) else {}
+        r, c, entries = doc.get("rows"), doc.get("cols"), doc.get("entries")
+        if not (type(r) is type(c) is int and r >= 0 and c >= 0
+                and (r > 0 or c == 0) and isinstance(entries, list)):
+            raise ValueError("not a matrix document: need an object with "
+                             "integers rows, cols >= 0 (cols 0 if rows is "
+                             "0) and a list of entries")
+        if len(entries) != r * c:
+            raise ShapeError(f"expected {r * c} entries, got {len(entries)}")
+        try:
+            flat = [Fraction(str(x)) for x in entries]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"matrix entry with zero denominator: {exc}")
         return cls(tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r)))
 
 

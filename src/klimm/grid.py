@@ -40,14 +40,11 @@ Cell = tuple[int, int]
 FORBIDDEN_PATTERNS: tuple[Perm, Perm] = ((1, 3, 2, 4), (2, 1, 4, 3))
 
 
-def as_multiset(entries: Iterable[int], m: int | None = None) -> tuple[int, ...]:
+def as_multiset(entries: Iterable[int], m: int) -> tuple[int, ...]:
     """Sort a collection of labels into a weakly increasing tuple over [m]."""
     ms = tuple(sorted(entries))
-    if m is not None:
-        if any(not 1 <= e <= m for e in ms):
-            raise ValueError(f"labels {ms} not all in [1, {m}]")
-    elif any(e < 1 for e in ms):
-        raise ValueError(f"labels {ms} must be positive")
+    if any(not 1 <= e <= m for e in ms):
+        raise ValueError(f"labels {ms} not all in [1, {m}]")
     return ms
 
 

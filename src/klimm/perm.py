@@ -108,38 +108,11 @@ def inverse(v: Perm) -> Perm:
     return tuple(inv)
 
 
-@lru_cache(maxsize=None)
-def _prefix_dominance(v: Perm) -> tuple[int, int, int]:
-    # Pack the prefix counts D[i][t] = #{j <= i : v_j <= t} into one big
-    # integer, one digit per (i, t) pair.  With an offset bit added to
-    # every digit, "D_x >= D_y entrywise" becomes a single subtraction
-    # plus mask test: no digit of (hi_x - lo_y) borrows, and the offset
-    # bit survives exactly in the digits where x's count >= y's count.
-    # Counts lie in [0, n], so the offset 2^bit_length(n) exceeds them.
-    n = len(v)
-    width = n.bit_length() + 1
-    offset = 1 << (width - 1)
-    lo = hi = mask = 0
-    shift = 0
-    counts = [0] * (n + 1)
-    for i in range(n):
-        for t in range(v[i], n + 1):
-            counts[t] += 1
-        for t in range(1, n + 1):
-            d = counts[t]
-            lo |= d << shift
-            hi |= (offset + d) << shift
-            mask |= offset << shift
-            shift += width
-    return lo, hi, mask
-
-
 def bruhat_leq(x: Perm, y: Perm) -> bool:
     """
     Bruhat order via the sorted-prefix criterion: x <= y iff for every i
     the sorted set {x_1, ..., x_i} is entrywise <= the sorted set
-    {y_1, ..., y_i}, equivalently every prefix of x has at least as many
-    values <= t as the same prefix of y, for every threshold t.
+    {y_1, ..., y_i}.
 
     >>> bruhat_leq((2, 1, 4, 3), (3, 4, 1, 2))
     True
@@ -149,9 +122,9 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
     if len(x) != len(y):
         raise SizeMismatchError(
             f"cannot compare permutations of sizes {len(x)} and {len(y)}")
-    _, hi_x, mask = _prefix_dominance(x)
-    lo_y, _, _ = _prefix_dominance(y)
-    return (hi_x - lo_y) & mask == mask
+    return all(a <= b
+               for i in range(1, len(x) + 1)
+               for a, b in zip(sorted(x[:i]), sorted(y[:i])))
 
 
 def pattern_occurs(v: Perm, p: Perm) -> bool:

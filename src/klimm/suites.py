@@ -10,8 +10,11 @@ bytes.
 
 A failed case always carries a fully serialized witness (matrix
 included), so any finding can be re-checked independently of this
-process; searches re-verify a witness from its own serialization before
-recording it.
+process.  Each search re-checks its witness from that serialization
+alone and records the boolean ``reverified``: the matrix must be
+k-positive at min(k, m), and then search 5.1 re-evaluates the plain
+immanant (<= 0), 5.2 re-runs the sign law at (v, R, C), and 5.3
+re-evaluates the immanant of the repeated-label submatrix (<= 0).
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from . import fixtures
+from .errors import PreconditionError
 from .exactmat import (
     Matrix,
     gen_k_positive_not_higher,
@@ -66,11 +69,8 @@ from .perm import (
     BRUHAT_TABLE_GUARD,
     Perm,
     avoids,
-    compose,
     format_perm,
     identity,
-    is_in_maximal_parabolic,
-    longest_element,
     parse_perm,
     symmetric_group,
 )
@@ -165,22 +165,18 @@ def _k_positive_samples(m: int, k: int, tag: str, count: int,
     Deterministic verified k-positive m x m matrices, tallied by origin in
     the notes: totally positive when k >= m (an m x m matrix has no minor
     larger than m), else each constructed with order exactly k from its
-    own seed (the sharp fixture is sample 0 when (m, k) == (4, 2) and
-    count > 1).
+    own seed.
     """
     counts = notes.setdefault("sampled_matrices", dict.fromkeys(
-        ("constructed", "fixture", "totally_positive"), 0))
+        ("constructed", "totally_positive"), 0))
     if k >= m:
         out = [gen_totally_positive(m, seed=f"{tag}:tp{index}")
                for index in range(count)]
         counts["totally_positive"] += count
     else:
-        fixture = int((m, k) == (4, 2) and count > 1)
-        out = [fixtures.TWO_POSITIVE_NOT_THREE] * fixture + [
-            gen_k_positive_not_higher(m, k, seed=f"{tag}:k{index}")
-            for index in range(fixture, count)]
-        counts["fixture"] += fixture
-        counts["constructed"] += count - fixture
+        out = [gen_k_positive_not_higher(m, k, seed=f"{tag}:k{index}")
+               for index in range(count)]
+        counts["constructed"] += count
     for M in out:
         if not is_k_positive(M, min(k, m)):
             raise ArithmeticError("sampled matrix failed its positivity check")
@@ -241,12 +237,12 @@ def _suite_alternation(config: Config, caches: KLCacheRegistry,
                        notes: dict) -> Iterator[Case]:
     max_n = config.max_n or 7
     for n in range(1, max_n + 1):
-        w0 = longest_element(n)
-        for v in _avoiders(n, ((2, 1, 4, 3),)):
-            if is_in_maximal_parabolic(compose(w0, v)):
+        for v in symmetric_group(n):
+            try:
+                passed = boxes_alternate(v)
+            except PreconditionError:
                 continue
             key = f"n={n}:v={format_perm(v)}"
-            passed = boxes_alternate(v)
             if passed:
                 yield key, True, None
             else:
@@ -509,22 +505,24 @@ def _search_plain_immanant(config: Config, caches: KLCacheRegistry,
         M = _k_positive_samples(n, k, f"{config.seed}:5.1:{t}", 1, notes)[0]
         value = imm_definition(v, M, caches.for_n(n))
         passed = value > 0
-        witness = None
-        if not passed:
-            witness = {"v": format_perm(v), "n": n, "k": k,
-                       "matrix": M.to_doc(), "value": str(value),
-                       "reverified": _reverify_positive_immanant(
-                           format_perm(v), k, M.to_doc())}
-        yield key, passed, witness
+        yield key, passed, None if passed else _reverified(
+            {"v": format_perm(v), "n": n, "k": k, "matrix": M.to_doc(),
+             "value": str(value)},
+            lambda v, M, R, C: imm_definition(v, M) <= 0)
 
 
-def _reverify_positive_immanant(v_text: str, k: int, matrix_doc: dict) -> bool:
-    """Recheck a witness purely from its serialized form."""
-    v = parse_perm(v_text)
-    M = Matrix.from_doc(matrix_doc)
-    if not is_k_positive(M, k):
-        return False  # not a valid witness after all
-    return imm_definition(v, M) <= 0
+def _reverified(witness: dict, fails: Callable[..., bool]) -> dict:
+    """Set ``reverified`` from the serialized witness alone: its matrix is
+    k-positive at min(k, m) and ``fails(v, M, R, C)`` holds again."""
+    M = Matrix.from_doc(witness["matrix"])
+    witness["reverified"] = is_k_positive(M, min(witness["k"], M.rows)) and (
+        fails(parse_perm(witness["v"]), M, witness.get("R"), witness.get("C")))
+    return witness
+
+
+def _violates_sign_law(v: Perm, M: Matrix, R: list, C: list) -> bool:
+    result = dual_canonical_eval(v, R, C, M)
+    return not obeys_sign_law(result.value, result.admissible)
 
 
 def _search_sign_control(config: Config, caches: KLCacheRegistry,
@@ -554,10 +552,11 @@ def _search_sign_control(config: Config, caches: KLCacheRegistry,
         M = _k_positive_samples(m, k, f"{config.seed}:5.2:{t}", 1, notes)[0]
         result = dual_canonical_eval(v, R, C, M)
         passed = obeys_sign_law(result.value, result.admissible)
-        yield key, passed, None if passed else {
-            "v": format_perm(v), "R": list(R), "C": list(C), "k": k,
-            "matrix": M.to_doc(), "value": str(result.value),
-            "admissible": result.admissible}
+        yield key, passed, None if passed else _reverified(
+            {"v": format_perm(v), "R": list(R), "C": list(C), "k": k,
+             "matrix": M.to_doc(), "value": str(result.value),
+             "admissible": result.admissible},
+            _violates_sign_law)
 
 
 def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
@@ -592,10 +591,12 @@ def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
         M = _k_positive_samples(m, k, f"{config.seed}:5.3:{t}", 1, notes)[0]
         value = imm_definition(v, repeat_submatrix(M, R, C), cache)
         passed = value > 0
-        yield key, passed, None if passed else {
-            "v": format_perm(v), "n": n, "k": k, "m": m,
-            "R": list(R), "C": list(C), "matrix": M.to_doc(),
-            "value": str(value)}
+        yield key, passed, None if passed else _reverified(
+            {"v": format_perm(v), "n": n, "k": k, "m": m,
+             "R": list(R), "C": list(C), "matrix": M.to_doc(),
+             "value": str(value)},
+            lambda v, M, R, C: imm_definition(
+                v, repeat_submatrix(M, R, C)) <= 0)
     notes["identically_zero_cases"] = vacuous
 
 

@@ -1,10 +1,9 @@
 """
-Deterministic worked-example fixtures shared by tests, suites, and the
-CLI.  Everything here is small enough to re-derive by hand, which is the
-point: these are the anchor values the rest of the machinery is checked
-against.
+Deterministic worked-example fixtures shared by the tests.  Everything
+here is small enough to re-derive by hand, which is the point: these are
+the anchor values the rest of the machinery is checked against.
 """
-from .exactmat import Matrix
+from klimm.exactmat import Matrix
 
 # 4x4 matrix that is 2-positive but not 3-positive: its upper-left 3x3
 # minor equals -2 while every minor of size <= 2 is positive.

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from klimm import fixtures
+import fixtures
 from klimm.exactmat import (
     is_k_positive,
     minor,

@@ -31,11 +31,25 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-# Module-level functions the package keeps without a caller of its own.
+# Functions and methods the package keeps without a caller of its own.
 UNCALLED_BY_DESIGN = {
     "kl_polynomial_via_r": "the R-polynomial oracle for the KL recursion",
     "deletion_pruned_grid_identity": "acceptance criterion 4 is stated by it",
+    "KLCache.stats": "perfbench/spans.py reads the cache counters with it",
 }
+
+
+def _definitions(tree):
+    """(qualified name, def) for module functions and non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
 
 
 def _is_entry_point(name: str) -> bool:
@@ -56,10 +70,10 @@ def test_every_package_function_has_a_caller_in_the_package():
                        if isinstance(ref, (ast.Name, ast.Attribute)))
 
     everywhere = sum((references(tree) for tree in trees.values()), Counter())
-    uncalled = [f"{name}:{node.name}"
-                for name, tree in trees.items() for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-                and everywhere[node.name] == references(node)[node.name]
-                and node.name not in UNCALLED_BY_DESIGN
+    uncalled = [f"{name}:{qualname}"
+                for name, tree in trees.items()
+                for qualname, node in _definitions(tree)
+                if everywhere[node.name] == references(node)[node.name]
+                and qualname not in UNCALLED_BY_DESIGN
                 and not _is_entry_point(node.name)]
     assert uncalled == []

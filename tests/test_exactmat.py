@@ -13,7 +13,8 @@ from conftest import (
     square_matrices,
     zero_matrix,
 )
-from klimm import exactmat, fixtures
+import fixtures
+from klimm import exactmat
 from klimm.errors import ShapeError
 from klimm.exactmat import (
     Matrix,

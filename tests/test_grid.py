@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import young_shapes
-from klimm import fixtures
+import fixtures
 from klimm.errors import (
     PatternPreconditionError,
     PreconditionError,

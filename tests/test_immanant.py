@@ -15,7 +15,7 @@ from conftest import (
     square_matrices,
     young_shapes,
 )
-from klimm import fixtures
+import fixtures
 from klimm.errors import (
     PatternPreconditionError,
     PreconditionError,

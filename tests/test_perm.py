@@ -72,7 +72,7 @@ def test_bruhat_examples():
     assert not bruhat_leq((3, 4, 1, 2), (2, 1, 4, 3))
     with pytest.raises(SizeMismatchError):
         bruhat_leq((1, 2), (1, 2, 3))
-    # past 8-bit prefix counts
+    # far beyond the Bruhat table's guard
     assert bruhat_leq(identity(130), longest_element(130))
     assert not bruhat_leq(longest_element(130), identity(130))
 
@@ -102,13 +102,6 @@ def test_bruhat_against_covering_closure(n):
             assert bruhat_leq(x, y) == (y in reachable[x])
 
 
-def _bruhat_by_sorted_prefixes(x, y):
-    """x <= y iff every sorted prefix of x is entrywise <= that of y."""
-    return all(a <= b
-               for i in range(1, len(x) + 1)
-               for a, b in zip(sorted(x[:i]), sorted(y[:i])))
-
-
 @st.composite
 def bruhat_pairs(draw):
     """(x, y) with x <= y, built by undoing inversions of a random y."""
@@ -124,11 +117,10 @@ def bruhat_pairs(draw):
 
 @given(bruhat_pairs())
 @settings(max_examples=60, deadline=None)
-def test_bruhat_matches_sorted_prefix_oracle(pair):
+def test_bruhat_holds_below_and_is_antisymmetric(pair):
     x, y = pair
-    assert _bruhat_by_sorted_prefixes(x, y)
     assert bruhat_leq(x, y)
-    assert bruhat_leq(y, x) == _bruhat_by_sorted_prefixes(y, x)
+    assert bruhat_leq(y, x) == (x == y)
 
 
 def _has_bit(mask, k):

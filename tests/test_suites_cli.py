@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from klimm import fixtures, suites
+import fixtures
+from klimm import suites
 from klimm.cli import main
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
 from klimm.grid import FORBIDDEN_PATTERNS
@@ -97,6 +98,17 @@ def test_searches_find_no_counterexamples(conjecture):
     assert report.ok
     assert report.cases_run == 40
     assert "not a proof" in report.notes["conclusion"]
+
+
+@pytest.mark.parametrize("conjecture", ["5.1", "5.2", "5.3"])
+def test_search_witnesses_are_reverified(monkeypatch, conjecture):
+    # Force the one trial to fail: every immanant reads -1 and the sign
+    # law never holds, in the search and in its re-check alike.
+    monkeypatch.setattr(suites, "imm_definition", lambda *args: -1)
+    monkeypatch.setattr(suites, "obeys_sign_law", lambda *args: False)
+    report = run_search(conjecture, Config(max_n=3, samples=1))
+    [witness] = report.counterexamples
+    assert witness["reverified"] is True
 
 
 def test_sample_tally_only_in_sampling_reports():
@@ -225,6 +237,25 @@ def test_cli_imm_closes_the_matrix_file(tmp_path, capsys):
         assert main(["imm", "2413", "-m", matrix, "--method", "det"]) == 0
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"rows": 2, "entries": ["1", "2", "3", "4"]},
+    [[1, 2], [3, 4]],
+    {"rows": -1, "cols": 0, "entries": []},
+    {"rows": 0, "cols": 5, "entries": []},
+    {"rows": True, "cols": 1, "entries": ["1"]},
+    {"rows": 1, "cols": 1, "entries": "1"},
+    {"rows": 1, "cols": 1, "entries": ["1/0"]},
+], ids=["cols-missing", "list", "rows-negative", "cols-without-rows",
+        "rows-a-bool", "entries-a-string", "zero-denominator"])
+def test_cli_imm_rejects_a_malformed_matrix_file(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["imm", "12", "-m", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_graph(tmp_path, capsys):
