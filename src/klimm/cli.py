@@ -156,9 +156,10 @@ def cmd_search(args) -> int:
 
 def cmd_gen(args) -> int:
     n, k = args.n, args.k
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     if not 1 <= k <= n:
-        print(f"k must lie in [1, {n}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"k must lie in [1, {n}], not {k}")
     if k == n:
         M = gen_totally_positive(n, seed=args.seed)
     else:

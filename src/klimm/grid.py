@@ -169,19 +169,36 @@ def graph_of_upper_interval(v: Perm,
     return _labeled(len(v), _upper_interval_rows(tuple(v)), row_labels, col_labels)
 
 
+@lru_cache(maxsize=None)
+def _value_bitsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    Bit k of ``at[i][x]`` is set iff the permutation at position k of
+    ``bruhat_table(n)`` has the value x at the 0-based position i
+    (``at[i][0]`` is 0).
+    """
+    at = [[0] * (n + 1) for _ in range(n)]
+    for k, v in enumerate(bruhat_table(n).perms):
+        bit = 1 << k
+        for by_value, x in zip(at, v):
+            by_value[x] |= bit
+    return tuple(map(tuple, at))
+
+
 def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     """
     Oracle for :func:`graph_of_upper_interval`: list [v, w_0] from
     ``above[v]`` of :func:`klimm.perm.bruhat_table` (itself tested against
     ``bruhat_leq``), not from the sandwich description, and union the
-    permutation graphs.  Guarded at n <= 7 with the table.
+    permutation graphs: (i, x) is a cell iff some member has the value x
+    at i, one AND of ``above[v]`` with a bitset of the table.  Guarded at
+    n <= 7 with the table.
     """
     v = as_perm(v)
     table = bruhat_table(len(v))
-    rows = [0] * len(v)
-    for k in iter_bits(table.above[table.index[v]]):
-        rows = [mask | 1 << x for mask, x in zip(rows, table.perms[k])]
-    return _labeled(len(v), rows)
+    interval = table.above[table.index[v]]
+    return _labeled(len(v), [
+        sum(1 << x for x, members in enumerate(by_value) if interval & members)
+        for by_value in _value_bitsets(len(v))])
 
 
 def largest_square(P: LabeledGrid) -> int:
@@ -287,43 +304,42 @@ class BoundingBox:
     color: Color
 
 
-def _box_extent(n: int, i: int, vi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    r2 = n - vi + 1
-    c2 = n - i + 1
-    return (min(i, r2), max(i, r2)), (min(vi, c2), max(vi, c2))
-
-
 def bounding_boxes(v: Perm) -> list[BoundingBox]:
     """
     The maximal boxes anchored at graph points, ordered by northmost row.
     A corner strictly above the antidiagonal colors its box blue, below
     colors it red, on the antidiagonal green; a region spanned from both
     sides at once is purple.
+
+    The box at (i, v_i) spans the rows {i, n + 1 - v_i} and the mirrored
+    columns {v_i, n + 1 - i}, so rows lo..hi come with columns
+    n + 1 - hi..n + 1 - lo, and one box contains another iff its row span
+    does.  Sorted by (lo, -hi), a span is maximal iff it reaches below
+    every span before it.
     """
     n = len(v)
-    extents: dict[tuple, list[Cell]] = {}
+    spans: dict[tuple[int, int], list[Cell]] = {}
     for i, vi in enumerate(v, start=1):
-        extents.setdefault(_box_extent(n, i, vi), []).append((i, vi))
-    regions = list(extents.items())
-    maximal = []
-    for ext, corners in regions:
-        if any(other != ext
-               and other[0][0] <= ext[0][0] and ext[0][1] <= other[0][1]
-               and other[1][0] <= ext[1][0] and ext[1][1] <= other[1][1]
-               for other, _ in regions):
+        span = (i, n + 1 - vi) if i + vi <= n + 1 else (n + 1 - vi, i)
+        spans.setdefault(span, []).append((i, vi))
+    boxes = []
+    reach = 0
+    for lo, hi in sorted(spans, key=lambda span: (span[0], -span[1])):
+        if hi <= reach:
             continue
-        sides = {(-1 if i + j < n + 1 else (1 if i + j > n + 1 else 0))
-                 for (i, j) in corners}
-        if sides == {-1}:
-            color = "blue"
-        elif sides == {1}:
-            color = "red"
-        elif sides == {0}:
+        reach = hi
+        corners = spans[lo, hi]
+        # A span lo < hi has at most two corners: (lo, n + 1 - hi) above
+        # the antidiagonal and (hi, n + 1 - lo) below it.
+        if lo == hi:
             color = "green"
-        else:
+        elif len(corners) == 2:
             color = "purple"
-        maximal.append(BoundingBox(ext[0], ext[1], tuple(sorted(corners)), color))
-    return sorted(maximal, key=lambda b: b.rows[0])
+        else:
+            color = "blue" if corners[0][0] == lo else "red"
+        boxes.append(BoundingBox((lo, hi), (n + 1 - hi, n + 1 - lo),
+                                 tuple(corners), color))
+    return boxes
 
 
 def boxes_cover_interval_graph(v: Perm) -> bool:

@@ -1,14 +1,12 @@
 """
 Kazhdan-Lusztig polynomials P_{x,y}(q) for the symmetric group.
 
-Two independent computations are provided.  The production path is the
-classical recursion on a right descent of y, fully memoized in a
-:class:`KLCache`.  It works on positions in :func:`klimm.perm.bruhat_table`:
-comparisons, descents and their products are table lookups, and the
-mu-sum runs over the set bits of one AND of table bitsets; the table, and
-so every value with x < y, is guarded at n <= 7.  The second path inverts
-R-polynomials by brute force on tuples and ``bruhat_leq``; it exists so
-the two can be cross-checked against each other on small groups.
+They are computed by the classical recursion on a right descent of y,
+fully memoized in a :class:`KLCache`.  It works on positions in
+:func:`klimm.perm.bruhat_table`: comparisons, descents and their products
+are table lookups, and the mu-sum runs over the set bits of one AND of
+table bitsets; the table, and so every value with x < y, is guarded at
+n <= 7.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -17,6 +15,7 @@ the recursion produces rather than assumed.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -32,9 +31,7 @@ from .perm import (
     bruhat_table,
     format_perm,
     iter_bits,
-    length,
     parse_perm,
-    symmetric_group,
 )
 
 
@@ -84,23 +81,6 @@ class IntPolynomial:
     def times(self, scalar: int) -> "IntPolynomial":
         return IntPolynomial(tuple(scalar * c for c in self.coeffs))
 
-    def truncated(self, max_degree: int) -> "IntPolynomial":
-        """Drop all terms of degree above max_degree."""
-        if max_degree < 0:
-            return ZERO
-        return IntPolynomial(self.coeffs[:max_degree + 1])
-
-    def mirrored(self, top: int) -> "IntPolynomial":
-        """q^top * p(1/q); requires degree <= top."""
-        if self.is_zero:
-            return ZERO
-        if self.degree() > top:
-            raise ValueError("mirror degree below polynomial degree")
-        out = [0] * (top + 1)
-        for d, c in enumerate(self.coeffs):
-            out[top - d] = c
-        return IntPolynomial(tuple(out))
-
     def __call__(self, value: int) -> int:
         total = 0
         for c in reversed(self.coeffs):
@@ -129,7 +109,6 @@ class IntPolynomial:
 
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
-Q = IntPolynomial((0, 1))
 
 CACHE_FORMAT_VERSION = 1
 
@@ -194,8 +173,10 @@ class KLCache:
         """
         Read a file written by :meth:`save`, rejecting a malformed one with
         ValueError.  Every word of every key is validated, but each
-        distinct word is parsed once, and entries with equal coefficient
-        lists share one polynomial.
+        distinct word is parsed once; the types of all coefficients are
+        checked in one pass, and an entry is named by a second pass only
+        when that fails.  Entries with equal coefficient lists share one
+        polynomial.
         """
         with open(path) as handle:
             doc = json.load(handle)
@@ -207,6 +188,14 @@ class KLCache:
         if type(n) is not int or not isinstance(table, dict):
             raise ValueError(
                 f"{path} needs an integer 'n' and an object 'table'")
+        values = table.values()
+        if not (set(map(type, values)) <= {list} and set(
+                map(type, itertools.chain.from_iterable(values))) <= {int}):
+            bad = next(key for key, coeffs in table.items()
+                       if type(coeffs) is not list
+                       or any(type(c) is not int for c in coeffs))
+            raise ValueError(f"cache entry {bad} in {path} is not a "
+                             "list of integers")
         cache = cls(n)
         parse = lru_cache(maxsize=None)(parse_perm)
         polynomial = lru_cache(maxsize=None)(IntPolynomial)
@@ -217,10 +206,6 @@ class KLCache:
             x, y = map(parse, words)
             if len(x) != n or len(y) != n:
                 raise ValueError(f"cache entry {key} in {path} is not in S_{n}")
-            if not (isinstance(coeffs, list)
-                    and all(type(c) is int for c in coeffs)):
-                raise ValueError(f"cache entry {key} in {path} is not a "
-                                 "list of integers")
             cache._table[(x, y)] = polynomial(tuple(coeffs))
         return cache
 
@@ -339,66 +324,3 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     cache.put(px, py, p)
     return p
-
-
-# ---------------------------------------------------------------------------
-# Independent route: invert R-polynomials.
-
-
-@lru_cache(maxsize=None)
-def r_polynomial(x: Perm, y: Perm) -> IntPolynomial:
-    """
-    The R-polynomial R_{x,y}(q), by the standard recursion on a right
-    descent of y.
-
-    >>> str(r_polynomial((1, 2), (2, 1)))
-    '-1 + q'
-    """
-    _check_same_size(x, y)
-    if x == y:
-        return ONE
-    if not bruhat_leq(x, y):
-        return ZERO
-    i = next(k for k in range(len(y) - 1) if y[k] > y[k + 1])
-    ys = y[:i] + (y[i + 1], y[i]) + y[i + 2:]
-    xs = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
-    if x[i] > x[i + 1]:
-        return r_polynomial(xs, ys)
-    return (Q - ONE) * r_polynomial(x, ys) + Q * r_polynomial(xs, ys)
-
-
-def kl_table_via_r(y: Perm) -> dict[Perm, IntPolynomial]:
-    """
-    All P_{z,y} for z <= y, computed by downward induction from the
-    defining identity q^(l(y)-l(z)) P_{z,y}(1/q) = sum over z <= w <= y
-    of R_{z,w} P_{w,y}.  The low-degree half of the right side determines
-    P_{z,y}; the mirrored high half is verified as a consistency check.
-    """
-    y = tuple(y)
-    below = sorted((z for z in symmetric_group(len(y)) if bruhat_leq(z, y)),
-                   key=length, reverse=True)
-    table: dict[Perm, IntPolynomial] = {y: ONE}
-    ly = length(y)
-    for z in below:
-        if z == y:
-            continue
-        total = ZERO
-        for w, p_w in table.items():
-            if bruhat_leq(z, w):
-                total = total + r_polynomial(z, w) * p_w
-        gap = ly - length(z)
-        p = total.truncated((gap - 1) // 2).times(-1)
-        if p.mirrored(gap) - p != total:
-            raise ArithmeticError(
-                f"R-polynomial inversion is inconsistent at z={z}, y={y}")
-        table[z] = p
-    return table
-
-
-def kl_polynomial_via_r(x: Perm, y: Perm) -> IntPolynomial:
-    """P_{x,y} through the R-polynomial route (cross-check path, small n)."""
-    x, y = tuple(x), tuple(y)
-    _check_same_size(x, y)
-    if not bruhat_leq(x, y):
-        return ZERO
-    return kl_table_via_r(y)[x]

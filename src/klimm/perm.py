@@ -13,6 +13,7 @@ the compact digit string "2413" is also accepted.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -129,20 +130,31 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
 
 def pattern_occurs(v: Perm, p: Perm) -> bool:
     """
-    Does some subsequence of v have the same relative order as p?
+    Does some subsequence of v have the same relative order as p?  Each
+    subsequence is read in the order of p's values (its entry at the
+    position of 1 in p first, then of 2, ...), and p occurs iff those
+    entries increase.
 
     >>> pattern_occurs((5, 2, 1, 4, 3), (2, 1, 4, 3))
     True
     >>> pattern_occurs((2, 4, 1, 3), (1, 3, 2, 4))
     False
     """
+    if not (is_permutation_word(v) and is_permutation_word(p)):
+        raise ValueError(f"pattern {p} and host {v} must be permutations")
     m = len(p)
     if m > len(v):
         raise ValueError("pattern is longer than the host permutation")
-    for positions in itertools.combinations(range(len(v)), m):
-        sub = [v[i] for i in positions]
-        ranks = sorted(sub)
-        if all(ranks[p[k] - 1] == sub[k] for k in range(m)):
+    if m < 2:  # always occurs; itemgetter needs two indices for a tuple
+        return True
+    by_value = operator.itemgetter(*(i - 1 for i in inverse(p)))
+    for entries in map(by_value, itertools.combinations(v, m)):
+        previous = 0
+        for x in entries:
+            if x < previous:
+                break
+            previous = x
+        else:
             return True
     return False
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import fixtures
+from kl_via_r import kl_table_via_r
 from klimm.exactmat import (
     is_k_positive,
     minor,
@@ -25,7 +26,7 @@ from klimm.grid import (
     spanning_corners,
 )
 from klimm.immanant import imm_definition, imm_determinantal
-from klimm.klpoly import ONE, KLCache, kl_polynomial, kl_table_via_r, ZERO
+from klimm.klpoly import ONE, KLCache, kl_polynomial, ZERO
 from klimm.perm import bruhat_leq, delete_entry, length, symmetric_group
 from klimm.suites import Config, run_search, run_suite
 

@@ -33,7 +33,6 @@ def test_no_assert_statements_in_the_package():
 
 # Functions and methods the package keeps without a caller of its own.
 UNCALLED_BY_DESIGN = {
-    "kl_polynomial_via_r": "the R-polynomial oracle for the KL recursion",
     "deletion_pruned_grid_identity": "acceptance criterion 4 is stated by it",
     "KLCache.stats": "perfbench/spans.py reads the cache counters with it",
 }

@@ -12,6 +12,7 @@ from klimm.errors import (
     SizeGuardError,
 )
 from klimm.grid import (
+    BoundingBox,
     LabeledGrid,
     block_antidiagonal_split,
     bounding_boxes,
@@ -36,8 +37,10 @@ from klimm.grid import (
     young_diagram_grid,
 )
 from klimm.perm import (
+    bruhat_table,
     delete_entry,
     identity,
+    iter_bits,
     longest_element,
     non_inversions,
     symmetric_group,
@@ -72,6 +75,19 @@ def test_upper_interval_matches_bruteforce(n):
     for v in symmetric_group(n):
         assert graph_of_upper_interval(v).cells == \
             graph_of_interval_bruteforce(v).cells
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bruteforce_matches_a_union_over_the_members_of_above(n):
+    # The oracle reads its cells from position/value bitsets; this union
+    # walks the members of above[v] one by one instead.
+    table = bruhat_table(n)
+    for k, v in enumerate(table.perms):
+        rows = [0] * n
+        for member in iter_bits(table.above[k]):
+            rows = [mask | 1 << x
+                    for mask, x in zip(rows, table.perms[member])]
+        assert graph_of_interval_bruteforce(v).rows == tuple(rows)
 
 
 def test_bruteforce_size_guard():
@@ -174,6 +190,37 @@ def test_bounding_boxes_worked_example():
         fixtures.BOX_COLORING_CORNERS
     purple = boxes[-1]
     assert len(purple.corners) == 2
+
+
+def _bounding_boxes_by_pairwise_containment(v):
+    """Oracle: extents from the four corners, then a test of every pair."""
+    n = len(v)
+    extents = {}
+    for i, vi in enumerate(v, start=1):
+        r2, c2 = n - vi + 1, n - i + 1
+        ext = ((min(i, r2), max(i, r2)), (min(vi, c2), max(vi, c2)))
+        extents.setdefault(ext, []).append((i, vi))
+    regions = list(extents.items())
+    maximal = []
+    for ext, corners in regions:
+        if any(other != ext
+               and other[0][0] <= ext[0][0] and ext[0][1] <= other[0][1]
+               and other[1][0] <= ext[1][0] and ext[1][1] <= other[1][1]
+               for other, _ in regions):
+            continue
+        sides = {(-1 if i + j < n + 1 else (1 if i + j > n + 1 else 0))
+                 for (i, j) in corners}
+        color = {frozenset({-1}): "blue", frozenset({1}): "red",
+                 frozenset({0}): "green"}.get(frozenset(sides), "purple")
+        maximal.append(BoundingBox(ext[0], ext[1], tuple(sorted(corners)),
+                                   color))
+    return sorted(maximal, key=lambda b: b.rows[0])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bounding_boxes_match_pairwise_containment(n):
+    for v in symmetric_group(n):
+        assert bounding_boxes(v) == _bounding_boxes_by_pairwise_containment(v)
 
 
 def test_bounding_boxes_longest_element():

@@ -16,6 +16,7 @@ from conftest import (
     young_shapes,
 )
 import fixtures
+from kl_via_r import kl_table_via_r
 from klimm.errors import (
     PatternPreconditionError,
     PreconditionError,
@@ -52,7 +53,7 @@ from klimm.immanant import (
     young_complement_sign_law,
     young_sign_law,
 )
-from klimm.klpoly import ZERO, KLCache, kl_table_via_r
+from klimm.klpoly import ZERO, KLCache
 from klimm.perm import (
     avoids,
     bruhat_leq,

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import kl_at_one
+from kl_via_r import kl_polynomial_via_r, kl_table_via_r, mirrored
 from klimm import perm
 from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.klpoly import (
@@ -14,8 +15,6 @@ from klimm.klpoly import (
     KLCacheRegistry,
     cache_path_for,
     kl_polynomial,
-    kl_polynomial_via_r,
-    kl_table_via_r,
 )
 from klimm.perm import (
     avoids,
@@ -37,7 +36,7 @@ def test_polynomial_basics():
     assert p(1) == 2 and p(2) == 3
     assert IntPolynomial((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
     assert (p * p).coeffs == (1, 2, 1)
-    assert p.mirrored(3).coeffs == (0, 0, 1, 1)
+    assert mirrored(p, 3).coeffs == (0, 0, 1, 1)
 
 
 def test_trivial_values(kl_cache_s4):
@@ -283,6 +282,19 @@ def test_cache_load_rejects_a_malformed_document(tmp_path, name):
     path = tmp_path / "kl.s4.json"
     path.write_text(json.dumps(MALFORMED_CACHE_DOCS[name]))
     with pytest.raises(ValueError):
+        KLCache.load(str(path))
+
+
+@pytest.mark.parametrize("bad", [[True], [1, True], [1.0], ["1"], 1, "1",
+                                 {"0": 1}, None, [[1]]],
+                         ids=repr)
+def test_cache_load_names_the_entry_with_bad_coefficients(tmp_path, bad):
+    # Every other entry is well formed, before and after the bad one, so
+    # the one-pass type check must fall back to naming the right key.
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1, "table": {
+        "1234|2143": [1], "1324|3412": bad, "2143|4321": [1, 1]}}))
+    with pytest.raises(ValueError, match=r"cache entry 1324\|3412 "):
         KLCache.load(str(path))
 
 

@@ -212,6 +212,52 @@ def test_pattern_examples():
     assert avoids((1, 2), (1, 3, 2, 4))  # longer patterns cannot occur
 
 
+def _pattern_occurs_by_sorting(v, p):
+    """Oracle: rank every subsequence by sorting it and compare with p."""
+    m = len(p)
+    for positions in itertools.combinations(range(len(v)), m):
+        sub = [v[i] for i in positions]
+        ranks = sorted(sub)
+        if all(ranks[p[k] - 1] == sub[k] for k in range(m)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_pattern_occurs_matches_sorting_oracle(n):
+    patterns = [p for m in range(min(n, 4) + 1) for p in symmetric_group(m)]
+    for v in symmetric_group(n):
+        for p in patterns:
+            assert pattern_occurs(v, p) == _pattern_occurs_by_sorting(v, p)
+
+
+perms_upto_7 = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
+
+
+@given(perms_upto_7, perms_upto_7)
+@settings(max_examples=300, deadline=None)
+def test_pattern_occurs_matches_sorting_oracle_up_to_s7(v, p):
+    if len(p) > len(v):
+        v, p = p, v
+    assert pattern_occurs(v, p) == _pattern_occurs_by_sorting(v, p)
+
+
+@pytest.mark.parametrize("v,p", [
+    ((2, 4, 1, 3), (3, 1)),
+    ((2, 4, 1, 3), (1, 1)),
+    ((2, 4, 1, 3), (0, 1)),
+    ((2, 4, 4, 3), (2, 1)),
+    ((2, 5, 1, 3), (1, 2)),
+    ((1, 2), (3, 1)),
+])
+def test_pattern_occurs_rejects_words_that_are_not_permutations(v, p):
+    with pytest.raises(ValueError):
+        pattern_occurs(v, p)
+    with pytest.raises(ValueError):
+        avoids(v, p)
+
+
 def _longest_increasing_run(v):
     best = [0] * len(v)
     for i, x in enumerate(v):

@@ -308,6 +308,19 @@ def test_cli_gen(tmp_path, capsys):
     assert main(["gen", "3", "5"]) == 1  # k out of range
 
 
+@pytest.mark.parametrize("n,k,message", [
+    ("3", "5", "k must lie in [1, 3], not 5"),
+    ("3", "0", "k must lie in [1, 3], not 0"),
+    ("0", "0", "n must be at least 1, not 0"),
+    ("-2", "1", "n must be at least 1, not -2"),
+])
+def test_cli_gen_rejects_sizes_out_of_range(capsys, n, k, message):
+    assert main(["gen", n, k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_gen_scalar(tmp_path, capsys):
     out = tmp_path / "one.json"
     assert main(["gen", "1", "1", "--out", str(out)]) == 0
