@@ -58,29 +58,6 @@ class IntPolynomial:
     def coeff(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + (b[i] if i < len(b) else 0)
-                                   for i, x in enumerate(a)))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + other.times(-1)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def times(self, scalar: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(scalar * c for c in self.coeffs))
-
     def __call__(self, value: int) -> int:
         total = 0
         for c in reversed(self.coeffs):

@@ -12,6 +12,30 @@ from klimm.perm import Perm, bruhat_leq, length, symmetric_group
 Q = IntPolynomial((0, 1))
 
 
+def add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    long, short = sorted((a.coeffs, b.coeffs), key=len, reverse=True)
+    return IntPolynomial(tuple(c + (short[i] if i < len(short) else 0)
+                               for i, c in enumerate(long)))
+
+
+def scaled(p: IntPolynomial, scalar: int) -> IntPolynomial:
+    return IntPolynomial(tuple(scalar * c for c in p.coeffs))
+
+
+def sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    return add(a, scaled(b, -1))
+
+
+def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    if a.is_zero or b.is_zero:
+        return ZERO
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(tuple(out))
+
+
 def mirrored(p: IntPolynomial, top: int) -> IntPolynomial:
     """q^top * p(1/q); requires degree <= top."""
     if p.degree() > top:
@@ -24,9 +48,6 @@ def r_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     """
     The R-polynomial R_{x,y}(q), by the standard recursion on a right
     descent of y.
-
-    >>> str(r_polynomial((1, 2), (2, 1)))
-    '-1 + q'
     """
     if x == y:
         return ONE
@@ -37,7 +58,8 @@ def r_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     xs = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
     if x[i] > x[i + 1]:
         return r_polynomial(xs, ys)
-    return (Q - ONE) * r_polynomial(x, ys) + Q * r_polynomial(xs, ys)
+    return add(mul(sub(Q, ONE), r_polynomial(x, ys)),
+               mul(Q, r_polynomial(xs, ys)))
 
 
 def kl_table_via_r(y: Perm) -> dict[Perm, IntPolynomial]:
@@ -58,10 +80,10 @@ def kl_table_via_r(y: Perm) -> dict[Perm, IntPolynomial]:
         total = ZERO
         for w, p_w in table.items():
             if bruhat_leq(z, w):
-                total = total + r_polynomial(z, w) * p_w
+                total = add(total, mul(r_polynomial(z, w), p_w))
         gap = ly - length(z)
-        p = IntPolynomial(total.coeffs[:(gap + 1) // 2]).times(-1)
-        if mirrored(p, gap) - p != total:
+        p = scaled(IntPolynomial(total.coeffs[:(gap + 1) // 2]), -1)
+        if sub(mirrored(p, gap), p) != total:
             raise ArithmeticError(
                 f"R-polynomial inversion is inconsistent at z={z}, y={y}")
         table[z] = p

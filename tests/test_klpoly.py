@@ -4,7 +4,15 @@ import json
 import pytest
 
 from conftest import kl_at_one
-from kl_via_r import kl_polynomial_via_r, kl_table_via_r, mirrored
+from kl_via_r import (
+    add,
+    kl_polynomial_via_r,
+    kl_table_via_r,
+    mirrored,
+    mul,
+    r_polynomial,
+    sub,
+)
 from klimm import perm
 from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.klpoly import (
@@ -35,8 +43,16 @@ def test_polynomial_basics():
     assert str(IntPolynomial((0, -1, 3))) == "-q + 3q^2"
     assert p(1) == 2 and p(2) == 3
     assert IntPolynomial((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
-    assert (p * p).coeffs == (1, 2, 1)
+    assert mul(p, p).coeffs == (1, 2, 1)
+    assert add(p, IntPolynomial((0, -1))) == ONE
+    assert sub(p, p) == ZERO
     assert mirrored(p, 3).coeffs == (0, 0, 1, 1)
+
+
+def test_r_polynomial_of_small_intervals():
+    assert str(r_polynomial((1, 2), (2, 1))) == "-1 + q"
+    assert str(r_polynomial((1, 2, 3), (2, 3, 1))) == "1 - 2q + q^2"
+    assert r_polynomial((2, 1), (1, 2)) == ZERO
 
 
 def test_trivial_values(kl_cache_s4):
