@@ -30,14 +30,12 @@ from .grid import (
     block_antidiagonal_split,
     bounding_boxes,
     boxes_alternate,
-    col_support,
     delete_rows_cols,
     durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     is_admissible,
     largest_square,
-    row_support,
     squares_match_noninversions,
 )
 from .immanant import (

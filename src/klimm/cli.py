@@ -28,7 +28,6 @@ from .grid import (
     graph_of_upper_interval,
     is_admissible,
     largest_square,
-    permutation_graph,
 )
 from .immanant import dual_canonical_eval
 from .klpoly import KLCacheRegistry, kl_polynomial
@@ -91,12 +90,11 @@ def cmd_imm(args) -> int:
 
 def _render_grid_ascii(v: Perm) -> str:
     P = graph_of_upper_interval(v)
-    graph_cells = permutation_graph(v)
     lines = []
     for i in range(1, P.n + 1):
         row = []
         for j in range(1, P.n + 1):
-            if (i, j) in graph_cells:
+            if v[i - 1] == j:
                 row.append("X")
             elif P.has_cell(i, j):
                 row.append("#")
@@ -104,7 +102,8 @@ def _render_grid_ascii(v: Perm) -> str:
                 row.append(".")
         lines.append(" ".join(row))
     lines.append("")
-    lines.append(f"cells: {len(P.cells)}   largest square: {largest_square(P)}"
+    lines.append(f"cells: {sum(mask.bit_count() for mask in P.rows)}"
+                 f"   largest square: {largest_square(P)}"
                  f"   admissible (identity labels): {is_admissible(P)}")
     for box in bounding_boxes(v):
         corners = ", ".join(str(c) for c in box.corners)
@@ -119,7 +118,7 @@ def cmd_graph(args) -> int:
     if args.format == "json":
         P = graph_of_upper_interval(v)
         doc = P.to_doc()
-        doc["graph_of_v"] = sorted(list(c) for c in permutation_graph(v))
+        doc["graph_of_v"] = [[i, x] for i, x in enumerate(v, start=1)]
         doc["largest_square"] = largest_square(P)
         doc["boxes"] = [
             {"rows": list(b.rows), "cols": list(b.cols), "color": b.color,

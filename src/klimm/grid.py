@@ -10,8 +10,9 @@ labels drawn from [m]; when none are supplied the identity labels
 the labeled one.
 
 A grid is stored as one bitmask per row, bit j of row i marking the
-cell (i, j).  Supports, squares, deletions and block splits are mask
-arithmetic; the set of (row, col) pairs is derived only when asked for.
+cell (i, j).  Admissibility, squares, deletions and block splits are
+mask arithmetic; the set of (row, col) pairs is derived only when asked
+for.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def label_patterns(n: int, max_labels: int) -> list[tuple[int, ...]]:
 
 
 def _columns(lo: int, hi: int) -> int:
-    """Row mask of the columns lo..hi; 0 when hi < lo."""
+    """Row mask of the columns lo..hi; 0 when hi = lo - 1, negative below."""
     return (2 << hi) - (1 << lo)
 
 
@@ -129,31 +130,26 @@ def _labeled(n: int, rows: Sequence[int],
         identity_labels if col_labels is None else tuple(col_labels))
 
 
-def grid(n: int, cells: Iterable[Cell],
-         row_labels: Sequence[int] | None = None,
-         col_labels: Sequence[int] | None = None) -> LabeledGrid:
-    """Build a LabeledGrid from its cells, defaulting to identity labels."""
-    rows = [0] * n
-    for (i, j) in cells:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"cell {(i, j)} outside [{n}]^2")
-        rows[i - 1] |= 1 << j
-    return _labeled(n, rows, row_labels, col_labels)
-
-
-def permutation_graph(v: Perm) -> frozenset[Cell]:
-    """The graph of v as a function: {(i, v_i)}."""
-    return frozenset((i, x) for i, x in enumerate(v, start=1))
-
-
 @lru_cache(maxsize=None)
-def _upper_interval_rows(v: Perm) -> tuple[int, ...]:
-    rows = [1 << x for x in v]
-    for (k, l) in non_inversions(v):
-        span = _columns(v[k - 1], v[l - 1])
-        for i in range(k - 1, l):
-            rows[i] |= span
-    return tuple(rows)
+def _upper_interval_rows(v: Perm, skip: int = 0) -> tuple[int, ...]:
+    """
+    Row masks of the graph of v and of the span of every non-inversion
+    that does not involve position ``skip`` (0 skips none).
+
+    The kept spans through row i nest inside the one from the least kept
+    value at or before i to the greatest kept value at or after i: when
+    those two differ, their positions form a kept non-inversion through
+    i.  So each row is the graph cell plus one run of columns between a
+    running minimum and a running maximum.
+    """
+    v = as_perm(v)
+    kept = [pos != skip for pos in range(1, len(v) + 1)]
+    lows = itertools.accumulate(
+        (x if keep else len(v) + 1 for x, keep in zip(v, kept)), min)
+    highs = list(itertools.accumulate(
+        (x if keep else 0 for x, keep in zip(v[::-1], kept[::-1])), max))
+    return tuple(1 << x | (_columns(lo, hi) if lo < hi else 0)
+                 for x, lo, hi in zip(v, lows, highs[::-1]))
 
 
 def graph_of_upper_interval(v: Perm,
@@ -161,7 +157,8 @@ def graph_of_upper_interval(v: Perm,
                             col_labels: Sequence[int] | None = None) -> LabeledGrid:
     """
     The union of graphs of all u >= v: the graph of v together with every
-    cell sandwiched by one of its non-inversions.
+    cell sandwiched by one of its non-inversions.  A word that is not a
+    permutation raises ValueError.
 
     >>> sorted(graph_of_upper_interval((2, 4, 1, 3)).cells)[:3]
     [(1, 2), (1, 3), (1, 4)]
@@ -230,20 +227,6 @@ def squares_match_noninversions(v: Perm) -> bool:
     return largest_square(graph_of_upper_interval(v)) == predicted
 
 
-def row_support(P: LabeledGrid, r: int) -> frozenset[int]:
-    """Columns c with (r, c) in P."""
-    if not 1 <= r <= P.n:
-        raise IndexError(f"row {r} out of range for size {P.n}")
-    return frozenset(iter_bits(P.rows[r - 1]))
-
-
-def col_support(P: LabeledGrid, c: int) -> frozenset[int]:
-    """Rows r with (r, c) in P."""
-    if not 1 <= c <= P.n:
-        raise IndexError(f"column {c} out of range for size {P.n}")
-    return frozenset(r for r in range(1, P.n + 1) if P.has_cell(r, c))
-
-
 def is_admissible(P: LabeledGrid) -> bool:
     """
     No two rows with equal labels share their support, and likewise for
@@ -251,15 +234,10 @@ def is_admissible(P: LabeledGrid) -> bool:
     repeated-row/column matrix to have no two identical rows or columns
     forced by the labeling.
     """
-    for labels, support in ((P.row_labels, row_support),
-                            (P.col_labels, col_support)):
-        seen: set[tuple[int, frozenset[int]]] = set()
-        for idx in range(1, P.n + 1):
-            key = (labels[idx - 1], support(P, idx))
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
+    cols = [sum((mask >> j & 1) << i for i, mask in enumerate(P.rows))
+            for j in range(1, P.n + 1)]
+    return (len(set(zip(P.row_labels, P.rows))) == P.n
+            and len(set(zip(P.col_labels, cols))) == P.n)
 
 
 def delete_rows_cols(P: LabeledGrid, I: Iterable[int],
@@ -449,33 +427,22 @@ def block_antidiagonal_split(P: LabeledGrid) -> tuple[int, LabeledGrid, LabeledG
     return None
 
 
-def cells_sandwiched_only_by(v: Perm, i: int) -> frozenset[Cell]:
-    """
-    Cells outside the graph of v whose every sandwiching non-inversion
-    involves position i.  These are exactly the cells that disappear from
-    the upper-interval graph when v_i is deleted from the word.
-    """
-    nis = non_inversions(v)
-    out = set()
-    for cell in graph_of_upper_interval(v).cells - permutation_graph(v):
-        r, c = cell
-        witnesses = [(k, l) for (k, l) in nis
-                     if k <= r <= l and v[k - 1] <= c <= v[l - 1]]
-        if witnesses and all(i in (k, l) for (k, l) in witnesses):
-            out.add(cell)
-    return frozenset(out)
+def _deletes_to_interval_graph(v: Perm, i: int, rows: tuple[int, ...]) -> bool:
+    """Deleting row i and column v_i from ``rows`` leaves the interval
+    graph of the word with v_i deleted."""
+    x = delete_entry(v, i)
+    reduced = delete_rows_cols(_labeled(len(v), rows), {i}, {v[i - 1]})
+    return reduced.rows == _upper_interval_rows(x)
 
 
 def deletion_pruned_grid_identity(v: Perm, i: int) -> bool:
     """
     Deleting v_i from the word matches, at the level of grids, removing
     row i, column v_i, and the cells sandwiched only through position i.
+    Those cells are what the interval graph loses when the non-inversions
+    through i are left out of it.
     """
-    x = delete_entry(v, i)
-    pruned = grid(len(v),
-                  graph_of_upper_interval(v).cells - cells_sandwiched_only_by(v, i))
-    reduced = delete_rows_cols(pruned, {i}, {v[i - 1]})
-    return reduced.rows == graph_of_upper_interval(x).rows
+    return _deletes_to_interval_graph(v, i, _upper_interval_rows(tuple(v), i))
 
 
 def deletion_grid_identity(v: Perm, i: int) -> bool:
@@ -484,6 +451,4 @@ def deletion_grid_identity(v: Perm, i: int) -> bool:
     plain row/column deletion of the upper-interval graph already gives
     the graph for the shortened word.
     """
-    x = delete_entry(v, i)
-    reduced = delete_rows_cols(graph_of_upper_interval(v), {i}, {v[i - 1]})
-    return reduced.rows == graph_of_upper_interval(x).rows
+    return _deletes_to_interval_graph(v, i, _upper_interval_rows(tuple(v)))

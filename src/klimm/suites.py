@@ -43,6 +43,7 @@ from .grid import (
     boxes_alternate,
     boxes_cover_interval_graph,
     deletion_grid_identity,
+    deletion_pruned_grid_identity,
     durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
@@ -190,11 +191,12 @@ def _avoiders(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
 
 @lru_cache(maxsize=None)
 def _partitions_in_box(n: int) -> tuple[tuple[int, ...], ...]:
-    """All weakly decreasing tuples (with trailing zeros) inside n^n."""
-    shapes = []
-    for combo in itertools.combinations_with_replacement(range(n, -1, -1), n):
-        shapes.append(tuple(combo))
-    return tuple(sorted(shapes, reverse=True))
+    """
+    All weakly decreasing tuples (with trailing zeros) inside n^n, in
+    decreasing lexicographic order: the order the combinations of the
+    decreasing range come in.
+    """
+    return tuple(itertools.combinations_with_replacement(range(n, -1, -1), n))
 
 
 def _random_multiset(m: int, n: int, rng: random.Random) -> tuple[int, ...]:
@@ -320,12 +322,14 @@ def _suite_deletion(config: Config, caches: KLCacheRegistry,
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
             corners = spanning_corners(v)
             for i in range(1, n + 1):
-                if (i, v[i - 1]) not in corners:
-                    key = f"n={n}:v={format_perm(v)}:i={i}:grid"
+                key = f"n={n}:v={format_perm(v)}:i={i}:grid"
+                if (i, v[i - 1]) in corners:
+                    passed = deletion_pruned_grid_identity(v, i)
+                else:
                     passed = deletion_grid_identity(v, i)
-                    yield key, passed, None if passed else {
-                        "v": format_perm(v), "i": i,
-                        "failure": "grid deletion mismatch"}
+                yield key, passed, None if passed else {
+                    "v": format_perm(v), "i": i,
+                    "failure": "grid deletion mismatch"}
                 for s in range(samples):
                     key = f"n={n}:v={format_perm(v)}:i={i}:s={s}"
                     rng = _case_rng(config.seed, "deletion", key)
@@ -415,41 +419,33 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
     notes["preconditions_not_met"] = skipped
 
 
-SUITES: dict[str, CaseGenerator] = {
-    "lemma-2.11": _every_permutation(_interval_graph_matches_oracle),
-    "lemma-2.12": _every_permutation(squares_match_noninversions),
-    "lemma-2.16": _every_permutation(boxes_cover_interval_graph),
-    "prop-2.17": _suite_alternation,
-    "prop-3.1": _suite_determinantal_formula,
-    "prop-3.2": _suite_lewis_carroll,
-    "prop-4.1": _suite_block_factorization,
-    "deletion": _suite_deletion,
-    "young": _suite_young,
-    "main-sq": _suite_main_sq,
-    "sgn-probe": _suite_sign_probe,
+# Each suite: its case generator and the description its report notes.
+SUITES: dict[str, tuple[CaseGenerator, str]] = {
+    "lemma-2.11": (_every_permutation(_interval_graph_matches_oracle),
+                   "interval graph equals its sandwiching description"),
+    "lemma-2.12": (_every_permutation(squares_match_noninversions),
+                   "largest square matches the non-inversion gap bound"),
+    "lemma-2.16": (_every_permutation(boxes_cover_interval_graph),
+                   "interval graph is covered by its bounding boxes"),
+    "prop-2.17": (_suite_alternation,
+                  "bounding boxes alternate blue/red when hypotheses hold"),
+    "prop-3.1": (_suite_determinantal_formula,
+                 "defining sum agrees with the determinantal formula"),
+    "prop-3.2": (_suite_lewis_carroll,
+                 "two-rows-two-columns determinant identity has zero "
+                 "residual"),
+    "prop-4.1": (_suite_block_factorization,
+                 "block-antidiagonal graphs factor the immanant"),
+    "deletion": (_suite_deletion,
+                 "word deletion matches grid row/column deletion, "
+                 "pruned at spanning corners"),
+    "young": (_suite_young,
+              "sign laws for Young-diagram grids and their complements"),
+    "main-sq": (_suite_main_sq,
+                "signed value positive iff the labeled grid is admissible"),
+    "sgn-probe": (_suite_sign_probe,
+                  "two-term sign relation around the last two boxes"),
 }
-
-SUITE_DESCRIPTIONS = {
-    "lemma-2.11": "interval graph equals its sandwiching description",
-    "lemma-2.12": "largest square matches the non-inversion gap bound",
-    "lemma-2.16": "interval graph is covered by its bounding boxes",
-    "prop-2.17": "bounding boxes alternate blue/red when hypotheses hold",
-    "prop-3.1": "defining sum agrees with the determinantal formula",
-    "prop-3.2": "two-rows-two-columns determinant identity has zero residual",
-    "prop-4.1": "block-antidiagonal graphs factor the immanant",
-    "deletion": "word deletion matches grid row/column deletion",
-    "young": "sign laws for Young-diagram grids and their complements",
-    "main-sq": "signed value positive iff the labeled grid is admissible",
-    "sgn-probe": "two-term sign relation around the last two boxes",
-}
-
-
-def _generator(table: dict[str, CaseGenerator], name: str,
-               kind: str) -> CaseGenerator:
-    if name not in table:
-        raise ValueError(f"unknown {kind} {name!r}; choose from "
-                         f"{sorted(table)}")
-    return table[name]
 
 
 def _run(suite: str, cases: CaseGenerator, config: Config,
@@ -480,9 +476,11 @@ def _run(suite: str, cases: CaseGenerator, config: Config,
 
 def run_suite(name: str, config: Config) -> SuiteReport:
     """Run one verification suite and assemble its deterministic report."""
-    cases = _generator(SUITES, name, "suite")
-    return _run(name, cases, config,
-                {"description": SUITE_DESCRIPTIONS[name]})
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{sorted(SUITES)}")
+    cases, description = SUITES[name]
+    return _run(name, cases, config, {"description": description})
 
 
 # ---------------------------------------------------------------------------
@@ -600,30 +598,30 @@ def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
     notes["identically_zero_cases"] = vacuous
 
 
-SEARCHES: dict[str, CaseGenerator] = {
-    "5.1": _search_plain_immanant,
-    "5.2": _search_sign_control,
-    "5.3": _search_pattern_positivity,
-}
-
-SEARCH_NOTES = {
-    "5.1": {"hypothesis_source": "sampled verified k-positive matrices; "
-                                 "v avoids the increasing (k+1)-pattern"},
-    "5.2": {"hypothesis_source": "proven sufficient condition: v avoids "
-                                 "1324 and 2143 with largest square <= k"},
-    "5.3": {"hypothesis_source": "nonvanishing tested at 3 random rational "
-                                 "points (one-sided: 3 zeros count as "
-                                 "identically zero, unproven)"},
+# Each search: its case generator and the source of its hypotheses.
+SEARCHES: dict[str, tuple[CaseGenerator, str]] = {
+    "5.1": (_search_plain_immanant,
+            "sampled verified k-positive matrices; v avoids the increasing "
+            "(k+1)-pattern"),
+    "5.2": (_search_sign_control,
+            "proven sufficient condition: v avoids 1324 and 2143 with "
+            "largest square <= k"),
+    "5.3": (_search_pattern_positivity,
+            "nonvanishing tested at 3 random rational points (one-sided: "
+            "3 zeros count as identically zero, unproven)"),
 }
 
 
 def run_search(conjecture: str, config: Config) -> SuiteReport:
     """Randomized counterexample search for one conjecture."""
-    cases = _generator(SEARCHES, conjecture, "conjecture")
+    if conjecture not in SEARCHES:
+        raise ValueError(f"unknown conjecture {conjecture!r}; choose from "
+                         f"{sorted(SEARCHES)}")
+    cases, hypothesis_source = SEARCHES[conjecture]
     if config.max_n is not None and config.max_n < 2:
         raise ValueError(f"searches need max_n >= 2, got {config.max_n}")
     report = _run(f"search-{conjecture}", cases, config,
-                  dict(SEARCH_NOTES[conjecture]))
+                  {"hypothesis_source": hypothesis_source})
     if report.counterexamples:
         report.notes["conclusion"] = (
             f"{len(report.counterexamples)} candidate counterexample(s) "

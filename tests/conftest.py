@@ -5,7 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from klimm.exactmat import Matrix
+from klimm.grid import LabeledGrid
 from klimm.klpoly import KLCache, kl_polynomial
+from klimm.perm import iter_bits, non_inversions
 from klimm.suites import _partitions_in_box
 
 rationals = st.fractions(
@@ -41,6 +43,58 @@ def young_shapes(P, build) -> list[tuple[int, ...]]:
     """The partitions whose grid, made by ``build``, has the cells of P."""
     return [parts for parts in _partitions_in_box(P.n)
             if build(parts, P.n).rows == P.rows]
+
+
+def grid(n, cells, row_labels=None, col_labels=None) -> LabeledGrid:
+    """Build a LabeledGrid from its cells, defaulting to identity labels."""
+    rows = [0] * n
+    for (i, j) in cells:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"cell {(i, j)} outside [{n}]^2")
+        rows[i - 1] |= 1 << j
+    identity_labels = tuple(range(1, n + 1))
+    return LabeledGrid(
+        n, tuple(rows),
+        identity_labels if row_labels is None else tuple(row_labels),
+        identity_labels if col_labels is None else tuple(col_labels))
+
+
+def permutation_graph(v) -> frozenset:
+    """The graph of v as a function: {(i, v_i)}."""
+    return frozenset((i, x) for i, x in enumerate(v, start=1))
+
+
+def row_support(P, r: int) -> frozenset:
+    """Columns c with (r, c) in P."""
+    if not 1 <= r <= P.n:
+        raise IndexError(f"row {r} out of range for size {P.n}")
+    return frozenset(iter_bits(P.rows[r - 1]))
+
+
+def col_support(P, c: int) -> frozenset:
+    """Rows r with (r, c) in P."""
+    if not 1 <= c <= P.n:
+        raise IndexError(f"column {c} out of range for size {P.n}")
+    return frozenset(r for r in range(1, P.n + 1) if P.has_cell(r, c))
+
+
+def cells_sandwiched_only_by(v, i: int) -> frozenset:
+    """
+    Cells outside the graph of v whose every sandwiching non-inversion
+    involves position i.  These are exactly the cells that disappear from
+    the upper-interval graph when v_i is deleted from the word.
+    """
+    n = len(v)
+    nis = non_inversions(v)
+    out = set()
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            witnesses = [(k, l) for (k, l) in nis
+                         if k <= r <= l and v[k - 1] <= c <= v[l - 1]]
+            if (c != v[r - 1] and witnesses
+                    and all(i in (k, l) for (k, l) in witnesses)):
+                out.add((r, c))
+    return frozenset(out)
 
 
 def random_rational_matrix(n: int, rng: random.Random,

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import col_support, row_support
 import fixtures
 from kl_via_r import kl_table_via_r
 from klimm.exactmat import (
@@ -19,10 +20,8 @@ from klimm.exactmat import (
 from klimm.grid import (
     block_antidiagonal_split,
     bounding_boxes,
-    col_support,
     deletion_pruned_grid_identity,
     graph_of_upper_interval,
-    row_support,
     spanning_corners,
 )
 from klimm.immanant import imm_definition, imm_determinantal

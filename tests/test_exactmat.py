@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bar,
+    grid,
     identity_matrix,
     random_rational_matrix,
     square_matrices,
@@ -31,7 +32,7 @@ from klimm.exactmat import (
     restrict,
     submatrix,
 )
-from klimm.grid import graph_of_upper_interval, grid
+from klimm.grid import graph_of_upper_interval
 
 FIXTURE = fixtures.TWO_POSITIVE_NOT_THREE
 

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import young_shapes
+from conftest import (
+    cells_sandwiched_only_by,
+    col_support,
+    grid,
+    permutation_graph,
+    row_support,
+    young_shapes,
+)
 import fixtures
 from klimm.errors import (
     PatternPreconditionError,
@@ -18,23 +25,19 @@ from klimm.grid import (
     bounding_boxes,
     boxes_alternate,
     boxes_cover_interval_graph,
-    cells_sandwiched_only_by,
-    col_support,
     delete_rows_cols,
     deletion_pruned_grid_identity,
     durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
-    grid,
     is_admissible,
     label_patterns,
     largest_square,
-    permutation_graph,
-    row_support,
     spanning_corners,
     squares_match_noninversions,
     young_complement_grid,
     young_diagram_grid,
+    _upper_interval_rows,
 )
 from klimm.perm import (
     bruhat_table,
@@ -99,6 +102,14 @@ def test_bruteforce_size_guard():
 def test_bruteforce_rejects_words_that_are_not_permutations(word):
     with pytest.raises(ValueError):
         graph_of_interval_bruteforce(word)
+
+
+@pytest.mark.parametrize("word", [(1, 1, 3), (0, 1, 2), (1, 2, 4)])
+def test_interval_graph_rejects_words_that_are_not_permutations(word):
+    with pytest.raises(ValueError, match="not a permutation"):
+        graph_of_upper_interval(word)
+    with pytest.raises(ValueError, match="not a permutation"):
+        deletion_pruned_grid_identity(word, 1)
 
 
 def sandwiched_by(v, k, l):
@@ -320,6 +331,25 @@ def test_deletion_pruned_identity_exhaustive(n):
             assert deletion_pruned_grid_identity(v, i)
 
 
+def pruned_oracle(v, i):
+    """The interval graph less the cells sandwiched only through i."""
+    return grid(len(v), graph_of_upper_interval(v).cells
+                - cells_sandwiched_only_by(v, i)).rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pruned_rows_match_the_sandwiched_only_cells(n):
+    for v in symmetric_group(n):
+        for i in range(1, n + 1):
+            assert _upper_interval_rows(v, i) == pruned_oracle(v, i)
+
+
+@given(st.permutations(list(range(1, 8))), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_pruned_rows_match_the_sandwiched_only_cells_at_7(v, i):
+    assert _upper_interval_rows(tuple(v), i) == pruned_oracle(tuple(v), i)
+
+
 def test_label_patterns():
     assert label_patterns(3, 3) == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3)]
     assert len(label_patterns(4, 4)) == 8
@@ -444,6 +474,36 @@ def test_delete_rows_cols_matches_the_cell_reindex(P, data):
 @settings(max_examples=400, deadline=None)
 def test_block_split_matches_the_cell_test(P):
     assert block_antidiagonal_split(P) == block_split_oracle(P)
+
+
+def admissible_by_supports(P):
+    """Admissibility by distinct (label, support set) pairs, rows and columns."""
+    return all(
+        len({(labels[idx - 1], support(P, idx))
+             for idx in range(1, P.n + 1)}) == P.n
+        for labels, support in ((P.row_labels, row_support),
+                                (P.col_labels, col_support)))
+
+
+@given(labeled_grids())
+@settings(max_examples=200, deadline=None)
+def test_is_admissible_matches_the_support_sets(P):
+    assert is_admissible(P) == admissible_by_supports(P)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_is_admissible_matches_the_support_sets_on_interval_graphs(n):
+    # Equal labels on equal rows or columns are common here, so both
+    # answers occur.
+    patterns = label_patterns(n, n)
+    outcomes = set()
+    for v in symmetric_group(n):
+        for R in patterns:
+            for C in patterns:
+                P = graph_of_upper_interval(v, R, C)
+                outcomes.add(is_admissible(P))
+                assert is_admissible(P) == admissible_by_supports(P)
+    assert outcomes == ({True} if n == 1 else {True, False})
 
 
 @given(labeled_grids())

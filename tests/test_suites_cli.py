@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import fixtures
-from klimm import suites
+from klimm import grid, suites
 from klimm.cli import main
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
 from klimm.grid import FORBIDDEN_PATTERNS
@@ -45,6 +45,33 @@ def test_young_suite_small():
     assert report.cases_run > 0 and report.cases_run % 2 == 0
 
 
+def test_partitions_in_box_come_in_decreasing_order():
+    for n in range(8):
+        shapes = suites._partitions_in_box(n)
+        assert shapes == tuple(sorted(shapes, reverse=True))
+        assert len(shapes) == len(set(shapes))
+
+
+def test_deletion_suite_has_one_grid_case_per_position():
+    config = Config(max_n=5, samples=3, seed=0)
+    keys = [key for key, _, _ in suites._suite_deletion(config, None, {})]
+    grid_keys = [key for key in keys if key.endswith(":grid")]
+    avoiders = {n: suites._avoiders(n, FORBIDDEN_PATTERNS) for n in range(2, 6)}
+    assert len(grid_keys) == len(set(grid_keys)) == sum(
+        n * len(vs) for n, vs in avoiders.items())
+    assert len(keys) == 2200
+
+
+def test_deletion_suite_fails_when_corners_are_not_pruned(monkeypatch):
+    unpruned = grid._upper_interval_rows
+    monkeypatch.setattr(grid, "_upper_interval_rows",
+                        lambda v, skip=0: unpruned(v))
+    report = run_suite("deletion", Config(max_n=5, samples=3, seed=0))
+    assert not report.ok
+    assert {witness["failure"] for witness in report.counterexamples} == {
+        "grid deletion mismatch"}
+
+
 def test_sign_probe_suite_reports_skips():
     report = run_suite("sgn-probe", small_config(samples=1))
     assert report.ok
@@ -52,7 +79,8 @@ def test_sign_probe_suite_reports_skips():
 
 
 def test_unknown_suite_and_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"unknown suite 'nope'; choose from \['deletion'"):
         run_suite("nope", small_config())
     with pytest.raises(ValueError, match=r"max_n must lie in \[1, 7\]"):
         Config(max_n=8)
@@ -145,7 +173,8 @@ def test_searches_need_two_by_two(capsys, conjecture):
 
 
 def test_search_rejects_unknown_conjecture():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown conjecture '5.4'; "
+                                         r"choose from \['5.1', '5.2', '5.3'\]"):
         run_search("5.4", small_config())
 
 
