@@ -428,8 +428,10 @@ def block_antidiagonal_split(P: LabeledGrid) -> tuple[int, LabeledGrid, LabeledG
 
 
 def _deletes_to_interval_graph(v: Perm, i: int, rows: tuple[int, ...]) -> bool:
-    """Deleting row i and column v_i from ``rows`` leaves the interval
-    graph of the word with v_i deleted."""
+    """
+    Deleting row i and column v_i from ``rows`` leaves the interval graph
+    of the word with v_i deleted.
+    """
     x = delete_entry(v, i)
     reduced = delete_rows_cols(_labeled(len(v), rows), {i}, {v[i - 1]})
     return reduced.rows == _upper_interval_rows(x)
