@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import getitem
 from typing import Sequence
 
 from .errors import PatternPreconditionError, PreconditionError, ShapeError
@@ -106,14 +107,19 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     if cache is None:
         cache = KLCache(n)
     rows, denoms = _cleared_rows(M)
+    rows = [(0, *row) for row in rows]  # 1-based columns
+    perms, odd = table.perms, table.odd
     iv = table.index[v]
-    top = len(table.perms) - 1
+    top = len(perms) - 1
+    parity = odd >> iv & 1
     total = 0
     for k in iter_bits(table.above[iv]):
-        multiplicity = kl_at(table, top - k, top - iv, cache)(1)
-        monomial = prod(row[j - 1] for row, j in zip(rows, table.perms[k]))
-        sign = -1 if (table.lengths[k] - table.lengths[iv]) % 2 else 1
-        total += sign * multiplicity * monomial
+        term = (sum(kl_at(table, top - k, top - iv, cache).coeffs)
+                * prod(map(getitem, rows, perms[k])))
+        if odd >> k & 1 != parity:
+            total -= term
+        else:
+            total += term
     return Fraction(total, prod(denoms))
 
 

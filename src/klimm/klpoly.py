@@ -5,8 +5,10 @@ They are computed by the classical recursion on a right descent of y,
 fully memoized in a :class:`KLCache`.  It works on positions in
 :func:`klimm.perm.bruhat_table`: comparisons, descents and their products
 are table lookups, and the mu-sum runs over the set bits of one AND of
-table bitsets; the table, and so every value with x < y, is guarded at
-n <= 7.
+table bitsets, reading each candidate's value straight from the cache
+and recursing only on a miss; the table, and so every value with x < y,
+is guarded at n <= 7.  Values are interned: equal coefficient tuples
+share one :class:`IntPolynomial`.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -30,7 +32,6 @@ from .perm import (
     bruhat_leq,
     bruhat_table,
     format_perm,
-    iter_bits,
     parse_perm,
 )
 
@@ -87,6 +88,10 @@ class IntPolynomial:
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
 
+# One polynomial per distinct coefficient tuple (trailing zeros and all):
+# S_6 has 43,693 KL values but only 14 distinct ones.
+interned = lru_cache(maxsize=None)(IntPolynomial)
+
 CACHE_FORMAT_VERSION = 1
 
 
@@ -125,20 +130,22 @@ class KLCache:
                 "hits": self.hits, "misses": self.misses}
 
     def save(self, path: str) -> None:
+        # sort_keys orders the table; one dumps call uses the C encoder,
+        # which json.dump to a file never does.
+        word = lru_cache(maxsize=None)(format_perm)
         doc = {
             "n": self.n,
             "format_version": CACHE_FORMAT_VERSION,
-            "table": {
-                f"{format_perm(x)}|{format_perm(y)}": list(p.coeffs)
-                for (x, y), p in sorted(self._table.items())
-            },
+            "table": {f"{word(x)}|{word(y)}": p.coeffs
+                      for (x, y), p in self._table.items()},
         }
+        text = json.dumps(doc, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -175,7 +182,6 @@ class KLCache:
                              "list of integers")
         cache = cls(n)
         parse = lru_cache(maxsize=None)(parse_perm)
-        polynomial = lru_cache(maxsize=None)(IntPolynomial)
         for key, coeffs in table.items():
             words = key.split("|")
             if len(words) != 2:
@@ -183,7 +189,7 @@ class KLCache:
             x, y = map(parse, words)
             if len(x) != n or len(y) != n:
                 raise ValueError(f"cache entry {key} in {path} is not in S_{n}")
-            cache._table[(x, y)] = polynomial(tuple(coeffs))
+            cache._table[(x, y)] = interned(tuple(coeffs))
         return cache
 
 
@@ -261,43 +267,64 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
         return ONE
     if not table.below[y] >> x & 1:
         return ZERO
-    px, py = table.perms[x], table.perms[y]
+    perms = table.perms
+    px, py = perms[x], perms[y]
     known = cache.get(px, py)
     if known is not None:
         return known
 
     i = table.first_descent[y]
     ys, xs = table.times_s[i][y], table.times_s[i][x]
-    c = table.descents[i] >> x & 1
-    # (scale, shift, coefficients) of each term of the recursion, summed
-    # into one list at the end.
-    terms = [(1, 1 - c, kl_at(table, xs, ys, cache).coeffs),
-             (1, c, kl_at(table, x, ys, cache).coeffs)]
+    # P_{x,y} = q^(1-c) P_{xs,ys} + q^c P_{x,ys} - (mu-sum), where c = 1
+    # iff s is a descent of x: start from the unshifted term.
+    low, high = kl_at(table, xs, ys, cache), kl_at(table, x, ys, cache)
+    if not table.descents[i] >> x & 1:
+        low, high = high, low
+    coeffs = list(low.coeffs)
+    # Lists grow to fit each term, not to the degree bound, so a corrupt
+    # cached term fails the checks below rather than indexing past them.
+    if len(coeffs) <= len(high.coeffs):
+        coeffs += [0] * (len(high.coeffs) + 1 - len(coeffs))
+    for d, a in enumerate(high.coeffs, 1):
+        coeffs[d] += a
 
-    ly = table.lengths[y]
+    lengths = table.lengths
+    ly = lengths[y]
+    pys = perms[ys]
+    store = cache._table
     # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
     # i.e. l(z) = l(y) mod 2: the set bits of one AND of Bruhat-table
-    # bitsets, in symmetric_group order, not a scan of S_n.
+    # bitsets, in symmetric_group order, not a scan of S_n.  Every such z
+    # is below ys and differs from it, so P_{z,ys} is read from the store
+    # directly (a hit) and only a miss goes through the recursion.
     parity = table.odd if ly % 2 else ~table.odd
-    candidates = table.below[ys] & table.above[x] & table.descents[i] & parity
-    for z in iter_bits(candidates):
-        lz = table.lengths[z]
-        mu = kl_at(table, z, ys, cache).coeff((ly - lz - 2) // 2)
+    mask = table.below[ys] & table.above[x] & table.descents[i] & parity
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        z = bit.bit_length() - 1
+        pz = store.get((perms[z], pys))
+        if pz is None:
+            pz = kl_at(table, z, ys, cache)
+        else:
+            cache.hits += 1
+        # mu(z, ys) is the q^((l(ys) - l(z) - 1) / 2) coefficient of
+        # P_{z,ys}; its term is shifted by one more.
+        shift = (ly - lengths[z]) // 2
+        mu = pz.coeffs[shift - 1] if shift <= len(pz.coeffs) else 0
         if mu:
-            terms.append((-mu, (ly - lz) // 2, kl_at(table, x, z, cache).coeffs))
+            term = kl_at(table, x, z, cache).coeffs
+            if len(coeffs) < shift + len(term):
+                coeffs += [0] * (shift + len(term) - len(coeffs))
+            for d, a in enumerate(term, shift):
+                coeffs[d] -= mu * a
 
-    # Sized from the terms, not from the degree bound, so a corrupt cached
-    # term fails the checks below rather than indexing past the list.
-    coeffs = [0] * max(shift + len(term) for _, shift, term in terms)
-    for scale, shift, term in terms:
-        for d, a in enumerate(term, shift):
-            coeffs[d] += scale * a
-    p = IntPolynomial(tuple(coeffs))
+    p = interned(tuple(coeffs))
     if p.coeff(0) != 1:
         raise ArithmeticError(f"P_{px},{py} has constant term {p.coeff(0)}")
-    if any(coeff < 0 for coeff in p.coeffs):
+    if min(p.coeffs) < 0:
         raise ArithmeticError(f"negative coefficient in P_{px},{py}")
-    if 2 * p.degree() > ly - table.lengths[x] - 1:
+    if 2 * p.degree() > ly - lengths[x] - 1:
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     cache.put(px, py, p)
     return p

@@ -233,6 +233,24 @@ def test_recursion_rejects_a_cached_term_past_the_degree_bound():
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
 
+@pytest.mark.parametrize("corrupt,x,y,message", [
+    # mu(2314, 2341) = 2 subtracts 2q where 1 + q needs q taken away, so
+    # P_{1234,2431} comes out as 1 - q.
+    ((2,), (1, 2, 3, 4), (2, 4, 3, 1), "negative coefficient"),
+    # mu is still 1, but the 3q comes back in P_{2134,2431} through its
+    # descent term q P_{2314,2341}, past that pair's degree bound.
+    ((1, 3), (2, 1, 3, 4), (4, 2, 3, 1), "degree bound"),
+])
+def test_recursion_rejects_a_corrupt_mu_sum_candidate(corrupt, x, y, message):
+    # The corrupt entry is first read as the mu-sum candidate P_{z,ys} of
+    # P_{1234,2431}, straight from the store; the checks must see it all
+    # the same.
+    cache = KLCache(4)
+    cache.put((2, 3, 1, 4), (2, 3, 4, 1), IntPolynomial(corrupt))
+    with pytest.raises(ArithmeticError, match=message):
+        kl_polynomial(x, y, cache)
+
+
 def _cold_s5_cache():
     cache = KLCache(5)
     for y in symmetric_group(5):

@@ -424,3 +424,24 @@ def test_grid_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
     out = tmp_path / "doc.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a cold prop-3.1 run's KL cache files and report, pinned from
+# the recursion that preceded the straight-line one: a faster kl_at or
+# KLCache.save must leave every byte of them alone.
+PROP31_DIGESTS = {
+    "kl.s4.json":
+        "74ecee46e9f3bfc97a7f2d449b3a0268293c5396f1edbfcdad45505d283e91d2",
+    "kl.s5.json":
+        "4cce1adb4108a90b7a4b347f6d864601b11a023d833765aa8c43290f6e5e8a14",
+    "r.json":
+        "b799630160fdd21b01cb8ca26443260a3fe0f376341342646a0418d32982f791",
+}
+
+
+def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
+    assert main(["check", "prop-3.1", "--max-n", "5", "--samples", "1",
+                 "--seed", "0", "--kl-cache", str(tmp_path / "kl.json"),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PROP31_DIGESTS} == PROP31_DIGESTS
