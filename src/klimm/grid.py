@@ -102,18 +102,14 @@ class LabeledGrid:
         if any(mask & outside for mask in self.rows):
             raise ValueError(f"row mask with a column outside [1, {self.n}]")
 
-    @property
-    def cells(self) -> frozenset[Cell]:
-        return frozenset((i, j) for i, mask in enumerate(self.rows, start=1)
-                         for j in iter_bits(mask))
-
     def has_cell(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and bool(self.rows[i - 1] >> j & 1)
 
     def to_doc(self) -> dict:
         return {
             "n": self.n,
-            "cells": sorted(list(c) for c in self.cells),
+            "cells": [[i, j] for i, mask in enumerate(self.rows, start=1)
+                      for j in iter_bits(mask)],
             "row_labels": list(self.row_labels),
             "col_labels": list(self.col_labels),
         }
@@ -160,8 +156,8 @@ def graph_of_upper_interval(v: Perm,
     cell sandwiched by one of its non-inversions.  A word that is not a
     permutation raises ValueError.
 
-    >>> sorted(graph_of_upper_interval((2, 4, 1, 3)).cells)[:3]
-    [(1, 2), (1, 3), (1, 4)]
+    >>> graph_of_upper_interval((2, 4, 1, 3)).to_doc()["cells"][:3]
+    [[1, 2], [1, 3], [1, 4]]
     """
     return _labeled(len(v), _upper_interval_rows(tuple(v)), row_labels, col_labels)
 

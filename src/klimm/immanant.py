@@ -44,12 +44,11 @@ from .grid import (
     young_complement_grid,
     young_diagram_grid,
 )
-from .klpoly import KLCache, kl_at
+from .klpoly import KLCache, cache_for, kl_at
 from .perm import (
     Perm,
     as_perm,
     avoids,
-    bruhat_table,
     delete_entry,
     format_perm,
     inverse,
@@ -91,21 +90,21 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     """
     The defining sum: over w >= v (all other Kazhdan-Lusztig values
     vanish), add (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1) times the
-    w-monomial of M.  It works on positions in the Bruhat table of
-    :func:`klimm.perm.bruhat_table`: the w run over the set bits of
+    w-monomial of M.  It works on positions in the Bruhat table the
+    cache owns (``cache.table``): the w run over the set bits of
     ``above[v]``, the table gives l(w), and since left multiplication by
     w0 reverses the lexicographic order, w0 w sits at position
     n! - 1 - (position of w).  The monomials are products of the cleared
     integer rows of M; every monomial takes one entry from each row, so
     the integer total over the product of the row multipliers is exact.
-    Works for every v; the table guards the size at n <= 7.
+    Works for every v; the table guards the size at n <= 7.  A cache for
+    another S_n raises SizeMismatchError.
     """
     v = as_perm(v)
     n = len(v)
     _require_square_of_size(M, n)
-    table = bruhat_table(n)
-    if cache is None:
-        cache = KLCache(n)
+    cache = cache_for(cache, v)
+    table = cache.table
     rows, denoms = _cleared_rows(M)
     rows = [(0, *row) for row in rows]  # 1-based columns
     perms, odd = table.perms, table.odd
@@ -114,7 +113,7 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     parity = odd >> iv & 1
     total = 0
     for k in iter_bits(table.above[iv]):
-        term = (sum(kl_at(table, top - k, top - iv, cache).coeffs)
+        term = (sum(kl_at(cache, top - k, top - iv).coeffs)
                 * prod(map(getitem, rows, perms[k])))
         if odd >> k & 1 != parity:
             total -= term

@@ -2,13 +2,12 @@
 Kazhdan-Lusztig polynomials P_{x,y}(q) for the symmetric group.
 
 They are computed by the classical recursion on a right descent of y,
-fully memoized in a :class:`KLCache`.  It works on positions in
-:func:`klimm.perm.bruhat_table`: comparisons, descents and their products
-are table lookups, and the mu-sum runs over the set bits of one AND of
-table bitsets, reading each candidate's value straight from the cache
-and recursing only on a miss; the table, and so every value with x < y,
-is guarded at n <= 7.  Values are interned: equal coefficient tuples
-share one :class:`IntPolynomial`.
+fully memoized in a :class:`KLCache`.  It works on positions in the
+cache's :func:`klimm.perm.bruhat_table`: comparisons, descents and their
+products are table lookups, and the mu-sum runs over the set bits of one
+AND of table bitsets; the table, and so every value with x < y, is
+guarded at n <= 7.  Values are interned: equal coefficient tuples share
+one :class:`IntPolynomial`.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -22,10 +21,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import SizeMismatchError
 from .perm import (
+    BRUHAT_TABLE_GUARD,
     BruhatTable,
     Perm,
     as_perm,
@@ -98,46 +98,40 @@ CACHE_FORMAT_VERSION = 1
 class KLCache:
     """Memo table for P_{x,y} over a single symmetric group S_n.
 
-    Lookups are referentially transparent: a stored polynomial is
-    immutable and is returned as-is forever after.  The table itself is
-    a plain dict, so use one writer at a time (or one cache per worker).
-    Persistence uses write-to-temp-then-rename so a crash cannot leave a
-    torn file.
+    Immutable values are stored by position in ``table``, the Bruhat
+    table of S_n (built on first use); words appear only in the files of
+    :meth:`save` and :meth:`load`.  The store is a plain dict, so use one
+    writer at a time.  Persistence uses write-to-temp-then-rename so a
+    crash cannot leave a torn file.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._table: dict[tuple[Perm, Perm], IntPolynomial] = {}
+        self._values: dict[int, IntPolynomial] = {}
         self.hits = 0
         self.misses = 0
 
+    @cached_property
+    def table(self) -> BruhatTable:
+        return bruhat_table(self.n)
+
     def __len__(self) -> int:
-        return len(self._table)
-
-    def get(self, x: Perm, y: Perm) -> IntPolynomial | None:
-        value = self._table.get((x, y))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, x: Perm, y: Perm, p: IntPolynomial) -> None:
-        self._table[(x, y)] = p
+        return len(self._values)
 
     def stats(self) -> dict[str, int]:
-        return {"n": self.n, "entries": len(self._table),
+        return {"n": self.n, "entries": len(self._values),
                 "hits": self.hits, "misses": self.misses}
 
     def save(self, path: str) -> None:
         # sort_keys orders the table; one dumps call uses the C encoder,
         # which json.dump to a file never does.
-        word = lru_cache(maxsize=None)(format_perm)
+        words = tuple(map(format_perm, self.table.perms)) if self._values else ()
+        size = len(words)
         doc = {
             "n": self.n,
             "format_version": CACHE_FORMAT_VERSION,
-            "table": {f"{word(x)}|{word(y)}": p.coeffs
-                      for (x, y), p in self._table.items()},
+            "table": {f"{words[key % size]}|{words[key // size]}": p.coeffs
+                      for key, p in self._values.items()},
         }
         text = json.dumps(doc, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path))
@@ -169,9 +163,10 @@ class KLCache:
         if doc.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError(f"unsupported cache format in {path}")
         n, table = doc.get("n"), doc.get("table")
-        if type(n) is not int or not isinstance(table, dict):
-            raise ValueError(
-                f"{path} needs an integer 'n' and an object 'table'")
+        if (type(n) is not int or not 1 <= n <= BRUHAT_TABLE_GUARD
+                or not isinstance(table, dict)):
+            raise ValueError(f"{path} needs an integer 'n' in "
+                             f"[1, {BRUHAT_TABLE_GUARD}] and an object 'table'")
         values = table.values()
         if not (set(map(type, values)) <= {list} and set(
                 map(type, itertools.chain.from_iterable(values))) <= {int}):
@@ -181,15 +176,19 @@ class KLCache:
             raise ValueError(f"cache entry {bad} in {path} is not a "
                              "list of integers")
         cache = cls(n)
-        parse = lru_cache(maxsize=None)(parse_perm)
+        index = cache.table.index
+        size = len(index)
+        # A word of another length parses but has no position in S_n.
+        position = lru_cache(maxsize=None)(
+            lambda word: index.get(parse_perm(word)))
         for key, coeffs in table.items():
             words = key.split("|")
             if len(words) != 2:
                 raise ValueError(f"cache key {key!r} in {path} is not x|y")
-            x, y = map(parse, words)
-            if len(x) != n or len(y) != n:
+            x, y = map(position, words)
+            if x is None or y is None:
                 raise ValueError(f"cache entry {key} in {path} is not in S_{n}")
-            cache._table[(x, y)] = interned(tuple(coeffs))
+            cache._values[y * size + x] = interned(tuple(coeffs))
         return cache
 
 
@@ -234,10 +233,13 @@ class KLCacheRegistry:
                 cache.save(cache_path_for(self.base_path, n))
 
 
-def _check_same_size(x: Perm, y: Perm) -> None:
-    if len(x) != len(y):
-        raise SizeMismatchError(
-            f"permutations have different sizes {len(x)} and {len(y)}")
+def cache_for(cache: KLCache | None, *perms: Perm) -> KLCache:
+    """``cache``, or a new one, once it and ``perms`` agree on n."""
+    cache = KLCache(len(perms[0])) if cache is None else cache
+    if any(len(v) != cache.n for v in perms):
+        raise SizeMismatchError(f"permutations of sizes {[len(v) for v in perms]}"
+                                f" and a KL cache for S_{cache.n}")
+    return cache
 
 
 def kl_polynomial(x: Perm, y: Perm, cache: KLCache | None = None) -> IntPolynomial:
@@ -250,34 +252,35 @@ def kl_polynomial(x: Perm, y: Perm, cache: KLCache | None = None) -> IntPolynomi
     '0'
     """
     x, y = as_perm(x), as_perm(y)
-    _check_same_size(x, y)
+    cache = cache_for(cache, x, y)
     if x == y:
         return ONE
     if not bruhat_leq(x, y):
         return ZERO
-    table = bruhat_table(len(x))
-    if cache is None:
-        cache = KLCache(len(x))
-    return kl_at(table, table.index[x], table.index[y], cache)
+    return kl_at(cache, cache.table.index[x], cache.table.index[y])
 
 
-def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
-    """P_{x,y} for the permutations at positions x and y of ``table``."""
+def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
+    """P_{x,y} for the permutations at positions x and y of ``cache.table``."""
     if x == y:
         return ONE
+    table = cache.table
     if not table.below[y] >> x & 1:
         return ZERO
-    perms = table.perms
-    px, py = perms[x], perms[y]
-    known = cache.get(px, py)
+    # Every read of the store is keyed y * n! + x and counted here.
+    size = len(table.perms)
+    store = cache._values
+    known = store.get(y * size + x)
     if known is not None:
+        cache.hits += 1
         return known
+    cache.misses += 1
 
     i = table.first_descent[y]
     ys, xs = table.times_s[i][y], table.times_s[i][x]
     # P_{x,y} = q^(1-c) P_{xs,ys} + q^c P_{x,ys} - (mu-sum), where c = 1
     # iff s is a descent of x: start from the unshifted term.
-    low, high = kl_at(table, xs, ys, cache), kl_at(table, x, ys, cache)
+    low, high = kl_at(cache, xs, ys), kl_at(cache, x, ys)
     if not table.descents[i] >> x & 1:
         low, high = high, low
     coeffs = list(low.coeffs)
@@ -290,22 +293,21 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
 
     lengths = table.lengths
     ly = lengths[y]
-    pys = perms[ys]
-    store = cache._table
     # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
     # i.e. l(z) = l(y) mod 2: the set bits of one AND of Bruhat-table
     # bitsets, in symmetric_group order, not a scan of S_n.  Every such z
     # is below ys and differs from it, so P_{z,ys} is read from the store
-    # directly (a hit) and only a miss goes through the recursion.
+    # directly and only a miss goes through the recursion.
     parity = table.odd if ly % 2 else ~table.odd
     mask = table.below[ys] & table.above[x] & table.descents[i] & parity
+    row = ys * size
     while mask:
         bit = mask & -mask
         mask ^= bit
         z = bit.bit_length() - 1
-        pz = store.get((perms[z], pys))
+        pz = store.get(row + z)
         if pz is None:
-            pz = kl_at(table, z, ys, cache)
+            pz = kl_at(cache, z, ys)
         else:
             cache.hits += 1
         # mu(z, ys) is the q^((l(ys) - l(z) - 1) / 2) coefficient of
@@ -313,18 +315,19 @@ def kl_at(table: BruhatTable, x: int, y: int, cache: KLCache) -> IntPolynomial:
         shift = (ly - lengths[z]) // 2
         mu = pz.coeffs[shift - 1] if shift <= len(pz.coeffs) else 0
         if mu:
-            term = kl_at(table, x, z, cache).coeffs
+            term = kl_at(cache, x, z).coeffs
             if len(coeffs) < shift + len(term):
                 coeffs += [0] * (shift + len(term) - len(coeffs))
             for d, a in enumerate(term, shift):
                 coeffs[d] -= mu * a
 
     p = interned(tuple(coeffs))
+    px, py = table.perms[x], table.perms[y]
     if p.coeff(0) != 1:
         raise ArithmeticError(f"P_{px},{py} has constant term {p.coeff(0)}")
     if min(p.coeffs) < 0:
         raise ArithmeticError(f"negative coefficient in P_{px},{py}")
     if 2 * p.degree() > ly - lengths[x] - 1:
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
-    cache.put(px, py, p)
+    store[y * size + x] = p
     return p

@@ -59,6 +59,12 @@ def grid(n, cells, row_labels=None, col_labels=None) -> LabeledGrid:
         identity_labels if col_labels is None else tuple(col_labels))
 
 
+def cells_of(P) -> frozenset:
+    """The cells (i, j) of a LabeledGrid, read off its row masks."""
+    return frozenset((i, j) for i, mask in enumerate(P.rows, start=1)
+                     for j in iter_bits(mask))
+
+
 def permutation_graph(v) -> frozenset:
     """The graph of v as a function: {(i, v_i)}."""
     return frozenset((i, x) for i, x in enumerate(v, start=1))

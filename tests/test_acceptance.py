@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import col_support, row_support
+from conftest import cells_of, col_support, row_support
 import fixtures
 from kl_via_r import kl_table_via_r
 from klimm.exactmat import (
@@ -66,7 +66,7 @@ def test_criterion_03_fixture_certification(kl_cache_s4):
 def test_criterion_04_worked_examples_bit_exact():
     G = graph_of_upper_interval((2, 4, 1, 3))
     graph_ok = (
-        len(G.cells) == 12
+        len(cells_of(G)) == 12
         and row_support(G, 1) == frozenset({2, 3, 4})
         and row_support(G, 2) == frozenset({2, 3, 4})
         and row_support(G, 3) == frozenset({1, 2, 3})
@@ -86,10 +86,10 @@ def test_criterion_04_worked_examples_bit_exact():
     split = block_antidiagonal_split(
         graph_of_upper_interval(fixtures.BLOCK_SPLIT_WORD))
     split_ok = (split is not None and split[0] == fixtures.BLOCK_SPLIT_J
-                and split[1].cells == graph_of_upper_interval(
-                    fixtures.BLOCK_SPLIT_UPPER).cells
-                and split[2].cells == graph_of_upper_interval(
-                    fixtures.BLOCK_SPLIT_LOWER).cells)
+                and cells_of(split[1]) == cells_of(graph_of_upper_interval(
+                    fixtures.BLOCK_SPLIT_UPPER))
+                and cells_of(split[2]) == cells_of(graph_of_upper_interval(
+                    fixtures.BLOCK_SPLIT_LOWER)))
 
     deletion_ok = (delete_entry(fixtures.DELETION_WORD,
                                 fixtures.DELETION_POSITION)

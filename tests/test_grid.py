@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cells_of,
     cells_sandwiched_only_by,
     col_support,
     grid,
@@ -54,7 +55,7 @@ V2413 = (2, 4, 1, 3)
 
 def test_worked_interval_graph():
     G = graph_of_upper_interval(V2413)
-    assert len(G.cells) == 12
+    assert len(cells_of(G)) == 12
     assert row_support(G, 1) == frozenset({2, 3, 4})
     assert row_support(G, 2) == frozenset({2, 3, 4})
     assert row_support(G, 3) == frozenset({1, 2, 3})
@@ -63,21 +64,21 @@ def test_worked_interval_graph():
     assert col_support(G, 2) == frozenset({1, 2, 3, 4})
     assert col_support(G, 3) == frozenset({1, 2, 3, 4})
     assert col_support(G, 4) == frozenset({1, 2})
-    assert (4, 4) not in G.cells
+    assert (4, 4) not in cells_of(G)
 
 
 def test_interval_graph_extremes():
     n = 5
-    assert graph_of_upper_interval(longest_element(n)).cells == \
+    assert cells_of(graph_of_upper_interval(longest_element(n))) == \
         permutation_graph(longest_element(n))
-    assert len(graph_of_upper_interval(identity(n)).cells) == n * n
+    assert len(cells_of(graph_of_upper_interval(identity(n)))) == n * n
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_upper_interval_matches_bruteforce(n):
     for v in symmetric_group(n):
-        assert graph_of_upper_interval(v).cells == \
-            graph_of_interval_bruteforce(v).cells
+        assert cells_of(graph_of_upper_interval(v)) == \
+            cells_of(graph_of_interval_bruteforce(v))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -120,15 +121,17 @@ def sandwiched_by(v, k, l):
 
 def test_is_sandwiched():
     assert non_inversions(V2413) == [(1, 2), (1, 4), (3, 4)]
-    off_graph = graph_of_upper_interval(V2413).cells - permutation_graph(V2413)
+    off_graph = (cells_of(graph_of_upper_interval(V2413))
+                 - permutation_graph(V2413))
     assert (1, 3) in off_graph & sandwiched_by(V2413, 1, 2)
     assert all((4, 4) not in sandwiched_by(V2413, k, l)
                for (k, l) in non_inversions(V2413))
-    assert (4, 4) not in graph_of_upper_interval(V2413).cells
+    assert (4, 4) not in cells_of(graph_of_upper_interval(V2413))
     # the graph of [v, w0] is the graph of v plus every sandwiched cell
     for v in symmetric_group(4):
-        assert graph_of_upper_interval(v).cells == permutation_graph(v).union(
-            *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)))
+        assert cells_of(graph_of_upper_interval(v)) == \
+            permutation_graph(v).union(
+                *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)))
 
 
 def test_largest_square_examples():
@@ -167,12 +170,12 @@ def test_labels_must_be_weakly_increasing():
 
 def test_delete_rows_cols_basics():
     G = graph_of_upper_interval(V2413)
-    assert delete_rows_cols(G, [], []).cells == G.cells
+    assert cells_of(delete_rows_cols(G, [], [])) == cells_of(G)
     with pytest.raises(ValueError):
         delete_rows_cols(G, [1], [])
     # order-preserving reindex of a single deletion
     reduced = delete_rows_cols(grid(4, [(1, 1), (3, 3), (4, 4)]), {2}, {2})
-    assert reduced.cells == frozenset({(1, 1), (2, 2), (3, 3)})
+    assert cells_of(reduced) == frozenset({(1, 1), (2, 2), (3, 3)})
 
 
 def test_deletion_composes():
@@ -247,7 +250,7 @@ def test_boxes_cover_interval_graph(n):
         for box in bounding_boxes(v):
             cover |= {(i, j) for i in range(box.rows[0], box.rows[1] + 1)
                       for j in range(box.cols[0], box.cols[1] + 1)}
-        assert graph_of_upper_interval(v).cells <= cover
+        assert cells_of(graph_of_upper_interval(v)) <= cover
         assert boxes_cover_interval_graph(v)
 
 
@@ -276,12 +279,12 @@ def test_young_grids_and_durfee():
     assert durfee(()) == 0
     assert durfee((5, 5, 5, 5, 5)) == 5
     shape = young_diagram_grid((3, 1), 3)
-    assert shape.cells == frozenset({(1, 1), (1, 2), (1, 3), (2, 1)})
+    assert cells_of(shape) == frozenset({(1, 1), (1, 2), (1, 3), (2, 1)})
     comp = young_complement_grid((3, 1), 3)
-    assert comp.cells == frozenset({(2, 2), (2, 3), (3, 1), (3, 2), (3, 3)})
-    assert young_diagram_grid((3, 3, 1), 3).cells == frozenset(
+    assert cells_of(comp) == frozenset({(2, 2), (2, 3), (3, 1), (3, 2), (3, 3)})
+    assert cells_of(young_diagram_grid((3, 3, 1), 3)) == frozenset(
         {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)})
-    assert young_complement_grid((2, 1), 3).cells == frozenset(
+    assert cells_of(young_complement_grid((2, 1), 3)) == frozenset(
         {(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)})
     with pytest.raises(ValueError):
         young_diagram_grid((1, 3), 3)  # not weakly decreasing
@@ -291,10 +294,10 @@ def test_block_split_worked_example():
     G = graph_of_upper_interval(fixtures.BLOCK_SPLIT_WORD)
     j, upper, lower = block_antidiagonal_split(G)
     assert j == fixtures.BLOCK_SPLIT_J
-    assert upper.cells == \
-        graph_of_upper_interval(fixtures.BLOCK_SPLIT_UPPER).cells
-    assert lower.cells == \
-        graph_of_upper_interval(fixtures.BLOCK_SPLIT_LOWER).cells
+    assert cells_of(upper) == \
+        cells_of(graph_of_upper_interval(fixtures.BLOCK_SPLIT_UPPER))
+    assert cells_of(lower) == \
+        cells_of(graph_of_upper_interval(fixtures.BLOCK_SPLIT_LOWER))
 
 
 def test_block_split_extremes():
@@ -333,7 +336,7 @@ def test_deletion_pruned_identity_exhaustive(n):
 
 def pruned_oracle(v, i):
     """The interval graph less the cells sandwiched only through i."""
-    return grid(len(v), graph_of_upper_interval(v).cells
+    return grid(len(v), cells_of(graph_of_upper_interval(v))
                 - cells_sandwiched_only_by(v, i)).rows
 
 
@@ -370,7 +373,7 @@ def test_grid_doc_round_trip():
 @settings(max_examples=60, deadline=None)
 def test_graph_contains_both_endpoints(v):
     v = tuple(v)
-    cells = graph_of_upper_interval(v).cells
+    cells = cells_of(graph_of_upper_interval(v))
     assert permutation_graph(v) <= cells
     assert permutation_graph(longest_element(5)) <= cells
 
@@ -381,7 +384,7 @@ def test_graph_contains_both_endpoints(v):
 
 def square_dp_oracle(P):
     """Largest full square by the classic dynamic program over cells."""
-    cells = P.cells
+    cells = cells_of(P)
     best = 0
     prev = [0] * (P.n + 1)
     for i in range(1, P.n + 1):
@@ -401,7 +404,7 @@ def delete_oracle(P, I, J):
     col_map = {old: new for new, old in enumerate(
         (j for j in range(1, P.n + 1) if j not in J), start=1)}
     return grid(P.n - len(I),
-                [(row_map[i], col_map[j]) for (i, j) in P.cells
+                [(row_map[i], col_map[j]) for (i, j) in cells_of(P)
                  if i in row_map and j in col_map],
                 [P.row_labels[i - 1] for i in row_map],
                 [P.col_labels[j - 1] for j in col_map])
@@ -409,13 +412,13 @@ def delete_oracle(P, I, J):
 
 def block_split_oracle(P):
     """Block-antidiagonal split by testing and shifting every cell."""
-    n = P.n
+    n, cells = P.n, cells_of(P)
     for j in range(1, n):
         s = n - j
-        if all((r <= s and c > j) or (r > s and c <= j) for (r, c) in P.cells):
-            upper = grid(s, [(r, c - j) for (r, c) in P.cells if r <= s],
+        if all((r <= s and c > j) or (r > s and c <= j) for (r, c) in cells):
+            upper = grid(s, [(r, c - j) for (r, c) in cells if r <= s],
                          P.row_labels[:s], P.col_labels[j:])
-            lower = grid(j, [(r - s, c) for (r, c) in P.cells if r > s],
+            lower = grid(j, [(r - s, c) for (r, c) in cells if r > s],
                          P.row_labels[s:], P.col_labels[:j])
             return j, upper, lower
     return None
@@ -510,7 +513,7 @@ def test_is_admissible_matches_the_support_sets_on_interval_graphs(n):
 @settings(max_examples=100, deadline=None)
 def test_grid_doc_round_trip_arbitrary(P):
     assert from_doc(json.loads(json.dumps(P.to_doc()))) == P
-    assert grid(P.n, P.cells, P.row_labels, P.col_labels) == P
+    assert grid(P.n, cells_of(P), P.row_labels, P.col_labels) == P
 
 
 @pytest.mark.parametrize("rows", [

@@ -22,6 +22,7 @@ from klimm.errors import (
     PreconditionError,
     ShapeError,
     SizeGuardError,
+    SizeMismatchError,
 )
 from klimm.exactmat import (
     Matrix,
@@ -87,6 +88,16 @@ def test_definition_extremes(kl_cache_s4):
         imm_definition(identity(8), identity_matrix(8))
     with pytest.raises(ValueError):
         imm_definition((1, 1, 3), identity_matrix(3))
+
+
+def test_defining_sum_refuses_a_cache_for_another_size(kl_cache_s4):
+    with pytest.raises(SizeMismatchError):
+        imm_definition((2, 1, 3), identity_matrix(3), kl_cache_s4)
+    cache = KLCache(5)
+    with pytest.raises(SizeMismatchError):
+        dual_canonical_eval((2, 4, 1, 3), (1, 2, 3, 4), (1, 2, 3, 4),
+                            FIXTURE, method="definition", cache=cache)
+    assert len(cache) == 0
 
 
 def test_definition_support_rule_matches_unpruned_sum(kl_cache_s4):

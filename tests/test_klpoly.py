@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from klimm.klpoly import (
 from klimm.perm import (
     avoids,
     bruhat_leq,
+    format_perm,
     identity,
     length,
     longest_element,
@@ -129,16 +131,39 @@ def test_uncached_values_past_the_table_guard_are_rejected():
         kl_polynomial(e, (2, 1, 3, 4, 5, 6, 7, 8))
 
 
-def test_cached_values_past_the_table_guard_are_rejected_too():
-    # Past the guard even a cached comparable pair goes through the table,
-    # so the cache cannot answer what the recursion could not check.
+def _cache_holding(tmp_path, n, entries):
+    """A cache loaded from a file holding {(x, y): coefficients}."""
+    path = tmp_path / f"kl.s{n}.json"
+    path.write_text(json.dumps({"n": n, "format_version": 1, "table": {
+        f"{format_perm(x)}|{format_perm(y)}": coeffs
+        for (x, y), coeffs in entries.items()}}))
+    return KLCache.load(str(path))
+
+
+def test_cached_values_past_the_table_guard_are_rejected_too(tmp_path):
+    # Past the guard no cache file loads, so no stored value can answer
+    # what the recursion could not check; a cache for S_8 still answers
+    # the pairs that need no table.
     e, s1 = identity(8), (2, 1, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(ValueError, match="kl.s8.json"):
+        _cache_holding(tmp_path, 8, {(e, s1): [1]})
     cache = KLCache(8)
-    cache.put(e, s1, ONE)
     assert kl_polynomial(s1, s1, cache) == ONE
     assert kl_polynomial(s1, e, cache) == ZERO
     with pytest.raises(SizeGuardError):
         kl_polynomial(e, s1, cache)
+
+
+def test_a_cache_serves_only_its_own_size(tmp_path):
+    # A cache for S_5 asked for an S_4 value must refuse it rather than
+    # store it, or its file would hold an entry that load rejects.
+    cache = KLCache(5)
+    with pytest.raises(SizeMismatchError):
+        kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), cache)
+    assert len(cache) == 0
+    kl_polynomial((1, 3, 2, 4, 5), (3, 4, 1, 2, 5), cache)
+    cache.save(str(tmp_path / "kl.s5.json"))
+    assert len(KLCache.load(str(tmp_path / "kl.s5.json"))) == len(cache)
 
 
 def test_bruhat_table_is_a_module_level_lru_cache():
@@ -198,7 +223,9 @@ def test_cache_save_load_round_trip(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kl.s4.json"]
     loaded = KLCache.load(str(path))
     assert loaded.n == 4
-    assert loaded.get((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
+    assert kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), loaded) == \
+        IntPolynomial((1, 1))
+    assert (loaded.hits, loaded.misses) == (1, 0)
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1 and doc["n"] == 4
 
@@ -215,20 +242,18 @@ def test_cache_path_per_n():
     assert cache_path_for("cache", 4) == "cache.s4.json"
 
 
-def test_recursion_rejects_a_corrupt_cache_entry():
+def test_recursion_rejects_a_corrupt_cache_entry(tmp_path):
     # P_{123,213} = 1; a cache holding 2 makes P_{123,231} = 2, whose
     # constant term breaks a property every KL polynomial has.
-    cache = KLCache(3)
-    cache.put((1, 2, 3), (2, 1, 3), IntPolynomial((2,)))
+    cache = _cache_holding(tmp_path, 3, {((1, 2, 3), (2, 1, 3)): [2]})
     with pytest.raises(ArithmeticError):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
 
-def test_recursion_rejects_a_cached_term_past_the_degree_bound():
+def test_recursion_rejects_a_cached_term_past_the_degree_bound(tmp_path):
     # The corrupt term is longer than any polynomial the recursion could
     # build at this pair; it must fail a check, not index past a list.
-    cache = KLCache(3)
-    cache.put((1, 2, 3), (2, 1, 3), IntPolynomial((1, 0, 0, 5)))
+    cache = _cache_holding(tmp_path, 3, {((1, 2, 3), (2, 1, 3)): [1, 0, 0, 5]})
     with pytest.raises(ArithmeticError):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
@@ -236,17 +261,17 @@ def test_recursion_rejects_a_cached_term_past_the_degree_bound():
 @pytest.mark.parametrize("corrupt,x,y,message", [
     # mu(2314, 2341) = 2 subtracts 2q where 1 + q needs q taken away, so
     # P_{1234,2431} comes out as 1 - q.
-    ((2,), (1, 2, 3, 4), (2, 4, 3, 1), "negative coefficient"),
+    ([2], (1, 2, 3, 4), (2, 4, 3, 1), "negative coefficient"),
     # mu is still 1, but the 3q comes back in P_{2134,2431} through its
     # descent term q P_{2314,2341}, past that pair's degree bound.
-    ((1, 3), (2, 1, 3, 4), (4, 2, 3, 1), "degree bound"),
+    ([1, 3], (2, 1, 3, 4), (4, 2, 3, 1), "degree bound"),
 ])
-def test_recursion_rejects_a_corrupt_mu_sum_candidate(corrupt, x, y, message):
+def test_recursion_rejects_a_corrupt_mu_sum_candidate(tmp_path, corrupt, x, y,
+                                                      message):
     # The corrupt entry is first read as the mu-sum candidate P_{z,ys} of
     # P_{1234,2431}, straight from the store; the checks must see it all
     # the same.
-    cache = KLCache(4)
-    cache.put((2, 3, 1, 4), (2, 3, 4, 1), IntPolynomial(corrupt))
+    cache = _cache_holding(tmp_path, 4, {((2, 3, 1, 4), (2, 3, 4, 1)): corrupt})
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, y, cache)
 
@@ -279,9 +304,12 @@ def test_cold_s5_cache_round_trips_exactly(tmp_path):
     cache.save(str(first))
     loaded = KLCache.load(str(first))
     assert loaded.n == 5 and len(loaded) == len(cache) > 900
-    assert loaded._table == cache._table
     loaded.save(str(second))
     assert first.read_bytes() == second.read_bytes()
+    for y in symmetric_group(5):
+        assert kl_polynomial(identity(5), y, loaded) == \
+            kl_polynomial(identity(5), y, cache)
+    assert loaded.misses == 0
 
 
 def test_cache_load_rejects_entries_of_another_size(tmp_path):
@@ -308,6 +336,8 @@ MALFORMED_CACHE_DOCS = {
                            "table": {"1324|3412": [True]}},
     "value-not-a-list": {"n": 4, "format_version": 1,
                          "table": {"1324|3412": 2}},
+    "n-past-the-table-guard": {"n": 8, "format_version": 1,
+                               "table": {"12345678|21345678": [1]}},
 }
 
 
@@ -315,7 +345,7 @@ MALFORMED_CACHE_DOCS = {
 def test_cache_load_rejects_a_malformed_document(tmp_path, name):
     path = tmp_path / "kl.s4.json"
     path.write_text(json.dumps(MALFORMED_CACHE_DOCS[name]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         KLCache.load(str(path))
 
 

@@ -192,6 +192,16 @@ def test_cli_kl(capsys):
     assert main(["kl", "12", "123"]) == 1  # size mismatch
 
 
+def test_cli_answers_at_n_8_without_a_bruhat_table(tmp_path, capsys):
+    # The table is guarded at n <= 7; neither command below needs it.
+    assert main(["kl", "12345678", "12345678"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1", "at q=1: 1"]
+    matrix = tmp_path / "m.json"
+    assert main(["gen", "8", "8", "--out", str(matrix)]) == 0
+    assert main(["imm", "21345678", "-m", str(matrix), "--method", "det"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "determinantal"
+
+
 def test_cli_kl_cache_env(tmp_path, monkeypatch, capsys):
     base = tmp_path / "cache.json"
     monkeypatch.setenv("KLIMM_CACHE", str(base))
