@@ -48,13 +48,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise ShapeError("rows have unequal lengths")
-        return cls(data)
-
     def to_doc(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [str(x) for row in self.entries for x in row]}
@@ -122,7 +115,8 @@ def det(M: Matrix) -> Fraction:
     """
     Exact determinant (empty matrix has determinant 1).
 
-    >>> det(Matrix.from_rows([[22, 18, 6], [8, 7, 3], [2, 2, 1]]))
+    >>> det(Matrix.from_doc({"rows": 3, "cols": 3,
+    ...                      "entries": [22, 18, 6, 8, 7, 3, 2, 2, 1]}))
     Fraction(-2, 1)
     """
     n = _require_square(M)
@@ -206,7 +200,8 @@ def positivity_order(M: Matrix, upto: int | None = None) -> int:
     integers by Dodgson condensation, after scaling each row by the lcm of
     its denominators, which keeps the sign of every minor.
 
-    >>> positivity_order(Matrix.from_rows([[3, 2, 1], [2, 2, 2], [1, 2, 3]]))
+    >>> positivity_order(Matrix.from_doc(
+    ...     {"rows": 3, "cols": 3, "entries": [3, 2, 1, 2, 2, 2, 1, 2, 3]}))
     2
     """
     n = _require_square(M)

@@ -12,7 +12,8 @@ one :class:`IntPolynomial`.
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
 1 and nonnegative coefficients.  These facts are checked on every value
-the recursion produces rather than assumed.
+the recursion produces rather than assumed (the last two once per
+distinct coefficient tuple, as they depend on nothing else).
 """
 from __future__ import annotations
 
@@ -52,13 +53,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, d: int) -> int:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
     def __call__(self, value: int) -> int:
         total = 0
         for c in reversed(self.coeffs):
@@ -91,6 +85,18 @@ ONE = IntPolynomial((1,))
 # One polynomial per distinct coefficient tuple (trailing zeros and all):
 # S_6 has 43,693 KL values but only 14 distinct ones.
 interned = lru_cache(maxsize=None)(IntPolynomial)
+
+
+@lru_cache(maxsize=None)
+def checked(coeffs: tuple[int, ...]) -> IntPolynomial | None:
+    """
+    The interned value of a sum the recursion built, or None if it lacks
+    constant term 1 or has a negative coefficient; both depend on the
+    tuple alone, so each distinct tuple is checked once.  ``KLCache.load``
+    interns without checking and never fills this pool.
+    """
+    return interned(coeffs) if coeffs[0] == 1 and min(coeffs) >= 0 else None
+
 
 CACHE_FORMAT_VERSION = 1
 
@@ -150,11 +156,13 @@ class KLCache:
     def load(cls, path: str) -> "KLCache":
         """
         Read a file written by :meth:`save`, rejecting a malformed one with
-        ValueError.  Every word of every key is validated, but each
-        distinct word is parsed once; the types of all coefficients are
-        checked in one pass, and an entry is named by a second pass only
-        when that fails.  Entries with equal coefficient lists share one
-        polynomial.
+        ValueError.  Every word of every key is validated: words in the
+        form :meth:`save` writes resolve through one dict built from the
+        table, and any other form is parsed.  Each key must be a pair
+        x < y in Bruhat order, the only pairs the recursion stores.  The
+        types of all coefficients are checked in one pass, and an entry is
+        named by a second pass only when that fails.  Entries with equal
+        coefficient lists share one polynomial.
         """
         with open(path) as handle:
             doc = json.load(handle)
@@ -176,18 +184,23 @@ class KLCache:
             raise ValueError(f"cache entry {bad} in {path} is not a "
                              "list of integers")
         cache = cls(n)
-        index = cache.table.index
+        index, below = cache.table.index, cache.table.below
         size = len(index)
-        # A word of another length parses but has no position in S_n.
-        position = lru_cache(maxsize=None)(
-            lambda word: index.get(parse_perm(word)))
+        positions = {format_perm(v): k for v, k in index.items()}
         for key, coeffs in table.items():
             words = key.split("|")
             if len(words) != 2:
                 raise ValueError(f"cache key {key!r} in {path} is not x|y")
-            x, y = map(position, words)
+            x, y = map(positions.get, words)
             if x is None or y is None:
-                raise ValueError(f"cache entry {key} in {path} is not in S_{n}")
+                # A word of another length parses but has no position.
+                x, y = (index.get(parse_perm(word)) for word in words)
+                if x is None or y is None:
+                    raise ValueError(
+                        f"cache entry {key} in {path} is not in S_{n}")
+            if x == y or not below[y] >> x & 1:
+                raise ValueError(f"cache entry {key} in {path} is not a "
+                                 "pair x < y in Bruhat order")
             cache._values[y * size + x] = interned(tuple(coeffs))
         return cache
 
@@ -265,9 +278,12 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     if x == y:
         return ONE
     table = cache.table
-    if not table.below[y] >> x & 1:
+    below = table.below
+    if not below[y] >> x & 1:
         return ZERO
-    # Every read of the store is keyed y * n! + x and counted here.
+    # Every read of the store is keyed y * n! + x and counted here.  A
+    # miss reads each term of the recursion straight from the store, and
+    # only a term the store lacks goes through a call.
     size = len(table.perms)
     store = cache._values
     known = store.get(y * size + x)
@@ -278,11 +294,27 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
 
     i = table.first_descent[y]
     ys, xs = table.times_s[i][y], table.times_s[i][x]
-    # P_{x,y} = q^(1-c) P_{xs,ys} + q^c P_{x,ys} - (mu-sum), where c = 1
-    # iff s is a descent of x: start from the unshifted term.
-    low, high = kl_at(cache, xs, ys), kl_at(cache, x, ys)
-    if not table.descents[i] >> x & 1:
-        low, high = high, low
+    row = ys * size
+    # P_{x,y} = P_{lo,ys} + q P_{hi,ys} - (mu-sum), where {lo, hi} =
+    # {x, xs} and hi has the descent s.  By the lifting property lo <= ys,
+    # and hi differs from ys, which lacks the descent.
+    lo, hi = (xs, x) if table.descents[i] >> x & 1 else (x, xs)
+    if lo == ys:
+        low = ONE
+    else:
+        low = store.get(row + lo)
+        if low is None:
+            low = kl_at(cache, lo, ys)
+        else:
+            cache.hits += 1
+    if not below[ys] >> hi & 1:
+        high = ZERO
+    else:
+        high = store.get(row + hi)
+        if high is None:
+            high = kl_at(cache, hi, ys)
+        else:
+            cache.hits += 1
     coeffs = list(low.coeffs)
     # Lists grow to fit each term, not to the degree bound, so a corrupt
     # cached term fails the checks below rather than indexing past them.
@@ -296,11 +328,10 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
     # i.e. l(z) = l(y) mod 2: the set bits of one AND of Bruhat-table
     # bitsets, in symmetric_group order, not a scan of S_n.  Every such z
-    # is below ys and differs from it, so P_{z,ys} is read from the store
-    # directly and only a miss goes through the recursion.
+    # is below ys and differs from it, and x is at or below z, so the
+    # store holds P_{z,ys} and P_{x,z} (for z != x) once they are known.
     parity = table.odd if ly % 2 else ~table.odd
-    mask = table.below[ys] & table.above[x] & table.descents[i] & parity
-    row = ys * size
+    mask = below[ys] & table.above[x] & table.descents[i] & parity
     while mask:
         bit = mask & -mask
         mask ^= bit
@@ -315,19 +346,28 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
         shift = (ly - lengths[z]) // 2
         mu = pz.coeffs[shift - 1] if shift <= len(pz.coeffs) else 0
         if mu:
-            term = kl_at(cache, x, z).coeffs
+            if z == x:
+                pxz = ONE
+            else:
+                pxz = store.get(z * size + x)
+                if pxz is None:
+                    pxz = kl_at(cache, x, z)
+                else:
+                    cache.hits += 1
+            term = pxz.coeffs
             if len(coeffs) < shift + len(term):
                 coeffs += [0] * (shift + len(term) - len(coeffs))
             for d, a in enumerate(term, shift):
                 coeffs[d] -= mu * a
 
-    p = interned(tuple(coeffs))
-    px, py = table.perms[x], table.perms[y]
-    if p.coeff(0) != 1:
-        raise ArithmeticError(f"P_{px},{py} has constant term {p.coeff(0)}")
-    if min(p.coeffs) < 0:
-        raise ArithmeticError(f"negative coefficient in P_{px},{py}")
-    if 2 * p.degree() > ly - lengths[x] - 1:
+    # The degree bound 2 deg <= l(y) - l(x) - 1 depends on the pair.
+    p = checked(tuple(coeffs))
+    if p is None or 2 * len(p.coeffs) > ly - lengths[x] + 1:
+        px, py = table.perms[x], table.perms[y]
+        if coeffs[0] != 1:
+            raise ArithmeticError(f"P_{px},{py} has constant term {coeffs[0]}")
+        if min(coeffs) < 0:
+            raise ArithmeticError(f"negative coefficient in P_{px},{py}")
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     store[y * size + x] = p
     return p

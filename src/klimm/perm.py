@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -256,7 +257,18 @@ def bruhat_table(n: int) -> BruhatTable:
     ``below`` comes from the lifting property, not from comparisons: if
     s is a right descent of w, then u <= w iff u <= ws or us <= ws, so
     below(w) = below(ws) | below(ws)s.  Swapping a descent pair makes
-    the word lexicographically smaller, so ws is built before w.
+    the word lexicographically smaller, so ws is built before w.  Left
+    multiplication by w_0 reverses the order and keeps right products,
+    so above(w) = above(ws) | above(ws)s for a right ascent s of w, and
+    ``above`` is built from the last position down.
+
+    A bitset is multiplied by s_{i+1} with masked shifts, not bit by bit.
+    Of the Lehmer digits of a lexicographic index, only the pair (a, b)
+    at positions i and i + 1 changes: an ascent (a <= b) becomes
+    (b + 1, a) and a descent becomes (b, a - 1), so the index moves by
+    an offset fixed by b - a, or by a - b.  That makes 2(n - 1 - i)
+    groups of positions, each moved by one shift, and the last descent
+    (or ascent) of w, with the fewest groups, is the s used.
 
     >>> t = bruhat_table(3)
     >>> [format_perm(t.perms[j]) for j in iter_bits(t.below[t.index[(2, 3, 1)]])]
@@ -276,27 +288,37 @@ def bruhat_table(n: int) -> BruhatTable:
         for i in range(n - 1))
     first_descent = tuple(
         next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
-    below = []
-    for k, i in enumerate(first_descent):
-        if i < 0:
-            below.append(1 << k)  # the identity
-            continue
-        lower = below[times_s[i][k]]
-        lifted = 0
-        for j in iter_bits(lower):
-            lifted |= 1 << times_s[i][j]
-        below.append(lower | lifted)
-    # Left multiplication by w_0 reverses both the Bruhat order and the
-    # lexicographic order (position k <-> size - 1 - k), so above(w) is
-    # w_0 below(w_0 w): the bit-reversed below of the mirror position.
-    above = tuple(int(format(below[size - 1 - k], f"0{size}b")[::-1], 2)
-                  for k in range(size))
-    descents = tuple(
-        sum(1 << k for k, v in enumerate(perms) if v[i] > v[i + 1])
-        for i in range(n - 1))
+    # moves[i] pairs each offset times_s[i][k] - k with the bitset of its k.
+    moves = []
+    for row in times_s:
+        groups = defaultdict(list)
+        for k, j in enumerate(row):
+            groups[j - k].append(k)
+        moves.append([(offset, sum(1 << k for k in ks))
+                      for offset, ks in groups.items()])
+
+    def lift(bits: int, i: int) -> int:
+        """The positions in ``bits``, and their products with s_{i+1}."""
+        lifted = bits
+        for offset, mask in moves[i]:
+            part = bits & mask
+            lifted |= part << offset if offset > 0 else part >> -offset
+        return lifted
+
+    below, above = [0] * size, [0] * size
+    for k, v in enumerate(perms):
+        i = max((j for j in range(n - 1) if v[j] > v[j + 1]), default=-1)
+        below[k] = lift(below[times_s[i][k]], i) if i >= 0 else 1 << k
+    for k in reversed(range(size)):
+        v = perms[k]
+        i = max((j for j in range(n - 1) if v[j] < v[j + 1]), default=-1)
+        above[k] = lift(above[times_s[i][k]], i) if i >= 0 else 1 << k
+    # A descent is a move to a lexicographically smaller word.
+    descents = tuple(sum(mask for offset, mask in groups if offset < 0)
+                     for groups in moves)
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
     return BruhatTable(perms, lengths, MappingProxyType(index), tuple(below),
-                       above, descents, odd, times_s, first_descent)
+                       tuple(above), descents, odd, times_s, first_descent)
 
 
 def parse_perm(text: str) -> Perm:

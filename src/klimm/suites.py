@@ -155,9 +155,11 @@ def _case_rng(seed: int, suite: str, key: str) -> random.Random:
 
 
 def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
-    return Matrix.from_rows(
-        [[Fraction(rng.randint(-999, 999), rng.randint(1, 50))
-          for _ in range(n)] for _ in range(n)])
+    # Entries are Fractions already: from_rows would wrap each in another.
+    return Matrix(tuple(
+        tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 50))
+              for _ in range(n))
+        for _ in range(n)))
 
 
 def _k_positive_samples(m: int, k: int, tag: str, count: int,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from klimm.errors import ShapeError
 from klimm.exactmat import Matrix
 from klimm.grid import LabeledGrid
 from klimm.klpoly import KLCache, kl_polynomial
@@ -14,14 +15,22 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
 
 
+def from_rows(rows) -> Matrix:
+    """A Matrix of Fractions from rows of numbers (ints, Fractions)."""
+    data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    if data and any(len(row) != len(data[0]) for row in data):
+        raise ShapeError("rows have unequal lengths")
+    return Matrix(data)
+
+
 def square_matrices(n):
     """Hypothesis strategy for n x n matrices of small rationals."""
     return st.lists(st.lists(rationals, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix.from_rows)
+                    min_size=n, max_size=n).map(from_rows)
 
 
 def identity_matrix(n: int) -> Matrix:
-    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
@@ -105,7 +114,7 @@ def cells_sandwiched_only_by(v, i: int) -> frozenset:
 
 def random_rational_matrix(n: int, rng: random.Random,
                            span: int = 999, den: int = 50) -> Matrix:
-    return Matrix.from_rows(
+    return from_rows(
         [[Fraction(rng.randint(-span, span), rng.randint(1, den))
           for _ in range(n)] for _ in range(n)])
 

@@ -3,11 +3,11 @@ Deterministic worked-example fixtures shared by the tests.  Everything
 here is small enough to re-derive by hand, which is the point: these are
 the anchor values the rest of the machinery is checked against.
 """
-from klimm.exactmat import Matrix
+from conftest import from_rows
 
 # 4x4 matrix that is 2-positive but not 3-positive: its upper-left 3x3
 # minor equals -2 while every minor of size <= 2 is positive.
-TWO_POSITIVE_NOT_THREE = Matrix.from_rows([
+TWO_POSITIVE_NOT_THREE = from_rows([
     [22, 18, 6, 3],
     [8, 7, 3, 2],
     [2, 2, 1, 2],
@@ -15,7 +15,7 @@ TWO_POSITIVE_NOT_THREE = Matrix.from_rows([
 ])
 
 # TWO_POSITIVE_NOT_THREE restricted to the interval graph of 2413.
-RESTRICTED_TO_2413_GRAPH = Matrix.from_rows([
+RESTRICTED_TO_2413_GRAPH = from_rows([
     [0, 18, 6, 3],
     [0, 7, 3, 2],
     [2, 2, 1, 0],
@@ -24,7 +24,7 @@ RESTRICTED_TO_2413_GRAPH = Matrix.from_rows([
 
 # Repeated-row submatrix of TWO_POSITIVE_NOT_THREE for labels
 # R = {1,1,3}, C = {2,3,4}: rows 1 and 2 coincide by construction.
-REPEATED_113_234 = Matrix.from_rows([
+REPEATED_113_234 = from_rows([
     [18, 6, 3],
     [18, 6, 3],
     [2, 1, 2],

@@ -12,6 +12,16 @@ from klimm.perm import Perm, bruhat_leq, length, symmetric_group
 Q = IntPolynomial((0, 1))
 
 
+def degree(p: IntPolynomial) -> int:
+    """Degree, with the zero polynomial assigned -1."""
+    return len(p.coeffs) - 1
+
+
+def coeff(p: IntPolynomial, d: int) -> int:
+    """The q^d coefficient of p, 0 past either end."""
+    return p.coeffs[d] if 0 <= d < len(p.coeffs) else 0
+
+
 def add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     long, short = sorted((a.coeffs, b.coeffs), key=len, reverse=True)
     return IntPolynomial(tuple(c + (short[i] if i < len(short) else 0)
@@ -38,9 +48,9 @@ def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 def mirrored(p: IntPolynomial, top: int) -> IntPolynomial:
     """q^top * p(1/q); requires degree <= top."""
-    if p.degree() > top:
+    if degree(p) > top:
         raise ValueError("mirror degree below polynomial degree")
-    return IntPolynomial((0,) * (top - p.degree()) + p.coeffs[::-1])
+    return IntPolynomial((0,) * (top - degree(p)) + p.coeffs[::-1])
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bar,
+    from_rows,
     grid,
     identity_matrix,
     random_rational_matrix,
@@ -38,7 +39,7 @@ FIXTURE = fixtures.TWO_POSITIVE_NOT_THREE
 
 def small_nonnegative_matrices(n):
     return st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix.from_rows)
+                    min_size=n, max_size=n).map(from_rows)
 
 
 def _cofactor_det(M: Matrix) -> Fraction:
@@ -57,7 +58,7 @@ def _cofactor_det(M: Matrix) -> Fraction:
 
 def test_det_basics():
     assert det(identity_matrix(5)) == 1
-    assert det(Matrix.from_rows([[1, 2], [1, 2]])) == 0
+    assert det(from_rows([[1, 2], [1, 2]])) == 0
     assert det(Matrix(())) == 1  # empty determinant
     assert minor(FIXTURE, [1, 2, 3], [1, 2, 3]) == -2
     with pytest.raises(ShapeError):
@@ -104,7 +105,7 @@ def test_k_positivity_of_fixture():
     assert not is_k_positive(FIXTURE, 3)
     assert positivity_order(FIXTURE) == 2
     assert positivity_order(FIXTURE, 1) == 1
-    assert not is_k_positive(Matrix.from_rows([[1, -1], [1, 1]]), 1)
+    assert not is_k_positive(from_rows([[1, -1], [1, 1]]), 1)
     assert positivity_order(identity_matrix(3)) == 0
     assert positivity_order(Matrix(())) == 0
     with pytest.raises(ValueError):
@@ -142,7 +143,7 @@ def perturbed_totally_positive(draw):
     crossing = minor(base, lead, lead) / minor(base, lead[1:], lead[1:])
     rows = [list(row) for row in base.entries]
     rows[0][0] -= crossing * Fraction(draw(st.integers(90, 110)), 100)
-    return Matrix.from_rows(rows)
+    return from_rows(rows)
 
 
 @given(st.one_of(st.integers(0, 5).flatmap(square_matrices),
@@ -185,10 +186,10 @@ def _tp_by_elementary_product(n: int, seed) -> Matrix:
             rows[i][i - 1] = parameter()
         else:
             rows[i - 1][i] = parameter()
-        return Matrix.from_rows(rows)
+        return from_rows(rows)
 
     word = exactmat._longest_word(n)
-    M = Matrix.from_rows([[parameter() if i == j else 0 for j in range(n)]
+    M = from_rows([[parameter() if i == j else 0 for j in range(n)]
                           for i in range(n)])
     for i in word:
         M = _matmul(elementary(i, lower=True), M)
@@ -279,13 +280,13 @@ def test_constructed_matrix_is_verified(n, k, monkeypatch):
 
 
 def test_lewis_carroll_small_and_fixture():
-    two = Matrix.from_rows([[3, 5], [7, 11]])
+    two = from_rows([[3, 5], [7, 11]])
     assert lewis_carroll_residual(two, 1, 2, 1, 2) == 0
     assert lewis_carroll_residual(FIXTURE, 1, 2, 1, 2) == 0
     with pytest.raises(IndexError):
         lewis_carroll_residual(FIXTURE, 2, 1, 1, 2)
     with pytest.raises(ShapeError):
-        lewis_carroll_residual(Matrix.from_rows([[1]]), 1, 1, 1, 1)
+        lewis_carroll_residual(from_rows([[1]]), 1, 1, 1, 1)
 
 
 @given(square_matrices(5), st.data())
@@ -347,7 +348,7 @@ def test_minor_equals_repeat_submatrix_det_on_strict_sets():
 def test_matrix_doc_round_trip():
     doc = FIXTURE.to_doc()
     assert Matrix.from_doc(doc) == FIXTURE
-    frac = Matrix.from_rows([[Fraction(1, 3), 2], [3, Fraction(-7, 5)]])
+    frac = from_rows([[Fraction(1, 3), 2], [3, Fraction(-7, 5)]])
     assert Matrix.from_doc(frac.to_doc()) == frac
     with pytest.raises(ShapeError):
         Matrix.from_doc({"rows": 2, "cols": 2, "entries": ["1", "2", "3"]})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bar,
+    from_rows,
     identity_matrix,
     kl_at_one,
     random_rational_matrix,
@@ -159,15 +160,15 @@ def test_defining_sum_matches_the_unpruned_sum_on_s5(v, M):
 # divided by anything but the product of the row multipliers is wrong.
 _PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
 EDGE_MATRICES = {
-    "zero-row": Matrix.from_rows([[3, -1, Fraction(2, 7), 5], [0, 0, 0, 0],
+    "zero-row": from_rows([[3, -1, Fraction(2, 7), 5], [0, 0, 0, 0],
                                   [1, 4, -2, Fraction(7, 3)], [6, 2, 9, -6]]),
-    "large-coprime-denominators": Matrix.from_rows(
+    "large-coprime-denominators": from_rows(
         [[Fraction((-1) ** (i + j) * (97 * i + 31 * j + 1),
                    _PRIMES[(i + j) % len(_PRIMES)])
           for j in range(5)] for i in range(5)]),
-    "integer": Matrix.from_rows([[2, -3, 5, 1], [7, 0, -1, 4],
+    "integer": from_rows([[2, -3, 5, 1], [7, 0, -1, 4],
                                  [-2, 6, 3, 8], [1, 1, -5, 2]]),
-    "1x1": Matrix.from_rows([[Fraction(-7, 3)]]),
+    "1x1": from_rows([[Fraction(-7, 3)]]),
 }
 
 
@@ -272,7 +273,7 @@ def test_block_factorization_worked_example():
 
 
 def test_block_factorization_small_cases():
-    M = Matrix.from_rows([[1, 2], [3, 4]])
+    M = from_rows([[1, 2], [3, 4]])
     assert factor_block_antidiagonal((2, 1), M) == 2 * 3
     w0 = longest_element(4)
     assert factor_block_antidiagonal(w0, FIXTURE) == \
@@ -324,7 +325,7 @@ def test_young_sign_check_examples():
     # outside the hypotheses: Durfee square 2 exceeds k = 1, and a
     # matrix with a nonpositive 2-minor is not 2-positive
     assert durfee((3, 3, 1)) > 1
-    assert not is_k_positive(Matrix.from_rows([[1, 2], [2, 1]]), 2)
+    assert not is_k_positive(from_rows([[1, 2], [2, 1]]), 2)
 
 
 def test_young_sign_check_inadmissible_zero():

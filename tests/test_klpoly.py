@@ -7,6 +7,8 @@ import pytest
 from conftest import kl_at_one
 from kl_via_r import (
     add,
+    coeff,
+    degree,
     kl_polynomial_via_r,
     kl_table_via_r,
     mirrored,
@@ -113,13 +115,14 @@ def test_prop31_kl_lookup_pattern_is_pinned(monkeypatch):
         return caches[n]
 
     monkeypatch.setattr(KLCacheRegistry, "for_n", recording)
-    assert run_suite("prop-3.1", Config(max_n=5, samples=1, seed=0)).ok
+    assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
     assert [caches[n].stats() for n in sorted(caches)] == [
         {"n": 1, "entries": 0, "hits": 0, "misses": 0},
         {"n": 2, "entries": 1, "hits": 0, "misses": 1},
         {"n": 3, "entries": 13, "hits": 13, "misses": 13},
         {"n": 4, "entries": 170, "hits": 280, "misses": 170},
         {"n": 5, "entries": 2508, "hits": 6293, "misses": 2508},
+        {"n": 6, "entries": 43693, "hits": 224640, "misses": 43693},
     ]
 
 
@@ -182,9 +185,9 @@ def test_degree_bound_constant_term_and_small_intervals(n):
                 continue
             p = kl_polynomial(x, y, cache)
             gap = length(y) - length(x)
-            assert p.coeff(0) == 1
+            assert coeff(p, 0) == 1
             assert all(c >= 0 for c in p.coeffs)
-            assert 2 * p.degree() <= max(gap - 1, 0)
+            assert 2 * degree(p) <= max(gap - 1, 0)
             if gap <= 2:
                 assert p == ONE
 
@@ -194,7 +197,7 @@ def mu_coefficient(x, y, cache=None) -> int:
     gap = length(y) - length(x)
     if gap <= 0 or gap % 2 == 0:
         return 0
-    return kl_polynomial(x, y, cache).coeff((gap - 1) // 2)
+    return coeff(kl_polynomial(x, y, cache), (gap - 1) // 2)
 
 
 def test_mu_coefficient(kl_cache_s4):
@@ -276,6 +279,27 @@ def test_recursion_rejects_a_corrupt_mu_sum_candidate(tmp_path, corrupt, x, y,
         kl_polynomial(x, y, cache)
 
 
+@pytest.mark.parametrize("corrupt,x,y,message", [
+    # P_{123,312} = P_{123,132}, so a corrupt 1 + q, read as the first
+    # descent term, gives degree 1 where l(312) - l(123) = 2 allows 0.
+    ({((1, 2, 3), (1, 3, 2)): [1, 1]}, (1, 2, 3), (3, 1, 2), "degree bound"),
+    # P_{213,321} = P_{123,231} + q P_{213,231} - q: the corrupt 1 + 3q
+    # is first read as the second descent term and brings in 3q^2.
+    ({((2, 1, 3), (2, 3, 1)): [1, 3]}, (2, 1, 3), (3, 2, 1), "degree bound"),
+    # P_{1234,4312} takes mu(3214, 3412) = 1 times q P_{1234,3214}; a
+    # corrupt 2 there, first read as that mu-term, leaves 1 - q.
+    ({((1, 2, 3, 4), (3, 2, 1, 4)): [2]}, (1, 2, 3, 4), (4, 3, 1, 2),
+     "negative coefficient"),
+], ids=["first-descent-term", "second-descent-term", "mu-term"])
+def test_recursion_rejects_a_corrupt_term_read_inline(tmp_path, corrupt, x, y,
+                                                      message):
+    # A miss reads its terms straight from the store, not through a
+    # recursive call; the sum they make is checked all the same.
+    cache = _cache_holding(tmp_path, len(x), corrupt)
+    with pytest.raises(ArithmeticError, match=message):
+        kl_polynomial(x, y, cache)
+
+
 def _cold_s5_cache():
     cache = KLCache(5)
     for y in symmetric_group(5):
@@ -318,6 +342,29 @@ def test_cache_load_rejects_entries_of_another_size(tmp_path):
                                 "table": {"13245|34125": [1, 1]}}))
     with pytest.raises(ValueError):
         KLCache.load(str(path))
+
+
+@pytest.mark.parametrize("key", ["4321|1234", "1234|1234", "2143|1342"])
+def test_cache_load_rejects_a_pair_that_is_not_below(tmp_path, key):
+    # The recursion stores only pairs x < y and never reads any other, so
+    # such an entry could only be counted and saved back.
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1, "table": {
+        "1324|3412": [1, 1], key: [7]}}))
+    with pytest.raises(ValueError, match=re.escape(f"cache entry {key} in")):
+        KLCache.load(str(path))
+
+
+def test_cache_load_accepts_every_word_form_parse_perm_does(tmp_path):
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1, "table": {
+        "1,3,2,4|3,4,1,2": [1, 1], " 1234 |2143": [1], "1243|2,1,4,3": [1]}}))
+    cache = KLCache.load(str(path))
+    assert len(cache) == 3
+    assert kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), cache) == \
+        IntPolynomial((1, 1))
+    assert kl_polynomial((1, 2, 3, 4), (2, 1, 4, 3), cache) == ONE
+    assert (cache.hits, cache.misses) == (2, 0)
 
 
 MALFORMED_CACHE_DOCS = {

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -165,30 +166,84 @@ def test_bruhat_table_moves_and_w0_mirror(n):
         assert table.index[compose(w0, v)] == top - k
 
 
+def bruhat_table_bit_by_bit(n):
+    """
+    Test oracle for ``bruhat_table``: every field as it was first built,
+    lifting ``below`` one set bit at a time along the first descent and
+    reading ``above`` as the bit-reversed ``below`` of the w_0 mirror.
+    """
+    perms = tuple(symmetric_group(n))
+    size = len(perms)
+    index = {v: k for k, v in enumerate(perms)}
+    times_s = tuple(
+        tuple(index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms)
+        for i in range(n - 1))
+    first_descent = tuple(
+        next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
+    below = []
+    for k, i in enumerate(first_descent):
+        if i < 0:
+            below.append(1 << k)
+            continue
+        lower = below[times_s[i][k]]
+        lifted = 0
+        for j in iter_bits(lower):
+            lifted |= 1 << times_s[i][j]
+        below.append(lower | lifted)
+    above = tuple(int(format(below[size - 1 - k], f"0{size}b")[::-1], 2)
+                  for k in range(size))
+    descents = tuple(
+        sum(1 << k for k, v in enumerate(perms) if v[i] > v[i + 1])
+        for i in range(n - 1))
+    lengths = tuple(map(length, perms))
+    odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
+    return {"perms": perms, "lengths": lengths, "index": index,
+            "below": tuple(below), "above": above, "descents": descents,
+            "odd": odd, "times_s": times_s, "first_descent": first_descent}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bruhat_table_matches_the_bit_by_bit_oracle(n):
+    table = bruhat_table(n)
+    expected = bruhat_table_bit_by_bit(n)
+    assert {field.name for field in dataclasses.fields(table)} == set(expected)
+    for name, value in expected.items():
+        assert getattr(table, name) == value, name
+
+
 @st.composite
-def s6_pairs(draw):
-    """(x, y) in S_6: independent, or x below y by undoing inversions."""
-    s6 = st.permutations(list(range(1, 7))).map(tuple)
-    y = draw(s6)
+def pairs_in(draw, n):
+    """(x, y) in S_n: independent, or x below y by undoing inversions."""
+    sn = st.permutations(list(range(1, n + 1))).map(tuple)
+    y = draw(sn)
     if draw(st.booleans()):
-        return draw(s6), y
+        return draw(sn), y
     x = list(y)
-    for i, j in draw(st.lists(st.tuples(st.integers(0, 5),
-                                        st.integers(0, 5)), max_size=6)):
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=n)):
         if i < j and x[i] > x[j]:
             x[i], x[j] = x[j], x[i]
     return tuple(x), y
 
 
-@given(s6_pairs())
-@settings(max_examples=300, deadline=None)
-def test_bruhat_table_matches_bruhat_leq_on_s6(pair):
-    x, y = pair
-    table = bruhat_table(6)
+def _table_agrees_with_bruhat_leq(table, x, y):
     j, k = table.index[x], table.index[y]
     assert _has_bit(table.below[k], j) == bruhat_leq(x, y)
     assert _has_bit(table.above[j], k) == bruhat_leq(x, y)
     assert _has_bit(table.below[j], k) == bruhat_leq(y, x)
+
+
+@given(pairs_in(6))
+@settings(max_examples=300, deadline=None)
+def test_bruhat_table_matches_bruhat_leq_on_s6(pair):
+    _table_agrees_with_bruhat_leq(bruhat_table(6), *pair)
+
+
+@given(pairs_in(7))
+@settings(max_examples=300, deadline=None)
+def test_bruhat_table_matches_bruhat_leq_on_s7(pair):
+    # No oracle builds the whole S_7 table in test time; pairs are checked.
+    _table_agrees_with_bruhat_leq(bruhat_table(7), *pair)
 
 
 def test_bruhat_table_is_guarded():

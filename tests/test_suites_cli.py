@@ -237,6 +237,21 @@ def test_cli_kl_rejects_a_malformed_cache_file(tmp_path, capsys, doc):
     assert captured.err.startswith("error: ")
 
 
+def test_cli_kl_rejects_cache_entries_that_are_not_below(tmp_path, capsys):
+    # Neither pair is x < y in Bruhat order, so the recursion would never
+    # read them; the file is refused, not counted and saved back.
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1, "table": {
+        "4321|1234": [7], "1234|1234": [5]}}))
+    before = path.read_bytes()
+    assert main(["kl", "1324", "3412",
+                 "--kl-cache", str(tmp_path / "kl.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cache entry 4321|1234 ")
+    assert path.read_bytes() == before
+
+
 def _write_fixture_matrix(path) -> str:
     with open(path, "w") as handle:
         json.dump(fixtures.TWO_POSITIVE_NOT_THREE.to_doc(), handle)
