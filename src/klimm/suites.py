@@ -155,7 +155,6 @@ def _case_rng(seed: int, suite: str, key: str) -> random.Random:
 
 
 def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
-    # Entries are Fractions already: from_rows would wrap each in another.
     return Matrix(tuple(
         tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 50))
               for _ in range(n))
