@@ -26,7 +26,7 @@ from .exactmat import (
 )
 from .grid import (
     BoundingBox,
-    LabeledGrid,
+    Grid,
     block_antidiagonal_split,
     bounding_boxes,
     boxes_alternate,

@@ -69,13 +69,14 @@ def cmd_imm(args) -> int:
     R = _parse_labels(args.R) if args.R else tuple(range(1, len(v) + 1))
     C = _parse_labels(args.C) if args.C else tuple(range(1, len(v) + 1))
     caches = KLCacheRegistry(_cache_base(args))
-    cache = caches.for_n(len(v))
     if args.method == "definition":
-        result = dual_canonical_eval(v, R, C, M, "definition", cache)
+        result = dual_canonical_eval(v, R, C, M, "definition",
+                                     caches.for_n(len(v)))
     elif args.method == "det":
         result = dual_canonical_eval(v, R, C, M, "determinantal")
     else:
-        by_def = dual_canonical_eval(v, R, C, M, "definition", cache)
+        by_def = dual_canonical_eval(v, R, C, M, "definition",
+                                     caches.for_n(len(v)))
         result = dual_canonical_eval(v, R, C, M, "determinantal")
         if by_def.value != result.value:
             print(f"METHOD DISAGREEMENT: definition={by_def.value} "
@@ -90,6 +91,7 @@ def cmd_imm(args) -> int:
 
 def _render_grid_ascii(v: Perm) -> str:
     P = graph_of_upper_interval(v)
+    identity_labels = range(1, P.n + 1)
     lines = []
     for i in range(1, P.n + 1):
         row = []
@@ -104,7 +106,8 @@ def _render_grid_ascii(v: Perm) -> str:
     lines.append("")
     lines.append(f"cells: {sum(mask.bit_count() for mask in P.rows)}"
                  f"   largest square: {largest_square(P)}"
-                 f"   admissible (identity labels): {is_admissible(P)}")
+                 f"   admissible (identity labels): "
+                 f"{is_admissible(P, identity_labels, identity_labels)}")
     for box in bounding_boxes(v):
         corners = ", ".join(str(c) for c in box.corners)
         lines.append(f"box rows {box.rows[0]}-{box.rows[1]} "

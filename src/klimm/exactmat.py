@@ -27,7 +27,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .grid import LabeledGrid
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def deleted_det(M: Matrix, gone_rows: Iterable[int],
     return minor(M, keep_rows, keep_cols)
 
 
-def restrict(M: Matrix, P: LabeledGrid) -> Matrix:
+def restrict(M: Matrix, P: Grid) -> Matrix:
     """Zero out every entry outside the grid."""
     n = _require_square(M)
     if P.n != n:

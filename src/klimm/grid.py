@@ -4,10 +4,11 @@ Graphs of upper Bruhat intervals and their combinatorics.
 The central object is the union of permutation graphs over an interval
 [v, w_0], drawn in an n x n grid with rows increasing downward and
 columns increasing rightward (matrix convention).  A cell is a pair
-(row, col), 1-indexed.  Grids carry weakly increasing row and column
-labels drawn from [m]; when none are supplied the identity labels
-(1, ..., n) are used, which makes the unlabeled theory a special case of
-the labeled one.
+(row, col), 1-indexed.  A grid is its cells and nothing else: the
+weakly increasing row and column labels (R, C) of a repeated-row/column
+basis element matter only to admissibility, so they are arguments of
+:func:`is_admissible`.  The identity labels (1, ..., n) make the
+unlabeled theory a special case of the labeled one.
 
 A grid is stored as one bitmask per row, bit j of row i marking the
 cell (i, j).  Admissibility, squares, deletions and block splits are
@@ -79,25 +80,18 @@ def _columns(lo: int, hi: int) -> int:
 
 
 @dataclass(frozen=True)
-class LabeledGrid:
+class Grid:
     """
-    A subset of [n]^2 with weakly increasing row and column labels.  Bit j
-    of ``rows[i - 1]`` is the cell (i, j), so only bits 1..n may be set.
+    A subset of [n]^2.  Bit j of ``rows[i - 1]`` is the cell (i, j), so
+    only bits 1..n may be set.
     """
 
     n: int
     rows: tuple[int, ...]
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
 
     def __post_init__(self):
         if not isinstance(self.rows, tuple) or len(self.rows) != self.n:
             raise ValueError("rows must be a tuple of n masks")
-        if len(self.row_labels) != self.n or len(self.col_labels) != self.n:
-            raise ValueError("labels must have length n")
-        for labels in (self.row_labels, self.col_labels):
-            if any(a > b for a, b in zip(labels, labels[1:])):
-                raise ValueError(f"labels must be weakly increasing: {labels}")
         outside = ~_columns(1, self.n)
         if any(mask & outside for mask in self.rows):
             raise ValueError(f"row mask with a column outside [1, {self.n}]")
@@ -106,24 +100,14 @@ class LabeledGrid:
         return 1 <= i <= self.n and bool(self.rows[i - 1] >> j & 1)
 
     def to_doc(self) -> dict:
+        """The cells, with the identity labels the grid format records."""
         return {
             "n": self.n,
             "cells": [[i, j] for i, mask in enumerate(self.rows, start=1)
                       for j in iter_bits(mask)],
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
+            "row_labels": list(range(1, self.n + 1)),
+            "col_labels": list(range(1, self.n + 1)),
         }
-
-
-def _labeled(n: int, rows: Sequence[int],
-             row_labels: Sequence[int] | None = None,
-             col_labels: Sequence[int] | None = None) -> LabeledGrid:
-    """A LabeledGrid from row masks, defaulting to identity labels."""
-    identity_labels = tuple(range(1, n + 1))
-    return LabeledGrid(
-        n, tuple(rows),
-        identity_labels if row_labels is None else tuple(row_labels),
-        identity_labels if col_labels is None else tuple(col_labels))
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +132,7 @@ def _upper_interval_rows(v: Perm, skip: int = 0) -> tuple[int, ...]:
                  for x, lo, hi in zip(v, lows, highs[::-1]))
 
 
-def graph_of_upper_interval(v: Perm,
-                            row_labels: Sequence[int] | None = None,
-                            col_labels: Sequence[int] | None = None) -> LabeledGrid:
+def graph_of_upper_interval(v: Perm) -> Grid:
     """
     The union of graphs of all u >= v: the graph of v together with every
     cell sandwiched by one of its non-inversions.  A word that is not a
@@ -159,7 +141,7 @@ def graph_of_upper_interval(v: Perm,
     >>> graph_of_upper_interval((2, 4, 1, 3)).to_doc()["cells"][:3]
     [[1, 2], [1, 3], [1, 4]]
     """
-    return _labeled(len(v), _upper_interval_rows(tuple(v)), row_labels, col_labels)
+    return Grid(len(v), _upper_interval_rows(tuple(v)))
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +159,7 @@ def _value_bitsets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, at))
 
 
-def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
+def graph_of_interval_bruteforce(v: Perm) -> Grid:
     """
     Oracle for :func:`graph_of_upper_interval`: list [v, w_0] from
     ``above[v]`` of :func:`klimm.perm.bruhat_table` (itself tested against
@@ -189,12 +171,12 @@ def graph_of_interval_bruteforce(v: Perm) -> LabeledGrid:
     v = as_perm(v)
     table = bruhat_table(len(v))
     interval = table.above[table.index[v]]
-    return _labeled(len(v), [
+    return Grid(len(v), tuple(
         sum(1 << x for x, members in enumerate(by_value) if interval & members)
-        for by_value in _value_bitsets(len(v))])
+        for by_value in _value_bitsets(len(v))))
 
 
-def largest_square(P: LabeledGrid) -> int:
+def largest_square(P: Grid) -> int:
     """
     Side of the largest contiguous axis-aligned square block of cells
     fully contained in P; 0 for the empty grid.
@@ -223,25 +205,39 @@ def squares_match_noninversions(v: Perm) -> bool:
     return largest_square(graph_of_upper_interval(v)) == predicted
 
 
-def is_admissible(P: LabeledGrid) -> bool:
+def is_admissible(P: Grid, R: Sequence[int], C: Sequence[int]) -> bool:
     """
-    No two rows with equal labels share their support, and likewise for
-    columns.  This is exactly the condition for the restricted
-    repeated-row/column matrix to have no two identical rows or columns
-    forced by the labeling.
+    Whether P is (R, C)-admissible: no two rows with equal labels in R
+    share their support, and likewise for columns and C.  This is exactly
+    the condition for the restricted repeated-row/column matrix to have
+    no two identical rows or columns forced by the labeling.  R and C
+    must be weakly increasing of length n, else ValueError.
+
+    >>> G = graph_of_upper_interval((2, 4, 1, 3))
+    >>> is_admissible(G, (1, 2, 3, 4), (1, 2, 3, 4))
+    True
+
+    Rows 1 and 2 both have the support {2, 3, 4}, so they may not share
+    a label:
+
+    >>> is_admissible(G, (1, 1, 2, 3), (1, 2, 3, 4))
+    False
     """
+    for labels in (R, C):
+        if len(labels) != P.n:
+            raise ValueError(f"labels {tuple(labels)} must have length {P.n}")
+        if any(a > b for a, b in zip(labels, labels[1:])):
+            raise ValueError(f"labels must be weakly increasing: {tuple(labels)}")
     cols = [sum((mask >> j & 1) << i for i, mask in enumerate(P.rows))
             for j in range(1, P.n + 1)]
-    return (len(set(zip(P.row_labels, P.rows))) == P.n
-            and len(set(zip(P.col_labels, cols))) == P.n)
+    return (len(set(zip(R, P.rows))) == P.n
+            and len(set(zip(C, cols))) == P.n)
 
 
-def delete_rows_cols(P: LabeledGrid, I: Iterable[int],
-                     J: Iterable[int]) -> LabeledGrid:
+def delete_rows_cols(P: Grid, I: Iterable[int], J: Iterable[int]) -> Grid:
     """
     Delete rows I and columns J, reindexing the survivors by the unique
-    order-preserving maps.  Labels travel with their surviving rows and
-    columns.
+    order-preserving maps.
     """
     rows_gone = frozenset(I)
     cols_gone = frozenset(J)
@@ -253,9 +249,7 @@ def delete_rows_cols(P: LabeledGrid, I: Iterable[int],
     kept_cols = [j for j in range(1, P.n + 1) if j not in cols_gone]
     rows = tuple(sum(1 << new for new, old in enumerate(kept_cols, start=1)
                      if P.rows[i - 1] >> old & 1) for i in kept_rows)
-    return LabeledGrid(len(kept_rows), rows,
-                       tuple(P.row_labels[i - 1] for i in kept_rows),
-                       tuple(P.col_labels[j - 1] for j in kept_cols))
+    return Grid(len(kept_rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +366,16 @@ def durfee(parts: Sequence[int]) -> int:
     return best
 
 
-def young_diagram_grid(parts: Sequence[int], n: int,
-                       row_labels: Sequence[int] | None = None,
-                       col_labels: Sequence[int] | None = None) -> LabeledGrid:
+def young_diagram_grid(parts: Sequence[int], n: int) -> Grid:
     """The grid {(i, j) : j <= lambda_i} inside [n]^2."""
     padded = _validated_partition(parts, n)
-    return _labeled(n, [_columns(1, p) for p in padded], row_labels, col_labels)
+    return Grid(n, tuple(_columns(1, p) for p in padded))
 
 
-def young_complement_grid(parts: Sequence[int], n: int,
-                          row_labels: Sequence[int] | None = None,
-                          col_labels: Sequence[int] | None = None) -> LabeledGrid:
+def young_complement_grid(parts: Sequence[int], n: int) -> Grid:
     """The grid {(i, j) : j > mu_i} inside [n]^2, for mu = parts."""
     padded = _validated_partition(parts, n)
-    return _labeled(n, [_columns(p + 1, n) for p in padded], row_labels, col_labels)
+    return Grid(n, tuple(_columns(p + 1, n) for p in padded))
 
 
 def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
@@ -403,11 +393,11 @@ def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
 # Block-antidiagonal structure and deletions.
 
 
-def block_antidiagonal_split(P: LabeledGrid) -> tuple[int, LabeledGrid, LabeledGrid] | None:
+def block_antidiagonal_split(P: Grid) -> tuple[int, Grid, Grid] | None:
     """
     If the cells fit inside an upper-right block of size n - j and a
     lower-left block of size j for some minimal j, return j and the two
-    blocks reindexed to their own coordinates, labels carried along.
+    blocks reindexed to their own coordinates.
     Returns None when no such split exists.
     """
     n = P.n
@@ -416,10 +406,7 @@ def block_antidiagonal_split(P: LabeledGrid) -> tuple[int, LabeledGrid, LabeledG
         top, bottom = P.rows[:s], P.rows[s:]
         if (not any(mask & _columns(1, j) for mask in top)
                 and all(mask < 2 << j for mask in bottom)):
-            upper = LabeledGrid(s, tuple(mask >> j for mask in top),
-                                P.row_labels[:s], P.col_labels[j:])
-            lower = LabeledGrid(j, bottom, P.row_labels[s:], P.col_labels[:j])
-            return j, upper, lower
+            return j, Grid(s, tuple(mask >> j for mask in top)), Grid(j, bottom)
     return None
 
 
@@ -429,7 +416,7 @@ def _deletes_to_interval_graph(v: Perm, i: int, rows: tuple[int, ...]) -> bool:
     of the word with v_i deleted.
     """
     x = delete_entry(v, i)
-    reduced = delete_rows_cols(_labeled(len(v), rows), {i}, {v[i - 1]})
+    reduced = delete_rows_cols(Grid(len(v), rows), {i}, {v[i - 1]})
     return reduced.rows == _upper_interval_rows(x)
 
 

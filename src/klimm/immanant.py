@@ -33,7 +33,7 @@ from .exactmat import (
 )
 from .grid import (
     FORBIDDEN_PATTERNS,
-    LabeledGrid,
+    Grid,
     as_multiset,
     block_antidiagonal_split,
     bounding_boxes,
@@ -80,7 +80,7 @@ def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
 
 
 def _signed_restricted_det(M: Matrix, R: tuple[int, ...], C: tuple[int, ...],
-                           grid: LabeledGrid, exponent: int) -> Fraction:
+                           grid: Grid, exponent: int) -> Fraction:
     """(-1)^exponent times det of M[R, C] restricted to the grid."""
     value = det(restrict(repeat_submatrix(M, R, C), grid))
     return -value if exponent % 2 else value
@@ -166,8 +166,8 @@ def dual_canonical_eval(v: Perm, R: Sequence[int], C: Sequence[int],
     """
     Evaluate the repeated-row/column basis element indexed by (v, R, C)
     on M.  R and C are weakly increasing label multisets over [m] where
-    M is m x m; the result records admissibility and the largest square
-    of the labeled grid alongside the value.
+    M is m x m; the result records the (R, C)-admissibility and the
+    largest square of the graph of [v, w0] alongside the value.
     """
     v = tuple(v)
     if not M.is_square:
@@ -185,15 +185,15 @@ def dual_canonical_eval(v: Perm, R: Sequence[int], C: Sequence[int],
         value = imm_determinantal(v, repeated)
     else:
         value = imm_definition(v, repeated, cache)
-    labeled = graph_of_upper_interval(v, R, C)
+    graph = graph_of_upper_interval(v)
     return ImmanantResult(
         value=value,
         method=method,
         v=v,
         row_labels=R,
         col_labels=C,
-        admissible=is_admissible(labeled),
-        largest_square=largest_square(labeled),
+        admissible=is_admissible(graph, R, C),
+        largest_square=largest_square(graph),
         length_v=length(v),
     )
 
@@ -263,10 +263,10 @@ def young_sign_law(parts: Sequence[int], R: Sequence[int],
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
     n = len(R)
-    shape = young_diagram_grid(parts, n, R, C)
+    shape = young_diagram_grid(parts, n)
     signed = _signed_restricted_det(M, R, C, shape, n * n - sum(parts))
     return obeys_sign_law(
-        signed, _staircase_contained(parts, n) and is_admissible(shape))
+        signed, _staircase_contained(parts, n) and is_admissible(shape, R, C))
 
 
 def young_complement_sign_law(parts: Sequence[int], R: Sequence[int],
@@ -282,11 +282,12 @@ def young_complement_sign_law(parts: Sequence[int], R: Sequence[int],
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
     n = len(R)
-    shape = young_complement_grid(parts, n, R, C)
+    shape = young_complement_grid(parts, n)
     signed = _signed_restricted_det(M, R, C, shape, sum(parts))
     return obeys_sign_law(
         signed,
-        _contained_in_reverse_staircase(parts, n) and is_admissible(shape))
+        _contained_in_reverse_staircase(parts, n)
+        and is_admissible(shape, R, C))
 
 
 @dataclass(frozen=True)
@@ -368,8 +369,7 @@ def lewis_carroll_sign_probe(v: Perm, R: Sequence[int], C: Sequence[int],
 
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
-    A = restrict(repeat_submatrix(M, R, C),
-                 graph_of_upper_interval(v, R, C))
+    A = restrict(repeat_submatrix(M, R, C), graph_of_upper_interval(v))
     b = inverse(v)[0]
     reference = deleted_det(A, {b}, {1}) * deleted_det(A, {a}, {d})
     if reference == 0:

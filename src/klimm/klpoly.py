@@ -82,20 +82,17 @@ class IntPolynomial:
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
 
-# One polynomial per distinct coefficient tuple (trailing zeros and all):
-# S_6 has 43,693 KL values but only 14 distinct ones.
-interned = lru_cache(maxsize=None)(IntPolynomial)
-
-
 @lru_cache(maxsize=None)
 def checked(coeffs: tuple[int, ...]) -> IntPolynomial | None:
     """
-    The interned value of a sum the recursion built, or None if it lacks
-    constant term 1 or has a negative coefficient; both depend on the
-    tuple alone, so each distinct tuple is checked once.  ``KLCache.load``
-    interns without checking and never fills this pool.
+    The polynomial with these coefficients, or None if it lacks constant
+    term 1 or has a negative coefficient.  Both depend on the tuple alone,
+    so each distinct tuple (trailing zeros and all) is checked once, and
+    its values share one polynomial: S_6 has 43,693 KL values but only 14
+    distinct ones.
     """
-    return interned(coeffs) if coeffs[0] == 1 and min(coeffs) >= 0 else None
+    p = IntPolynomial(coeffs)
+    return p if p.coeffs[:1] == (1,) and min(p.coeffs) >= 0 else None
 
 
 CACHE_FORMAT_VERSION = 1
@@ -161,7 +158,9 @@ class KLCache:
         table, and any other form is parsed.  Each key must be a pair
         x < y in Bruhat order, the only pairs the recursion stores.  The
         types of all coefficients are checked in one pass, and an entry is
-        named by a second pass only when that fails.  Entries with equal
+        named by a second pass only when that fails.  Each value must pass
+        the checks the recursion applies to its own: constant term 1,
+        nonnegative coefficients and the degree bound.  Entries with equal
         coefficient lists share one polynomial.
         """
         with open(path) as handle:
@@ -185,6 +184,7 @@ class KLCache:
                              "list of integers")
         cache = cls(n)
         index, below = cache.table.index, cache.table.below
+        lengths = cache.table.lengths
         size = len(index)
         positions = {format_perm(v): k for v, k in index.items()}
         for key, coeffs in table.items():
@@ -201,7 +201,13 @@ class KLCache:
             if x == y or not below[y] >> x & 1:
                 raise ValueError(f"cache entry {key} in {path} is not a "
                                  "pair x < y in Bruhat order")
-            cache._values[y * size + x] = interned(tuple(coeffs))
+            p = checked(tuple(coeffs))
+            if p is None or 2 * len(p.coeffs) > lengths[y] - lengths[x] + 1:
+                raise ValueError(
+                    f"cache entry {key} in {path} is not a KL polynomial: it "
+                    "needs constant term 1, nonnegative coefficients and "
+                    "degree at most (l(y) - l(x) - 1) / 2")
+            cache._values[y * size + x] = p
         return cache
 
 

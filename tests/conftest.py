@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from klimm.errors import ShapeError
 from klimm.exactmat import Matrix
-from klimm.grid import LabeledGrid
+from klimm.grid import Grid
 from klimm.klpoly import KLCache, kl_polynomial
 from klimm.perm import iter_bits, non_inversions
 from klimm.suites import _partitions_in_box
@@ -54,22 +54,18 @@ def young_shapes(P, build) -> list[tuple[int, ...]]:
             if build(parts, P.n).rows == P.rows]
 
 
-def grid(n, cells, row_labels=None, col_labels=None) -> LabeledGrid:
-    """Build a LabeledGrid from its cells, defaulting to identity labels."""
+def grid(n, cells) -> Grid:
+    """Build a Grid from its cells."""
     rows = [0] * n
     for (i, j) in cells:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"cell {(i, j)} outside [{n}]^2")
         rows[i - 1] |= 1 << j
-    identity_labels = tuple(range(1, n + 1))
-    return LabeledGrid(
-        n, tuple(rows),
-        identity_labels if row_labels is None else tuple(row_labels),
-        identity_labels if col_labels is None else tuple(col_labels))
+    return Grid(n, tuple(rows))
 
 
 def cells_of(P) -> frozenset:
-    """The cells (i, j) of a LabeledGrid, read off its row masks."""
+    """The cells (i, j) of a Grid, read off its row masks."""
     return frozenset((i, j) for i, mask in enumerate(P.rows, start=1)
                      for j in iter_bits(mask))
 

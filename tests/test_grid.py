@@ -21,7 +21,7 @@ from klimm.errors import (
 )
 from klimm.grid import (
     BoundingBox,
-    LabeledGrid,
+    Grid,
     block_antidiagonal_split,
     bounding_boxes,
     boxes_alternate,
@@ -156,16 +156,24 @@ def test_support_of_empty_grid():
 
 def test_admissibility_examples():
     G = graph_of_upper_interval(V2413)
-    assert is_admissible(graph_of_upper_interval(
-        V2413, fixtures.ADMISSIBLE_ROW_LABELS, fixtures.ADMISSIBLE_COL_LABELS))
-    assert not is_admissible(graph_of_upper_interval(
-        V2413, (1, 2, 2, 3), (1, 2, 2, 3)))
-    assert is_admissible(G)  # identity labels are all distinct
+    assert is_admissible(
+        G, fixtures.ADMISSIBLE_ROW_LABELS, fixtures.ADMISSIBLE_COL_LABELS)
+    assert not is_admissible(G, (1, 2, 2, 3), (1, 2, 2, 3))
+    # identity labels are all distinct
+    assert is_admissible(G, (1, 2, 3, 4), (1, 2, 3, 4))
 
 
 def test_labels_must_be_weakly_increasing():
-    with pytest.raises(ValueError):
-        grid(3, [], row_labels=(2, 1, 3))
+    with pytest.raises(ValueError, match="weakly increasing"):
+        is_admissible(grid(3, []), (2, 1, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match="weakly increasing"):
+        is_admissible(grid(3, []), (1, 2, 3), (1, 3, 2))
+
+
+@pytest.mark.parametrize("R,C", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4))])
+def test_labels_must_have_length_n(R, C):
+    with pytest.raises(ValueError, match="length 3"):
+        is_admissible(grid(3, []), R, C)
 
 
 def test_delete_rows_cols_basics():
@@ -179,22 +187,12 @@ def test_delete_rows_cols_basics():
 
 
 def test_deletion_composes():
-    G = graph_of_upper_interval((5, 2, 6, 4, 1, 3),
-                                row_labels=(1, 1, 2, 2, 3, 3),
-                                col_labels=(1, 2, 2, 3, 3, 4))
+    G = graph_of_upper_interval((5, 2, 6, 4, 1, 3))
     both = delete_rows_cols(G, {2, 5}, {1, 4})
     step1 = delete_rows_cols(G, {2}, {1})
     # after deleting row 2, old row 5 sits at position 4; same for columns
     step2 = delete_rows_cols(step1, {4}, {3})
     assert both == step2
-
-
-def test_deletion_preserves_surviving_labels():
-    G = graph_of_upper_interval(V2413, row_labels=(1, 2, 2, 3),
-                                col_labels=(1, 2, 3, 3))
-    reduced = delete_rows_cols(G, {2}, {3})
-    assert reduced.row_labels == (1, 2, 3)
-    assert reduced.col_labels == (1, 2, 3)
 
 
 def test_bounding_boxes_worked_example():
@@ -307,17 +305,6 @@ def test_block_split_extremes():
     assert j == 1 and upper.n == 3 and lower.n == 1
 
 
-def test_block_split_carries_labels():
-    G = graph_of_upper_interval(fixtures.BLOCK_SPLIT_WORD,
-                                row_labels=(1, 1, 2, 2, 3, 3, 4, 4),
-                                col_labels=(1, 2, 3, 4, 5, 6, 7, 8))
-    j, upper, lower = block_antidiagonal_split(G)
-    assert upper.row_labels == (1, 1, 2, 2, 3)
-    assert upper.col_labels == (4, 5, 6, 7, 8)
-    assert lower.row_labels == (3, 4, 4)
-    assert lower.col_labels == (1, 2, 3)
-
-
 def test_deletion_grid_identities():
     v = fixtures.DELETION_WORD
     i = fixtures.DELETION_POSITION
@@ -361,12 +348,15 @@ def test_label_patterns():
 
 def from_doc(doc):
     # A grid document carries all that grid() needs to rebuild the grid.
-    return grid(doc["n"], doc["cells"], doc["row_labels"], doc["col_labels"])
+    return grid(doc["n"], doc["cells"])
 
 
 def test_grid_doc_round_trip():
-    G = graph_of_upper_interval(V2413, row_labels=(1, 2, 2, 3))
-    assert from_doc(G.to_doc()) == G
+    G = graph_of_upper_interval(V2413)
+    doc = G.to_doc()
+    assert from_doc(doc) == G
+    # The documented format keeps its label lists, always the identity.
+    assert doc["row_labels"] == doc["col_labels"] == [1, 2, 3, 4]
 
 
 @given(st.permutations(list(range(1, 6))))
@@ -405,9 +395,7 @@ def delete_oracle(P, I, J):
         (j for j in range(1, P.n + 1) if j not in J), start=1)}
     return grid(P.n - len(I),
                 [(row_map[i], col_map[j]) for (i, j) in cells_of(P)
-                 if i in row_map and j in col_map],
-                [P.row_labels[i - 1] for i in row_map],
-                [P.col_labels[j - 1] for j in col_map])
+                 if i in row_map and j in col_map])
 
 
 def block_split_oracle(P):
@@ -416,10 +404,8 @@ def block_split_oracle(P):
     for j in range(1, n):
         s = n - j
         if all((r <= s and c > j) or (r > s and c <= j) for (r, c) in cells):
-            upper = grid(s, [(r, c - j) for (r, c) in cells if r <= s],
-                         P.row_labels[:s], P.col_labels[j:])
-            lower = grid(j, [(r - s, c) for (r, c) in cells if r > s],
-                         P.row_labels[s:], P.col_labels[:j])
+            upper = grid(s, [(r, c - j) for (r, c) in cells if r <= s])
+            lower = grid(j, [(r - s, c) for (r, c) in cells if r > s])
             return j, upper, lower
     return None
 
@@ -430,13 +416,20 @@ def labels(n):
 
 
 @st.composite
-def labeled_grids(draw, max_n=7):
-    """Arbitrary cell sets in [n]^2 (empty and full included), random labels."""
+def grids(draw, max_n=7):
+    """Arbitrary cell sets in [n]^2 (empty and full included)."""
     n = draw(st.integers(1, max_n))
     square = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     cells = draw(st.one_of(st.just(()), st.just(square),
                            st.sets(st.sampled_from(square))))
-    return grid(n, cells, draw(labels(n)), draw(labels(n)))
+    return grid(n, cells)
+
+
+@st.composite
+def labeled_grids(draw):
+    """A grid and, drawn apart from it, random row and column labels."""
+    P = draw(grids())
+    return P, draw(labels(P.n)), draw(labels(P.n))
 
 
 @st.composite
@@ -448,10 +441,10 @@ def near_block_grids(draw):
     blocks = [(r, c) for (r, c) in square if (r <= n - j) == (c > j)]
     cells = draw(st.sets(st.sampled_from(blocks)))
     stray = draw(st.sets(st.sampled_from(square), max_size=1))
-    return grid(n, cells | stray, draw(labels(n)), draw(labels(n)))
+    return grid(n, cells | stray)
 
 
-@given(labeled_grids())
+@given(grids())
 @settings(max_examples=300, deadline=None)
 def test_largest_square_matches_the_cell_dp(P):
     assert largest_square(P) == square_dp_oracle(P)
@@ -464,7 +457,7 @@ def test_largest_square_of_empty_and_full_grids(n):
     assert largest_square(grid(n, square)) == n
 
 
-@given(labeled_grids(), st.data())
+@given(grids(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_delete_rows_cols_matches_the_cell_reindex(P, data):
     count = data.draw(st.integers(0, P.n))
@@ -473,25 +466,24 @@ def test_delete_rows_cols_matches_the_cell_reindex(P, data):
     assert delete_rows_cols(P, I, J) == delete_oracle(P, I, J)
 
 
-@given(st.one_of(labeled_grids(), near_block_grids()))
+@given(st.one_of(grids(), near_block_grids()))
 @settings(max_examples=400, deadline=None)
 def test_block_split_matches_the_cell_test(P):
     assert block_antidiagonal_split(P) == block_split_oracle(P)
 
 
-def admissible_by_supports(P):
+def admissible_by_supports(P, R, C):
     """Admissibility by distinct (label, support set) pairs, rows and columns."""
     return all(
         len({(labels[idx - 1], support(P, idx))
              for idx in range(1, P.n + 1)}) == P.n
-        for labels, support in ((P.row_labels, row_support),
-                                (P.col_labels, col_support)))
+        for labels, support in ((R, row_support), (C, col_support)))
 
 
 @given(labeled_grids())
 @settings(max_examples=200, deadline=None)
-def test_is_admissible_matches_the_support_sets(P):
-    assert is_admissible(P) == admissible_by_supports(P)
+def test_is_admissible_matches_the_support_sets(labeled):
+    assert is_admissible(*labeled) == admissible_by_supports(*labeled)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -501,19 +493,19 @@ def test_is_admissible_matches_the_support_sets_on_interval_graphs(n):
     patterns = label_patterns(n, n)
     outcomes = set()
     for v in symmetric_group(n):
+        P = graph_of_upper_interval(v)
         for R in patterns:
             for C in patterns:
-                P = graph_of_upper_interval(v, R, C)
-                outcomes.add(is_admissible(P))
-                assert is_admissible(P) == admissible_by_supports(P)
+                outcomes.add(is_admissible(P, R, C))
+                assert is_admissible(P, R, C) == admissible_by_supports(P, R, C)
     assert outcomes == ({True} if n == 1 else {True, False})
 
 
-@given(labeled_grids())
+@given(grids())
 @settings(max_examples=100, deadline=None)
 def test_grid_doc_round_trip_arbitrary(P):
     assert from_doc(json.loads(json.dumps(P.to_doc()))) == P
-    assert grid(P.n, cells_of(P), P.row_labels, P.col_labels) == P
+    assert grid(P.n, cells_of(P)) == P
 
 
 @pytest.mark.parametrize("rows", [
@@ -526,7 +518,7 @@ def test_grid_doc_round_trip_arbitrary(P):
 ])
 def test_labeled_grid_rejects_malformed_rows(rows):
     with pytest.raises(ValueError):
-        LabeledGrid(3, rows, (1, 2, 3), (1, 2, 3))
+        Grid(3, rows)
 
 
 def test_grid_rejects_cells_outside_the_square():

@@ -143,6 +143,19 @@ def _cache_holding(tmp_path, n, entries):
     return KLCache.load(str(path))
 
 
+def _store_holding(n, entries):
+    """
+    A cache whose store holds {(x, y): coefficients} as given.  Load
+    refuses a value that is not a KL polynomial, so this is how a
+    recursion test puts one where its own checks must meet it.
+    """
+    cache = KLCache(n)
+    index, size = cache.table.index, len(cache.table.perms)
+    for (x, y), coeffs in entries.items():
+        cache._values[index[y] * size + index[x]] = IntPolynomial(tuple(coeffs))
+    return cache
+
+
 def test_cached_values_past_the_table_guard_are_rejected_too(tmp_path):
     # Past the guard no cache file loads, so no stored value can answer
     # what the recursion could not check; a cache for S_8 still answers
@@ -245,18 +258,18 @@ def test_cache_path_per_n():
     assert cache_path_for("cache", 4) == "cache.s4.json"
 
 
-def test_recursion_rejects_a_corrupt_cache_entry(tmp_path):
+def test_recursion_rejects_a_corrupt_cache_entry():
     # P_{123,213} = 1; a cache holding 2 makes P_{123,231} = 2, whose
     # constant term breaks a property every KL polynomial has.
-    cache = _cache_holding(tmp_path, 3, {((1, 2, 3), (2, 1, 3)): [2]})
+    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [2]})
     with pytest.raises(ArithmeticError):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
 
-def test_recursion_rejects_a_cached_term_past_the_degree_bound(tmp_path):
+def test_recursion_rejects_a_cached_term_past_the_degree_bound():
     # The corrupt term is longer than any polynomial the recursion could
     # build at this pair; it must fail a check, not index past a list.
-    cache = _cache_holding(tmp_path, 3, {((1, 2, 3), (2, 1, 3)): [1, 0, 0, 5]})
+    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [1, 0, 0, 5]})
     with pytest.raises(ArithmeticError):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
@@ -269,12 +282,11 @@ def test_recursion_rejects_a_cached_term_past_the_degree_bound(tmp_path):
     # descent term q P_{2314,2341}, past that pair's degree bound.
     ([1, 3], (2, 1, 3, 4), (4, 2, 3, 1), "degree bound"),
 ])
-def test_recursion_rejects_a_corrupt_mu_sum_candidate(tmp_path, corrupt, x, y,
-                                                      message):
+def test_recursion_rejects_a_corrupt_mu_sum_candidate(corrupt, x, y, message):
     # The corrupt entry is first read as the mu-sum candidate P_{z,ys} of
     # P_{1234,2431}, straight from the store; the checks must see it all
     # the same.
-    cache = _cache_holding(tmp_path, 4, {((2, 3, 1, 4), (2, 3, 4, 1)): corrupt})
+    cache = _store_holding(4, {((2, 3, 1, 4), (2, 3, 4, 1)): corrupt})
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, y, cache)
 
@@ -291,11 +303,10 @@ def test_recursion_rejects_a_corrupt_mu_sum_candidate(tmp_path, corrupt, x, y,
     ({((1, 2, 3, 4), (3, 2, 1, 4)): [2]}, (1, 2, 3, 4), (4, 3, 1, 2),
      "negative coefficient"),
 ], ids=["first-descent-term", "second-descent-term", "mu-term"])
-def test_recursion_rejects_a_corrupt_term_read_inline(tmp_path, corrupt, x, y,
-                                                      message):
+def test_recursion_rejects_a_corrupt_term_read_inline(corrupt, x, y, message):
     # A miss reads its terms straight from the store, not through a
     # recursive call; the sum they make is checked all the same.
-    cache = _cache_holding(tmp_path, len(x), corrupt)
+    cache = _store_holding(len(x), corrupt)
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, y, cache)
 
@@ -382,6 +393,14 @@ MALFORMED_CACHE_DOCS = {
                    "table": {"1324|3412": [1, 1], "1234|1234": [5]}},
     "pair-incomparable": {"n": 4, "format_version": 1,
                           "table": {"1324|3412": [1, 1], "2143|1342": [1]}},
+    # Loaded values pass the checks the recursion puts on its own.
+    "value-constant-term-2": {"n": 4, "format_version": 1,
+                              "table": {"1324|3412": [2]}},
+    "value-empty": {"n": 4, "format_version": 1, "table": {"1324|3412": []}},
+    "value-negative": {"n": 4, "format_version": 1,
+                       "table": {"1324|3412": [1, -1]}},
+    "value-past-the-degree-bound": {"n": 4, "format_version": 1,
+                                    "table": {"1324|3412": [1, 0, 1]}},
 }
 
 

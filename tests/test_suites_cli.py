@@ -227,7 +227,9 @@ def test_cli_kl_rejects_mislabelled_cache_file(tmp_path, capsys):
     [],
     {"n": 4, "format_version": 1, "table": {"1324|3412": ["a"]}},
     {"n": 4, "format_version": 1, "table": {"1324|3412": [1.5]}},
-], ids=["n-missing", "list", "coefficient-a-string", "coefficient-a-float"])
+    {"n": 4, "format_version": 1, "table": {"1324|3412": [2]}},
+], ids=["n-missing", "list", "coefficient-a-string", "coefficient-a-float",
+        "value-not-a-kl-polynomial"])
 def test_cli_kl_rejects_a_malformed_cache_file(tmp_path, capsys, doc):
     (tmp_path / "kl.s4.json").write_text(json.dumps(doc))
     base = str(tmp_path / "kl.json")
@@ -282,6 +284,21 @@ def test_cli_imm_identity_defaults_and_det_method(tmp_path, capsys):
     assert main(["imm", "1324", "-m", matrix, "--method", "det"]) == 1
     # the defining sum handles it fine
     assert main(["imm", "1324", "-m", matrix, "--method", "definition"]) == 0
+
+
+def test_cli_imm_det_reads_no_kl_cache(tmp_path, capsys):
+    # Only the defining sum reads KL values, so a cache file that would
+    # be refused fails the routes that use it and no other.
+    matrix = _write_fixture_matrix(tmp_path / "m.json")
+    (tmp_path / "kl.s4.json").write_text("[]")
+    base = str(tmp_path / "kl.json")
+    assert main(["imm", "2413", "-m", matrix, "--method", "det",
+                 "--kl-cache", base]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "determinantal"
+    for method in ("definition", "both"):
+        assert main(["imm", "2413", "-m", matrix, "--method", method,
+                     "--kl-cache", base]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_imm_closes_the_matrix_file(tmp_path, capsys):
@@ -470,3 +487,33 @@ def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PROP31_DIGESTS} == PROP31_DIGESTS
+
+
+# SHA-256 of outputs that read row and column labels, pinned from the
+# grids that carried their own labels: passing the labels to
+# is_admissible instead must leave every byte of them alone.  MATRIX
+# stands for the fixture matrix file.
+LABEL_DIGESTS = [
+    (["check", "main-sq", "--max-n", "4", "--max-m", "4", "--samples", "1"],
+     "b6550c20d967d749d1449a5dcb75a37a307a01b4993e26204bc80b165cc29210"),
+    (["check", "young", "--max-n", "4", "--max-m", "4", "--samples", "1"],
+     "acd64502d1a9626b1560897ee37b16ca68a0da785b1e956b98761839885da6d8"),
+    (["check", "sgn-probe", "--max-n", "5", "--samples", "1"],
+     "023db1d36881ce4abca30c199d950ac706e66e0e8d8ecc35d52d433d3d372113"),
+    (["search", "5.2", "--samples", "200"],
+     "4fe25ac2f1cf6af38df4ba1225eba56706c4b24a82aab62b7311aa35bb042a09"),
+    (["imm", "2413", "--R", "1,2,2,3", "--C", "1,2,3,3", "-m", "MATRIX"],
+     "6177fffff68be62108b6a031fb6a840313c7d9775c6ee57849cb3a5f8421c242"),
+    (["graph", "2413"],
+     "8b0fd752e67df255cc82b48b30d2a957db8a89851659f1bf605be73d57384452"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LABEL_DIGESTS,
+                         ids=["-".join(argv[:2]) for argv, _ in LABEL_DIGESTS])
+def test_label_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
+    matrix = _write_fixture_matrix(tmp_path / "m.json")
+    argv = [matrix if arg == "MATRIX" else arg for arg in argv]
+    out = tmp_path / "doc.out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
