@@ -4,10 +4,18 @@ Kazhdan-Lusztig polynomials P_{x,y}(q) for the symmetric group.
 They are computed by the classical recursion on a right descent of y,
 fully memoized in a :class:`KLCache`.  It works on positions in the
 cache's :func:`klimm.perm.bruhat_table`: comparisons, descents and their
-products are table lookups, and the mu-sum runs over the set bits of one
-AND of table bitsets; the table, and so every value with x < y, is
-guarded at n <= 7.  Values are interned: equal coefficient tuples share
-one :class:`IntPolynomial`.
+products are table lookups, and the mu-sum candidates are the set bits of
+one AND of table bitsets; the table, and so every value with x < y, is
+guarded at n <= 7.  The cache's row bitsets say which candidates are
+stored and which have mu != 0, so only those with mu != 0 are read one by
+one.  Values are interned: equal coefficient tuples share one
+:class:`IntPolynomial`.
+
+A hit is a recursion term answered from the store: the pair asked for,
+a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
+stored ones are counted through the rows, all at once).  A miss is a pair
+computed and stored.  Only :func:`kl_at` and :meth:`KLCache.load` write
+the store.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -103,9 +111,12 @@ class KLCache:
 
     Immutable values are stored by position in ``table``, the Bruhat
     table of S_n (built on first use); words appear only in the files of
-    :meth:`save` and :meth:`load`.  The store is a plain dict, so use one
-    writer at a time.  Persistence uses write-to-temp-then-rename so a
-    crash cannot leave a torn file.
+    :meth:`save` and :meth:`load`.  Only :func:`kl_at` and :meth:`load`
+    write the store, and ``rows`` mirrors it from the first miss on.
+    ``hits`` counts the recursion terms answered from the store, each
+    stored mu-sum candidate among them, and ``misses`` the pairs computed.
+    The store is a plain dict, so use one writer at a time.  Persistence
+    uses write-to-temp-then-rename so a crash cannot leave a torn file.
     """
 
     def __init__(self, n: int):
@@ -117,6 +128,26 @@ class KLCache:
     @cached_property
     def table(self) -> BruhatTable:
         return bruhat_table(self.n)
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[int]]:
+        """
+        Row bitsets (known, mu) over table positions: bit x of known[y] is
+        set iff the store holds P_{x,y}, and bit x of mu[y] iff l(y) - l(x)
+        is odd and mu(x, y), the q^((l(y) - l(x) - 1) / 2) coefficient of
+        the stored P_{x,y}, is not 0.  Built from the store at the first
+        miss of :func:`kl_at`, which keeps them up to date from then on;
+        a cache that only ever hits never builds them.
+        """
+        size, lengths = len(self.table.perms), self.table.lengths
+        known, mu = [0] * size, [0] * size
+        for key, p in self._values.items():
+            y, x = divmod(key, size)
+            known[y] |= 1 << x
+            gap = lengths[y] - lengths[x]
+            if gap % 2 and gap // 2 < len(p.coeffs) and p.coeffs[gap // 2]:
+                mu[y] |= 1 << x
+        return known, mu
 
     def __len__(self) -> int:
         return len(self._values)
@@ -338,33 +369,43 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     # store holds P_{z,ys} and P_{x,z} (for z != x) once they are known.
     parity = table.odd if ly % 2 else ~table.odd
     mask = below[ys] & table.above[x] & table.descents[i] & parity
+    # Each candidate P_{z,ys} is one read.  Those the store lacks are
+    # computed first (a deeper call may store one meanwhile: a hit); the
+    # rest are hits at once, and only the z with mu(z, ys) != 0 are read.
+    known, mus = cache.rows
+    stored = mask & known[ys]
+    cache.hits += stored.bit_count()
+    todo = mask ^ stored
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        z = bit.bit_length() - 1
+        if row + z in store:
+            cache.hits += 1
+        else:
+            kl_at(cache, z, ys)
+    mask &= mus[ys]
     while mask:
         bit = mask & -mask
         mask ^= bit
         z = bit.bit_length() - 1
-        pz = store.get(row + z)
-        if pz is None:
-            pz = kl_at(cache, z, ys)
-        else:
-            cache.hits += 1
         # mu(z, ys) is the q^((l(ys) - l(z) - 1) / 2) coefficient of
         # P_{z,ys}; its term is shifted by one more.
         shift = (ly - lengths[z]) // 2
-        mu = pz.coeffs[shift - 1] if shift <= len(pz.coeffs) else 0
-        if mu:
-            if z == x:
-                pxz = ONE
+        mu = store[row + z].coeffs[shift - 1]
+        if z == x:
+            pxz = ONE
+        else:
+            pxz = store.get(z * size + x)
+            if pxz is None:
+                pxz = kl_at(cache, x, z)
             else:
-                pxz = store.get(z * size + x)
-                if pxz is None:
-                    pxz = kl_at(cache, x, z)
-                else:
-                    cache.hits += 1
-            term = pxz.coeffs
-            if len(coeffs) < shift + len(term):
-                coeffs += [0] * (shift + len(term) - len(coeffs))
-            for d, a in enumerate(term, shift):
-                coeffs[d] -= mu * a
+                cache.hits += 1
+        term = pxz.coeffs
+        if len(coeffs) < shift + len(term):
+            coeffs += [0] * (shift + len(term) - len(coeffs))
+        for d, a in enumerate(term, shift):
+            coeffs[d] -= mu * a
 
     # The degree bound 2 deg <= l(y) - l(x) - 1 depends on the pair.
     p = checked(tuple(coeffs))
@@ -376,4 +417,9 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
             raise ArithmeticError(f"negative coefficient in P_{px},{py}")
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     store[y * size + x] = p
+    known[y] |= 1 << x
+    # With the degree bound met, mu(x, y) != 0 iff the top allowed
+    # coefficient is the last one (the gap is then odd).
+    if 2 * len(p.coeffs) == ly - lengths[x] + 1:
+        mus[y] |= 1 << x
     return p

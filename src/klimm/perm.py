@@ -17,6 +17,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -268,7 +269,9 @@ def bruhat_table(n: int) -> BruhatTable:
     (b + 1, a) and a descent becomes (b, a - 1), so the index moves by
     an offset fixed by b - a, or by a - b.  That makes 2(n - 1 - i)
     groups of positions, each moved by one shift, and the last descent
-    (or ascent) of w, with the fewest groups, is the s used.
+    (or ascent) of w, with the fewest groups, is the s used.  The same
+    offsets give ``times_s`` run by run, and each lift of ``below`` gives
+    l(w) = l(ws) + 1, so no word is sliced, hashed or counted for them.
 
     >>> t = bruhat_table(3)
     >>> [format_perm(t.perms[j]) for j in iter_bits(t.below[t.index[(2, 3, 1)]])]
@@ -281,21 +284,39 @@ def bruhat_table(n: int) -> BruhatTable:
             f"Bruhat tables are guarded at n <= {BRUHAT_TABLE_GUARD}")
     perms = tuple(symmetric_group(n))
     size = len(perms)
-    index = {v: k for k, v in enumerate(perms)}
-    lengths = tuple(map(length, perms))
-    times_s = tuple(
-        tuple(index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms)
-        for i in range(n - 1))
+    # index and times_s take their ints from this one tuple, so the table
+    # holds one int object per position.
+    positions = tuple(range(size))
+    index = dict(zip(perms, positions))
+    # place[j] = (n - 1 - j)! weighs Lehmer digit j of an index.  For s_{i+1}
+    # the index splits into periods of (n - i)!, each a run of (n - 1 - i)!
+    # consecutive positions per digit pair (a, b) at i and i + 1, and the
+    # whole run moves by the offset of (a, b).
+    place = [factorial(n - 1 - j) for j in range(n)]
+    times_s, moves = [], []
+    for i in range(n - 1):
+        run, period = place[i + 1], place[i] * (n - i)
+        pairs = []
+        for a in range(n - i):
+            for b in range(n - 1 - i):
+                new = (b + 1, a) if a <= b else (b, a - 1)
+                pairs.append((a * place[i] + b * run,
+                              (new[0] - a) * place[i] + (new[1] - b) * run))
+        starts = range(0, size, period)
+        times_s.append(tuple(itertools.chain.from_iterable(
+            positions[start + p + offset:start + p + offset + run]
+            for start in starts for p, offset in pairs)))
+        # moves[i] pairs each offset with the bitset of the positions it
+        # moves: one period's runs, repeated by one product without carries.
+        blocks = defaultdict(int)
+        for p, offset in pairs:
+            blocks[offset] |= ((1 << run) - 1) << p
+        repeat = sum(1 << start for start in starts)
+        moves.append([(offset, block * repeat)
+                      for offset, block in blocks.items()])
+    times_s = tuple(times_s)
     first_descent = tuple(
         next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
-    # moves[i] pairs each offset times_s[i][k] - k with the bitset of its k.
-    moves = []
-    for row in times_s:
-        groups = defaultdict(list)
-        for k, j in enumerate(row):
-            groups[j - k].append(k)
-        moves.append([(offset, sum(1 << k for k in ks))
-                      for offset, ks in groups.items()])
 
     def lift(bits: int, i: int) -> int:
         """The positions in ``bits``, and their products with s_{i+1}."""
@@ -305,10 +326,15 @@ def bruhat_table(n: int) -> BruhatTable:
             lifted |= part << offset if offset > 0 else part >> -offset
         return lifted
 
-    below, above = [0] * size, [0] * size
+    below, above, lengths = [0] * size, [0] * size, [0] * size
     for k, v in enumerate(perms):
         i = max((j for j in range(n - 1) if v[j] > v[j + 1]), default=-1)
-        below[k] = lift(below[times_s[i][k]], i) if i >= 0 else 1 << k
+        if i >= 0:
+            ws = times_s[i][k]
+            below[k] = lift(below[ws], i)
+            lengths[k] = lengths[ws] + 1
+        else:
+            below[k] = 1 << k
     for k in reversed(range(size)):
         v = perms[k]
         i = max((j for j in range(n - 1) if v[j] < v[j + 1]), default=-1)
@@ -317,8 +343,9 @@ def bruhat_table(n: int) -> BruhatTable:
     descents = tuple(sum(mask for offset, mask in groups if offset < 0)
                      for groups in moves)
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
-    return BruhatTable(perms, lengths, MappingProxyType(index), tuple(below),
-                       tuple(above), descents, odd, times_s, first_descent)
+    return BruhatTable(perms, tuple(lengths), MappingProxyType(index),
+                       tuple(below), tuple(above), descents, odd, times_s,
+                       first_descent)
 
 
 def parse_perm(text: str) -> Perm:

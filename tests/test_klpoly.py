@@ -3,8 +3,11 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import kl_at_one
+from kl_every_candidate import kl_at_every_candidate
 from kl_via_r import (
     add,
     coeff,
@@ -16,7 +19,7 @@ from kl_via_r import (
     r_polynomial,
     sub,
 )
-from klimm import perm
+from klimm import immanant, perm
 from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.klpoly import (
     ONE,
@@ -25,6 +28,7 @@ from klimm.klpoly import (
     KLCache,
     KLCacheRegistry,
     cache_path_for,
+    kl_at,
     kl_polynomial,
 )
 from klimm.perm import (
@@ -124,6 +128,118 @@ def test_prop31_kl_lookup_pattern_is_pinned(monkeypatch):
         {"n": 5, "entries": 2508, "hits": 6293, "misses": 2508},
         {"n": 6, "entries": 43693, "hits": 224640, "misses": 43693},
     ]
+
+
+def _agrees_with_the_every_candidate_oracle(n, queries):
+    """
+    Run ``queries``, pairs of table positions, through ``kl_at`` and the
+    every-candidate oracle, each on a cold cache of its own: the values,
+    the counts after every query and the final stores must agree.
+    """
+    fast, slow = KLCache(n), KLCache(n)
+    for x, y in queries:
+        assert kl_at(fast, x, y) == kl_at_every_candidate(slow, x, y), (x, y)
+        assert fast.stats() == slow.stats(), (x, y)
+    assert fast._values == slow._values
+    return fast
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kl_at_matches_the_every_candidate_oracle_on_all_pairs(n):
+    size = len(perm.bruhat_table(n).perms)
+    _agrees_with_the_every_candidate_oracle(
+        n, [(x, y) for y in range(size) for x in range(size)])
+
+
+def test_kl_at_matches_the_every_candidate_oracle_in_prop31_order(
+        monkeypatch):
+    queries = []
+
+    def recording(cache, x, y):
+        if cache.n == 6:
+            queries.append((x, y))
+        return kl_at(cache, x, y)
+
+    monkeypatch.setattr(immanant, "kl_at", recording)
+    assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
+    cache = _agrees_with_the_every_candidate_oracle(6, queries)
+    assert cache.stats() == {"n": 6, "entries": 43693, "hits": 224640,
+                             "misses": 43693}
+
+
+@st.composite
+def below_queries(draw, n):
+    """
+    Positions (x, y): one y in S_n and a few x below it, made by undoing
+    inversions of y.
+    """
+    y = draw(st.permutations(list(range(1, n + 1))).map(tuple))
+    xs = []
+    for swaps in draw(st.lists(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+            min_size=1, max_size=3)):
+        x = list(y)
+        for i, j in swaps:
+            if i < j and x[i] > x[j]:
+                x[i], x[j] = x[j], x[i]
+        xs.append(tuple(x))
+    index = perm.bruhat_table(n).index
+    return [(index[x], index[y]) for x in xs]
+
+
+@given(below_queries(7))
+@settings(max_examples=25, deadline=None)
+def test_kl_at_matches_the_every_candidate_oracle_on_s7(queries):
+    _agrees_with_the_every_candidate_oracle(7, queries)
+
+
+def _rows_from_the_store(cache):
+    """(known, mu) recomputed pair by pair from the store of ``cache``."""
+    perms = cache.table.perms
+    size = len(perms)
+    known, mu = [0] * size, [0] * size
+    for key, p in cache._values.items():
+        y, x = divmod(key, size)
+        known[y] |= 1 << x
+        gap = length(perms[y]) - length(perms[x])
+        if gap % 2 and coeff(p, (gap - 1) // 2) != 0:
+            mu[y] |= 1 << x
+    return known, mu
+
+
+def test_rows_follow_the_store_through_save_and_load(tmp_path):
+    # Rows are built from the store at a cache's first miss and kept up
+    # to date by kl_at; a loaded cache builds them from what it loaded.
+    # The halves are every other y, so each holds long y as well as short
+    # ones, and the loaded half holds the one value of S_5 whose mu sits
+    # past an inner zero (1 + q^2 at l(y) - l(x) = 5).
+    size = 120
+    full = KLCache(5)
+    for y in range(size):
+        for x in range(size):
+            kl_at(full, x, y)
+    half = KLCache(5)
+    for y in range(0, size, 2):
+        for x in range(size):
+            kl_at(half, x, y)
+    assert half.rows == _rows_from_the_store(half)
+    path = str(tmp_path / "kl.s5.json")
+    half.save(path)
+    assert KLCache.load(path).rows == _rows_from_the_store(half)
+    rest = KLCache.load(path)
+    for y in range(1, size, 2):
+        for x in range(size):
+            kl_at(rest, x, y)
+    assert rest._values == full._values
+    assert rest.rows == _rows_from_the_store(rest)
+    # A cache that only ever hits never builds them.
+    full.save(path)
+    warm = KLCache.load(path)
+    for y in range(size):
+        for x in range(size):
+            kl_at(warm, x, y)
+    assert warm.misses == 0 and warm.hits == len(full)
+    assert "rows" not in vars(warm)
 
 
 def test_uncached_values_past_the_table_guard_are_rejected():

@@ -1,27 +1,57 @@
 """
 The benchmark's tracer patches klimm functions and methods by name; a
-rename in the package must fail here rather than in a benchmark run.
+rename in the package must fail here rather than in a benchmark run.  Its
+runner clears klimm's module-level memo tables before every unit, and a
+cold unit must then repeat exactly.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
-from klimm.klpoly import KLCache
+from klimm.klpoly import KLCache, KLCacheRegistry
+from klimm.suites import Config, run_suite
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_exists_in_the_package():
-    spans = _load_spans()
+    spans = _load("spans")
     for module, attr in spans.TRACED_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"klimm.{module}"),
                                 attr, None)), f"klimm.{module}.{attr}"
     for method in spans.TRACED_METHODS:
         assert callable(getattr(KLCache, method, None)), f"KLCache.{method}"
+
+
+def test_a_cold_run_repeats_once_the_memo_tables_are_cleared(monkeypatch):
+    # The benchmark runs its units one after another in one process.  A
+    # memo that outlives a unit and that clearing the lru_caches misses
+    # would make the next unit warm, and show as fewer misses here.
+    memo_tables = _load("run").memo_tables
+    caches = {}
+    for_n = KLCacheRegistry.for_n
+
+    def recording(registry, n):
+        caches[n] = for_n(registry, n)
+        return caches[n]
+
+    monkeypatch.setattr(KLCacheRegistry, "for_n", recording)
+    runs = []
+    for _ in range(2):
+        for table in memo_tables():
+            table.cache_clear()
+        caches.clear()
+        report = run_suite("prop-3.1", Config(max_n=5, samples=1, seed=0))
+        runs.append(([caches[n].stats() for n in sorted(caches)],
+                     report.to_json(), report.to_csv()))
+    assert runs[0] == runs[1]
+    assert runs[0][0][-1] == {"n": 5, "entries": 2508, "hits": 6293,
+                              "misses": 2508}

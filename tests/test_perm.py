@@ -166,22 +166,47 @@ def test_bruhat_table_moves_and_w0_mirror(n):
         assert table.index[compose(w0, v)] == top - k
 
 
-def bruhat_table_bit_by_bit(n):
+def bruhat_table_per_word(n):
     """
-    Test oracle for ``bruhat_table``: every field as it was first built,
-    lifting ``below`` one set bit at a time along the first descent and
-    reading ``above`` as the bit-reversed ``below`` of the w_0 mirror.
+    Test oracle for the fields of ``bruhat_table`` that each word gives
+    on its own: lengths by counting inversions, products by swapping the
+    entries of each word, descents and parity one position at a time.
     """
     perms = tuple(symmetric_group(n))
-    size = len(perms)
     index = {v: k for k, v in enumerate(perms)}
     times_s = tuple(
         tuple(index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms)
         for i in range(n - 1))
     first_descent = tuple(
         next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
+    descents = tuple(
+        sum(1 << k for k, v in enumerate(perms) if v[i] > v[i + 1])
+        for i in range(n - 1))
+    lengths = tuple(map(length, perms))
+    odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
+    return {"perms": perms, "lengths": lengths, "index": index,
+            "descents": descents, "odd": odd, "times_s": times_s,
+            "first_descent": first_descent}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_bruhat_table_matches_the_per_word_construction(n):
+    table = bruhat_table(n)
+    for name, value in bruhat_table_per_word(n).items():
+        assert getattr(table, name) == value, name
+
+
+def bruhat_table_bit_by_bit(n):
+    """
+    Test oracle for ``bruhat_table``: every field as it was first built,
+    lifting ``below`` one set bit at a time along the first descent and
+    reading ``above`` as the bit-reversed ``below`` of the w_0 mirror.
+    """
+    fields = bruhat_table_per_word(n)
+    perms, times_s = fields["perms"], fields["times_s"]
+    size = len(perms)
     below = []
-    for k, i in enumerate(first_descent):
+    for k, i in enumerate(fields["first_descent"]):
         if i < 0:
             below.append(1 << k)
             continue
@@ -192,14 +217,7 @@ def bruhat_table_bit_by_bit(n):
         below.append(lower | lifted)
     above = tuple(int(format(below[size - 1 - k], f"0{size}b")[::-1], 2)
                   for k in range(size))
-    descents = tuple(
-        sum(1 << k for k, v in enumerate(perms) if v[i] > v[i + 1])
-        for i in range(n - 1))
-    lengths = tuple(map(length, perms))
-    odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
-    return {"perms": perms, "lengths": lengths, "index": index,
-            "below": tuple(below), "above": above, "descents": descents,
-            "odd": odd, "times_s": times_s, "first_descent": first_descent}
+    return {**fields, "below": tuple(below), "above": above}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
