@@ -31,7 +31,6 @@ from .grid import (
     bounding_boxes,
     boxes_alternate,
     delete_rows_cols,
-    durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     is_admissible,

@@ -349,21 +349,7 @@ def boxes_alternate(v: Perm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Young-diagram recognition.
-
-
-def durfee(parts: Sequence[int]) -> int:
-    """
-    Size of the largest square contained in the Young diagram.
-
-    >>> durfee((3, 3, 1)), durfee(()), durfee((4, 4, 4, 4))
-    (2, 0, 4)
-    """
-    best = 0
-    for s, part in enumerate(parts, start=1):
-        if part >= s:
-            best = s
-    return best
+# Young-diagram grids.
 
 
 def young_diagram_grid(parts: Sequence[int], n: int) -> Grid:
@@ -376,6 +362,25 @@ def young_complement_grid(parts: Sequence[int], n: int) -> Grid:
     """The grid {(i, j) : j > mu_i} inside [n]^2, for mu = parts."""
     padded = _validated_partition(parts, n)
     return Grid(n, tuple(_columns(p + 1, n) for p in padded))
+
+
+def is_young_shaped(P: Grid) -> bool:
+    """
+    Whether P is a Young-diagram grid, its rows left-justified and
+    weakly shorter going down, or the complement of one, its rows
+    right-justified and weakly longer going down.
+
+    >>> is_young_shaped(young_complement_grid((2, 1), 3))
+    True
+    >>> is_young_shaped(graph_of_upper_interval((2, 4, 1, 3)))
+    False
+    """
+    n = P.n
+    sizes = [mask.bit_count() for mask in P.rows]
+    return (sizes == sorted(sizes, reverse=True)
+            and P.rows == tuple(_columns(1, s) for s in sizes)
+            or sizes == sorted(sizes)
+            and P.rows == tuple(_columns(n + 1 - s, n) for s in sizes))
 
 
 def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:

@@ -40,9 +40,8 @@ from .grid import (
     delete_rows_cols,
     graph_of_upper_interval,
     is_admissible,
+    is_young_shaped,
     largest_square,
-    young_complement_grid,
-    young_diagram_grid,
 )
 from .klpoly import KLCache, cache_for, kl_at
 from .perm import (
@@ -77,13 +76,6 @@ def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
     and zero everywhere else.
     """
     return signed > 0 if positive else signed == 0
-
-
-def _signed_restricted_det(M: Matrix, R: tuple[int, ...], C: tuple[int, ...],
-                           grid: Grid, exponent: int) -> Fraction:
-    """(-1)^exponent times det of M[R, C] restricted to the grid."""
-    value = det(restrict(repeat_submatrix(M, R, C), grid))
-    return -value if exponent % 2 else value
 
 
 def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction:
@@ -240,54 +232,44 @@ def deletion_det_identity(v: Perm, i: int, M: Matrix) -> bool:
     return lhs == rhs
 
 
-def _staircase_contained(parts: Sequence[int], n: int) -> bool:
-    padded = tuple(parts) + (0,) * (n - len(parts))
-    return all(padded[i - 1] >= n + 1 - i for i in range(1, n + 1))
-
-
-def _contained_in_reverse_staircase(parts: Sequence[int], n: int) -> bool:
-    padded = tuple(parts) + (0,) * (n - len(parts))
-    return all(padded[i - 1] <= n - i for i in range(1, n + 1))
-
-
-def young_sign_law(parts: Sequence[int], R: Sequence[int],
-                   C: Sequence[int], M: Matrix) -> bool:
+def young_sign_law(P: Grid, R: Sequence[int], C: Sequence[int],
+                   M: Matrix) -> bool:
     """
-    Sign law for a Young-diagram grid, for M k-positive at some k at
-    least the Durfee square of the shape (the caller verifies that):
-    with mu the complement of the shape in the n x n box, (-1)^|mu|
-    times the restricted determinant must be strictly positive when the
-    shape contains the staircase (n, ..., 1) and is (R, C)-admissible,
-    and zero otherwise.
+    Sign law for a Young-diagram grid or the complement of one, for M
+    k-positive at some k at least the largest square of P (the caller
+    verifies that): with d the number of cells of the n x n box outside
+    P, (-1)^d det(M[R, C] restricted to P) must be strictly positive
+    when P holds every antidiagonal cell (i, n + 1 - i) and is
+    (R, C)-admissible, and zero otherwise.  A Young diagram holds the
+    antidiagonal iff it contains the staircase (n, ..., 1), and the
+    complement of mu iff mu fits inside (n - 1, ..., 1, 0).  Any other
+    grid raises PreconditionError.
+
+    On a totally positive matrix, (3, 3, 1) holds the antidiagonal and
+    misses two cells, so its restricted determinant is positive; a
+    repeated label on its two full rows makes it zero:
+
+    >>> from klimm.grid import young_diagram_grid
+    >>> M = Matrix(tuple(tuple(map(Fraction, row))
+    ...                  for row in ((1, 1, 1), (1, 2, 3), (1, 3, 6))))
+    >>> P = young_diagram_grid((3, 3, 1), 3)
+    >>> det(restrict(M, P)), young_sign_law(P, (1, 2, 3), (1, 2, 3), M)
+    (Fraction(1, 1), True)
+    >>> young_sign_law(P, (1, 1, 2), (1, 2, 3), M)
+    True
     """
+    if not is_young_shaped(P):
+        raise PreconditionError(
+            "the grid is neither a Young diagram nor the complement of one")
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
-    n = len(R)
-    shape = young_diagram_grid(parts, n)
-    signed = _signed_restricted_det(M, R, C, shape, n * n - sum(parts))
-    return obeys_sign_law(
-        signed, _staircase_contained(parts, n) and is_admissible(shape, R, C))
-
-
-def young_complement_sign_law(parts: Sequence[int], R: Sequence[int],
-                              C: Sequence[int], M: Matrix) -> bool:
-    """
-    Mirror law for the complement grid, for M k-positive at some k at
-    least the largest square of the grid (the caller verifies that):
-    deleting the shape ``parts`` from the top-left of the n x n box,
-    (-1)^|parts| times the restricted determinant is strictly positive
-    when ``parts`` fits inside the staircase (n-1, ..., 1, 0) and the
-    grid is (R, C)-admissible, and zero otherwise.
-    """
-    R = as_multiset(R, M.rows)
-    C = as_multiset(C, M.rows)
-    n = len(R)
-    shape = young_complement_grid(parts, n)
-    signed = _signed_restricted_det(M, R, C, shape, sum(parts))
-    return obeys_sign_law(
-        signed,
-        _contained_in_reverse_staircase(parts, n)
-        and is_admissible(shape, R, C))
+    n = P.n
+    value = det(restrict(repeat_submatrix(M, R, C), P))
+    d = n * n - sum(mask.bit_count() for mask in P.rows)
+    # Bit n - i of row i, counted from 0, is the antidiagonal cell.
+    holds_antidiagonal = all(mask >> n - i & 1 for i, mask in enumerate(P.rows))
+    return obeys_sign_law(-value if d % 2 else value,
+                          holds_antidiagonal and is_admissible(P, R, C))
 
 
 @dataclass(frozen=True)

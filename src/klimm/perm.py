@@ -249,6 +249,22 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _first_hits(masks: Sequence[int], order: Iterable[int],
+                size: int) -> tuple[int, ...]:
+    """
+    For each position k < size, the first i in ``order`` with bit k of
+    ``masks[i]`` set, or -1 when there is none.
+    """
+    hits = [-1] * size
+    remaining = (1 << size) - 1
+    for i in order:
+        hit = masks[i] & remaining
+        remaining ^= hit
+        for k in iter_bits(hit):
+            hits[k] = i
+    return tuple(hits)
+
+
 @lru_cache(maxsize=None)
 def bruhat_table(n: int) -> BruhatTable:
     """
@@ -271,7 +287,10 @@ def bruhat_table(n: int) -> BruhatTable:
     groups of positions, each moved by one shift, and the last descent
     (or ascent) of w, with the fewest groups, is the s used.  The same
     offsets give ``times_s`` run by run, and each lift of ``below`` gives
-    l(w) = l(ws) + 1, so no word is sliced, hashed or counted for them.
+    l(w) = l(ws) + 1.  The groups that move down make ``descents``, and
+    each position's first descent, last descent and last ascent are the
+    first mask that holds it, read in order or in reverse.  So no word
+    is sliced, hashed, counted or scanned for them.
 
     >>> t = bruhat_table(3)
     >>> [format_perm(t.perms[j]) for j in iter_bits(t.below[t.index[(2, 3, 1)]])]
@@ -315,8 +334,13 @@ def bruhat_table(n: int) -> BruhatTable:
         moves.append([(offset, block * repeat)
                       for offset, block in blocks.items()])
     times_s = tuple(times_s)
-    first_descent = tuple(
-        next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
+    # A descent is a move to a lexicographically smaller word.
+    descents = tuple(sum(mask for offset, mask in groups if offset < 0)
+                     for groups in moves)
+    ascents = [((1 << size) - 1) ^ mask for mask in descents]
+    first_descent = _first_hits(descents, range(n - 1), size)
+    last_descent = _first_hits(descents, reversed(range(n - 1)), size)
+    last_ascent = _first_hits(ascents, reversed(range(n - 1)), size)
 
     def lift(bits: int, i: int) -> int:
         """The positions in ``bits``, and their products with s_{i+1}."""
@@ -327,8 +351,7 @@ def bruhat_table(n: int) -> BruhatTable:
         return lifted
 
     below, above, lengths = [0] * size, [0] * size, [0] * size
-    for k, v in enumerate(perms):
-        i = max((j for j in range(n - 1) if v[j] > v[j + 1]), default=-1)
+    for k, i in enumerate(last_descent):
         if i >= 0:
             ws = times_s[i][k]
             below[k] = lift(below[ws], i)
@@ -336,12 +359,8 @@ def bruhat_table(n: int) -> BruhatTable:
         else:
             below[k] = 1 << k
     for k in reversed(range(size)):
-        v = perms[k]
-        i = max((j for j in range(n - 1) if v[j] < v[j + 1]), default=-1)
+        i = last_ascent[k]
         above[k] = lift(above[times_s[i][k]], i) if i >= 0 else 1 << k
-    # A descent is a move to a lexicographically smaller word.
-    descents = tuple(sum(mask for offset, mask in groups if offset < 0)
-                     for groups in moves)
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
     return BruhatTable(perms, tuple(lengths), MappingProxyType(index),
                        tuple(below), tuple(above), descents, odd, times_s,

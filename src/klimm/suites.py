@@ -44,7 +44,6 @@ from .grid import (
     boxes_cover_interval_graph,
     deletion_grid_identity,
     deletion_pruned_grid_identity,
-    durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     label_patterns,
@@ -52,6 +51,7 @@ from .grid import (
     spanning_corners,
     squares_match_noninversions,
     young_complement_grid,
+    young_diagram_grid,
 )
 from .immanant import (
     deletion_det_identity,
@@ -62,7 +62,6 @@ from .immanant import (
     lewis_carroll_sign_probe,
     obeys_sign_law,
     sign_probe_anchor,
-    young_complement_sign_law,
     young_sign_law,
 )
 from .klpoly import KLCacheRegistry
@@ -348,26 +347,20 @@ def _suite_young(config: Config, caches: KLCacheRegistry,
     patterns = label_patterns(n, m)
     for shape in _partitions_in_box(n):
         shape_text = ",".join(str(p) for p in shape)
-        direct_k = max(1, durfee(shape))
-        comp_k = max(1, largest_square(young_complement_grid(shape, n)))
-        direct_mats = _k_positive_samples(
-            m, direct_k, f"{config.seed}:young:{shape_text}:d", samples, notes)
-        comp_mats = _k_positive_samples(
-            m, comp_k, f"{config.seed}:young:{shape_text}:c", samples, notes)
-        for R in patterns:
-            for C in patterns:
-                for s in range(samples):
-                    key = (f"shape={shape_text}:direct:R={R}:C={C}:s={s}")
-                    passed = young_sign_law(shape, R, C, direct_mats[s])
-                    yield key, passed, None if passed else {
-                        "shape": list(shape), "R": list(R), "C": list(C),
-                        "matrix": direct_mats[s].to_doc(), "variant": "direct"}
-                    key = (f"shape={shape_text}:complement:R={R}:C={C}:s={s}")
-                    passed = young_complement_sign_law(shape, R, C, comp_mats[s])
-                    yield key, passed, None if passed else {
-                        "shape": list(shape), "R": list(R), "C": list(C),
-                        "matrix": comp_mats[s].to_doc(),
-                        "variant": "complement"}
+        for variant, tag, build in (("direct", "d", young_diagram_grid),
+                                    ("complement", "c", young_complement_grid)):
+            P = build(shape, n)
+            mats = _k_positive_samples(
+                m, max(1, largest_square(P)),
+                f"{config.seed}:young:{shape_text}:{tag}", samples, notes)
+            for R in patterns:
+                for C in patterns:
+                    for s, M in enumerate(mats):
+                        key = f"shape={shape_text}:{variant}:R={R}:C={C}:s={s}"
+                        passed = young_sign_law(P, R, C, M)
+                        yield key, passed, None if passed else {
+                            "shape": list(shape), "R": list(R), "C": list(C),
+                            "matrix": M.to_doc(), "variant": variant}
 
 
 def _suite_main_sq(config: Config, caches: KLCacheRegistry,

@@ -54,6 +54,18 @@ def young_shapes(P, build) -> list[tuple[int, ...]]:
             if build(parts, P.n).rows == P.rows]
 
 
+def durfee(parts) -> int:
+    """
+    Side of the Durfee square, the largest square inside the Young
+    diagram of ``parts`` (test oracle for ``largest_square``).
+    """
+    best = 0
+    for s, part in enumerate(parts, start=1):
+        if part >= s:
+            best = s
+    return best
+
+
 def grid(n, cells) -> Grid:
     """Build a Grid from its cells."""
     rows = [0] * n

@@ -8,12 +8,13 @@ import pytest
 import klimm
 import klimm.exactmat
 import klimm.grid
+import klimm.immanant
 import klimm.klpoly
 import klimm.perm
 
 
 @pytest.mark.parametrize("module", [
-    klimm.perm, klimm.klpoly, klimm.grid, klimm.exactmat,
+    klimm.perm, klimm.klpoly, klimm.grid, klimm.exactmat, klimm.immanant,
 ])
 def test_module_doctests(module):
     results = doctest.testmod(module)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import (
     cells_of,
     cells_sandwiched_only_by,
     col_support,
+    durfee,
     grid,
     permutation_graph,
     row_support,
@@ -28,10 +30,10 @@ from klimm.grid import (
     boxes_cover_interval_graph,
     delete_rows_cols,
     deletion_pruned_grid_identity,
-    durfee,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     is_admissible,
+    is_young_shaped,
     label_patterns,
     largest_square,
     spanning_corners,
@@ -262,6 +264,12 @@ def test_alternation_preconditions():
     assert boxes_alternate(identity(2))  # single box, vacuously true
 
 
+def is_young_shaped_by_partitions(P) -> bool:
+    """Oracle for ``is_young_shaped``: some partition builds P."""
+    return bool(young_shapes(P, young_diagram_grid)
+                or young_shapes(P, young_complement_grid))
+
+
 def test_young_shape_recognition():
     G = graph_of_upper_interval
     assert young_shapes(G(identity(3)), young_diagram_grid) == [(3, 3, 3)]
@@ -270,6 +278,20 @@ def test_young_shape_recognition():
     assert young_shapes(G((2, 1, 4, 3)), young_diagram_grid) == []
     assert young_shapes(G((2, 1, 3)), young_complement_grid) == [(1, 0, 0)]
     assert young_shapes(G(longest_element(3)), young_complement_grid) == []
+    for v in symmetric_group(4):
+        assert is_young_shaped(G(v)) == is_young_shaped_by_partitions(G(v)), v
+    assert is_young_shaped(G(identity(4)))
+    assert not is_young_shaped(G((2, 4, 1, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_young_shape_test_matches_the_partition_oracle(n):
+    # Every subset of the n x n box (at n = 1 both subsets are shaped).
+    grids = [Grid(n, rows) for rows in itertools.product(
+        range(0, 2 << n, 2), repeat=n)]
+    shaped = [is_young_shaped(P) for P in grids]
+    assert shaped == [is_young_shaped_by_partitions(P) for P in grids]
+    assert 0 < sum(shaped) < len(grids)
 
 
 def test_young_grids_and_durfee():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     bar,
+    cells_of,
+    durfee,
     from_rows,
     identity_matrix,
     kl_at_one,
@@ -37,8 +39,8 @@ from klimm.exactmat import (
 from klimm.grid import (
     FORBIDDEN_PATTERNS,
     as_multiset,
-    durfee,
     graph_of_upper_interval,
+    is_admissible,
     largest_square,
     non_inversions,
     young_complement_grid,
@@ -52,7 +54,6 @@ from klimm.immanant import (
     imm_determinantal,
     lewis_carroll_sign_probe,
     obeys_sign_law,
-    young_complement_sign_law,
     young_sign_law,
 )
 from klimm.klpoly import ZERO, KLCache
@@ -65,6 +66,7 @@ from klimm.perm import (
     longest_element,
     symmetric_group,
 )
+from klimm.suites import _partitions_in_box
 
 FIXTURE = fixtures.TWO_POSITIVE_NOT_THREE
 
@@ -312,13 +314,16 @@ def test_young_sign_check_examples():
     # asserted before each evaluation.
     T4 = gen_totally_positive(4, seed=31)
     assert durfee((4, 4, 4, 4)) <= 4 and is_k_positive(T4, 4)
-    assert young_sign_law((4, 4, 4, 4), (1, 2, 3, 4), (1, 2, 3, 4), T4)
+    assert young_sign_law(young_diagram_grid((4, 4, 4, 4), 4),
+                          (1, 2, 3, 4), (1, 2, 3, 4), T4)
     T3 = gen_totally_positive(3, seed=31)
     assert durfee((3, 3, 1)) <= 2 and durfee((2, 2, 2)) <= 2
     assert is_k_positive(T3, 2)
-    assert young_sign_law((3, 3, 1), (1, 2, 3), (1, 2, 3), T3)
-    assert young_sign_law((2, 2, 2), (1, 2, 3), (1, 2, 3), T3)
-    # the (2,2,2) case is a forced zero: the staircase is missing
+    assert young_sign_law(young_diagram_grid((3, 3, 1), 3),
+                          (1, 2, 3), (1, 2, 3), T3)
+    assert young_sign_law(young_diagram_grid((2, 2, 2), 3),
+                          (1, 2, 3), (1, 2, 3), T3)
+    # the (2,2,2) case is a forced zero: antidiagonal cell (1, 3) missing
     value = det(restrict(repeat_submatrix(T3, (1, 2, 3), (1, 2, 3)),
                          graph_of_upper_interval(identity(3))))
     assert value != 0  # sanity: zero above came from the shape, not T3
@@ -331,7 +336,8 @@ def test_young_sign_check_examples():
 def test_young_sign_check_inadmissible_zero():
     T3 = gen_totally_positive(3, seed=5)
     # full shape with a repeated row label: inadmissible, so exactly zero
-    assert young_sign_law((3, 3, 3), (1, 1, 2), (1, 2, 3), T3)
+    assert young_sign_law(young_diagram_grid((3, 3, 3), 3),
+                          (1, 1, 2), (1, 2, 3), T3)
 
 
 def test_young_complement_examples():
@@ -342,10 +348,72 @@ def test_young_complement_examples():
     for parts, k in [((), 3), ((1,), 2), ((3,), 3)]:
         assert largest_square(young_complement_grid(parts, 3)) <= k
         assert is_k_positive(T3, k)
-    assert young_complement_sign_law((), labels, labels, T3)
-    assert young_complement_sign_law((1,), labels, labels, T3)
+    assert young_sign_law(young_complement_grid((), 3), labels, labels, T3)
+    assert young_sign_law(young_complement_grid((1,), 3), labels, labels, T3)
     # removed shape sticking out of the staircase forces a zero
-    assert young_complement_sign_law((3,), labels, labels, T3)
+    assert young_sign_law(young_complement_grid((3,), 3), labels, labels, T3)
+
+
+def staircase_contained(parts, n) -> bool:
+    """Whether the Young diagram of ``parts`` contains (n, ..., 1)."""
+    padded = tuple(parts) + (0,) * (n - len(parts))
+    return all(padded[i - 1] >= n + 1 - i for i in range(1, n + 1))
+
+
+def contained_in_reverse_staircase(parts, n) -> bool:
+    """Whether the Young diagram of ``parts`` fits inside (n - 1, ..., 0)."""
+    padded = tuple(parts) + (0,) * (n - len(parts))
+    return all(padded[i - 1] <= n - i for i in range(1, n + 1))
+
+
+def staircase_terms(build, parts, n) -> tuple[bool, int]:
+    """
+    Oracle for ``young_sign_law``: the law's staircase test and sign
+    exponent read off the partition, one pair per grid builder.  The
+    Young diagram of lambda wants lambda to contain the staircase and
+    the sign (-1)^(n^2 - |lambda|); the complement of mu wants mu inside
+    the reverse staircase and the sign (-1)^|mu|.
+    """
+    if build is young_diagram_grid:
+        return staircase_contained(parts, n), n * n - sum(parts)
+    return contained_in_reverse_staircase(parts, n), sum(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_young_sign_law_matches_the_staircase_laws(n):
+    # Every shape in the n x n box and both builders, on a totally
+    # positive matrix (where the law holds) and a random one (where the
+    # sign of a nonzero determinant is a coin flip), with distinct and
+    # with repeated row labels.
+    rng = random.Random(70 + n)
+    matrices = [gen_totally_positive(n, seed=n),
+                random_rational_matrix(n, rng)]
+    labels = tuple(range(1, n + 1))
+    for parts in _partitions_in_box(n):
+        assert durfee(parts) == largest_square(young_diagram_grid(parts, n))
+        for build in (young_diagram_grid, young_complement_grid):
+            fits, exponent = staircase_terms(build, parts, n)
+            P = build(parts, n)
+            assert all(P.has_cell(i, n + 1 - i)
+                       for i in range(1, n + 1)) == fits
+            assert n * n - len(cells_of(P)) == exponent
+            assert young_sign_law(P, labels, labels, matrices[0])
+            for R in (labels, (1,) + labels[:-1]):
+                for M in matrices:
+                    value = det(restrict(repeat_submatrix(M, R, labels), P))
+                    expected = obeys_sign_law(
+                        -value if exponent % 2 else value,
+                        fits and is_admissible(P, R, labels))
+                    assert young_sign_law(P, R, labels, M) == expected, (
+                        parts, build.__name__, R)
+
+
+def test_young_sign_law_refuses_a_grid_of_another_shape():
+    T4 = gen_totally_positive(4, seed=2)
+    labels = (1, 2, 3, 4)
+    with pytest.raises(PreconditionError, match="Young diagram"):
+        young_sign_law(graph_of_upper_interval((2, 4, 1, 3)),
+                       labels, labels, T4)
 
 
 def young_complement_via_transpose(parts, R, C, M):
@@ -386,9 +454,9 @@ def test_young_sweep_with_repeated_labels():
     for shape in shapes:
         for R in labels:
             for C in labels:
-                assert young_sign_law(shape, R, C, T)
-                assert young_complement_sign_law(
-                    tuple(4 - p for p in reversed(shape)), R, C, T)
+                assert young_sign_law(young_diagram_grid(shape, 4), R, C, T)
+                assert young_sign_law(young_complement_grid(
+                    tuple(4 - p for p in reversed(shape)), 4), R, C, T)
 
 
 def test_inversions_equal_complement_boxes():
