@@ -6,15 +6,13 @@ go to stdout or --out; progress and timing notes go to stderr.  Exit
 codes: 0 success, 1 counterexample / failed check / precondition error,
 2 usage error (argparse), 3 method disagreement in `imm --method both`.
 
-The Kazhdan-Lusztig cache path comes from --kl-cache, falling back to
-the KLIMM_CACHE environment variable; per-n cache files are derived
-from that base path.
+The Kazhdan-Lusztig cache base path comes from --kl-cache alone, and
+the per-n cache files are derived from it: kl.json -> kl.s4.json.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .exactmat import (
@@ -35,10 +33,6 @@ from .perm import Perm, parse_perm
 from .suites import Config, run_search, run_suite, SEARCHES, SUITES
 
 
-def _cache_base(args) -> str | None:
-    return args.kl_cache or os.environ.get("KLIMM_CACHE")
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as handle:
@@ -54,11 +48,10 @@ def _parse_labels(text: str) -> tuple[int, ...]:
 def cmd_kl(args) -> int:
     x = parse_perm(args.x)
     y = parse_perm(args.y)
-    caches = KLCacheRegistry(_cache_base(args))
+    caches = KLCacheRegistry(args.kl_cache)
     poly = kl_polynomial(x, y, caches.for_n(len(x)))
     caches.persist()
-    print(poly)
-    print(f"at q=1: {poly(1)}")
+    _emit(f"{poly}\nat q=1: {poly(1)}\n", args.out)
     return 0
 
 
@@ -68,7 +61,7 @@ def cmd_imm(args) -> int:
         M = Matrix.from_doc(json.load(handle))
     R = _parse_labels(args.R) if args.R else tuple(range(1, len(v) + 1))
     C = _parse_labels(args.C) if args.C else tuple(range(1, len(v) + 1))
-    caches = KLCacheRegistry(_cache_base(args))
+    caches = KLCacheRegistry(args.kl_cache)
     if args.method == "definition":
         result = dual_canonical_eval(v, R, C, M, "definition",
                                      caches.for_n(len(v)))
@@ -135,7 +128,7 @@ def cmd_graph(args) -> int:
 
 def _config_from(args) -> Config:
     return Config(max_n=args.max_n, max_m=args.max_m, samples=args.samples,
-                  seed=args.seed, kl_cache_path=_cache_base(args),
+                  seed=args.seed, kl_cache_path=args.kl_cache,
                   k=getattr(args, "k", None))
 
 
@@ -180,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_bounds=False):
         p.add_argument("--kl-cache", default=None,
-                       help="base path for per-n KL cache files "
-                            "(env KLIMM_CACHE)")
+                       help="base path of the per-n KL cache files "
+                            "(kl.json -> kl.s4.json)")
         p.add_argument("--out", default=None, help="write the document here")
         if with_bounds:
             p.add_argument("--max-n", type=int, default=None)

@@ -41,7 +41,6 @@ from .perm import (
     bruhat_leq,
     bruhat_table,
     format_perm,
-    parse_perm,
 )
 
 
@@ -184,9 +183,10 @@ class KLCache:
     def load(cls, path: str) -> "KLCache":
         """
         Read a file written by :meth:`save`, rejecting a malformed one with
-        ValueError.  Every word of every key is validated: words in the
-        form :meth:`save` writes resolve through one dict built from the
-        table, and any other form is parsed.  Each key must be a pair
+        ValueError.  Every key must be x|y in the one form :meth:`save`
+        writes, compact words of S_n such as ``1324|3412``, which resolve
+        through one dict built from the table; a key in any other form is
+        refused with the entry and the path named.  Each key must be a pair
         x < y in Bruhat order, the only pairs the recursion stores.  The
         types of all coefficients are checked in one pass, and an entry is
         named by a second pass only when that fails.  Each value must pass
@@ -219,16 +219,11 @@ class KLCache:
         size = len(index)
         positions = {format_perm(v): k for v, k in index.items()}
         for key, coeffs in table.items():
-            words = key.split("|")
-            if len(words) != 2:
-                raise ValueError(f"cache key {key!r} in {path} is not x|y")
-            x, y = map(positions.get, words)
+            xword, _, yword = key.partition("|")
+            x, y = positions.get(xword), positions.get(yword)
             if x is None or y is None:
-                # A word of another length parses but has no position.
-                x, y = (index.get(parse_perm(word)) for word in words)
-                if x is None or y is None:
-                    raise ValueError(
-                        f"cache entry {key} in {path} is not in S_{n}")
+                raise ValueError(f"cache entry {key} in {path} is not x|y "
+                                 f"with x and y words of S_{n}")
             if x == y or not below[y] >> x & 1:
                 raise ValueError(f"cache entry {key} in {path} is not a "
                                  "pair x < y in Bruhat order")
@@ -253,13 +248,13 @@ class KLCacheRegistry:
     One :class:`KLCache` per group size, read from and written back to
     the per-n files under a base path (or kept in memory when there is
     none).  A file whose size differs from the one its name says is
-    rejected, and a cache is written back only if it gained entries.
+    rejected, and a cache is written back only if it missed: each miss
+    that returns stores one new pair, and one that raises never gets here.
     """
 
     def __init__(self, base_path: str | None):
         self.base_path = base_path
         self._caches: dict[int, KLCache] = {}
-        self._loaded_entries: dict[int, int] = {}
 
     def for_n(self, n: int) -> KLCache:
         if n not in self._caches:
@@ -272,14 +267,13 @@ class KLCacheRegistry:
             else:
                 cache = KLCache(n)
             self._caches[n] = cache
-            self._loaded_entries[n] = len(cache)
         return self._caches[n]
 
     def persist(self) -> None:
         if not self.base_path:
             return
         for n, cache in self._caches.items():
-            if len(cache) > self._loaded_entries[n]:
+            if cache.misses:
                 cache.save(cache_path_for(self.base_path, n))
 
 

@@ -10,11 +10,12 @@ bytes.
 
 A failed case always carries a fully serialized witness (matrix
 included), so any finding can be re-checked independently of this
-process.  Each search re-checks its witness from that serialization
-alone and records the boolean ``reverified``: the matrix must be
-k-positive at min(k, m), and then search 5.1 re-evaluates the plain
-immanant (<= 0), 5.2 re-runs the sign law at (v, R, C), and 5.3
-re-evaluates the immanant of the repeated-label submatrix (<= 0).
+process; a failure without one is a ValueError, not a report.  Each
+search re-checks its witness from that serialization alone and records
+the boolean ``reverified``: the matrix must be k-positive at min(k, m),
+and then search 5.1 re-evaluates the plain immanant (<= 0), 5.2 re-runs
+the sign law at (v, R, C), and 5.3 re-evaluates the immanant of the
+repeated-label submatrix (<= 0).
 """
 from __future__ import annotations
 
@@ -111,7 +112,7 @@ class SuiteReport:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if bool(self.counterexamples) != (self.cases_passed < self.cases_run):
+        if len(self.counterexamples) != self.cases_run - self.cases_passed:
             raise ValueError(
                 "report invariant violated: counterexamples must be "
                 "recorded exactly for the failed cases")
@@ -276,8 +277,11 @@ def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
 def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
                          notes: dict) -> Iterator[Case]:
     samples = config.samples or 200
+    max_n = config.max_n or 6
+    if max_n < 2:
+        raise ValueError(f"prop-3.2 needs max_n >= 2, got {max_n}")
     for t in range(samples):
-        n = 2 + t % 5  # sizes 2 through 6
+        n = 2 + t % (max_n - 1)  # sizes 2 through max_n
         key = f"t={t:04d}:n={n}"
         rng = _case_rng(config.seed, "prop-3.2", key)
         M = _random_rational_matrix(n, rng)
@@ -450,9 +454,13 @@ def _run(suite: str, cases: CaseGenerator, config: Config,
     results = sorted(cases(config, caches, notes), key=lambda case: case[0])
     elapsed = time.perf_counter() - start
     caches.persist()
-    counterexamples = [
-        {"case": key, **witness}
-        for key, passed, witness in results if not passed and witness]
+    counterexamples = []
+    for key, passed, witness in results:
+        if not passed:
+            if not witness:
+                raise ValueError(
+                    f"{suite} case {key} failed without a witness")
+            counterexamples.append({"case": key, **witness})
     return SuiteReport(
         suite=suite,
         params={

@@ -2,7 +2,9 @@
 The benchmark's tracer patches klimm functions and methods by name; a
 rename in the package must fail here rather than in a benchmark run.  Its
 runner clears klimm's module-level memo tables before every unit, and a
-cold unit must then repeat exactly.
+cold unit must then repeat exactly.  Its traced KL units must pass the
+runner's own report checks and exact-count anchors, read from the runner
+rather than restated here.
 """
 import importlib
 import importlib.util
@@ -55,3 +57,22 @@ def test_a_cold_run_repeats_once_the_memo_tables_are_cleared(monkeypatch):
     assert runs[0] == runs[1]
     assert runs[0][0][-1] == {"n": 5, "entries": 2508, "hits": 6293,
                               "misses": 2508}
+
+
+def test_traced_units_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    # The checks a traced benchmark run fails on: a report that is not ok
+    # or not the configured size, S_6 cache counts off the kl-cold anchor,
+    # a kl-warm miss, or a traced name the tracer cannot patch.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run")
+    monkeypatch.setattr(run, "WORK", str(tmp_path))
+    tables = run.memo_tables()
+    base = str(tmp_path / "build" / "kl.json")
+    warm = run.commands("kl-warm", 0, base)
+    assert run.check_unit(warm, run.run_unit(warm, tables)[2])[1] == []
+    for workload, cmds in (("kl-cold", run.commands("kl-cold", 0)),
+                           ("kl-warm", warm)):
+        tracer, _, _, results = run.traced_unit(workload, 0, cmds, tables)
+        assert run.check_unit(cmds, results)[1] == []
+        assert run.anchor_problems(workload, tracer) == []
+        assert tracer.layer_metrics()

@@ -100,6 +100,17 @@ def test_report_invariant_enforced():
     with pytest.raises(ValueError):
         SuiteReport("x", {}, cases_run=2, cases_passed=1,
                     counterexamples=[], wall_time=0.0)
+    # One witness for two failed cases.
+    with pytest.raises(ValueError, match="report invariant violated"):
+        SuiteReport("x", {}, cases_run=3, cases_passed=1,
+                    counterexamples=[{"case": "a", "v": "21"}], wall_time=0.0)
+
+    def cases(config, caches, notes):
+        yield "a", False, {"v": "21"}
+        yield "b", False, None
+
+    with pytest.raises(ValueError, match="x case b failed without a witness"):
+        suites._run("x", cases, Config(), {})
     report = SuiteReport("x", {"seed": 0}, cases_run=2, cases_passed=1,
                          counterexamples=[{"case": "a", "v": "21"}],
                          wall_time=0.0)
@@ -202,12 +213,23 @@ def test_cli_answers_at_n_8_without_a_bruhat_table(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["method"] == "determinantal"
 
 
-def test_cli_kl_cache_env(tmp_path, monkeypatch, capsys):
-    base = tmp_path / "cache.json"
-    monkeypatch.setenv("KLIMM_CACHE", str(base))
+def test_cli_kl_writes_out(tmp_path, capsys):
+    out = tmp_path / "kl.txt"
+    assert main(["kl", "1324", "3412", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "1 + q\nat q=1: 2\n"
+
+
+def test_cli_kl_cache_comes_from_the_flag_alone(tmp_path, monkeypatch,
+                                                 capsys):
+    # KLIMM_CACHE is no source of the base path; only --kl-cache is.
+    monkeypatch.setenv("KLIMM_CACHE", str(tmp_path / "cache.json"))
     assert main(["kl", "1324", "3412"]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "cache.s4.json").exists()
+    assert capsys.readouterr().out == "1 + q\nat q=1: 2\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main(["kl", "1324", "3412",
+                 "--kl-cache", str(tmp_path / "kl.json")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kl.s4.json"]
 
 
 def test_cli_kl_rejects_mislabelled_cache_file(tmp_path, capsys):
@@ -237,6 +259,22 @@ def test_cli_kl_rejects_a_malformed_cache_file(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,value", [("1,3,2,4|3,4,1,2", [1, 1]),
+                                       (" 1234 |2143", [1])])
+def test_cli_kl_refuses_keys_in_another_form(tmp_path, capsys, key, value):
+    # Each key names a true KL value, but not in the form save writes.
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1,
+                                "table": {key: value}}))
+    before = path.read_bytes()
+    assert main(["kl", "1324", "3412",
+                 "--kl-cache", str(tmp_path / "kl.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cache entry {key} in {path} ")
+    assert path.read_bytes() == before
 
 
 def test_cli_kl_rejects_cache_entries_that_are_not_below(tmp_path, capsys):
@@ -345,6 +383,15 @@ def test_cli_graph(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [b["color"] for b in doc["boxes"]] == \
         list(fixtures.BOX_COLORING_COLORS)
+
+
+def test_lewis_carroll_suite_honours_max_n():
+    keys = [key for key, _, _ in suites._suite_lewis_carroll(
+        Config(max_n=3, samples=5), None, {})]
+    assert keys == ["t=0000:n=2", "t=0001:n=3", "t=0002:n=2",
+                    "t=0003:n=3", "t=0004:n=2"]
+    with pytest.raises(ValueError, match="max_n >= 2, got 1"):
+        run_suite("prop-3.2", Config(max_n=1))
 
 
 def test_cli_check_writes_report(tmp_path, capsys):
