@@ -18,8 +18,9 @@ for.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import PatternPreconditionError, PreconditionError
@@ -92,8 +93,7 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.rows, tuple) or len(self.rows) != self.n:
             raise ValueError("rows must be a tuple of n masks")
-        outside = ~_columns(1, self.n)
-        if any(mask & outside for mask in self.rows):
+        if reduce(operator.or_, self.rows, 0) & ~_columns(1, self.n):
             raise ValueError(f"row mask with a column outside [1, {self.n}]")
 
     def has_cell(self, i: int, j: int) -> bool:
@@ -120,16 +120,24 @@ def _upper_interval_rows(v: Perm, skip: int = 0) -> tuple[int, ...]:
     value at or before i to the greatest kept value at or after i: when
     those two differ, their positions form a kept non-inversion through
     i.  So each row is the graph cell plus one run of columns between a
-    running minimum and a running maximum.
+    running minimum, taken forward, and a running maximum, taken backward
+    in the pass that writes the rows.
     """
-    v = as_perm(v)
-    kept = [pos != skip for pos in range(1, len(v) + 1)]
-    lows = itertools.accumulate(
-        (x if keep else len(v) + 1 for x, keep in zip(v, kept)), min)
-    highs = list(itertools.accumulate(
-        (x if keep else 0 for x, keep in zip(v[::-1], kept[::-1])), max))
-    return tuple(1 << x | (_columns(lo, hi) if lo < hi else 0)
-                 for x, lo, hi in zip(v, lows, highs[::-1]))
+    n = len(as_perm(v))
+    skipped = skip - 1  # 0-based; -1 leaves every position in
+    lows, low = [], n + 1
+    for i, x in enumerate(v):
+        if x < low and i != skipped:
+            low = x
+        lows.append(low)
+    rows, high = [0] * n, 0
+    for i in range(n - 1, -1, -1):
+        x, low = v[i], lows[i]
+        if x > high and i != skipped:
+            high = x
+        # The run is _columns(low, high), inlined.
+        rows[i] = 1 << x | ((2 << high) - (1 << low) if low < high else 0)
+    return tuple(rows)
 
 
 def graph_of_upper_interval(v: Perm) -> Grid:
@@ -272,53 +280,69 @@ class BoundingBox:
     color: Color
 
 
+def _maximal_spans(v: Perm) -> list[tuple[int, int, tuple[Cell, ...], Color]]:
+    """
+    (lo, hi, corners, color) of each maximal box of :func:`bounding_boxes`,
+    in its order, for a word already checked to be a permutation.
+
+    The box at (i, v_i) spans the rows {i, n + 1 - v_i} and the mirrored
+    columns {v_i, n + 1 - i}, so rows lo..hi come with columns
+    n + 1 - hi..n + 1 - lo, and one box contains another iff its row span
+    does.  Only two points can span down from row lo: (lo, v_lo), to the
+    row n + 1 - v_lo when that is not above lo, and the point with the
+    value n + 1 - lo, from its own row when that is below lo.  Read by
+    lo, the longer of the two is maximal iff it reaches below every span
+    before it.  When neither spans from lo, both ends lie above lo, and
+    the earlier span that holds row lo already reaches past them.
+    """
+    n = len(v)
+    row_of = [0] * (n + 1)
+    for i, x in enumerate(v, start=1):
+        row_of[x] = i
+    spans = []
+    reach = 0
+    for lo, x in enumerate(v, start=1):
+        b = row_of[n + 1 - lo]  # the row of the value n + 1 - lo
+        hi = max(n + 1 - x, b)
+        if hi <= reach:
+            continue
+        reach = hi
+        # The corner above the antidiagonal is (lo, x), below it
+        # (hi, n + 1 - lo).
+        if lo == hi:
+            spans.append((lo, hi, ((lo, x),), "green"))
+        elif b != hi:
+            spans.append((lo, hi, ((lo, x),), "blue"))
+        elif x + hi != n + 1:
+            spans.append((lo, hi, ((hi, n + 1 - lo),), "red"))
+        else:
+            spans.append((lo, hi, ((lo, x), (hi, n + 1 - lo)), "purple"))
+    return spans
+
+
 def bounding_boxes(v: Perm) -> list[BoundingBox]:
     """
     The maximal boxes anchored at graph points, ordered by northmost row.
     A corner strictly above the antidiagonal colors its box blue, below
     colors it red, on the antidiagonal green; a region spanned from both
-    sides at once is purple.
-
-    The box at (i, v_i) spans the rows {i, n + 1 - v_i} and the mirrored
-    columns {v_i, n + 1 - i}, so rows lo..hi come with columns
-    n + 1 - hi..n + 1 - lo, and one box contains another iff its row span
-    does.  Sorted by (lo, -hi), a span is maximal iff it reaches below
-    every span before it.
+    sides at once is purple.  A word that is not a permutation raises
+    ValueError.
     """
-    n = len(v)
-    spans: dict[tuple[int, int], list[Cell]] = {}
-    for i, vi in enumerate(v, start=1):
-        span = (i, n + 1 - vi) if i + vi <= n + 1 else (n + 1 - vi, i)
-        spans.setdefault(span, []).append((i, vi))
-    boxes = []
-    reach = 0
-    for lo, hi in sorted(spans, key=lambda span: (span[0], -span[1])):
-        if hi <= reach:
-            continue
-        reach = hi
-        corners = spans[lo, hi]
-        # A span lo < hi has at most two corners: (lo, n + 1 - hi) above
-        # the antidiagonal and (hi, n + 1 - lo) below it.
-        if lo == hi:
-            color = "green"
-        elif len(corners) == 2:
-            color = "purple"
-        else:
-            color = "blue" if corners[0][0] == lo else "red"
-        boxes.append(BoundingBox((lo, hi), (n + 1 - hi, n + 1 - lo),
-                                 tuple(corners), color))
-    return boxes
+    n = len(as_perm(v))
+    return [BoundingBox((lo, hi), (n + 1 - hi, n + 1 - lo), corners, color)
+            for lo, hi, corners, color in _maximal_spans(v)]
 
 
 def boxes_cover_interval_graph(v: Perm) -> bool:
     """Self-check: the maximal bounding boxes cover the upper-interval graph."""
-    cover = [0] * len(v)
-    for box in bounding_boxes(v):
-        span = _columns(*box.cols)
-        for i in range(box.rows[0] - 1, box.rows[1]):
+    rows = _upper_interval_rows(tuple(v))
+    n = len(rows)
+    cover = [0] * n
+    for lo, hi, _, _ in _maximal_spans(v):
+        span = _columns(n + 1 - hi, n + 1 - lo)
+        for i in range(lo - 1, hi):
             cover[i] |= span
-    return all(row & ~covered == 0 for row, covered
-               in zip(graph_of_upper_interval(v).rows, cover))
+    return not any(row & ~covered for row, covered in zip(rows, cover))
 
 
 def spanning_corners(v: Perm) -> frozenset[Cell]:
@@ -339,10 +363,9 @@ def boxes_alternate(v: Perm) -> bool:
     if is_in_maximal_parabolic(compose(longest_element(len(v)), v)):
         raise PreconditionError(
             f"w0 * {v} lies in a maximal parabolic subgroup")
-    boxes = bounding_boxes(v)
-    if len(boxes) <= 1:
+    colors = [color for _, _, _, color in _maximal_spans(v)]
+    if len(colors) <= 1:
         return True
-    colors = [b.color for b in boxes]
     if any(c not in ("blue", "red") for c in colors):
         return False
     return all(a != b for a, b in zip(colors, colors[1:]))

@@ -364,8 +364,9 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     parity = table.odd if ly % 2 else ~table.odd
     mask = below[ys] & table.above[x] & table.descents[i] & parity
     # Each candidate P_{z,ys} is one read.  Those the store lacks are
-    # computed first (a deeper call may store one meanwhile: a hit); the
-    # rest are hits at once, and only the z with mu(z, ys) != 0 are read.
+    # computed first, each by a call that counts its own hit should a
+    # deeper call have stored it meanwhile; the rest are hits at once,
+    # and only the z with mu(z, ys) != 0 are read.
     known, mus = cache.rows
     stored = mask & known[ys]
     cache.hits += stored.bit_count()
@@ -373,11 +374,7 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     while todo:
         bit = todo & -todo
         todo ^= bit
-        z = bit.bit_length() - 1
-        if row + z in store:
-            cache.hits += 1
-        else:
-            kl_at(cache, z, ys)
+        kl_at(cache, bit.bit_length() - 1, ys)
     mask &= mus[ys]
     while mask:
         bit = mask & -mask

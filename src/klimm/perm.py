@@ -132,21 +132,27 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
 
 def pattern_occurs(v: Perm, p: Perm) -> bool:
     """
-    Does some subsequence of v have the same relative order as p?  Each
-    subsequence is read in the order of p's values (its entry at the
-    position of 1 in p first, then of 2, ...), and p occurs iff those
-    entries increase.
+    Does some subsequence of v have the same relative order as p?  Both
+    words must be permutations, p no longer than v, else ValueError.
 
     >>> pattern_occurs((5, 2, 1, 4, 3), (2, 1, 4, 3))
     True
     >>> pattern_occurs((2, 4, 1, 3), (1, 3, 2, 4))
     False
     """
-    if not (is_permutation_word(v) and is_permutation_word(p)):
-        raise ValueError(f"pattern {p} and host {v} must be permutations")
-    m = len(p)
-    if m > len(v):
+    if len(p) > len(v):
         raise ValueError("pattern is longer than the host permutation")
+    return not avoids(v, p)
+
+
+def _occurs(v: Perm, p: Perm) -> bool:
+    """
+    :func:`pattern_occurs` for checked words, p no longer than v.  Each
+    subsequence is read in the order of p's values (its entry at the
+    position of 1 in p first, then of 2, ...), and p occurs iff those
+    entries increase.
+    """
+    m = len(p)
     if m < 2:  # always occurs; itemgetter needs two indices for a tuple
         return True
     by_value = operator.itemgetter(*(i - 1 for i in inverse(p)))
@@ -162,9 +168,14 @@ def pattern_occurs(v: Perm, p: Perm) -> bool:
 
 
 def avoids(v: Perm, *patterns: Perm) -> bool:
-    """True iff none of the patterns occurs in v (longer patterns cannot)."""
-    return not any(pattern_occurs(v, p)
-                   for p in patterns if len(p) <= len(v))
+    """
+    True iff none of the patterns occurs in v (longer patterns cannot).
+    The host and every pattern must be permutations, else ValueError.
+    """
+    for word in (v, *patterns):
+        if not is_permutation_word(word):
+            raise ValueError(f"not a permutation of [{len(word)}]: {word}")
+    return not any(_occurs(v, p) for p in patterns if len(p) <= len(v))
 
 
 def delete_entry(v: Perm, i: int) -> Perm:
@@ -386,6 +397,4 @@ def parse_perm(text: str) -> Perm:
 
 def format_perm(v: Perm) -> str:
     """Compact digits for n <= 9, comma-separated beyond."""
-    if len(v) <= 9:
-        return "".join(str(x) for x in v)
-    return ",".join(str(x) for x in v)
+    return ("" if len(v) <= 9 else ",").join(map(str, v))

@@ -113,6 +113,9 @@ def test_interval_graph_rejects_words_that_are_not_permutations(word):
         graph_of_upper_interval(word)
     with pytest.raises(ValueError, match="not a permutation"):
         deletion_pruned_grid_identity(word, 1)
+    for kernel in (bounding_boxes, boxes_cover_interval_graph):
+        with pytest.raises(ValueError, match="not a permutation"):
+            kernel(word)
 
 
 def sandwiched_by(v, k, l):
@@ -243,15 +246,54 @@ def test_bounding_boxes_longest_element():
         assert box.rows[0] == box.rows[1] and box.cols[0] == box.cols[1]
 
 
+def cells_of_boxes(boxes):
+    return {(i, j) for box in boxes
+            for i in range(box.rows[0], box.rows[1] + 1)
+            for j in range(box.cols[0], box.cols[1] + 1)}
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_boxes_cover_interval_graph(n):
     for v in symmetric_group(n):
-        cover = set()
-        for box in bounding_boxes(v):
-            cover |= {(i, j) for i in range(box.rows[0], box.rows[1] + 1)
-                      for j in range(box.cols[0], box.cols[1] + 1)}
-        assert cells_of(graph_of_upper_interval(v)) <= cover
+        assert cells_of(graph_of_upper_interval(v)) <= \
+            cells_of_boxes(bounding_boxes(v))
         assert boxes_cover_interval_graph(v)
+
+
+# The sweeps run these kernels over S_7 and beyond; at n = 8 each is
+# checked against an oracle that shares none of its code.
+perms_of_8 = st.permutations(list(range(1, 9))).map(tuple)
+
+
+def sandwiched_cells(v, skip=0):
+    """The graph of v and the cells sandwiched by non-inversions not through skip."""
+    return permutation_graph(v).union(
+        *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)
+          if skip not in (k, l)))
+
+
+@given(perms_of_8, st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_interval_rows_match_the_sandwiched_cells_at_8(v, skip):
+    rows = _upper_interval_rows(v, skip)
+    assert rows == grid(8, sandwiched_cells(v, skip)).rows
+    if skip:
+        assert rows == grid(8, sandwiched_cells(v)
+                            - cells_sandwiched_only_by(v, skip)).rows
+
+
+@given(perms_of_8)
+@settings(max_examples=200, deadline=None)
+def test_bounding_boxes_match_pairwise_containment_at_8(v):
+    assert bounding_boxes(v) == _bounding_boxes_by_pairwise_containment(v)
+
+
+@given(perms_of_8)
+@settings(max_examples=100, deadline=None)
+def test_boxes_cover_matches_the_cell_set_cover_at_8(v):
+    covered = sandwiched_cells(v) <= cells_of_boxes(
+        _bounding_boxes_by_pairwise_containment(v))
+    assert boxes_cover_interval_graph(v) == covered
 
 
 def test_alternation_preconditions():

@@ -390,6 +390,15 @@ def test_recursion_rejects_a_cached_term_past_the_degree_bound():
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
 
+def test_recursion_bounds_the_degree_by_the_length_gap_of_the_pair():
+    # P_{132,231} = P_{123,213}, read as its first descent term.  A
+    # corrupt 1 + q there has degree 1, where l(231) - l(132) = 1 allows
+    # 0; the bound counts l(x) against l(y), not with it.
+    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [1, 1]})
+    with pytest.raises(ArithmeticError, match="degree bound"):
+        kl_polynomial((1, 3, 2), (2, 3, 1), cache)
+
+
 @pytest.mark.parametrize("corrupt,x,y,message", [
     # mu(2314, 2341) = 2 subtracts 2q where 1 + q needs q taken away, so
     # P_{1234,2431} comes out as 1 - q.

@@ -2,9 +2,9 @@
 The benchmark's tracer patches klimm functions and methods by name; a
 rename in the package must fail here rather than in a benchmark run.  Its
 runner clears klimm's module-level memo tables before every unit, and a
-cold unit must then repeat exactly.  Its traced KL units must pass the
-runner's own report checks and exact-count anchors, read from the runner
-rather than restated here.
+cold unit must then repeat exactly.  Its traced KL and sweep units must
+pass the runner's own report checks and exact-count anchors, read from
+the runner rather than restated here.
 """
 import importlib
 import importlib.util
@@ -70,8 +70,10 @@ def test_traced_units_pass_the_benchmark_checks(tmp_path, monkeypatch):
     base = str(tmp_path / "build" / "kl.json")
     warm = run.commands("kl-warm", 0, base)
     assert run.check_unit(warm, run.run_unit(warm, tables)[2])[1] == []
+    # The sweep unit runs the grid and perm kernels the tracer patches.
     for workload, cmds in (("kl-cold", run.commands("kl-cold", 0)),
-                           ("kl-warm", warm)):
+                           ("kl-warm", warm),
+                           ("sweep", run.commands("sweep", 0))):
         tracer, _, _, results = run.traced_unit(workload, 0, cmds, tables)
         assert run.check_unit(cmds, results)[1] == []
         assert run.anchor_problems(workload, tracer) == []

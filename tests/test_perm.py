@@ -323,12 +323,25 @@ def test_pattern_occurs_matches_sorting_oracle_up_to_s7(v, p):
     ((2, 4, 4, 3), (2, 1)),
     ((2, 5, 1, 3), (1, 2)),
     ((1, 2), (3, 1)),
+    # avoids checks every word, even when the pattern cannot fit.
+    ((1, 1), (1, 3, 2, 4)),
+    ((1, 2), (1, 1, 2)),
 ])
 def test_pattern_occurs_rejects_words_that_are_not_permutations(v, p):
     with pytest.raises(ValueError):
         pattern_occurs(v, p)
     with pytest.raises(ValueError):
         avoids(v, p)
+
+
+@given(st.permutations(list(range(1, 9))).map(tuple),
+       st.lists(st.integers(0, 6).flatmap(
+           lambda m: st.permutations(list(range(1, m + 1)))).map(tuple),
+           max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_avoids_matches_sorting_oracle_at_8(v, patterns):
+    assert avoids(v, *patterns) == \
+        (not any(_pattern_occurs_by_sorting(v, p) for p in patterns))
 
 
 def _longest_increasing_run(v):
