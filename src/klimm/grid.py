@@ -135,8 +135,7 @@ def _upper_interval_rows(v: Perm, skip: int = 0) -> tuple[int, ...]:
         x, low = v[i], lows[i]
         if x > high and i != skipped:
             high = x
-        # The run is _columns(low, high), inlined.
-        rows[i] = 1 << x | ((2 << high) - (1 << low) if low < high else 0)
+        rows[i] = 1 << x | (_columns(low, high) if low < high else 0)
     return tuple(rows)
 
 

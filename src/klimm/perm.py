@@ -132,27 +132,21 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
 
 def pattern_occurs(v: Perm, p: Perm) -> bool:
     """
-    Does some subsequence of v have the same relative order as p?  Both
-    words must be permutations, p no longer than v, else ValueError.
+    Does some subsequence of v have the same relative order as p?  Each
+    subsequence is read in the order of p's values (its entry at the
+    position of 1 in p first, then of 2, ...), and p occurs iff those
+    entries increase.
 
     >>> pattern_occurs((5, 2, 1, 4, 3), (2, 1, 4, 3))
     True
     >>> pattern_occurs((2, 4, 1, 3), (1, 3, 2, 4))
     False
     """
-    if len(p) > len(v):
-        raise ValueError("pattern is longer than the host permutation")
-    return not avoids(v, p)
-
-
-def _occurs(v: Perm, p: Perm) -> bool:
-    """
-    :func:`pattern_occurs` for checked words, p no longer than v.  Each
-    subsequence is read in the order of p's values (its entry at the
-    position of 1 in p first, then of 2, ...), and p occurs iff those
-    entries increase.
-    """
+    if not (is_permutation_word(v) and is_permutation_word(p)):
+        raise ValueError(f"pattern {p} and host {v} must be permutations")
     m = len(p)
+    if m > len(v):
+        raise ValueError("pattern is longer than the host permutation")
     if m < 2:  # always occurs; itemgetter needs two indices for a tuple
         return True
     by_value = operator.itemgetter(*(i - 1 for i in inverse(p)))
@@ -168,14 +162,9 @@ def _occurs(v: Perm, p: Perm) -> bool:
 
 
 def avoids(v: Perm, *patterns: Perm) -> bool:
-    """
-    True iff none of the patterns occurs in v (longer patterns cannot).
-    The host and every pattern must be permutations, else ValueError.
-    """
-    for word in (v, *patterns):
-        if not is_permutation_word(word):
-            raise ValueError(f"not a permutation of [{len(word)}]: {word}")
-    return not any(_occurs(v, p) for p in patterns if len(p) <= len(v))
+    """True iff none of the patterns occurs in v (longer patterns cannot)."""
+    return not any(pattern_occurs(v, p)
+                   for p in patterns if len(p) <= len(v))
 
 
 def delete_entry(v: Perm, i: int) -> Perm:

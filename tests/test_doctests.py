@@ -35,8 +35,6 @@ def test_no_assert_statements_in_the_package():
 # Functions and methods the package keeps without a caller of its own.
 UNCALLED_BY_DESIGN = {
     "KLCache.stats": "perfbench/spans.py reads the cache counters with it",
-    "pattern_occurs": "the public one-pattern test; avoids runs the same "
-                      "search after checking each word once",
 }
 
 

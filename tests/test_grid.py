@@ -124,6 +124,13 @@ def sandwiched_by(v, k, l):
             for j in range(v[k - 1], v[l - 1] + 1)}
 
 
+def sandwiched_cells(v, skip=0):
+    """The graph of v and the cells sandwiched by non-inversions not through skip."""
+    return permutation_graph(v).union(
+        *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)
+          if skip not in (k, l)))
+
+
 def test_is_sandwiched():
     assert non_inversions(V2413) == [(1, 2), (1, 4), (3, 4)]
     off_graph = (cells_of(graph_of_upper_interval(V2413))
@@ -134,9 +141,7 @@ def test_is_sandwiched():
     assert (4, 4) not in cells_of(graph_of_upper_interval(V2413))
     # the graph of [v, w0] is the graph of v plus every sandwiched cell
     for v in symmetric_group(4):
-        assert cells_of(graph_of_upper_interval(v)) == \
-            permutation_graph(v).union(
-                *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)))
+        assert cells_of(graph_of_upper_interval(v)) == sandwiched_cells(v)
 
 
 def test_largest_square_examples():
@@ -263,13 +268,6 @@ def test_boxes_cover_interval_graph(n):
 # The sweeps run these kernels over S_7 and beyond; at n = 8 each is
 # checked against an oracle that shares none of its code.
 perms_of_8 = st.permutations(list(range(1, 9))).map(tuple)
-
-
-def sandwiched_cells(v, skip=0):
-    """The graph of v and the cells sandwiched by non-inversions not through skip."""
-    return permutation_graph(v).union(
-        *(sandwiched_by(v, k, l) for (k, l) in non_inversions(v)
-          if skip not in (k, l)))
 
 
 @given(perms_of_8, st.integers(0, 8))
