@@ -56,7 +56,6 @@ from .perm import (
     is_in_maximal_parabolic,
     length,
     longest_element,
-    non_inversions,
     pattern_occurs,
 )
 from .suites import Config, SuiteReport, run_search, run_suite

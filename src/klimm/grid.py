@@ -34,7 +34,6 @@ from .perm import (
     is_in_maximal_parabolic,
     iter_bits,
     longest_element,
-    non_inversions,
 )
 
 Cell = tuple[int, int]
@@ -97,7 +96,8 @@ class Grid:
             raise ValueError(f"row mask with a column outside [1, {self.n}]")
 
     def has_cell(self, i: int, j: int) -> bool:
-        return 1 <= i <= self.n and bool(self.rows[i - 1] >> j & 1)
+        return (1 <= i <= self.n and 1 <= j <= self.n
+                and bool(self.rows[i - 1] >> j & 1))
 
     def to_doc(self) -> dict:
         """The cells, with the identity labels the grid format records."""
@@ -205,10 +205,18 @@ def squares_match_noninversions(v: Perm) -> bool:
     """
     Self-check: the largest square in the upper-interval graph equals one
     plus the best min(j - i, v_j - v_i) over non-inversions <i, j> (zero
-    when there is none).
+    when there is none), and the empty word has no square at all.
+
+    A pair can beat the best gap so far only if j - i does, so each row
+    of pairs starts past it.
     """
-    gaps = [min(j - i, v[j - 1] - v[i - 1]) for (i, j) in non_inversions(v)]
-    predicted = 1 + (max(gaps) if gaps else 0)
+    best = 0
+    for i, x in enumerate(v):
+        for j in range(i + best + 1, len(v)):
+            rise = v[j] - x
+            if rise > best:
+                best = min(j - i, rise)
+    predicted = best + 1 if v else 0
     return largest_square(graph_of_upper_interval(v)) == predicted
 
 

@@ -75,18 +75,6 @@ def length(v: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
 
 
-def non_inversions(v: Perm) -> list[tuple[int, int]]:
-    """
-    All pairs <i, j> with i < j and v_i < v_j, in lexicographic order.
-
-    >>> non_inversions((2, 4, 1, 3))
-    [(1, 2), (1, 4), (3, 4)]
-    """
-    n = len(v)
-    return [(i + 1, j + 1)
-            for i in range(n) for j in range(i + 1, n) if v[i] < v[j]]
-
-
 def compose(u: Perm, v: Perm) -> Perm:
     """
     Composition (u o v)(i) = u(v(i)).

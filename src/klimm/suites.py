@@ -146,7 +146,8 @@ class SuiteReport:
         return header + "\n" + row + "\n"
 
 
-Case = tuple[str, bool, dict | None]
+# A case yields None when it passes and (key, witness) when it fails.
+Case = tuple[str, dict] | None
 CaseGenerator = Callable[[Config, KLCacheRegistry, dict], Iterator[Case]]
 
 
@@ -216,7 +217,8 @@ def _draw_size_and_order(rng: random.Random, k: int | None,
 
 
 # ---------------------------------------------------------------------------
-# Suite case generators.  Each yields (case_key, passed, witness_or_None).
+# Suite case generators, yielding Cases.  A key is formatted only for a
+# failure, unless it also seeds the case's random draws.
 
 
 def _every_permutation(holds: Callable[[Perm], bool]) -> CaseGenerator:
@@ -225,9 +227,11 @@ def _every_permutation(holds: Callable[[Perm], bool]) -> CaseGenerator:
               notes: dict) -> Iterator[Case]:
         for n in range(1, (config.max_n or 7) + 1):
             for v in symmetric_group(n):
-                passed = holds(v)
-                yield (f"n={n}:v={format_perm(v)}", passed,
-                       None if passed else {"v": format_perm(v)})
+                if holds(v):
+                    yield None
+                else:
+                    word = format_perm(v)
+                    yield f"n={n}:v={word}", {"v": word}
     return cases
 
 
@@ -245,13 +249,12 @@ def _suite_alternation(config: Config, caches: KLCacheRegistry,
                 passed = boxes_alternate(v)
             except PreconditionError:
                 continue
-            key = f"n={n}:v={format_perm(v)}"
             if passed:
-                yield key, True, None
+                yield None
             else:
-                boxes = bounding_boxes(v)
-                yield key, False, {"v": format_perm(v),
-                                   "colors": [b.color for b in boxes]}
+                word = format_perm(v)
+                yield f"n={n}:v={word}", {
+                    "v": word, "colors": [b.color for b in bounding_boxes(v)]}
 
 
 def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
@@ -267,11 +270,9 @@ def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
                 M = _random_rational_matrix(n, rng)
                 lhs = imm_definition(v, M, cache)
                 rhs = imm_determinantal(v, M)
-                passed = lhs == rhs
-                witness = None if passed else {
+                yield None if lhs == rhs else (key, {
                     "v": format_perm(v), "matrix": M.to_doc(),
-                    "definition": str(lhs), "determinantal": str(rhs)}
-                yield key, passed, witness
+                    "definition": str(lhs), "determinantal": str(rhs)})
 
 
 def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
@@ -290,11 +291,9 @@ def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
         b = rng.randint(1, n - 1)
         b2 = rng.randint(b + 1, n)
         residual = lewis_carroll_residual(M, a, a2, b, b2)
-        passed = residual == 0
-        witness = None if passed else {
+        yield None if residual == 0 else (key, {
             "matrix": M.to_doc(), "rows": [a, a2], "cols": [b, b2],
-            "residual": str(residual)}
-        yield key, passed, witness
+            "residual": str(residual)})
 
 
 def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
@@ -311,11 +310,9 @@ def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
                 M = _random_rational_matrix(n, rng)
                 product = factor_block_antidiagonal(v, M)
                 direct = imm_determinantal(v, M)
-                passed = product == direct
-                witness = None if passed else {
+                yield None if product == direct else (key, {
                     "v": format_perm(v), "matrix": M.to_doc(),
-                    "product": str(product), "direct": str(direct)}
-                yield key, passed, witness
+                    "product": str(product), "direct": str(direct)})
 
 
 def _suite_deletion(config: Config, caches: KLCacheRegistry,
@@ -325,22 +322,20 @@ def _suite_deletion(config: Config, caches: KLCacheRegistry,
     for n in range(2, max_n + 1):
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
             corners = spanning_corners(v)
+            word = format_perm(v)
             for i in range(1, n + 1):
-                key = f"n={n}:v={format_perm(v)}:i={i}:grid"
                 if (i, v[i - 1]) in corners:
                     passed = deletion_pruned_grid_identity(v, i)
                 else:
                     passed = deletion_grid_identity(v, i)
-                yield key, passed, None if passed else {
-                    "v": format_perm(v), "i": i,
-                    "failure": "grid deletion mismatch"}
+                yield None if passed else (f"n={n}:v={word}:i={i}:grid", {
+                    "v": word, "i": i, "failure": "grid deletion mismatch"})
                 for s in range(samples):
-                    key = f"n={n}:v={format_perm(v)}:i={i}:s={s}"
+                    key = f"n={n}:v={word}:i={i}:s={s}"
                     rng = _case_rng(config.seed, "deletion", key)
                     M = _random_rational_matrix(n - 1, rng)
-                    passed = deletion_det_identity(v, i, M)
-                    yield key, passed, None if passed else {
-                        "v": format_perm(v), "i": i, "matrix": M.to_doc()}
+                    yield None if deletion_det_identity(v, i, M) else (key, {
+                        "v": word, "i": i, "matrix": M.to_doc()})
 
 
 def _suite_young(config: Config, caches: KLCacheRegistry,
@@ -360,11 +355,10 @@ def _suite_young(config: Config, caches: KLCacheRegistry,
             for R in patterns:
                 for C in patterns:
                     for s, M in enumerate(mats):
-                        key = f"shape={shape_text}:{variant}:R={R}:C={C}:s={s}"
-                        passed = young_sign_law(P, R, C, M)
-                        yield key, passed, None if passed else {
-                            "shape": list(shape), "R": list(R), "C": list(C),
-                            "matrix": M.to_doc(), "variant": variant}
+                        yield None if young_sign_law(P, R, C, M) else (
+                            f"shape={shape_text}:{variant}:R={R}:C={C}:s={s}",
+                            {"shape": list(shape), "R": list(R), "C": list(C),
+                             "matrix": M.to_doc(), "variant": variant})
 
 
 def _suite_main_sq(config: Config, caches: KLCacheRegistry,
@@ -374,19 +368,20 @@ def _suite_main_sq(config: Config, caches: KLCacheRegistry,
     samples = config.samples or 5
     patterns = label_patterns(n, m)
     for v in _avoiders(n, FORBIDDEN_PATTERNS):
+        word = format_perm(v)
         k = largest_square(graph_of_upper_interval(v))
         mats = _k_positive_samples(
-            m, k, f"{config.seed}:main-sq:{format_perm(v)}", samples, notes)
+            m, k, f"{config.seed}:main-sq:{word}", samples, notes)
         for R in patterns:
             for C in patterns:
                 for s, M in enumerate(mats):
-                    key = f"v={format_perm(v)}:R={R}:C={C}:s={s}"
                     result = dual_canonical_eval(v, R, C, M)
-                    passed = obeys_sign_law(result.value, result.admissible)
-                    yield key, passed, None if passed else {
-                        "v": format_perm(v), "R": list(R), "C": list(C),
-                        "matrix": M.to_doc(), "value": str(result.value),
-                        "admissible": result.admissible, "k": k}
+                    yield None if obeys_sign_law(
+                        result.value, result.admissible) else (
+                        f"v={word}:R={R}:C={C}:s={s}", {
+                            "v": word, "R": list(R), "C": list(C),
+                            "matrix": M.to_doc(), "value": str(result.value),
+                            "admissible": result.admissible, "k": k})
 
 
 def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
@@ -399,21 +394,21 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
             if sign_probe_anchor(v)[0] is None:
                 continue
+            word = format_perm(v)
             k = largest_square(graph_of_upper_interval(v))
             mats = _k_positive_samples(
-                n, k, f"{config.seed}:sgn:{format_perm(v)}", samples, notes)
+                n, k, f"{config.seed}:sgn:{word}", samples, notes)
             for R in patterns:
                 for C in patterns:
                     for s, M in enumerate(mats):
-                        key = f"n={n}:v={format_perm(v)}:R={R}:C={C}:s={s}"
                         report = lewis_carroll_sign_probe(v, R, C, M)
                         if not report.hypotheses_met:
                             skipped += 1
                             continue
-                        passed = not report.violated
-                        yield key, passed, None if passed else {
-                            "v": format_perm(v), "R": list(R), "C": list(C),
-                            "matrix": M.to_doc(), "probe": report.to_doc()}
+                        yield (f"n={n}:v={word}:R={R}:C={C}:s={s}", {
+                            "v": word, "R": list(R), "C": list(C),
+                            "matrix": M.to_doc(), "probe": report.to_doc(),
+                        }) if report.violated else None
     notes["preconditions_not_met"] = skipped
 
 
@@ -451,16 +446,20 @@ def _run(suite: str, cases: CaseGenerator, config: Config,
     """Run one case generator and assemble its deterministic report."""
     caches = KLCacheRegistry(config.kl_cache_path)
     start = time.perf_counter()
-    results = sorted(cases(config, caches, notes), key=lambda case: case[0])
+    cases_run = 0
+    failures = []
+    for cases_run, case in enumerate(cases(config, caches, notes), start=1):
+        if case is not None:
+            failures.append(case)
     elapsed = time.perf_counter() - start
     caches.persist()
-    counterexamples = []
-    for key, passed, witness in results:
-        if not passed:
-            if not witness:
-                raise ValueError(
-                    f"{suite} case {key} failed without a witness")
-            counterexamples.append({"case": key, **witness})
+    for key, witness in failures:
+        if not key:
+            raise ValueError(f"{suite}: a case failed without a key")
+        if not witness:
+            raise ValueError(f"{suite} case {key} failed without a witness")
+    # Stable: failures that share a key keep the order they were found in.
+    failures.sort(key=lambda case: case[0])
     return SuiteReport(
         suite=suite,
         params={
@@ -468,9 +467,10 @@ def _run(suite: str, cases: CaseGenerator, config: Config,
             "samples": config.samples, "seed": config.seed,
             "k": config.k,
         },
-        cases_run=len(results),
-        cases_passed=sum(1 for _, passed, _ in results if passed),
-        counterexamples=counterexamples,
+        cases_run=cases_run,
+        cases_passed=cases_run - len(failures),
+        counterexamples=[{"case": key, **witness}
+                         for key, witness in failures],
         wall_time=elapsed,
         notes=notes,
     )
@@ -504,11 +504,10 @@ def _search_plain_immanant(config: Config, caches: KLCacheRegistry,
         v = pool[rng.randrange(len(pool))]
         M = _k_positive_samples(n, k, f"{config.seed}:5.1:{t}", 1, notes)[0]
         value = imm_definition(v, M, caches.for_n(n))
-        passed = value > 0
-        yield key, passed, None if passed else _reverified(
+        yield None if value > 0 else (key, _reverified(
             {"v": format_perm(v), "n": n, "k": k, "matrix": M.to_doc(),
              "value": str(value)},
-            lambda v, M, R, C: imm_definition(v, M) <= 0)
+            lambda v, M, R, C: imm_definition(v, M) <= 0))
 
 
 def _reverified(witness: dict, fails: Callable[..., bool]) -> dict:
@@ -551,12 +550,12 @@ def _search_sign_control(config: Config, caches: KLCacheRegistry,
         C = _random_multiset(m, n, rng)
         M = _k_positive_samples(m, k, f"{config.seed}:5.2:{t}", 1, notes)[0]
         result = dual_canonical_eval(v, R, C, M)
-        passed = obeys_sign_law(result.value, result.admissible)
-        yield key, passed, None if passed else _reverified(
-            {"v": format_perm(v), "R": list(R), "C": list(C), "k": k,
-             "matrix": M.to_doc(), "value": str(result.value),
-             "admissible": result.admissible},
-            _violates_sign_law)
+        yield None if obeys_sign_law(result.value, result.admissible) else (
+            key, _reverified(
+                {"v": format_perm(v), "R": list(R), "C": list(C), "k": k,
+                 "matrix": M.to_doc(), "value": str(result.value),
+                 "admissible": result.admissible},
+                _violates_sign_law))
 
 
 def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
@@ -586,17 +585,16 @@ def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
             for _ in range(3))
         if not generic_nonzero:
             vacuous += 1
-            yield key, True, None
+            yield None
             continue
         M = _k_positive_samples(m, k, f"{config.seed}:5.3:{t}", 1, notes)[0]
         value = imm_definition(v, repeat_submatrix(M, R, C), cache)
-        passed = value > 0
-        yield key, passed, None if passed else _reverified(
+        yield None if value > 0 else (key, _reverified(
             {"v": format_perm(v), "n": n, "k": k, "m": m,
              "R": list(R), "C": list(C), "matrix": M.to_doc(),
              "value": str(value)},
             lambda v, M, R, C: imm_definition(
-                v, repeat_submatrix(M, R, C)) <= 0)
+                v, repeat_submatrix(M, R, C)) <= 0))
     notes["identically_zero_cases"] = vacuous
 
 

@@ -8,7 +8,7 @@ from klimm.errors import ShapeError
 from klimm.exactmat import Matrix
 from klimm.grid import Grid
 from klimm.klpoly import KLCache, kl_polynomial
-from klimm.perm import iter_bits, non_inversions
+from klimm.perm import iter_bits
 from klimm.suites import _partitions_in_box
 
 rationals = st.fractions(
@@ -80,6 +80,16 @@ def cells_of(P) -> frozenset:
     """The cells (i, j) of a Grid, read off its row masks."""
     return frozenset((i, j) for i, mask in enumerate(P.rows, start=1)
                      for j in iter_bits(mask))
+
+
+def non_inversions(v) -> list[tuple[int, int]]:
+    """
+    All pairs <i, j> with i < j and v_i < v_j, in lexicographic order
+    (test oracle for the gap bound of ``squares_match_noninversions``).
+    """
+    n = len(v)
+    return [(i + 1, j + 1)
+            for i in range(n) for j in range(i + 1, n) if v[i] < v[j]]
 
 
 def permutation_graph(v) -> frozenset:

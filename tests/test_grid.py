@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from conftest import (
     col_support,
     durfee,
     grid,
+    non_inversions,
     permutation_graph,
     row_support,
     young_shapes,
@@ -48,7 +50,6 @@ from klimm.perm import (
     identity,
     iter_bits,
     longest_element,
-    non_inversions,
     symmetric_group,
 )
 
@@ -154,6 +155,38 @@ def test_largest_square_examples():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_squares_match_noninversions_exhaustive(n):
     assert all(squares_match_noninversions(v) for v in symmetric_group(n))
+
+
+def test_squares_match_noninversions_on_the_empty_word():
+    # The empty grid has no square, and no pair predicts one.
+    assert largest_square(graph_of_upper_interval(())) == 0
+    assert squares_match_noninversions(())
+
+
+def gap_bound(v) -> int:
+    """One plus the best min(j - i, v_j - v_i) over non-inversions, or 1."""
+    return 1 + max((min(j - i, v[j - 1] - v[i - 1])
+                    for (i, j) in non_inversions(v)), default=0)
+
+
+@given(st.integers(8, 9).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_predicted_square_matches_the_gap_oracle_at_8_and_9(v):
+    # With the graph side pinned to the oracle's value, and then to one
+    # more, the answer depends on the predicted side alone.
+    bound = gap_bound(v)
+    for side, expected in ((bound, True), (bound + 1, False)):
+        with mock.patch("klimm.grid.largest_square", return_value=side):
+            assert squares_match_noninversions(v) is expected
+    assert squares_match_noninversions(v)
+
+
+def test_has_cell_is_false_outside_the_square():
+    full = grid(3, [(i, j) for i in range(1, 4) for j in range(1, 4)])
+    assert all(full.has_cell(i, j) for i in range(1, 4) for j in range(1, 4))
+    for cell in ((1, -1), (1, -5), (1, 0), (1, 4), (-1, 1), (0, 1), (4, 1)):
+        assert not full.has_cell(*cell)
 
 
 def test_support_of_empty_grid():

@@ -14,6 +14,7 @@ from conftest import (
     from_rows,
     identity_matrix,
     kl_at_one,
+    non_inversions,
     random_rational_matrix,
     square_matrices,
     young_shapes,
@@ -42,7 +43,6 @@ from klimm.grid import (
     graph_of_upper_interval,
     is_admissible,
     largest_square,
-    non_inversions,
     young_complement_grid,
     young_diagram_grid,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import non_inversions
 from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.perm import (
     as_perm,
@@ -20,7 +21,6 @@ from klimm.perm import (
     iter_bits,
     length,
     longest_element,
-    non_inversions,
     parse_perm,
     pattern_occurs,
     symmetric_group,

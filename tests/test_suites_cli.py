@@ -52,14 +52,19 @@ def test_partitions_in_box_come_in_decreasing_order():
         assert len(shapes) == len(set(shapes))
 
 
-def test_deletion_suite_has_one_grid_case_per_position():
+def test_deletion_suite_has_one_grid_case_per_position(monkeypatch):
+    # Fail every grid case, so that each one shows its key.
+    monkeypatch.setattr(suites, "deletion_grid_identity", lambda v, i: False)
+    monkeypatch.setattr(suites, "deletion_pruned_grid_identity",
+                        lambda v, i: False)
     config = Config(max_n=5, samples=3, seed=0)
-    keys = [key for key, _, _ in suites._suite_deletion(config, None, {})]
-    grid_keys = [key for key in keys if key.endswith(":grid")]
+    cases = list(suites._suite_deletion(config, None, {}))
+    grid_keys = [key for key, _ in filter(None, cases)]
     avoiders = {n: suites._avoiders(n, FORBIDDEN_PATTERNS) for n in range(2, 6)}
+    assert all(key.endswith(":grid") for key in grid_keys)
     assert len(grid_keys) == len(set(grid_keys)) == sum(
         n * len(vs) for n, vs in avoiders.items())
-    assert len(keys) == 2200
+    assert len(cases) == 2200
 
 
 def test_deletion_suite_fails_when_corners_are_not_pruned(monkeypatch):
@@ -104,19 +109,62 @@ def test_report_invariant_enforced():
     with pytest.raises(ValueError, match="report invariant violated"):
         SuiteReport("x", {}, cases_run=3, cases_passed=1,
                     counterexamples=[{"case": "a", "v": "21"}], wall_time=0.0)
-
-    def cases(config, caches, notes):
-        yield "a", False, {"v": "21"}
-        yield "b", False, None
-
-    with pytest.raises(ValueError, match="x case b failed without a witness"):
-        suites._run("x", cases, Config(), {})
     report = SuiteReport("x", {"seed": 0}, cases_run=2, cases_passed=1,
                          counterexamples=[{"case": "a", "v": "21"}],
                          wall_time=0.0)
     assert not report.ok
     assert "counterexamples" in report.to_doc()
     assert report.to_csv().splitlines()[1].endswith(",2,1,1")
+
+
+def test_runner_counts_every_case_and_sorts_only_the_failures():
+    # Passes yield None; failures come out of key order, and two share a
+    # key, so the sort must be stable.
+    def cases(config, caches, notes):
+        yield None
+        yield "c", {"w": 1}
+        yield "a", {"w": 2}
+        yield None
+        yield None
+        yield "b", {"w": 3}
+        yield "a", {"w": 4}
+        yield None
+
+    report = suites._run("x", cases, Config(), {})
+    assert (report.cases_run, report.cases_passed) == (8, 4)
+    assert report.counterexamples == [
+        {"case": "a", "w": 2}, {"case": "a", "w": 4},
+        {"case": "b", "w": 3}, {"case": "c", "w": 1}]
+    for passes in (0, 3):
+        report = suites._run("x", lambda *_: iter([None] * passes),
+                             Config(), {})
+        assert (report.cases_run, report.cases_passed) == (passes, passes)
+        assert report.ok
+
+
+@pytest.mark.parametrize("failure,message", [
+    (("b", None), "x case b failed without a witness"),
+    (("b", {}), "x case b failed without a witness"),
+    ((None, {"v": "12"}), "x: a case failed without a key"),
+    (("", {"v": "12"}), "x: a case failed without a key"),
+], ids=["witness-none", "witness-empty", "key-none", "key-empty"])
+def test_runner_rejects_a_failure_without_a_witness_or_key(failure, message):
+    def cases(config, caches, notes):
+        yield "a", {"v": "21"}
+        yield None
+        yield failure
+
+    with pytest.raises(ValueError, match=message):
+        suites._run("x", cases, Config(), {})
+
+
+def test_passing_sweep_formats_no_case_key(monkeypatch):
+    words = []
+    monkeypatch.setattr(suites, "format_perm",
+                        lambda v: words.append(v) or format_perm(v))
+    report = run_suite("lemma-2.12", Config(max_n=5))
+    assert report.ok and report.cases_run == 1 + 2 + 6 + 24 + 120
+    assert words == []
 
 
 def test_suite_uses_kl_cache_files(tmp_path):
@@ -385,9 +433,15 @@ def test_cli_graph(tmp_path, capsys):
         list(fixtures.BOX_COLORING_COLORS)
 
 
-def test_lewis_carroll_suite_honours_max_n():
-    keys = [key for key, _, _ in suites._suite_lewis_carroll(
-        Config(max_n=3, samples=5), None, {})]
+def test_lewis_carroll_suite_honours_max_n(monkeypatch):
+    # Each key seeds its case's draws, so _case_rng sees every one.
+    keys = []
+    case_rng = suites._case_rng
+    monkeypatch.setattr(suites, "_case_rng", lambda seed, suite, key: (
+        keys.append(key) or case_rng(seed, suite, key)))
+    cases = list(suites._suite_lewis_carroll(
+        Config(max_n=3, samples=5), None, {}))
+    assert cases == [None] * 5
     assert keys == ["t=0000:n=2", "t=0001:n=3", "t=0002:n=2",
                     "t=0003:n=3", "t=0004:n=2"]
     with pytest.raises(ValueError, match="max_n >= 2, got 1"):
@@ -564,3 +618,26 @@ def test_label_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
     out = tmp_path / "doc.out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a lemma-2.12 report with failures, pinned from the runner
+# that sorted every case by its key: streaming the cases and keying only
+# the failures must leave every byte of a failing report alone too.
+# largest_square is raised by one on the graphs that hold the cell (2, 1)
+# at n >= 5, that is, on the 288 words with 1 in one of their first two
+# places.
+LEMMA_212_FAILURE_DIGEST = (
+    "743a405ea2e91be1fe2ec7ae2188edffb77340984fabcb2aa89bcde0fd37ddc8")
+
+
+def test_failing_report_matches_pinned_digest(tmp_path, capsys, monkeypatch):
+    real = grid.largest_square
+    monkeypatch.setattr(grid, "largest_square", lambda P: real(P) + (
+        P.n >= 5 and P.rows[1] >> 1 & 1))
+    out = tmp_path / "doc.json"
+    assert main(["check", "lemma-2.12", "--max-n", "6",
+                 "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["cases_run"], doc["cases_passed"]) == (873, 585)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        LEMMA_212_FAILURE_DIGEST
