@@ -3,7 +3,7 @@ Command-line front end.
 
 Subcommands: kl, imm, graph, check, search, gen.  Reports and documents
 go to stdout or --out; progress and timing notes go to stderr.  Exit
-codes: 0 success, 1 counterexample / failed check / precondition error,
+codes: 0 success, 1 counterexample / failed check / input or arithmetic error,
 2 usage error (argparse), 3 method disagreement in `imm --method both`.
 
 The Kazhdan-Lusztig cache base path comes from --kl-cache alone, and
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,10 +44,6 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def to_doc(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [str(x) for row in self.entries for x in row]}
@@ -71,10 +67,12 @@ class Matrix:
         return cls(tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r)))
 
 
-def _require_square(M: Matrix) -> int:
-    if not M.is_square:
-        raise ShapeError(f"matrix is {M.rows}x{M.cols}, not square")
-    return M.rows
+def _require_square(M: Matrix, n: int | None = None) -> int:
+    size = M.rows
+    if size != M.cols or n not in (None, size):
+        expected = "not square" if n is None else f"expected {n}x{n}"
+        raise ShapeError(f"matrix is {size}x{M.cols}, {expected}")
+    return size
 
 
 def _bareiss_int_det(rows: list[list[int]]) -> int:

@@ -59,19 +59,12 @@ def label_patterns(n: int, max_labels: int) -> list[tuple[int, ...]]:
     >>> label_patterns(3, 3)
     [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3)]
     """
-    out = []
-    for cut_set in itertools.chain.from_iterable(
-            itertools.combinations(range(1, n), k) for k in range(n)):
-        if len(cut_set) + 1 > max_labels:
-            continue
-        labels = []
-        current = 1
-        for pos in range(1, n + 1):
-            labels.append(current)
-            if pos in cut_set:
-                current += 1
-        out.append(tuple(labels))
-    return sorted(out)
+    # A cut at c starts a new label after position c.
+    cut_sets = itertools.chain.from_iterable(
+        itertools.combinations(range(1, n), k)
+        for k in range(min(n, max_labels)))
+    return sorted(tuple(1 + sum(c < pos for c in cuts)
+                        for pos in range(1, n + 1)) for cuts in cut_sets)
 
 
 def _columns(lo: int, hi: int) -> int:

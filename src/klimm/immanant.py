@@ -25,6 +25,7 @@ from .errors import PatternPreconditionError, PreconditionError, ShapeError
 from .exactmat import (
     Matrix,
     _cleared_rows,
+    _require_square,
     deleted_det,
     det,
     repeat_submatrix,
@@ -63,12 +64,6 @@ def _require_avoiding(v: Perm) -> None:
             "the determinantal formula does not apply")
 
 
-def _require_square_of_size(M: Matrix, n: int) -> None:
-    if not (M.is_square and M.rows == n):
-        raise ShapeError(
-            f"matrix is {M.rows}x{M.cols}, expected {n}x{n}")
-
-
 def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
     """
     The sign law at one evaluation: a signed restricted determinant must
@@ -94,7 +89,7 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     """
     v = as_perm(v)
     n = len(v)
-    _require_square_of_size(M, n)
+    _require_square(M, n)
     cache = cache_for(cache, v)
     table = cache.table
     rows, denoms = _cleared_rows(M)
@@ -121,7 +116,7 @@ def imm_determinantal(v: Perm, M: Matrix) -> Fraction:
     """
     v = tuple(v)
     _require_avoiding(v)
-    _require_square_of_size(M, len(v))
+    _require_square(M, len(v))
     value = det(restrict(M, graph_of_upper_interval(v)))
     return -value if length(v) % 2 else value
 
@@ -162,8 +157,7 @@ def dual_canonical_eval(v: Perm, R: Sequence[int], C: Sequence[int],
     largest square of the graph of [v, w0] alongside the value.
     """
     v = tuple(v)
-    if not M.is_square:
-        raise ShapeError(f"matrix is {M.rows}x{M.cols}, not square")
+    _require_square(M)
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
     if len(R) != len(v) or len(C) != len(v):
@@ -199,7 +193,7 @@ def factor_block_antidiagonal(v: Perm, M: Matrix) -> Fraction:
     v = tuple(v)
     _require_avoiding(v)
     n = len(v)
-    _require_square_of_size(M, n)
+    _require_square(M, n)
     split = block_antidiagonal_split(graph_of_upper_interval(v))
     if split is None:
         raise PreconditionError(
@@ -224,7 +218,7 @@ def deletion_det_identity(v: Perm, i: int, M: Matrix) -> bool:
     """
     v = tuple(v)
     _require_avoiding(v)
-    _require_square_of_size(M, len(v) - 1)
+    _require_square(M, len(v) - 1)
     x = delete_entry(v, i)
     lhs = det(restrict(M, graph_of_upper_interval(x)))
     reduced = delete_rows_cols(graph_of_upper_interval(v), {i}, {v[i - 1]})

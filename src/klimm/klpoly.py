@@ -132,19 +132,19 @@ class KLCache:
     def rows(self) -> tuple[list[int], list[int]]:
         """
         Row bitsets (known, mu) over table positions: bit x of known[y] is
-        set iff the store holds P_{x,y}, and bit x of mu[y] iff l(y) - l(x)
-        is odd and mu(x, y), the q^((l(y) - l(x) - 1) / 2) coefficient of
-        the stored P_{x,y}, is not 0.  Built from the store at the first
-        miss of :func:`kl_at`, which keeps them up to date from then on;
-        a cache that only ever hits never builds them.
+        set iff the store holds P_{x,y}, and bit x of mu[y] iff mu(x, y) is
+        not 0: as both writers enforce the degree bound, iff the stored
+        P_{x,y} has degree (l(y) - l(x) - 1) / 2, the test of :func:`kl_at`.
+        Built from the store at the first miss of :func:`kl_at`, which
+        keeps them up to date from then on; a cache that only ever hits
+        never builds them.
         """
         size, lengths = len(self.table.perms), self.table.lengths
         known, mu = [0] * size, [0] * size
         for key, p in self._values.items():
             y, x = divmod(key, size)
             known[y] |= 1 << x
-            gap = lengths[y] - lengths[x]
-            if gap % 2 and gap // 2 < len(p.coeffs) and p.coeffs[gap // 2]:
+            if 2 * len(p.coeffs) == lengths[y] - lengths[x] + 1:
                 mu[y] |= 1 << x
         return known, mu
 
@@ -401,7 +401,7 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     # The degree bound 2 deg <= l(y) - l(x) - 1 depends on the pair.
     p = checked(tuple(coeffs))
     if p is None or 2 * len(p.coeffs) > ly - lengths[x] + 1:
-        px, py = table.perms[x], table.perms[y]
+        px, py = format_perm(table.perms[x]), format_perm(table.perms[y])
         if coeffs[0] != 1:
             raise ArithmeticError(f"P_{px},{py} has constant term {coeffs[0]}")
         if min(coeffs) < 0:
@@ -409,8 +409,7 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     store[y * size + x] = p
     known[y] |= 1 << x
-    # With the degree bound met, mu(x, y) != 0 iff the top allowed
-    # coefficient is the last one (the gap is then odd).
+    # mu(x, y) != 0, by the one test KLCache.rows states.
     if 2 * len(p.coeffs) == ly - lengths[x] + 1:
         mus[y] |= 1 << x
     return p

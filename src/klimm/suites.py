@@ -352,13 +352,12 @@ def _suite_young(config: Config, caches: KLCacheRegistry,
             mats = _k_positive_samples(
                 m, max(1, largest_square(P)),
                 f"{config.seed}:young:{shape_text}:{tag}", samples, notes)
-            for R in patterns:
-                for C in patterns:
-                    for s, M in enumerate(mats):
-                        yield None if young_sign_law(P, R, C, M) else (
-                            f"shape={shape_text}:{variant}:R={R}:C={C}:s={s}",
-                            {"shape": list(shape), "R": list(R), "C": list(C),
-                             "matrix": M.to_doc(), "variant": variant})
+            for R, C, (s, M) in itertools.product(patterns, patterns,
+                                                  enumerate(mats)):
+                yield None if young_sign_law(P, R, C, M) else (
+                    f"shape={shape_text}:{variant}:R={R}:C={C}:s={s}",
+                    {"shape": list(shape), "R": list(R), "C": list(C),
+                     "matrix": M.to_doc(), "variant": variant})
 
 
 def _suite_main_sq(config: Config, caches: KLCacheRegistry,
@@ -372,16 +371,14 @@ def _suite_main_sq(config: Config, caches: KLCacheRegistry,
         k = largest_square(graph_of_upper_interval(v))
         mats = _k_positive_samples(
             m, k, f"{config.seed}:main-sq:{word}", samples, notes)
-        for R in patterns:
-            for C in patterns:
-                for s, M in enumerate(mats):
-                    result = dual_canonical_eval(v, R, C, M)
-                    yield None if obeys_sign_law(
-                        result.value, result.admissible) else (
-                        f"v={word}:R={R}:C={C}:s={s}", {
-                            "v": word, "R": list(R), "C": list(C),
-                            "matrix": M.to_doc(), "value": str(result.value),
-                            "admissible": result.admissible, "k": k})
+        for R, C, (s, M) in itertools.product(patterns, patterns,
+                                              enumerate(mats)):
+            result = dual_canonical_eval(v, R, C, M)
+            yield None if obeys_sign_law(result.value, result.admissible) else (
+                f"v={word}:R={R}:C={C}:s={s}", {
+                    "v": word, "R": list(R), "C": list(C),
+                    "matrix": M.to_doc(), "value": str(result.value),
+                    "admissible": result.admissible, "k": k})
 
 
 def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
@@ -398,17 +395,16 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
             k = largest_square(graph_of_upper_interval(v))
             mats = _k_positive_samples(
                 n, k, f"{config.seed}:sgn:{word}", samples, notes)
-            for R in patterns:
-                for C in patterns:
-                    for s, M in enumerate(mats):
-                        report = lewis_carroll_sign_probe(v, R, C, M)
-                        if not report.hypotheses_met:
-                            skipped += 1
-                            continue
-                        yield (f"n={n}:v={word}:R={R}:C={C}:s={s}", {
-                            "v": word, "R": list(R), "C": list(C),
-                            "matrix": M.to_doc(), "probe": report.to_doc(),
-                        }) if report.violated else None
+            for R, C, (s, M) in itertools.product(patterns, patterns,
+                                                  enumerate(mats)):
+                report = lewis_carroll_sign_probe(v, R, C, M)
+                if not report.hypotheses_met:
+                    skipped += 1
+                    continue
+                yield (f"n={n}:v={word}:R={R}:C={C}:s={s}", {
+                    "v": word, "R": list(R), "C": list(C),
+                    "matrix": M.to_doc(), "probe": report.to_doc(),
+                }) if report.violated else None
     notes["preconditions_not_met"] = skipped
 
 
@@ -538,11 +534,10 @@ def _search_sign_control(config: Config, caches: KLCacheRegistry,
         n = rng.randint(2, max_n)
         pool = _avoiders(n, FORBIDDEN_PATTERNS)
         if config.k is not None:
+            # Never empty: it holds w0, whose graph has largest square 1.
             pool = tuple(
                 v for v in pool
                 if largest_square(graph_of_upper_interval(v)) <= config.k)
-            if not pool:
-                continue
         v = pool[rng.randrange(len(pool))]
         k = config.k or largest_square(graph_of_upper_interval(v))
         m = rng.randint(n, max(n, max_m))

@@ -100,6 +100,25 @@ def test_repeat_submatrix_examples():
         repeat_submatrix(FIXTURE, (1, 2, 5), (1, 2, 3))
 
 
+@pytest.mark.parametrize("function,args,error,message", [
+    (submatrix, (FIXTURE, [1], [5]), IndexError,
+     r"column selection \[5\] out of range"),
+    (repeat_submatrix, (FIXTURE, (1, 2), (1,)), ShapeError,
+     "row and column label multisets must have equal size"),
+    (repeat_submatrix, (FIXTURE, (1, 2), (1, 5)), IndexError,
+     r"column labels \(1, 5\) out of range \[1, 4\]"),
+    (gen_totally_positive, (0, 0), ValueError, "n must be at least 1"),
+    (gen_k_positive_not_higher, (3, 3, 0), ValueError,
+     "need 1 <= k < n, got k=3, n=3"),
+    (gen_k_positive_not_higher, (3, 4, 0), ValueError,
+     "need 1 <= k < n, got k=4, n=3"),
+], ids=["submatrix-column", "repeat-lengths", "repeat-column",
+        "totally-positive-0", "k-equals-n", "k-above-n"])
+def test_out_of_range_arguments_are_rejected(function, args, error, message):
+    with pytest.raises(error, match=message):
+        function(*args)
+
+
 def test_k_positivity_of_fixture():
     assert is_k_positive(FIXTURE, 2)
     assert not is_k_positive(FIXTURE, 3)

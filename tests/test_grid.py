@@ -26,6 +26,7 @@ from klimm.errors import (
 from klimm.grid import (
     BoundingBox,
     Grid,
+    as_multiset,
     block_antidiagonal_split,
     bounding_boxes,
     boxes_alternate,
@@ -227,6 +228,26 @@ def test_delete_rows_cols_basics():
     # order-preserving reindex of a single deletion
     reduced = delete_rows_cols(grid(4, [(1, 1), (3, 3), (4, 4)]), {2}, {2})
     assert cells_of(reduced) == frozenset({(1, 1), (2, 2), (3, 3)})
+
+
+@pytest.mark.parametrize("function,args,error,message", [
+    (as_multiset, ((2, 0), 3), ValueError,
+     r"labels \(0, 2\) not all in \[1, 3\]"),
+    (as_multiset, ((1, 4), 3), ValueError,
+     r"labels \(1, 4\) not all in \[1, 3\]"),
+    (delete_rows_cols, (graph_of_upper_interval(V2413), {5}, {1}), IndexError,
+     "deletion index out of range"),
+    (delete_rows_cols, (graph_of_upper_interval(V2413), {1}, {0}), IndexError,
+     "deletion index out of range"),
+    (young_diagram_grid, ((1, 1, 1, 1), 3), ValueError,
+     r"partition \(1, 1, 1, 1\) has more than 3 parts"),
+    (young_diagram_grid, ((4,), 3), ValueError,
+     r"partition \(4,\) does not fit in a 3x3 box"),
+], ids=["label-below", "label-above", "row-index", "column-index",
+        "too-many-parts", "part-too-large"])
+def test_out_of_range_arguments_are_rejected(function, args, error, message):
+    with pytest.raises(error, match=message):
+        function(*args)
 
 
 def test_deletion_composes():
@@ -439,6 +460,14 @@ def test_label_patterns():
     assert label_patterns(3, 3) == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3)]
     assert len(label_patterns(4, 4)) == 8
     assert label_patterns(4, 1) == [(1, 1, 1, 1)]
+    # Oracle: every weakly increasing tuple over [m], its distinct labels
+    # renamed 1, 2, ... in order.
+    for n, m in itertools.product(range(1, 7), range(8)):
+        canonical = {
+            tuple(sorted(set(labels)).index(x) + 1 for x in labels)
+            for labels in itertools.combinations_with_replacement(
+                range(1, m + 1), n)}
+        assert label_patterns(n, m) == sorted(canonical)
 
 
 def from_doc(doc):

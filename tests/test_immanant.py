@@ -18,6 +18,7 @@ from conftest import (
     random_rational_matrix,
     square_matrices,
     young_shapes,
+    zero_matrix,
 )
 import fixtures
 from kl_via_r import kl_table_via_r
@@ -54,6 +55,7 @@ from klimm.immanant import (
     imm_determinantal,
     lewis_carroll_sign_probe,
     obeys_sign_law,
+    SignProbeReport,
     young_sign_law,
 )
 from klimm.klpoly import ZERO, KLCache
@@ -252,6 +254,23 @@ def test_dual_canonical_eval_worked_examples(kl_cache_s4):
         dual_canonical_eval((2, 1), (1, 2), (1, 2), FIXTURE, method="nope")
     with pytest.raises(ShapeError):
         dual_canonical_eval((2, 1), (1, 2, 3), (1, 2, 3), FIXTURE)
+
+
+@pytest.mark.parametrize("function,args,message", [
+    (dual_canonical_eval, ((2, 1), (1, 2), (1, 2), zero_matrix(2, 3)),
+     "matrix is 2x3, not square"),
+    (imm_definition, ((2, 1), zero_matrix(2, 3)),
+     "matrix is 2x3, expected 2x2"),
+    (imm_determinantal, ((2, 1), identity_matrix(3)),
+     "matrix is 3x3, expected 2x2"),
+    (factor_block_antidiagonal, ((2, 1), zero_matrix(3, 2)),
+     "matrix is 3x2, expected 2x2"),
+    (deletion_det_identity, ((2, 1), 1, identity_matrix(2)),
+     "matrix is 2x2, expected 1x1"),
+], ids=["not-square", "definition", "determinantal", "block", "deletion"])
+def test_matrix_shape_is_checked_with_its_message(function, args, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        function(*args)
 
 
 def test_dual_canonical_eval_repeated_labels_match_definition(kl_cache_s4):
@@ -505,6 +524,13 @@ def test_sign_probe_reports():
     bad = lewis_carroll_sign_probe((2, 1, 4, 3), (1, 2, 3, 4), (1, 2, 3, 4),
                                    gen_totally_positive(4, seed=1))
     assert not bad.hypotheses_met and bad.reasons
+
+    # So is an anchor failure: the last box of 321 is anchored at (3, 1)
+    # and the second-to-last at (2, 2), but 1 < v_a < v_n = 1 fails.
+    unanchored = lewis_carroll_sign_probe((3, 2, 1), (1, 2, 3), (1, 2, 3),
+                                          gen_totally_positive(3, seed=1))
+    assert unanchored == SignProbeReport(
+        False, ("second-to-last anchor fails a < n, 1 < v_a < v_n",))
 
     # A reference product can vanish for inadmissible labels.
     vanishing = lewis_carroll_sign_probe(

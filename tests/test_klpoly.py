@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import re
 
 import pytest
@@ -360,6 +361,25 @@ def test_cache_save_load_round_trip(tmp_path):
     assert (loaded.hits, loaded.misses) == (1, 0)
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1 and doc["n"] == 4
+
+
+def test_cache_save_keeps_the_old_file_when_the_rename_fails(tmp_path,
+                                                             monkeypatch):
+    cache = KLCache(4)
+    kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), cache)
+    path = tmp_path / "kl.s4.json"
+    cache.save(str(path))
+    before = path.read_bytes()
+    kl_polynomial((1, 2, 3, 4), (4, 3, 1, 2), cache)
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        cache.save(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["kl.s4.json"]
+    assert path.read_bytes() == before
 
 
 def test_cache_rejects_unknown_format(tmp_path):

@@ -41,6 +41,12 @@ def test_longest_element_length(n):
     assert length(longest_element(n)) == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_longest_element_rejects_sizes_below_one(n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        longest_element(n)
+
+
 def test_non_inversions_examples():
     assert non_inversions((2, 4, 1, 3)) == [(1, 2), (1, 4), (3, 4)]
     assert non_inversions(identity(4)) == list(

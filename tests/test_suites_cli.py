@@ -91,6 +91,10 @@ def test_unknown_suite_and_config_validation():
         Config(max_n=8)
     with pytest.raises(ValueError):
         Config(samples=0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        Config(k=0)
+    with pytest.raises(ValueError, match="max_m must be positive"):
+        Config(max_m=0)
 
 
 def test_reports_are_byte_deterministic():
@@ -231,6 +235,32 @@ def test_searches_need_two_by_two(capsys, conjecture):
     assert "max_n >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conjecture,max_n,k", [("5.1", 4, 2), ("5.3", 3, 1)])
+def test_pinned_order_searches_sample_only_that_order(monkeypatch, conjecture,
+                                                      max_n, k):
+    real = suites._k_positive_samples
+    drawn = []
+
+    def recording(*args):
+        out = real(*args)
+        drawn.extend(out)
+        return out
+
+    monkeypatch.setattr(suites, "_k_positive_samples", recording)
+    report = run_search(conjecture, Config(max_n=max_n, samples=40, k=k))
+    assert report.ok and report.params["k"] == k
+    assert drawn
+    assert all(positivity_order(M) == k < M.rows for M in drawn)
+
+
+@pytest.mark.parametrize("conjecture", ["5.1", "5.3"])
+def test_pinned_order_needs_a_larger_size(capsys, conjecture):
+    with pytest.raises(ValueError, match="pinned k=4 needs max_n > k"):
+        run_search(conjecture, Config(max_n=4, k=4))
+    assert main(["search", conjecture, "--k", "4", "--max-n", "4"]) == 1
+    assert "pinned k=4 needs max_n > k" in capsys.readouterr().err
+
+
 def test_search_rejects_unknown_conjecture():
     with pytest.raises(ValueError, match=r"unknown conjecture '5.4'; "
                                          r"choose from \['5.1', '5.2', '5.3'\]"):
@@ -322,6 +352,25 @@ def test_cli_kl_refuses_keys_in_another_form(tmp_path, capsys, key, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cache entry {key} in {path} ")
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "1234", "4312"],
+    ["check", "prop-3.1", "--max-n", "4", "--samples", "1"],
+], ids=["kl", "check"])
+def test_cli_reports_a_kl_value_the_recursion_refutes(tmp_path, capsys, argv):
+    # 1 + q fits the degree bound, as l(3142) - l(1234) = 3 allows degree
+    # 1, so the file loads; the recursion then meets it as a term and
+    # finds P_1234,4312 = 1 - q.
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1,
+                                "table": {"1234|3142": [1, 1]}}))
+    before = path.read_bytes()
+    assert main(argv + ["--kl-cache", str(tmp_path / "kl.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negative coefficient in P_1234,4312\n"
     assert path.read_bytes() == before
 
 
@@ -641,3 +690,38 @@ def test_failing_report_matches_pinned_digest(tmp_path, capsys, monkeypatch):
     assert (doc["cases_run"], doc["cases_passed"]) == (873, 585)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         LEMMA_212_FAILURE_DIGEST
+
+
+# SHA-256 of a prop-2.17 report with failures, pinned from the engine
+# before its square guards, mu test and labeled-case loops were each
+# stated once.  The last maximal box of every word of S_6 that starts
+# with 2 is recoloured purple; 24 of those words meet the hypotheses and
+# have more than one box.
+PROP_217_FAILURE_DIGEST = (
+    "f33ecffbbbdffe62b74d6f725176a9342d9bf585753a4730d65f3cb01abfc7b1")
+
+
+def test_failing_alternation_report_matches_pinned_digest(tmp_path, capsys,
+                                                          monkeypatch):
+    real = grid._maximal_spans
+
+    def purple_last_box(v):
+        spans = real(v)
+        if len(v) == 6 and v[0] == 2:
+            lo, hi, corners, _ = spans[-1]
+            spans = spans[:-1] + [(lo, hi, corners, "purple")]
+        return spans
+
+    monkeypatch.setattr(grid, "_maximal_spans", purple_last_box)
+    out = tmp_path / "doc.json"
+    assert main(["check", "prop-2.17", "--max-n", "7",
+                 "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["cases_run"], doc["cases_passed"]) == (1965, 1941)
+    for witness in doc["counterexamples"]:
+        word = witness["v"]
+        assert witness["case"] == f"n=6:v={word}" and word[0] == "2"
+        assert witness["colors"][-1] == "purple"
+        assert len(witness["colors"]) > 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        PROP_217_FAILURE_DIGEST
