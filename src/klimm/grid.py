@@ -31,6 +31,7 @@ from .perm import (
     bruhat_table,
     compose,
     delete_entry,
+    format_perm,
     is_in_maximal_parabolic,
     iter_bits,
     longest_element,
@@ -359,10 +360,11 @@ def boxes_alternate(v: Perm) -> bool:
     them apart from genuine violations.
     """
     if not avoids(v, (2, 1, 4, 3)):
-        raise PatternPreconditionError(f"{v} contains the pattern 2143")
+        raise PatternPreconditionError(
+            f"{format_perm(v)} contains the pattern 2143")
     if is_in_maximal_parabolic(compose(longest_element(len(v)), v)):
         raise PreconditionError(
-            f"w0 * {v} lies in a maximal parabolic subgroup")
+            f"w0 * {format_perm(v)} lies in a maximal parabolic subgroup")
     colors = [color for _, _, _, color in _maximal_spans(v)]
     if len(colors) <= 1:
         return True

@@ -28,12 +28,16 @@ Perm = tuple[int, ...]
 
 def is_permutation_word(word: Sequence[int]) -> bool:
     """
-    Check that word is a permutation of [n] where n = len(word).
+    Check that word is a permutation of [n] where n = len(word): its
+    entries are ints (not floats or bools) that sort to 1, ..., n.
 
     >>> [is_permutation_word(w) for w in [(), (1,), (2, 1), (2, 2), (0, 1)]]
     [True, True, True, False, False]
+    >>> is_permutation_word((2.0, 1.0)), is_permutation_word((True,))
+    (False, False)
     """
-    return sorted(word) == list(range(1, len(word) + 1))
+    return (set(map(type, word)) <= {int}
+            and sorted(word) == list(range(1, len(word) + 1)))
 
 
 def as_perm(word: Iterable[int]) -> Perm:
@@ -149,10 +153,89 @@ def pattern_occurs(v: Perm, p: Perm) -> bool:
     return False
 
 
+def _contains_2143(v: Perm) -> bool:
+    """
+    v contains 2143 iff, for some split s, the least top of an inversion
+    inside v[:s] is below the greatest bottom of an inversion inside
+    v[s:].  Over a bitmask of the values seen, a forward pass gives each
+    entry's successor (the least top of an inversion ending there) and a
+    backward pass its predecessor.
+    """
+    lows, low, seen = [], len(v) + 1, 0
+    for x in v:
+        lows.append(low)
+        above = seen >> x
+        if above:
+            top = x + (above & -above).bit_length() - 1
+            if top < low:
+                low = top
+        seen |= 1 << x
+    high, seen = 0, 0
+    for s in range(len(v) - 1, 0, -1):
+        x = v[s]
+        below = seen & ((1 << x) - 1)
+        if below:
+            bottom = below.bit_length() - 1
+            if bottom > high:
+                high = bottom
+        if lows[s] < high:
+            return True
+        seen |= 1 << x
+    return False
+
+
+def _contains_1324(v: Perm) -> bool:
+    """
+    v contains 1324 iff some inversion j < k (v_j > v_k) has an earlier
+    entry below v_k and a later entry above v_j: prefix minima and suffix
+    maxima decide it.  The suffix maxima fall as k moves right, so the
+    scan from j stops at the first k with nothing above v_j after it.
+    """
+    n = len(v)
+    highs, high = [0] * n, 0
+    for k in range(n - 1, -1, -1):
+        highs[k] = high
+        if v[k] > high:
+            high = v[k]
+    low = n + 1
+    for j, x in enumerate(v):
+        if x < low:
+            low = x
+            continue
+        for k in range(j + 1, n):
+            if highs[k] <= x:
+                break
+            if low < v[k] < x:
+                return True
+    return False
+
+
+# Exact kernels for the two patterns of the paper's positivity theorem.
+_KERNELS = {(1, 3, 2, 4): _contains_1324, (2, 1, 4, 3): _contains_2143}
+
+
 def avoids(v: Perm, *patterns: Perm) -> bool:
-    """True iff none of the patterns occurs in v (longer patterns cannot)."""
-    return not any(pattern_occurs(v, p)
-                   for p in patterns if len(p) <= len(v))
+    """
+    True iff none of the patterns occurs in v (longer patterns cannot).
+    The host is checked once; 1324 and 2143 go to their kernels, and
+    every other pattern to :func:`pattern_occurs`.
+
+    >>> avoids((2, 4, 1, 3), (1, 3, 2, 4), (2, 1, 4, 3))
+    True
+    """
+    if not is_permutation_word(v):
+        raise ValueError(f"host {v} must be a permutation")
+    for p in patterns:
+        if len(p) > len(v):
+            continue
+        kernel = _KERNELS.get(p)
+        # p equals a kernel's pattern, so only its entry types are unchecked.
+        if kernel and set(map(type, p)) <= {int}:
+            if kernel(v):
+                return False
+        elif pattern_occurs(v, p):  # rejects a bad pattern
+            return False
+    return True
 
 
 def delete_entry(v: Perm, i: int) -> Perm:

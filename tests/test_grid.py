@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -349,11 +350,14 @@ def test_boxes_cover_matches_the_cell_set_cover_at_8(v):
 
 
 def test_alternation_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=re.escape(
+            "w0 * 6,10,4,7,8,9,5,3,1,2 lies in a maximal parabolic")):
         boxes_alternate(fixtures.BOX_COLORING_WORD)
-    with pytest.raises(PatternPreconditionError):
+    with pytest.raises(PatternPreconditionError,
+                       match="^2143 contains the pattern 2143$"):
         boxes_alternate((2, 1, 4, 3))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match=re.escape("w0 * 21 lies in a maximal parabolic")):
         boxes_alternate((2, 1))  # w0*v = id sits inside a parabolic
     assert boxes_alternate(identity(2))  # single box, vacuously true
 

@@ -18,6 +18,7 @@ from klimm.perm import (
     identity,
     inverse,
     is_in_maximal_parabolic,
+    is_permutation_word,
     iter_bits,
     length,
     longest_element,
@@ -65,10 +66,11 @@ def test_compose_inverse():
 
 
 def test_as_perm_rejects_bad_words():
-    with pytest.raises(ValueError):
-        as_perm((1, 1, 2))
-    with pytest.raises(ValueError):
-        as_perm((0, 1))
+    for word in [(1, 1, 2), (0, 1), (2.0, 1.0), (1, 2.0), (True,),
+                 (2, True), ("1",)]:
+        assert not is_permutation_word(word), word
+        with pytest.raises(ValueError, match="not a permutation"):
+            as_perm(word)
 
 
 def test_bruhat_examples():
@@ -329,6 +331,11 @@ def test_pattern_occurs_matches_sorting_oracle_up_to_s7(v, p):
     ((2, 4, 4, 3), (2, 1)),
     ((2, 5, 1, 3), (1, 2)),
     ((1, 2), (3, 1)),
+    ((1.0, 3, 2, 4), (1, 3, 2, 4)),
+    ((2, 1, 4, 3.0), (2, 1, 4, 3)),
+    ((5, 2, 1, 4, 3), (2.0, 1, 4, 3)),
+    ((1, 4, 2, 5, 3), (1, 3.0, 2, 4)),
+    ((True, 2), (2, 1)),
 ])
 def test_pattern_occurs_rejects_words_that_are_not_permutations(v, p):
     with pytest.raises(ValueError):
@@ -345,6 +352,44 @@ def test_pattern_occurs_rejects_words_that_are_not_permutations(v, p):
 def test_avoids_matches_sorting_oracle_at_8(v, patterns):
     assert avoids(v, *patterns) == \
         (not any(_pattern_occurs_by_sorting(v, p) for p in patterns))
+
+
+KERNEL_PATTERNS = ((1, 3, 2, 4), (2, 1, 4, 3))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_kernel_patterns_match_sorting_oracle_exhaustively(n):
+    # avoids sends 1324 and 2143 to their kernels, not to pattern_occurs.
+    for v in symmetric_group(n):
+        occurs = [_pattern_occurs_by_sorting(v, p) for p in KERNEL_PATTERNS]
+        for p, expected in zip(KERNEL_PATTERNS, occurs):
+            assert avoids(v, p) == (not expected), (v, p)
+        assert avoids(v, *KERNEL_PATTERNS) == (not any(occurs)), v
+        assert avoids(v, *reversed(KERNEL_PATTERNS)) == (not any(occurs)), v
+
+
+@given(st.integers(min_value=8, max_value=12).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(tuple),
+    st.sampled_from(KERNEL_PATTERNS))
+@settings(max_examples=300, deadline=None)
+def test_kernel_patterns_match_pattern_occurs_at_8_to_12(v, p):
+    assert avoids(v, p) == (not pattern_occurs(v, p))
+
+
+def test_avoids_edge_rules():
+    # Patterns longer than the host are skipped, whatever else is passed.
+    assert avoids((), *KERNEL_PATTERNS)
+    assert avoids((2, 1, 3), (2, 1, 4, 3), (1, 3, 2, 4))
+    assert not avoids((2, 1, 3), (2, 1, 4, 3), (2, 1))
+    assert avoids((1, 2, 3), (1, 2, 3, 4, 5))
+    # The host is checked even when no pattern fits it.
+    with pytest.raises(ValueError, match="must be a permutation"):
+        avoids((1, 1), (2, 1, 4, 3))
+    with pytest.raises(ValueError, match="must be a permutation"):
+        avoids((2, 1, 4, 3.0))
+    # A bad pattern is reached and rejected after a kernel pattern.
+    with pytest.raises(ValueError, match="must be permutations"):
+        avoids((2, 1, 4, 3), (1, 3, 2, 4), (1, 3, 3, 4))
 
 
 def _longest_increasing_run(v):
