@@ -99,7 +99,7 @@ def _bareiss_int_det(rows: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * rows[-1][-1]
+    return sign * rows[-1][-1] if rows else 1
 
 
 def _cleared_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -117,9 +117,7 @@ def det(M: Matrix) -> Fraction:
     ...                      "entries": [22, 18, 6, 8, 7, 3, 2, 2, 1]}))
     Fraction(-2, 1)
     """
-    n = _require_square(M)
-    if n == 0:
-        return Fraction(1)
+    _require_square(M)
     int_rows, denoms = _cleared_rows(M)
     return Fraction(_bareiss_int_det(int_rows), prod(denoms))
 
@@ -167,6 +165,17 @@ def restrict(M: Matrix, P: Grid) -> Matrix:
         tuple(M.entries[i - 1][j - 1] if P.has_cell(i, j) else zero
               for j in range(1, n + 1))
         for i in range(1, n + 1)))
+
+
+def _restricted_det(M: Matrix, P: Grid) -> Fraction:
+    """det(restrict(M, P)), zeroing the cells outside P on M's integer rows."""
+    n = _require_square(M)
+    if P.n != n:
+        raise ShapeError(f"grid size {P.n} does not match matrix size {n}")
+    int_rows, denoms = _cleared_rows(M)
+    return Fraction(_bareiss_int_det(
+        [[x if mask >> j & 1 else 0 for j, x in enumerate(row, 1)]
+         for row, mask in zip(int_rows, P.rows)]), prod(denoms))
 
 
 def repeat_submatrix(M: Matrix, R: Sequence[int], C: Sequence[int]) -> Matrix:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
-from operator import getitem
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import PatternPreconditionError, PreconditionError, ShapeError
@@ -26,8 +27,8 @@ from .exactmat import (
     Matrix,
     _cleared_rows,
     _require_square,
+    _restricted_det,
     deleted_det,
-    det,
     repeat_submatrix,
     restrict,
     submatrix,
@@ -49,6 +50,7 @@ from .perm import (
     Perm,
     as_perm,
     avoids,
+    bruhat_table,
     delete_entry,
     format_perm,
     inverse,
@@ -73,39 +75,54 @@ def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
     return signed > 0 if positive else signed == 0
 
 
+@lru_cache(maxsize=None)
+def _monomial_getters(n: int) -> tuple[itemgetter, ...]:
+    """
+    One getter per position x of the Bruhat table of S_n (n >= 2): it
+    reads the factors of the monomial of w = w0 perms[x], the entries
+    (i, w(i)), off an n x n matrix flattened row by row.
+    """
+    return tuple(itemgetter(*(i * n + c - 1 for i, c in enumerate(w)))
+                 for w in reversed(bruhat_table(n).perms))
+
+
 def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction:
     """
     The defining sum: over w >= v (all other Kazhdan-Lusztig values
     vanish), add (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1) times the
-    w-monomial of M.  It works on positions in the Bruhat table the
-    cache owns (``cache.table``): the w run over the set bits of
-    ``above[v]``, the table gives l(w), and since left multiplication by
-    w0 reverses the lexicographic order, w0 w sits at position
-    n! - 1 - (position of w).  The monomials are products of the cleared
-    integer rows of M; every monomial takes one entry from each row, so
-    the integer total over the product of the row multipliers is exact.
-    Works for every v; the table guards the size at n <= 7.  A cache for
-    another S_n raises SizeMismatchError.
+    w-monomial of M.  Left multiplication by w0 reverses the order of
+    the cache's Bruhat table, so the sum is one pass over the x = w0 w
+    below y = w0 v, with l(w) - l(v) = l(y) - l(x).  P_{x,y} is read from
+    the store, and those reads count as hits all at once; :func:`kl_at`
+    gets only x = y and the pairs the store lacks.  The monomials are
+    products of the cleared integer rows of M; every monomial takes one
+    entry from each row, so the integer total over the product of the
+    row multipliers is exact.  Works for every v; the table guards the
+    size at n <= 7.  A cache for another S_n raises SizeMismatchError.
     """
     v = as_perm(v)
     n = len(v)
     _require_square(M, n)
     cache = cache_for(cache, v)
+    if n < 2:  # one term, w = v, whose KL value is 1
+        return Fraction(M.entries[0][0] if n else 1)
     table = cache.table
+    size, lengths = len(table.perms), table.lengths
     rows, denoms = _cleared_rows(M)
-    rows = [(0, *row) for row in rows]  # 1-based columns
-    perms, odd = table.perms, table.odd
-    iv = table.index[v]
-    top = len(perms) - 1
-    parity = odd >> iv & 1
-    total = 0
-    for k in iter_bits(table.above[iv]):
-        term = (sum(kl_at(cache, top - k, top - iv).coeffs)
-                * prod(map(getitem, rows, perms[k])))
-        if odd >> k & 1 != parity:
-            total -= term
+    flat = [entry for row in rows for entry in row]
+    getters = _monomial_getters(n)
+    y = size - 1 - table.index[v]
+    ly, row, store = lengths[y], y * size, cache._values
+    stored = total = 0
+    for x in iter_bits(table.below[y]):
+        p = store.get(row + x)
+        if p is None:
+            p = kl_at(cache, x, y)
         else:
-            total += term
+            stored += 1
+        term = sum(p.coeffs) * prod(getters[x](flat))
+        total += -term if (ly - lengths[x]) % 2 else term
+    cache.hits += stored
     return Fraction(total, prod(denoms))
 
 
@@ -117,7 +134,7 @@ def imm_determinantal(v: Perm, M: Matrix) -> Fraction:
     v = tuple(v)
     _require_avoiding(v)
     _require_square(M, len(v))
-    value = det(restrict(M, graph_of_upper_interval(v)))
+    value = _restricted_det(M, graph_of_upper_interval(v))
     return -value if length(v) % 2 else value
 
 
@@ -220,10 +237,9 @@ def deletion_det_identity(v: Perm, i: int, M: Matrix) -> bool:
     _require_avoiding(v)
     _require_square(M, len(v) - 1)
     x = delete_entry(v, i)
-    lhs = det(restrict(M, graph_of_upper_interval(x)))
     reduced = delete_rows_cols(graph_of_upper_interval(v), {i}, {v[i - 1]})
-    rhs = det(restrict(M, reduced))
-    return lhs == rhs
+    return (_restricted_det(M, graph_of_upper_interval(x))
+            == _restricted_det(M, reduced))
 
 
 def young_sign_law(P: Grid, R: Sequence[int], C: Sequence[int],
@@ -243,6 +259,7 @@ def young_sign_law(P: Grid, R: Sequence[int], C: Sequence[int],
     misses two cells, so its restricted determinant is positive; a
     repeated label on its two full rows makes it zero:
 
+    >>> from klimm.exactmat import det
     >>> from klimm.grid import young_diagram_grid
     >>> M = Matrix(tuple(tuple(map(Fraction, row))
     ...                  for row in ((1, 1, 1), (1, 2, 3), (1, 3, 6))))
@@ -258,7 +275,7 @@ def young_sign_law(P: Grid, R: Sequence[int], C: Sequence[int],
     R = as_multiset(R, M.rows)
     C = as_multiset(C, M.rows)
     n = P.n
-    value = det(restrict(repeat_submatrix(M, R, C), P))
+    value = _restricted_det(repeat_submatrix(M, R, C), P)
     d = n * n - sum(mask.bit_count() for mask in P.rows)
     # Bit n - i of row i, counted from 0, is the antidiagonal cell.
     holds_antidiagonal = all(mask >> n - i & 1 for i, mask in enumerate(P.rows))

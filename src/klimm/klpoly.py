@@ -13,8 +13,9 @@ one.  Values are interned: equal coefficient tuples share one
 
 A hit is a recursion term answered from the store: the pair asked for,
 a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
-stored ones are counted through the rows, all at once).  A miss is a pair
-computed and stored.  Only :func:`kl_at` and :meth:`KLCache.load` write
+stored ones are counted through the rows, all at once); the defining
+immanant sum counts its own reads of the store the same way.  A miss is
+a pair computed and stored.  Only :func:`kl_at` and :meth:`KLCache.load` write
 the store.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
@@ -113,7 +114,8 @@ class KLCache:
     :meth:`save` and :meth:`load`.  Only :func:`kl_at` and :meth:`load`
     write the store, and ``rows`` mirrors it from the first miss on.
     ``hits`` counts the recursion terms answered from the store, each
-    stored mu-sum candidate among them, and ``misses`` the pairs computed.
+    stored mu-sum candidate among them, and the stored pairs the defining
+    immanant sum reads; ``misses`` counts the pairs computed.
     The store is a plain dict, so use one writer at a time.  Persistence
     uses write-to-temp-then-rename so a crash cannot leave a torn file.
     """
@@ -312,7 +314,7 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     below = table.below
     if not below[y] >> x & 1:
         return ZERO
-    # Every read of the store is keyed y * n! + x and counted here.  A
+    # Every read of the store is keyed y * n! + x and counted.  A
     # miss reads each term of the recursion straight from the store, and
     # only a term the store lacks goes through a call.
     size = len(table.perms)

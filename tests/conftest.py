@@ -137,6 +137,23 @@ def random_rational_matrix(n: int, rng: random.Random,
           for _ in range(n)] for _ in range(n)])
 
 
+# Matrices the Hypothesis strategy rarely draws.  In the large-denominator
+# case every row has four distinct prime denominators near 10^4, so a sum
+# divided by anything but the product of the row multipliers is wrong.
+_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
+EDGE_MATRICES = {
+    "zero-row": from_rows([[3, -1, Fraction(2, 7), 5], [0, 0, 0, 0],
+                                  [1, 4, -2, Fraction(7, 3)], [6, 2, 9, -6]]),
+    "large-coprime-denominators": from_rows(
+        [[Fraction((-1) ** (i + j) * (97 * i + 31 * j + 1),
+                   _PRIMES[(i + j) % len(_PRIMES)])
+          for j in range(5)] for i in range(5)]),
+    "integer": from_rows([[2, -3, 5, 1], [7, 0, -1, 4],
+                                 [-2, 6, 3, 8], [1, 1, -5, 2]]),
+    "1x1": from_rows([[Fraction(-7, 3)]]),
+}
+
+
 def kl_at_one(x, y, cache=None) -> int:
     """P_{x,y}(1), the multiplicity in the immanant sum (test oracle)."""
     return kl_polynomial(x, y, cache)(1)

@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EDGE_MATRICES,
     bar,
     from_rows,
     grid,
@@ -33,7 +34,8 @@ from klimm.exactmat import (
     restrict,
     submatrix,
 )
-from klimm.grid import graph_of_upper_interval
+from klimm.grid import Grid, graph_of_upper_interval
+from klimm.perm import symmetric_group
 
 FIXTURE = fixtures.TWO_POSITIVE_NOT_THREE
 
@@ -89,6 +91,44 @@ def test_restrict_worked_example():
     assert restrict(FIXTURE, grid(4, [])) == zero_matrix(4, 4)
     with pytest.raises(ShapeError):
         restrict(FIXTURE, grid(3, []))
+
+
+def _special_grids(n):
+    """The empty grid, the full grid and the antidiagonal of [n]^2."""
+    full = (1 << n + 1) - 2
+    return [Grid(n, (0,) * n), Grid(n, (full,) * n),
+            Grid(n, tuple(1 << n - i for i in range(n)))]
+
+
+@st.composite
+def matrices_and_grids(draw):
+    n = draw(st.integers(1, 6))
+    rows = st.integers(0, (1 << n) - 1).map(lambda mask: mask << 1)
+    P = draw(st.one_of(st.sampled_from(_special_grids(n)),
+                       st.tuples(*[rows] * n).map(lambda r: Grid(n, r))))
+    return draw(square_matrices(n)), P
+
+
+@given(matrices_and_grids())
+@settings(max_examples=100, deadline=None)
+def test_restricted_det_matches_det_of_restrict(M_P):
+    M, P = M_P
+    assert exactmat._restricted_det(M, P) == det(restrict(M, P))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_restricted_det_on_edge_matrices(name):
+    M = EDGE_MATRICES[name]
+    n = M.rows
+    for P in _special_grids(n) + [graph_of_upper_interval(v)
+                                  for v in symmetric_group(n)]:
+        assert exactmat._restricted_det(M, P) == det(restrict(M, P))
+
+
+def test_restricted_det_at_size_0_and_of_the_wrong_size():
+    assert exactmat._restricted_det(Matrix(()), Grid(0, ())) == 1
+    with pytest.raises(ShapeError, match="grid size 3 does not match"):
+        exactmat._restricted_det(FIXTURE, grid(3, []))
 
 
 def test_repeat_submatrix_examples():

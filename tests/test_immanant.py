@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EDGE_MATRICES,
     bar,
     cells_of,
     durfee,
@@ -58,12 +59,13 @@ from klimm.immanant import (
     SignProbeReport,
     young_sign_law,
 )
-from klimm.klpoly import ZERO, KLCache
+from klimm.klpoly import ZERO, KLCache, kl_at
 from klimm.perm import (
     avoids,
     bruhat_leq,
     compose,
     identity,
+    iter_bits,
     length,
     longest_element,
     symmetric_group,
@@ -159,28 +161,60 @@ def test_defining_sum_matches_the_unpruned_sum_on_s5(v, M):
     assert imm_definition(v, M) == _unpruned_definition(v, M)
 
 
-# Matrices the Hypothesis strategy rarely draws.  In the large-denominator
-# case every row has four distinct prime denominators near 10^4, so a sum
-# divided by anything but the product of the row multipliers is wrong.
-_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
-EDGE_MATRICES = {
-    "zero-row": from_rows([[3, -1, Fraction(2, 7), 5], [0, 0, 0, 0],
-                                  [1, 4, -2, Fraction(7, 3)], [6, 2, 9, -6]]),
-    "large-coprime-denominators": from_rows(
-        [[Fraction((-1) ** (i + j) * (97 * i + 31 * j + 1),
-                   _PRIMES[(i + j) % len(_PRIMES)])
-          for j in range(5)] for i in range(5)]),
-    "integer": from_rows([[2, -3, 5, 1], [7, 0, -1, 4],
-                                 [-2, 6, 3, 8], [1, 1, -5, 2]]),
-    "1x1": from_rows([[Fraction(-7, 3)]]),
-}
-
-
 @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
 def test_defining_sum_matches_the_unpruned_sum_on_edge_matrices(name):
     M = EDGE_MATRICES[name]
     for v in symmetric_group(M.rows):
         assert imm_definition(v, M) == _unpruned_definition(v, M)
+
+
+def _per_w_definition(v, M, cache):
+    """
+    The defining sum as one kl_at call per w >= v, in the order of
+    ``above[v]``: the oracle of the KL counts and store that
+    imm_definition's one walk over ``below[w0 v]`` leaves.
+    """
+    table = cache.table
+    iv, top = table.index[v], len(table.perms) - 1
+    total = Fraction(0)
+    for k in iter_bits(table.above[iv]):
+        sign = -1 if (table.lengths[k] - table.lengths[iv]) % 2 else 1
+        total += sign * kl_at(cache, top - k, top - iv)(1) * prod(
+            row[c - 1] for row, c in zip(M.entries, table.perms[k]))
+    return total
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_defining_sum_counts_like_one_kl_at_call_per_w(n):
+    # Cold: each v on fresh caches, so every miss and hit of the walk
+    # shows.  Warm: the store holds the whole row, so the walk adds one
+    # hit per x < y and nothing else.
+    rng = random.Random(n)
+    warm = KLCache(n)
+    table = warm.table
+    for v in symmetric_group(n):
+        M = random_rational_matrix(n, rng)
+        fast, slow = KLCache(n), KLCache(n)
+        assert imm_definition(v, M, fast) == _per_w_definition(v, M, slow)
+        assert fast.stats() == slow.stats()
+        assert fast._values == slow._values
+        imm_definition(v, M, warm)
+        before = warm.stats()
+        assert imm_definition(v, M, warm) == _per_w_definition(v, M, slow)
+        y = len(table.perms) - 1 - table.index[v]
+        assert warm.stats() == dict(
+            before, hits=before["hits"] + table.below[y].bit_count() - 1)
+
+
+def test_both_routes_at_sizes_0_and_1():
+    for v, M, value in (((), Matrix(()), 1),
+                        ((1,), EDGE_MATRICES["1x1"], Fraction(-7, 3))):
+        labels = tuple(range(1, len(v) + 1))
+        for method, direct in (("definition", imm_definition),
+                               ("determinantal", imm_determinantal)):
+            for result in (direct(v, M), dual_canonical_eval(
+                    v, labels, labels, M, method).value):
+                assert type(result) is Fraction and result == value
 
 
 def test_determinantal_worked_example():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import re
@@ -20,8 +21,9 @@ from kl_via_r import (
     r_polynomial,
     sub,
 )
-from klimm import immanant, perm
+from klimm import perm
 from klimm.errors import SizeGuardError, SizeMismatchError
+from klimm.grid import FORBIDDEN_PATTERNS
 from klimm.klpoly import (
     ONE,
     ZERO,
@@ -41,7 +43,7 @@ from klimm.perm import (
     longest_element,
     symmetric_group,
 )
-from klimm.suites import Config, run_suite
+from klimm.suites import Config, _avoiders, run_suite
 
 
 def test_polynomial_basics():
@@ -120,7 +122,12 @@ def test_prop31_kl_lookup_pattern_is_pinned(monkeypatch):
         return caches[n]
 
     monkeypatch.setattr(KLCacheRegistry, "for_n", recording)
-    assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
+    report = run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0))
+    assert report.ok
+    # The report the CLI prints for this config, pinned from the defining
+    # sum that made one kl_at call per w >= v.
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "0d8fe85e48e0f4f96114d1c5adda073db6a1acb01fce4933270ec86a18361208")
     assert [caches[n].stats() for n in sorted(caches)] == [
         {"n": 1, "entries": 0, "hits": 0, "misses": 0},
         {"n": 2, "entries": 1, "hits": 0, "misses": 1},
@@ -152,17 +159,14 @@ def test_kl_at_matches_the_every_candidate_oracle_on_all_pairs(n):
         n, [(x, y) for y in range(size) for x in range(size)])
 
 
-def test_kl_at_matches_the_every_candidate_oracle_in_prop31_order(
-        monkeypatch):
-    queries = []
-
-    def recording(cache, x, y):
-        if cache.n == 6:
-            queries.append((x, y))
-        return kl_at(cache, x, y)
-
-    monkeypatch.setattr(immanant, "kl_at", recording)
-    assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
+def test_kl_at_matches_the_every_candidate_oracle_in_prop31_order():
+    # The pairs a cold prop-3.1 run asks of S_6, in its order: for each
+    # avoider v, every x below y = w0 v, the row its defining sum walks.
+    table = perm.bruhat_table(6)
+    top = len(table.perms) - 1
+    queries = [(x, y) for y in (top - table.index[v]
+                                for v in _avoiders(6, FORBIDDEN_PATTERNS))
+               for x in perm.iter_bits(table.below[y])]
     cache = _agrees_with_the_every_candidate_oracle(6, queries)
     assert cache.stats() == {"n": 6, "entries": 43693, "hits": 224640,
                              "misses": 43693}
