@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -43,6 +44,13 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
+
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Each row times the lcm of its denominators, and those multipliers."""
+        denoms = tuple(lcm(*(x.denominator for x in r)) for r in self.entries)
+        return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                     for row, d in zip(self.entries, denoms)), denoms
 
     def to_doc(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -102,13 +110,6 @@ def _bareiss_int_det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if rows else 1
 
 
-def _cleared_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
-    # Each row times the lcm of its denominators, and those multipliers.
-    denoms = [lcm(*(x.denominator for x in row)) for row in M.entries]
-    return ([[x.numerator * (d // x.denominator) for x in row]
-             for row, d in zip(M.entries, denoms)], denoms)
-
-
 def det(M: Matrix) -> Fraction:
     """
     Exact determinant (empty matrix has determinant 1).
@@ -118,8 +119,8 @@ def det(M: Matrix) -> Fraction:
     Fraction(-2, 1)
     """
     _require_square(M)
-    int_rows, denoms = _cleared_rows(M)
-    return Fraction(_bareiss_int_det(int_rows), prod(denoms))
+    int_rows, denoms = M.cleared
+    return Fraction(_bareiss_int_det(list(map(list, int_rows))), prod(denoms))
 
 
 def submatrix(M: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
@@ -172,7 +173,7 @@ def _restricted_det(M: Matrix, P: Grid) -> Fraction:
     n = _require_square(M)
     if P.n != n:
         raise ShapeError(f"grid size {P.n} does not match matrix size {n}")
-    int_rows, denoms = _cleared_rows(M)
+    int_rows, denoms = M.cleared
     return Fraction(_bareiss_int_det(
         [[x if mask >> j & 1 else 0 for j, x in enumerate(row, 1)]
          for row, mask in zip(int_rows, P.rows)]), prod(denoms))
@@ -216,7 +217,7 @@ def positivity_order(M: Matrix, upto: int | None = None) -> int:
     if not 0 <= upto <= n:
         raise ValueError(f"upto must lie in [0, {n}], got {upto}")
     lower = [[1] * (n + 1) for _ in range(n + 1)]  # the size-0 minors
-    level, _ = _cleared_rows(M)
+    level = M.cleared[0]
     for s in range(1, upto + 1):
         if s > 1:
             # Lewis Carroll's identity; each divisor is a solid minor of

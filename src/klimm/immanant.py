@@ -25,7 +25,6 @@ from typing import Sequence
 from .errors import PatternPreconditionError, PreconditionError, ShapeError
 from .exactmat import (
     Matrix,
-    _cleared_rows,
     _require_square,
     _restricted_det,
     deleted_det,
@@ -45,7 +44,7 @@ from .grid import (
     is_young_shaped,
     largest_square,
 )
-from .klpoly import KLCache, cache_for, kl_at
+from .klpoly import KLCache, cache_for, imm_terms
 from .perm import (
     Perm,
     as_perm,
@@ -54,7 +53,6 @@ from .perm import (
     delete_entry,
     format_perm,
     inverse,
-    iter_bits,
     length,
 )
 
@@ -78,27 +76,23 @@ def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
 @lru_cache(maxsize=None)
 def _monomial_getters(n: int) -> tuple[itemgetter, ...]:
     """
-    One getter per position x of the Bruhat table of S_n (n >= 2): it
-    reads the factors of the monomial of w = w0 perms[x], the entries
+    One getter per position k of the Bruhat table of S_n (n >= 2): it
+    reads the factors of the monomial of w = perms[k], the entries
     (i, w(i)), off an n x n matrix flattened row by row.
     """
     return tuple(itemgetter(*(i * n + c - 1 for i, c in enumerate(w)))
-                 for w in reversed(bruhat_table(n).perms))
+                 for w in bruhat_table(n).perms)
 
 
 def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction:
     """
-    The defining sum: over w >= v (all other Kazhdan-Lusztig values
-    vanish), add (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1) times the
-    w-monomial of M.  Left multiplication by w0 reverses the order of
-    the cache's Bruhat table, so the sum is one pass over the x = w0 w
-    below y = w0 v, with l(w) - l(v) = l(y) - l(x).  P_{x,y} is read from
-    the store, and those reads count as hits all at once; :func:`kl_at`
-    gets only x = y and the pairs the store lacks.  The monomials are
-    products of the cleared integer rows of M; every monomial takes one
-    entry from each row, so the integer total over the product of the
-    row multipliers is exact.  Works for every v; the table guards the
-    size at n <= 7.  A cache for another S_n raises SizeMismatchError.
+    The defining sum: the dot product of the signed terms of
+    :func:`klimm.klpoly.imm_terms` (one per w >= v; all other
+    Kazhdan-Lusztig values vanish) with the w-monomials of M.  The
+    monomials are products of M's cleared integer rows; every monomial
+    takes one entry from each row, so the integer total over the product
+    of the row multipliers is exact.  Works for every v; the table guards
+    the size at n <= 7.  A cache for another S_n raises SizeMismatchError.
     """
     v = as_perm(v)
     n = len(v)
@@ -106,24 +100,11 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     cache = cache_for(cache, v)
     if n < 2:  # one term, w = v, whose KL value is 1
         return Fraction(M.entries[0][0] if n else 1)
-    table = cache.table
-    size, lengths = len(table.perms), table.lengths
-    rows, denoms = _cleared_rows(M)
+    rows, denoms = M.cleared
     flat = [entry for row in rows for entry in row]
     getters = _monomial_getters(n)
-    y = size - 1 - table.index[v]
-    ly, row, store = lengths[y], y * size, cache._values
-    stored = total = 0
-    for x in iter_bits(table.below[y]):
-        p = store.get(row + x)
-        if p is None:
-            p = kl_at(cache, x, y)
-        else:
-            stored += 1
-        term = sum(p.coeffs) * prod(getters[x](flat))
-        total += -term if (ly - lengths[x]) % 2 else term
-    cache.hits += stored
-    return Fraction(total, prod(denoms))
+    return Fraction(sum(c * prod(getters[k](flat))
+                        for k, c in imm_terms(v, cache)), prod(denoms))
 
 
 def imm_determinantal(v: Perm, M: Matrix) -> Fraction:

@@ -13,10 +13,10 @@ one.  Values are interned: equal coefficient tuples share one
 
 A hit is a recursion term answered from the store: the pair asked for,
 a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
-stored ones are counted through the rows, all at once); the defining
-immanant sum counts its own reads of the store the same way.  A miss is
-a pair computed and stored.  Only :func:`kl_at` and :meth:`KLCache.load` write
-the store.
+stored ones are counted through the rows, all at once); :func:`imm_terms`
+counts its reads of a Kazhdan-Lusztig row the same way.  A miss is a pair
+computed and stored.  Only :func:`kl_at` and :meth:`KLCache.load` write
+the store, and no other module reads it.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -42,6 +42,7 @@ from .perm import (
     bruhat_leq,
     bruhat_table,
     format_perm,
+    iter_bits,
 )
 
 
@@ -114,8 +115,8 @@ class KLCache:
     :meth:`save` and :meth:`load`.  Only :func:`kl_at` and :meth:`load`
     write the store, and ``rows`` mirrors it from the first miss on.
     ``hits`` counts the recursion terms answered from the store, each
-    stored mu-sum candidate among them, and the stored pairs the defining
-    immanant sum reads; ``misses`` counts the pairs computed.
+    stored mu-sum candidate among them, and the stored pairs
+    :func:`imm_terms` reads; ``misses`` counts the pairs computed.
     The store is a plain dict, so use one writer at a time.  Persistence
     uses write-to-temp-then-rename so a crash cannot leave a torn file.
     """
@@ -415,3 +416,29 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     if 2 * len(p.coeffs) == ly - lengths[x] + 1:
         mus[y] |= 1 << x
     return p
+
+
+def imm_terms(v: Perm, cache: KLCache) -> list[tuple[int, int]]:
+    """
+    Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
+    with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1).  Left multiplication
+    by w0 reverses the table, so this is one pass over the x = w0 w below
+    y = w0 v.  Stored values count as hits all at once, and :func:`kl_at`
+    gets only x = y and the pairs the store lacks: entries, hits and
+    misses are as with one :func:`kl_at` call per w.
+    """
+    table = cache.table
+    top, lengths = len(table.perms) - 1, table.lengths
+    y = top - table.index[v]
+    ly, row, store = lengths[y], y * (top + 1), cache._values
+    stored, terms = 0, []
+    for x in iter_bits(table.below[y]):
+        p = store.get(row + x)
+        if p is None:
+            p = kl_at(cache, x, y)
+        else:
+            stored += 1
+        c = sum(p.coeffs)
+        terms.append((top - x, -c if (ly - lengths[x]) % 2 else c))
+    cache.hits += stored
+    return terms

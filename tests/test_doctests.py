@@ -32,6 +32,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+
+def test_only_klpoly_touches_the_kl_store_and_its_counters():
+    # The store's layout and its hit policy are klpoly's alone, so a new
+    # store changes one module.
+    package = pathlib.Path(klimm.__file__).parent
+    found = [f"{path.name}:{node.lineno}:{node.attr}"
+             for path in sorted(package.rglob("*.py"))
+             if path.name != "klpoly.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in {"_values", "hits", "misses"}]
+    assert found == []
+
 # Functions and methods the package keeps without a caller of its own.
 UNCALLED_BY_DESIGN = {
     "KLCache.stats": "perfbench/spans.py reads the cache counters with it",

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from klimm.exactmat import (
     submatrix,
 )
 from klimm.grid import Grid, graph_of_upper_interval
+from klimm.immanant import imm_definition
 from klimm.perm import symmetric_group
 
 FIXTURE = fixtures.TWO_POSITIVE_NOT_THREE
@@ -129,6 +132,37 @@ def test_restricted_det_at_size_0_and_of_the_wrong_size():
     assert exactmat._restricted_det(Matrix(()), Grid(0, ())) == 1
     with pytest.raises(ShapeError, match="grid size 3 does not match"):
         exactmat._restricted_det(FIXTURE, grid(3, []))
+
+
+
+def _lcm_scaled(M: Matrix):
+    """Each row times the lcm of its denominators, and those multipliers."""
+    denoms = tuple(functools.reduce(math.lcm, (x.denominator for x in row), 1)
+                   for row in M.entries)
+    return tuple(tuple(x * d for x in row)
+                 for row, d in zip(M.entries, denoms)), denoms
+
+
+@pytest.mark.parametrize("name", ["0x0"] + sorted(EDGE_MATRICES))
+def test_cleared_form_scales_each_row_by_the_lcm_of_its_denominators(name):
+    M = Matrix(()) if name == "0x0" else EDGE_MATRICES[name]
+    rows, denoms = M.cleared
+    assert (rows, denoms) == _lcm_scaled(M)
+    assert all(type(x) is int for row in rows for x in row)
+    assert M.cleared is M.cleared
+
+
+def test_cleared_form_is_left_alone_by_every_reader():
+    # Bareiss eliminates in place, so det must run on a copy of the rows.
+    rng = random.Random(26)
+    for M in [*EDGE_MATRICES.values(), random_rational_matrix(4, rng)]:
+        v = tuple(range(1, M.rows + 1))
+        det(M)
+        exactmat._restricted_det(M, graph_of_upper_interval(v))
+        positivity_order(M)
+        imm_definition(v, M)
+        assert M.cleared == _lcm_scaled(M)
+        assert det(M) == _cofactor_det(M)
 
 
 def test_repeat_submatrix_examples():

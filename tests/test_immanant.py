@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from math import prod
@@ -23,6 +24,7 @@ from conftest import (
 )
 import fixtures
 from kl_via_r import kl_table_via_r
+from klimm import exactmat
 from klimm.errors import (
     PatternPreconditionError,
     PreconditionError,
@@ -59,7 +61,7 @@ from klimm.immanant import (
     SignProbeReport,
     young_sign_law,
 )
-from klimm.klpoly import ZERO, KLCache, kl_at
+from klimm.klpoly import ZERO, KLCache, imm_terms, kl_at
 from klimm.perm import (
     avoids,
     bruhat_leq,
@@ -168,42 +170,63 @@ def test_defining_sum_matches_the_unpruned_sum_on_edge_matrices(name):
         assert imm_definition(v, M) == _unpruned_definition(v, M)
 
 
-def _per_w_definition(v, M, cache):
+def _per_w_terms(v, cache):
     """
-    The defining sum as one kl_at call per w >= v, in the order of
-    ``above[v]``: the oracle of the KL counts and store that
-    imm_definition's one walk over ``below[w0 v]`` leaves.
+    The signed terms as one kl_at call per w = perms[k] >= v, in the
+    order of ``above[v]``: the oracle of the terms, KL counts and store
+    that imm_terms's one walk over ``below[w0 v]`` leaves.
     """
     table = cache.table
     iv, top = table.index[v], len(table.perms) - 1
-    total = Fraction(0)
-    for k in iter_bits(table.above[iv]):
-        sign = -1 if (table.lengths[k] - table.lengths[iv]) % 2 else 1
-        total += sign * kl_at(cache, top - k, top - iv)(1) * prod(
-            row[c - 1] for row, c in zip(M.entries, table.perms[k]))
-    return total
+    return [(k, (-1) ** (table.lengths[k] - table.lengths[iv])
+             * kl_at(cache, top - k, top - iv)(1))
+            for k in iter_bits(table.above[iv])]
+
+
+def _per_w_definition(v, M, cache):
+    """The defining sum over :func:`_per_w_terms`."""
+    perms = cache.table.perms
+    return sum(c * prod(row[j - 1] for row, j in zip(M.entries, perms[k]))
+               for k, c in _per_w_terms(v, cache))
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_defining_sum_counts_like_one_kl_at_call_per_w(n):
     # Cold: each v on fresh caches, so every miss and hit of the walk
-    # shows.  Warm: the store holds the whole row, so the walk adds one
-    # hit per x < y and nothing else.
+    # shows, for the terms alone and for the sum.  Warm: the store holds
+    # the whole row, so each walk adds one hit per x < y and nothing else.
     rng = random.Random(n)
     warm = KLCache(n)
     table = warm.table
     for v in symmetric_group(n):
         M = random_rational_matrix(n, rng)
         fast, slow = KLCache(n), KLCache(n)
+        assert sorted(imm_terms(v, fast)) == sorted(_per_w_terms(v, slow))
+        assert fast.stats() == slow.stats()
+        assert fast._values == slow._values
+        fast, slow = KLCache(n), KLCache(n)
         assert imm_definition(v, M, fast) == _per_w_definition(v, M, slow)
         assert fast.stats() == slow.stats()
         assert fast._values == slow._values
         imm_definition(v, M, warm)
-        before = warm.stats()
-        assert imm_definition(v, M, warm) == _per_w_definition(v, M, slow)
         y = len(table.perms) - 1 - table.index[v]
-        assert warm.stats() == dict(
-            before, hits=before["hits"] + table.below[y].bit_count() - 1)
+        for walk in (lambda: imm_terms(v, warm),
+                     lambda: imm_definition(v, M, warm)):
+            before = warm.stats()
+            walk()
+            assert warm.stats() == dict(
+                before, hits=before["hits"] + table.below[y].bit_count() - 1)
+        assert imm_definition(v, M, warm) == _per_w_definition(v, M, slow)
+
+
+def test_one_prop31_case_clears_its_matrix_once(monkeypatch):
+    # Both sides of a case read M's one integer form: one lcm per row.
+    calls = []
+    monkeypatch.setattr(exactmat, "lcm",
+                        lambda *dens: calls.append(dens) or math.lcm(*dens))
+    v, M = (2, 4, 1, 3), random_rational_matrix(4, random.Random(26))
+    assert imm_definition(v, M) == imm_determinantal(v, M)
+    assert len(calls) == 4
 
 
 def test_both_routes_at_sizes_0_and_1():

@@ -653,8 +653,11 @@ def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
 
 # SHA-256 of outputs that read row and column labels, pinned from the
 # grids that carried their own labels: passing the labels to
-# is_admissible instead must leave every byte of them alone.  MATRIX
-# stands for the fixture matrix file.
+# is_admissible instead must leave every byte of them alone.  Searches
+# 5.1 and 5.3 also evaluate the defining sum outside prop-3.1; theirs
+# were pinned from the imm_definition that walked the KL store itself,
+# before it became a dot product of klpoly.imm_terms.  MATRIX stands for
+# the fixture matrix file.
 LABEL_DIGESTS = [
     (["check", "main-sq", "--max-n", "4", "--max-m", "4", "--samples", "1"],
      "b6550c20d967d749d1449a5dcb75a37a307a01b4993e26204bc80b165cc29210"),
@@ -662,8 +665,12 @@ LABEL_DIGESTS = [
      "acd64502d1a9626b1560897ee37b16ca68a0da785b1e956b98761839885da6d8"),
     (["check", "sgn-probe", "--max-n", "5", "--samples", "1"],
      "023db1d36881ce4abca30c199d950ac706e66e0e8d8ecc35d52d433d3d372113"),
+    (["search", "5.1", "--samples", "200"],
+     "c42b1083fe7d797045c605925d692fa20e34796a0e4b3c0a03986cecfe8749de"),
     (["search", "5.2", "--samples", "200"],
      "4fe25ac2f1cf6af38df4ba1225eba56706c4b24a82aab62b7311aa35bb042a09"),
+    (["search", "5.3", "--samples", "200"],
+     "ed4dc43d902fa735e18be418041a35330f7c4df7cee347fbb0a7a976882a9279"),
     (["imm", "2413", "--R", "1,2,2,3", "--C", "1,2,3,3", "-m", "MATRIX"],
      "6177fffff68be62108b6a031fb6a840313c7d9775c6ee57849cb3a5f8421c242"),
     (["graph", "2413"],
