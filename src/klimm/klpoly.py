@@ -15,8 +15,10 @@ A hit is a recursion term answered from the store: the pair asked for,
 a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
 stored ones are counted through the rows, all at once); :func:`imm_terms`
 counts its reads of a Kazhdan-Lusztig row the same way.  A miss is a pair
-computed and stored.  Only :func:`kl_at` and :meth:`KLCache.load` write
-the store, and no other module reads it.
+computed and stored, by the miss path of :func:`kl_at`, which with
+:meth:`KLCache.load` is all that writes the store; no other module reads
+it.  A miss whose only term is P_{lo,ys} reuses that value's
+coefficients, checked like any others.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -112,10 +114,10 @@ class KLCache:
 
     Immutable values are stored by position in ``table``, the Bruhat
     table of S_n (built on first use); words appear only in the files of
-    :meth:`save` and :meth:`load`.  Only :func:`kl_at` and :meth:`load`
-    write the store, and ``rows`` mirrors it from the first miss on.
-    ``hits`` counts the recursion terms answered from the store, each
-    stored mu-sum candidate among them, and the stored pairs
+    :meth:`save` and :meth:`load`.  Only :func:`kl_at`'s miss path and
+    :meth:`load` write the store, and ``rows`` mirrors it from the first
+    miss on.  ``hits`` counts the recursion terms answered from the
+    store, each stored mu-sum candidate among them, and the stored pairs
     :func:`imm_terms` reads; ``misses`` counts the pairs computed.
     The store is a plain dict, so use one writer at a time.  Persistence
     uses write-to-temp-then-rename so a crash cannot leave a torn file.
@@ -312,108 +314,129 @@ def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
     if x == y:
         return ONE
     table = cache.table
-    below = table.below
-    if not below[y] >> x & 1:
+    if not table.below[y] >> x & 1:
         return ZERO
-    # Every read of the store is keyed y * n! + x and counted.  A
-    # miss reads each term of the recursion straight from the store, and
-    # only a term the store lacks goes through a call.
-    size = len(table.perms)
-    store = cache._values
-    known = store.get(y * size + x)
+    # Every read of the store is keyed y * n! + x and counted.
+    known = cache._values.get(y * len(table.perms) + x)
     if known is not None:
         cache.hits += 1
         return known
+    return _kl_miss(cache, x, y)
+
+
+def _kl_miss(cache: KLCache, x: int, y: int) -> IntPolynomial:
+    """
+    P_{x,y} for a pair x < y the store lacks: counted as a miss, computed
+    and stored.  Each term of the recursion is read straight from the
+    store, a term it lacks is computed here first, and the miss adds its
+    own hits to ``cache.hits`` once, at the end.
+    """
     cache.misses += 1
+    table = cache.table
+    below, lengths = table.below, table.lengths
+    size = len(table.perms)
+    store = cache._values
+    known, mus = cache.rows
 
     i = table.first_descent[y]
-    ys, xs = table.times_s[i][y], table.times_s[i][x]
+    times, descents = table.times_s[i], table.descents[i]
+    ys, xs = times[y], times[x]
     row = ys * size
+    ly = lengths[y]
+    hits = 0
     # P_{x,y} = P_{lo,ys} + q P_{hi,ys} - (mu-sum), where {lo, hi} =
     # {x, xs} and hi has the descent s.  By the lifting property lo <= ys,
-    # and hi differs from ys, which lacks the descent.
-    lo, hi = (xs, x) if table.descents[i] >> x & 1 else (x, xs)
+    # and hi differs from ys, which lacks the descent.  Positions are in
+    # lexicographic order, so x has the descent iff xs comes first.
+    lo, hi = (xs, x) if xs < x else (x, xs)
     if lo == ys:
         low = ONE
     else:
         low = store.get(row + lo)
         if low is None:
-            low = kl_at(cache, lo, ys)
+            low = _kl_miss(cache, lo, ys)
         else:
-            cache.hits += 1
+            hits += 1
     if not below[ys] >> hi & 1:
-        high = ZERO
+        # No q-term means no mu-sum either: a candidate z (below ys, with
+        # the descent s, and x <= z) has hi <= z, as hi is x or, by the
+        # lifting property, xs.  So P_{x,y} is P_{lo,ys}, whose
+        # coefficients are checked below like any others, with no list
+        # built.
+        coeffs = low.coeffs
     else:
         high = store.get(row + hi)
         if high is None:
-            high = kl_at(cache, hi, ys)
+            high = _kl_miss(cache, hi, ys)
         else:
-            cache.hits += 1
-    coeffs = list(low.coeffs)
-    # Lists grow to fit each term, not to the degree bound, so a corrupt
-    # cached term fails the checks below rather than indexing past them.
-    if len(coeffs) <= len(high.coeffs):
-        coeffs += [0] * (len(high.coeffs) + 1 - len(coeffs))
-    for d, a in enumerate(high.coeffs, 1):
-        coeffs[d] += a
-
-    lengths = table.lengths
-    ly = lengths[y]
-    # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z) odd,
-    # i.e. l(z) = l(y) mod 2: the set bits of one AND of Bruhat-table
-    # bitsets, in symmetric_group order, not a scan of S_n.  Every such z
-    # is below ys and differs from it, and x is at or below z, so the
-    # store holds P_{z,ys} and P_{x,z} (for z != x) once they are known.
-    parity = table.odd if ly % 2 else ~table.odd
-    mask = below[ys] & table.above[x] & table.descents[i] & parity
-    # Each candidate P_{z,ys} is one read.  Those the store lacks are
-    # computed first, each by a call that counts its own hit should a
-    # deeper call have stored it meanwhile; the rest are hits at once,
-    # and only the z with mu(z, ys) != 0 are read.
-    known, mus = cache.rows
-    stored = mask & known[ys]
-    cache.hits += stored.bit_count()
-    todo = mask ^ stored
-    while todo:
-        bit = todo & -todo
-        todo ^= bit
-        kl_at(cache, bit.bit_length() - 1, ys)
-    mask &= mus[ys]
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        z = bit.bit_length() - 1
-        # mu(z, ys) is the q^((l(ys) - l(z) - 1) / 2) coefficient of
-        # P_{z,ys}; its term is shifted by one more.
-        shift = (ly - lengths[z]) // 2
-        mu = store[row + z].coeffs[shift - 1]
-        if z == x:
-            pxz = ONE
-        else:
-            pxz = store.get(z * size + x)
-            if pxz is None:
-                pxz = kl_at(cache, x, z)
+            hits += 1
+        # Lists grow to fit each term, not to the degree bound, so a
+        # corrupt cached term fails the checks below rather than indexing
+        # past them.
+        coeffs = list(low.coeffs)
+        if len(coeffs) <= len(high.coeffs):
+            coeffs += [0] * (len(high.coeffs) + 1 - len(coeffs))
+        for d, a in enumerate(high.coeffs, 1):
+            coeffs[d] += a
+        # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z)
+        # odd, i.e. l(z) = l(y) mod 2: the set bits of one AND of
+        # Bruhat-table bitsets, in symmetric_group order, not a scan of
+        # S_n.  Every such z is below ys and differs from it, and x is at
+        # or below z, so the store holds P_{z,ys} and P_{x,z} (for z != x)
+        # once they are known.
+        mask = below[ys] & table.above[x] & descents
+        odd = mask & table.odd
+        mask = odd if ly % 2 else mask ^ odd
+        # Each candidate P_{z,ys} is one read.  The stored ones are hits
+        # at once, and the others are computed first, in order: every pair
+        # a miss reads has a second entry shorter than its own, so no
+        # candidate's miss stores another candidate.  Only the z with
+        # mu(z, ys) != 0 are then read.
+        stored = mask & known[ys]
+        hits += stored.bit_count()
+        todo = mask ^ stored
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            _kl_miss(cache, bit.bit_length() - 1, ys)
+        mask &= mus[ys]
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            z = bit.bit_length() - 1
+            # mu(z, ys) is the q^((l(ys) - l(z) - 1) / 2) coefficient of
+            # P_{z,ys}; its term is shifted by one more.
+            shift = (ly - lengths[z]) // 2
+            mu = store[row + z].coeffs[shift - 1]
+            if z == x:
+                pxz = ONE
             else:
-                cache.hits += 1
-        term = pxz.coeffs
-        if len(coeffs) < shift + len(term):
-            coeffs += [0] * (shift + len(term) - len(coeffs))
-        for d, a in enumerate(term, shift):
-            coeffs[d] -= mu * a
+                pxz = store.get(z * size + x)
+                if pxz is None:
+                    pxz = _kl_miss(cache, x, z)
+                else:
+                    hits += 1
+            term = pxz.coeffs
+            if len(coeffs) < shift + len(term):
+                coeffs += [0] * (shift + len(term) - len(coeffs))
+            for d, a in enumerate(term, shift):
+                coeffs[d] -= mu * a
+    cache.hits += hits
 
     # The degree bound 2 deg <= l(y) - l(x) - 1 depends on the pair.
     p = checked(tuple(coeffs))
-    if p is None or 2 * len(p.coeffs) > ly - lengths[x] + 1:
+    if p is None or (slack := ly - lengths[x] + 1 - 2 * len(p.coeffs)) < 0:
         px, py = format_perm(table.perms[x]), format_perm(table.perms[y])
-        if coeffs[0] != 1:
-            raise ArithmeticError(f"P_{px},{py} has constant term {coeffs[0]}")
+        constant = coeffs[0] if coeffs else 0
+        if constant != 1:
+            raise ArithmeticError(f"P_{px},{py} has constant term {constant}")
         if min(coeffs) < 0:
             raise ArithmeticError(f"negative coefficient in P_{px},{py}")
         raise ArithmeticError(f"degree bound violated for P_{px},{py}")
     store[y * size + x] = p
     known[y] |= 1 << x
-    # mu(x, y) != 0, by the one test KLCache.rows states.
-    if 2 * len(p.coeffs) == ly - lengths[x] + 1:
+    # slack 0 is mu(x, y) != 0, by the one test KLCache.rows states.
+    if not slack:
         mus[y] |= 1 << x
     return p
 
@@ -425,8 +448,11 @@ def imm_terms(v: Perm, cache: KLCache) -> list[tuple[int, int]]:
     by w0 reverses the table, so this is one pass over the x = w0 w below
     y = w0 v.  Stored values count as hits all at once, and :func:`kl_at`
     gets only x = y and the pairs the store lacks: entries, hits and
-    misses are as with one :func:`kl_at` call per w.
+    misses are as with one :func:`kl_at` call per w.  ``v`` is validated,
+    and a cache for another S_n raises SizeMismatchError.
     """
+    v = as_perm(v)
+    cache = cache_for(cache, v)
     table = cache.table
     top, lengths = len(table.perms) - 1, table.lengths
     y = top - table.index[v]

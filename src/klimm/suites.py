@@ -156,9 +156,11 @@ def _case_rng(seed: int, suite: str, key: str) -> random.Random:
 
 
 def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
+    # randrange(1999) - 999 draws what randint(-999, 999) draws, from the
+    # same _randbelow call, with fewer steps around it.
+    draw = rng.randrange
     return Matrix(tuple(
-        tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 50))
-              for _ in range(n))
+        tuple(Fraction(draw(1999) - 999, draw(50) + 1) for _ in range(n))
         for _ in range(n)))
 
 

@@ -109,6 +109,19 @@ def test_defining_sum_refuses_a_cache_for_another_size(kl_cache_s4):
     assert len(cache) == 0
 
 
+@pytest.mark.parametrize("v,error", [
+    # 4.0 hashes like 4, so a table lookup alone would take it.
+    ((2, 1, 3, 4.0), ValueError),
+    ((2, 1, 4, 4), ValueError),
+    ((2, 1, 3), SizeMismatchError),
+])
+def test_signed_terms_validate_the_word_and_its_size(v, error):
+    cache = KLCache(4)
+    with pytest.raises(error):
+        imm_terms(v, cache)
+    assert cache.stats() == {"n": 4, "entries": 0, "hits": 0, "misses": 0}
+
+
 def test_definition_support_rule_matches_unpruned_sum(kl_cache_s4):
     # Summing over all of S_n with the raw Kazhdan-Lusztig values (zero
     # for incomparable pairs) gives the same number as the pruned sum.

@@ -401,9 +401,47 @@ def test_cache_path_per_n():
 def test_recursion_rejects_a_corrupt_cache_entry():
     # P_{123,213} = 1; a cache holding 2 makes P_{123,231} = 2, whose
     # constant term breaks a property every KL polynomial has.
+    # P_{123,231} has no q-term, so it is the stored P_{123,213}, which
+    # is checked all the same.
     cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [2]})
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="constant term"):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
+
+
+def test_a_miss_with_no_q_term_has_no_mu_sum_candidates():
+    # The two facts a miss relies on to take lo, hi and to skip the
+    # mu-sum: x has the descent s iff x s comes before x in the table
+    # (lexicographic order), and when hi is not below ys no z with
+    # x <= z <= ys has the descent s.
+    for n in range(2, 7):
+        t = perm.bruhat_table(n)
+        for y in range(1, len(t.perms)):
+            i = t.first_descent[y]
+            ys, descents = t.times_s[i][y], t.descents[i]
+            for x in perm.iter_bits(t.below[y] ^ 1 << y):
+                xs = t.times_s[i][x]
+                assert descents >> x & 1 == (xs < x)
+                if not t.below[ys] >> max(x, xs) & 1:
+                    assert not t.below[ys] & t.above[x] & descents
+
+
+def test_recursion_reads_an_empty_stored_value_as_constant_term_0():
+    # No file loads into an empty value, but one in the store must still
+    # fail a check rather than an index.
+    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): []})
+    with pytest.raises(ArithmeticError, match="P_123,231 has constant term 0"):
+        kl_polynomial((1, 2, 3), (2, 3, 1), cache)
+
+
+@pytest.mark.parametrize("x", [(1, 2, 3, 4), (2, 1, 3, 4)])
+def test_recursion_checks_a_stored_value_it_reuses(x):
+    # P_{x,4132} has no q-term, so no mu-term either: it is the stored
+    # P_{1234,1432} (x or x s_1 is 1234).  A corrupt 1 - q there meets
+    # the degree bound of both pairs; its sign must still be seen.
+    cache = _store_holding(4, {((1, 2, 3, 4), (1, 4, 3, 2)): [1, -1]})
+    message = f"negative coefficient in P_{format_perm(x)},4132"
+    with pytest.raises(ArithmeticError, match=message):
+        kl_polynomial(x, (4, 1, 3, 2), cache)
 
 
 def test_recursion_rejects_a_cached_term_past_the_degree_bound():
@@ -451,7 +489,12 @@ def test_recursion_rejects_a_corrupt_mu_sum_candidate(corrupt, x, y, message):
     # corrupt 2 there, first read as that mu-term, leaves 1 - q.
     ({((1, 2, 3, 4), (3, 2, 1, 4)): [2]}, (1, 2, 3, 4), (4, 3, 1, 2),
      "negative coefficient"),
-], ids=["first-descent-term", "second-descent-term", "mu-term"])
+    # The same mu-term read as a corrupt 1 + q^4, longer than the sum so
+    # far: the list grows to fit it, and q^5 comes out negative.
+    ({((1, 2, 3, 4), (3, 2, 1, 4)): [1, 0, 0, 0, 1]}, (1, 2, 3, 4),
+     (4, 3, 1, 2), "negative coefficient"),
+], ids=["first-descent-term", "second-descent-term", "mu-term",
+        "long-mu-term"])
 def test_recursion_rejects_a_corrupt_term_read_inline(corrupt, x, y, message):
     # A miss reads its terms straight from the store, not through a
     # recursive call; the sum they make is checked all the same.

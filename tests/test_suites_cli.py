@@ -651,6 +651,47 @@ def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
             for name in PROP31_DIGESTS} == PROP31_DIGESTS
 
 
+# SHA-256 of the random draws of the two rational suites, in suite order,
+# pinned from the draws made with randint.  A passing report holds no
+# matrix, so only these pins see a changed draw.
+PROP31_DRAWS_DIGEST = (
+    "a1373276a2ec48fe2bc9b7eeb7e4bf8476446da876abe4c19e67a33133ef4cdd")
+PROP32_DRAWS_DIGEST = (
+    "791791c7fc193071d549c663d7e471a1ecabf30c375369e71581e23b62234fa6")
+
+
+def _sha256_of_json(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_prop31_draws_match_pinned_digest(monkeypatch):
+    drawn = []
+    draw = suites._random_rational_matrix
+
+    def recording(n, rng):
+        drawn.append(draw(n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(suites, "_random_rational_matrix", recording)
+    assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
+    assert len(drawn) == 485
+    assert _sha256_of_json([M.to_doc() for M in drawn]) == PROP31_DRAWS_DIGEST
+
+
+def test_prop32_draws_match_pinned_digest(monkeypatch):
+    drawn = []
+    residual = suites.lewis_carroll_residual
+
+    def recording(M, a, a2, b, b2):
+        drawn.append([M.to_doc(), [a, a2, b, b2]])
+        return residual(M, a, a2, b, b2)
+
+    monkeypatch.setattr(suites, "lewis_carroll_residual", recording)
+    assert run_suite("prop-3.2", Config(seed=0)).ok
+    assert len(drawn) == 200
+    assert _sha256_of_json(drawn) == PROP32_DRAWS_DIGEST
+
+
 # SHA-256 of outputs that read row and column labels, pinned from the
 # grids that carried their own labels: passing the labels to
 # is_admissible instead must leave every byte of them alone.  Searches
