@@ -123,37 +123,29 @@ def det(M: Matrix) -> Fraction:
     return Fraction(_bareiss_int_det(list(map(list, int_rows))), prod(denoms))
 
 
-def submatrix(M: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
-    """Rows and columns selected by 1-based indices, in sorted order."""
-    row_idx = sorted(set(rows))
-    col_idx = sorted(set(cols))
-    if any(not 1 <= i <= M.rows for i in row_idx):
-        raise IndexError(f"row selection {row_idx} out of range")
-    if any(not 1 <= j <= M.cols for j in col_idx):
-        raise IndexError(f"column selection {col_idx} out of range")
-    return Matrix(tuple(tuple(M.entries[i - 1][j - 1] for j in col_idx)
-                        for i in row_idx))
-
-
 def minor(M: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Fraction:
-    """Determinant of the submatrix on the given row and column sets."""
+    """Determinant on the given row and column sets, read off M.cleared."""
     row_idx = sorted(set(rows))
     col_idx = sorted(set(cols))
     if len(row_idx) != len(col_idx):
         raise ShapeError(
             f"minor needs equally many rows and columns, got "
             f"{len(row_idx)} and {len(col_idx)}")
-    return det(submatrix(M, row_idx, col_idx))
+    if any(not 1 <= i <= M.rows for i in row_idx):
+        raise IndexError(f"row selection {row_idx} out of range")
+    if any(not 1 <= j <= M.cols for j in col_idx):
+        raise IndexError(f"column selection {col_idx} out of range")
+    int_rows, denoms = M.cleared
+    return Fraction(_bareiss_int_det(
+        [[int_rows[i - 1][j - 1] for j in col_idx] for i in row_idx]),
+        prod(denoms[i - 1] for i in row_idx))
 
 
 def deleted_det(M: Matrix, gone_rows: Iterable[int],
                 gone_cols: Iterable[int]) -> Fraction:
     """Determinant after removing the named rows and columns."""
-    n = _require_square(M)
-    gone_rows, gone_cols = set(gone_rows), set(gone_cols)
-    keep_rows = [i for i in range(1, n + 1) if i not in gone_rows]
-    keep_cols = [j for j in range(1, n + 1) if j not in gone_cols]
-    return minor(M, keep_rows, keep_cols)
+    every = set(range(1, _require_square(M) + 1))
+    return minor(M, every - set(gone_rows), every - set(gone_cols))
 
 
 def restrict(M: Matrix, P: Grid) -> Matrix:
@@ -182,10 +174,12 @@ def _restricted_det(M: Matrix, P: Grid) -> Fraction:
 def repeat_submatrix(M: Matrix, R: Sequence[int], C: Sequence[int]) -> Matrix:
     """
     The matrix whose (i, j) entry is M[r_i, c_j] for weakly increasing
-    label multisets R and C; repeated labels give repeated rows/columns.
+    int label multisets R and C; repeated labels give repeated rows/columns.
     """
     if len(R) != len(C):
         raise ShapeError("row and column label multisets must have equal size")
+    if not {*map(type, R), *map(type, C)} <= {int}:
+        raise ValueError(f"labels {tuple(R)}, {tuple(C)} are not all ints")
     if any(not 1 <= r <= M.rows for r in R):
         raise IndexError(f"row labels {tuple(R)} out of range [1, {M.rows}]")
     if any(not 1 <= c <= M.cols for c in C):

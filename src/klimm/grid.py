@@ -44,8 +44,11 @@ FORBIDDEN_PATTERNS: tuple[Perm, Perm] = ((1, 3, 2, 4), (2, 1, 4, 3))
 
 
 def as_multiset(entries: Iterable[int], m: int) -> tuple[int, ...]:
-    """Sort a collection of labels into a weakly increasing tuple over [m]."""
-    ms = tuple(sorted(entries))
+    """Sort int labels into a weakly increasing tuple over [m]."""
+    ms = tuple(entries)
+    if not set(map(type, ms)) <= {int}:
+        raise ValueError(f"labels {ms} are not all ints")
+    ms = tuple(sorted(ms))
     if any(not 1 <= e <= m for e in ms):
         raise ValueError(f"labels {ms} not all in [1, {m}]")
     return ms

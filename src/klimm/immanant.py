@@ -30,7 +30,6 @@ from .exactmat import (
     deleted_det,
     repeat_submatrix,
     restrict,
-    submatrix,
 )
 from .grid import (
     FORBIDDEN_PATTERNS,
@@ -201,9 +200,9 @@ def factor_block_antidiagonal(v: Perm, M: Matrix) -> Fraction:
     upper_perm = tuple(v[i] - j for i in range(s))
     lower_perm = tuple(v[i] for i in range(s, n))
     upper_part = imm_determinantal(
-        upper_perm, submatrix(M, range(1, s + 1), range(j + 1, n + 1)))
+        upper_perm, repeat_submatrix(M, range(1, s + 1), range(j + 1, n + 1)))
     lower_part = imm_determinantal(
-        lower_perm, submatrix(M, range(s + 1, n + 1), range(1, j + 1)))
+        lower_perm, repeat_submatrix(M, range(s + 1, n + 1), range(1, j + 1)))
     return upper_part * lower_part
 
 

@@ -15,7 +15,7 @@ A hit is a recursion term answered from the store: the pair asked for,
 a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
 stored ones are counted through the rows, all at once); :func:`imm_terms`
 counts its reads of a Kazhdan-Lusztig row the same way.  A miss is a pair
-computed and stored, by the miss path of :func:`kl_at`, which with
+computed and stored, by :func:`_kl_miss`, which with
 :meth:`KLCache.load` is all that writes the store; no other module reads
 it.  A miss whose only term is P_{lo,ys} reuses that value's
 coefficients, checked like any others.
@@ -114,7 +114,7 @@ class KLCache:
 
     Immutable values are stored by position in ``table``, the Bruhat
     table of S_n (built on first use); words appear only in the files of
-    :meth:`save` and :meth:`load`.  Only :func:`kl_at`'s miss path and
+    :meth:`save` and :meth:`load`.  Only :func:`_kl_miss` and
     :meth:`load` write the store, and ``rows`` mirrors it from the first
     miss on.  ``hits`` counts the recursion terms answered from the
     store, each stored mu-sum candidate among them, and the stored pairs
@@ -139,10 +139,10 @@ class KLCache:
         Row bitsets (known, mu) over table positions: bit x of known[y] is
         set iff the store holds P_{x,y}, and bit x of mu[y] iff mu(x, y) is
         not 0: as both writers enforce the degree bound, iff the stored
-        P_{x,y} has degree (l(y) - l(x) - 1) / 2, the test of :func:`kl_at`.
-        Built from the store at the first miss of :func:`kl_at`, which
-        keeps them up to date from then on; a cache that only ever hits
-        never builds them.
+        P_{x,y} has degree (l(y) - l(x) - 1) / 2, the test of
+        :func:`_kl_miss`.  Built from the store at the first miss, after
+        which :func:`_kl_miss` keeps them up to date; a cache that only
+        ever hits never builds them.
         """
         size, lengths = len(self.table.perms), self.table.lengths
         known, mu = [0] * size, [0] * size
@@ -446,8 +446,8 @@ def imm_terms(v: Perm, cache: KLCache) -> list[tuple[int, int]]:
     Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
     with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1).  Left multiplication
     by w0 reverses the table, so this is one pass over the x = w0 w below
-    y = w0 v.  Stored values count as hits all at once, and :func:`kl_at`
-    gets only x = y and the pairs the store lacks: entries, hits and
+    y = w0 v.  Stored values count as hits all at once, x = y is 1, and
+    each pair the store lacks goes to :func:`_kl_miss`: entries, hits and
     misses are as with one :func:`kl_at` call per w.  ``v`` is validated,
     and a cache for another S_n raises SizeMismatchError.
     """
@@ -461,7 +461,7 @@ def imm_terms(v: Perm, cache: KLCache) -> list[tuple[int, int]]:
     for x in iter_bits(table.below[y]):
         p = store.get(row + x)
         if p is None:
-            p = kl_at(cache, x, y)
+            p = ONE if x == y else _kl_miss(cache, x, y)
         else:
             stored += 1
         c = sum(p.coeffs)

@@ -1,6 +1,9 @@
 import ast
 import doctest
+import functools
+import importlib
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -92,3 +95,20 @@ def test_every_package_function_has_a_caller_in_the_package():
     # A stale entry names something undefined, or something with a caller.
     assert sorted(UNCALLED_BY_DESIGN.keys()
                   - {qualname for _, qualname in uncalled}) == []
+
+
+def test_every_module_name_the_readme_cites_exists():
+    # A backticked `module.name` in README must resolve in that klimm
+    # module, so a deleted or renamed function cannot stay cited.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    cited = set(re.findall(
+        r"`(perm|klpoly|grid|exactmat|immanant|suites|cli)\.([A-Za-z_][\w.]*)",
+        readme.read_text()))
+    missing = []
+    for module, dotted in sorted(cited):
+        try:
+            functools.reduce(getattr, dotted.split("."),
+                             importlib.import_module(f"klimm.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{dotted}")
+    assert cited and missing == []

@@ -34,7 +34,6 @@ from klimm.exactmat import (
     positivity_order,
     repeat_submatrix,
     restrict,
-    submatrix,
 )
 from klimm.grid import Grid, graph_of_upper_interval
 from klimm.immanant import imm_definition
@@ -175,7 +174,9 @@ def test_repeat_submatrix_examples():
 
 
 @pytest.mark.parametrize("function,args,error,message", [
-    (submatrix, (FIXTURE, [1], [5]), IndexError,
+    (minor, (FIXTURE, [5], [1]), IndexError,
+     r"row selection \[5\] out of range"),
+    (minor, (FIXTURE, [1], [5]), IndexError,
      r"column selection \[5\] out of range"),
     (repeat_submatrix, (FIXTURE, (1, 2), (1,)), ShapeError,
      "row and column label multisets must have equal size"),
@@ -186,7 +187,7 @@ def test_repeat_submatrix_examples():
      "need 1 <= k < n, got k=3, n=3"),
     (gen_k_positive_not_higher, (3, 4, 0), ValueError,
      "need 1 <= k < n, got k=4, n=3"),
-], ids=["submatrix-column", "repeat-lengths", "repeat-column",
+], ids=["minor-row", "minor-column", "repeat-lengths", "repeat-column",
         "totally-positive-0", "k-equals-n", "k-above-n"])
 def test_out_of_range_arguments_are_rejected(function, args, error, message):
     with pytest.raises(error, match=message):
@@ -423,7 +424,8 @@ def test_bar():
 def test_deleted_det_and_submatrix():
     assert deleted_det(FIXTURE, {1}, {1}) == minor(FIXTURE, [2, 3, 4], [2, 3, 4])
     assert deleted_det(FIXTURE, {1, 2, 3, 4}, {1, 2, 3, 4}) == 1
-    assert submatrix(FIXTURE, [1, 2], [3, 4]).entries == ((6, 3), (3, 2))
+    assert (repeat_submatrix(FIXTURE, [1, 2], [3, 4]).entries
+            == ((6, 3), (3, 2)))
     # The deleted index sets are read once, not once per kept row.
     assert deleted_det(FIXTURE, {2}, {2}) == -7
     assert deleted_det(FIXTURE, iter([2]), iter([2])) == -7
@@ -436,6 +438,19 @@ def test_minor_equals_repeat_submatrix_det_on_strict_sets():
         rows = tuple(sorted(rng.sample(range(1, 6), 3)))
         cols = tuple(sorted(rng.sample(range(1, 6), 3)))
         assert minor(M, rows, cols) == det(repeat_submatrix(M, rows, cols))
+    # Rectangular matrices, selections of every size down to the empty one
+    # (value 1), and indices repeated or out of order, which are read as
+    # sets.
+    for r, c in [(3, 5), (5, 3)] * 4:
+        M = from_rows([[Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                        for _ in range(c)] for _ in range(r)])
+        k = rng.randint(0, 3)
+        rows = tuple(sorted(rng.sample(range(1, r + 1), k)))
+        cols = tuple(sorted(rng.sample(range(1, c + 1), k)))
+        expected = det(repeat_submatrix(M, rows, cols))
+        assert minor(M, rows, cols) == expected
+        assert minor(M, rows[::-1] + rows, cols + cols[:1]) == expected
+    assert minor(M, [], []) == minor(Matrix(()), [], []) == 1
 
 
 def test_matrix_doc_round_trip():

@@ -236,6 +236,10 @@ def test_delete_rows_cols_basics():
      r"labels \(0, 2\) not all in \[1, 3\]"),
     (as_multiset, ((1, 4), 3), ValueError,
      r"labels \(1, 4\) not all in \[1, 3\]"),
+    (as_multiset, ((2, 1.0), 3), ValueError,
+     r"labels \(2, 1\.0\) are not all ints"),
+    (as_multiset, ((2, True), 3), ValueError,
+     r"labels \(2, True\) are not all ints"),
     (delete_rows_cols, (graph_of_upper_interval(V2413), {5}, {1}), IndexError,
      "deletion index out of range"),
     (delete_rows_cols, (graph_of_upper_interval(V2413), {1}, {0}), IndexError,
@@ -244,8 +248,8 @@ def test_delete_rows_cols_basics():
      r"partition \(1, 1, 1, 1\) has more than 3 parts"),
     (young_diagram_grid, ((4,), 3), ValueError,
      r"partition \(4,\) does not fit in a 3x3 box"),
-], ids=["label-below", "label-above", "row-index", "column-index",
-        "too-many-parts", "part-too-large"])
+], ids=["label-below", "label-above", "label-float", "label-bool",
+        "row-index", "column-index", "too-many-parts", "part-too-large"])
 def test_out_of_range_arguments_are_rejected(function, args, error, message):
     with pytest.raises(error, match=message):
         function(*args)

@@ -242,6 +242,16 @@ def test_one_prop31_case_clears_its_matrix_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_a_lewis_carroll_residual_clears_its_matrix_once(monkeypatch):
+    # det(M) and the five minors read M's one integer form.
+    calls = []
+    monkeypatch.setattr(exactmat, "lcm",
+                        lambda *dens: calls.append(dens) or math.lcm(*dens))
+    M = random_rational_matrix(4, random.Random(28))
+    assert exactmat.lewis_carroll_residual(M, 1, 3, 2, 4) == 0
+    assert len(calls) == 4
+
+
 def test_both_routes_at_sizes_0_and_1():
     for v, M, value in (((), Matrix(()), 1),
                         ((1,), EDGE_MATRICES["1x1"], Fraction(-7, 3))):
@@ -324,6 +334,24 @@ def test_dual_canonical_eval_worked_examples(kl_cache_s4):
         dual_canonical_eval((2, 1), (1, 2), (1, 2), FIXTURE, method="nope")
     with pytest.raises(ShapeError):
         dual_canonical_eval((2, 1), (1, 2, 3), (1, 2, 3), FIXTURE)
+
+
+@pytest.mark.parametrize("label", [1.0, True], ids=["float", "bool"])
+def test_labels_that_are_not_ints_are_rejected(label):
+    # As in a permutation word, a float or a bool is no label, even where
+    # it compares or indexes like the int it equals.
+    T = gen_totally_positive(4, seed=2)
+    P = young_diagram_grid((4, 4, 4, 4), 4)
+    R, C = (1, 2, 2, 3), (1, 1, 2, 2)
+    bad = (label, 2, 2, 3)
+    for call in (lambda R, C: dual_canonical_eval((2, 4, 1, 3), R, C, T),
+                 lambda R, C: young_sign_law(P, R, C, T),
+                 lambda R, C: lewis_carroll_sign_probe((2, 4, 1, 3), R, C, T),
+                 lambda R, C: repeat_submatrix(T, R, C)):
+        call(R, C)
+        for labels in ((bad, C), (R, bad)):
+            with pytest.raises(ValueError, match="not all ints"):
+                call(*labels)
 
 
 @pytest.mark.parametrize("function,args,message", [
