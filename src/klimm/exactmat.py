@@ -123,10 +123,19 @@ def det(M: Matrix) -> Fraction:
     return Fraction(_bareiss_int_det(list(map(list, int_rows))), prod(denoms))
 
 
+def _index_set(indices: Iterable[int]) -> set[int]:
+    """The set of 1-based indices, each of which must be an int."""
+    ids = tuple(indices)
+    # By type, not by value: True and 1.0 equal 1 but index nothing.
+    if not set(map(type, ids)) <= {int}:
+        raise ValueError(f"indices {ids} are not all ints")
+    return set(ids)
+
+
 def minor(M: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Fraction:
     """Determinant on the given row and column sets, read off M.cleared."""
-    row_idx = sorted(set(rows))
-    col_idx = sorted(set(cols))
+    row_idx = sorted(_index_set(rows))
+    col_idx = sorted(_index_set(cols))
     if len(row_idx) != len(col_idx):
         raise ShapeError(
             f"minor needs equally many rows and columns, got "
@@ -145,7 +154,8 @@ def deleted_det(M: Matrix, gone_rows: Iterable[int],
                 gone_cols: Iterable[int]) -> Fraction:
     """Determinant after removing the named rows and columns."""
     every = set(range(1, _require_square(M) + 1))
-    return minor(M, every - set(gone_rows), every - set(gone_cols))
+    return minor(M, every - _index_set(gone_rows),
+                 every - _index_set(gone_cols))
 
 
 def restrict(M: Matrix, P: Grid) -> Matrix:

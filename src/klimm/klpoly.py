@@ -106,7 +106,10 @@ def checked(coeffs: tuple[int, ...]) -> IntPolynomial | None:
     return p if p.coeffs[:1] == (1,) and min(p.coeffs) >= 0 else None
 
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+
+# Turns the binary digits of a bitset, lowest first, into 0/1 flags.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class KLCache:
@@ -119,8 +122,17 @@ class KLCache:
     miss on.  ``hits`` counts the recursion terms answered from the
     store, each stored mu-sum candidate among them, and the stored pairs
     :func:`imm_terms` reads; ``misses`` counts the pairs computed.
-    The store is a plain dict, so use one writer at a time.  Persistence
-    uses write-to-temp-then-rename so a crash cannot leave a torn file.
+    The store is a plain dict, so use one writer at a time.
+
+    A file holds the store by value class, as du Cloux's *Coxeter* holds
+    each P_{x,y} as a reference into one table of distinct polynomials:
+    ``{"n", "format_version": 2, "values": [[1], [1, 1], ...], "rows":
+    {"<y word>": {"<i>": "<hex>"}}}``, where bit x of the hex bitset of
+    class i in the row of y is set iff P_{x,y} = ``values[i]``.  The S_6
+    cache of prop-3.1 holds 43,693 pairs but 14 distinct values, so a
+    load checks per row and class, and only the store fill is per pair.
+    Persistence uses write-to-temp-then-rename so a crash cannot leave a
+    torn file.
     """
 
     def __init__(self, n: int):
@@ -161,17 +173,32 @@ class KLCache:
                 "hits": self.hits, "misses": self.misses}
 
     def save(self, path: str) -> None:
-        # sort_keys orders the table; one dumps call uses the C encoder,
-        # which json.dump to a file never does.
-        words = tuple(map(format_perm, self.table.perms)) if self._values else ()
-        size = len(words)
-        doc = {
+        """
+        Write the store in the format of the class docstring: the distinct
+        coefficient lists, sorted, and for each y that has stored pairs
+        one bitset per value it takes.  Keys are sorted too, so the bytes
+        follow from the store alone, not from its order or hash order.
+        """
+        # An empty store needs no table, so S_8 and up save one too.
+        perms = self.table.perms if self._values else ()
+        size = len(perms)
+        classes: dict[int, dict[tuple[int, ...], int]] = {}
+        for key, p in self._values.items():
+            y, x = divmod(key, size)
+            row = classes.setdefault(y, {})
+            row[p.coeffs] = row.get(p.coeffs, 0) | 1 << x
+        values = sorted({p.coeffs for p in self._values.values()})
+        index = {coeffs: str(i) for i, coeffs in enumerate(values)}
+        # sort_keys orders rows and classes; one dumps call uses the C
+        # encoder, which json.dump to a file never does.
+        text = json.dumps({
             "n": self.n,
             "format_version": CACHE_FORMAT_VERSION,
-            "table": {f"{words[key % size]}|{words[key // size]}": p.coeffs
-                      for key, p in self._values.items()},
-        }
-        text = json.dumps(doc, sort_keys=True)
+            "values": values,
+            "rows": {format_perm(perms[y]): {index[coeffs]: format(bits, "x")
+                                             for coeffs, bits in row.items()}
+                     for y, row in classes.items()},
+        }, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -188,57 +215,97 @@ class KLCache:
     def load(cls, path: str) -> "KLCache":
         """
         Read a file written by :meth:`save`, rejecting a malformed one with
-        ValueError.  Every key must be x|y in the one form :meth:`save`
-        writes, compact words of S_n such as ``1324|3412``, which resolve
-        through one dict built from the table; a key in any other form is
-        refused with the entry and the path named.  Each key must be a pair
-        x < y in Bruhat order, the only pairs the recursion stores.  The
-        types of all coefficients are checked in one pass, and an entry is
-        named by a second pass only when that fails.  Each value must pass
-        the checks the recursion applies to its own: constant term 1,
-        nonnegative coefficients and the degree bound.  Entries with equal
-        coefficient lists share one polynomial.
+        ValueError naming the file; a file of another format version is
+        refused with a hint to delete it, so that the next run rebuilds it.
+        Each row must be keyed by a compact word of S_n such as ``3412``,
+        the one form :meth:`save` writes, resolved through one dict built
+        from the table, and map indices into ``values`` to nonzero
+        lowercase hex bitsets over the table's positions.  Then every
+        check is one per row and class, and a refusal names the entry x|y
+        at its lowest offending bit: each pair must be x < y in Bruhat
+        order, the only pairs the recursion stores, and no pair may sit
+        in two classes.  Each value must be a list of ints passing the
+        checks the recursion applies to its own: constant term 1 and
+        nonnegative coefficients, once per distinct list, and the degree
+        bound, one AND with the positions x of length at least
+        l(y) + 2 - 2 * len.  Pairs of a class share one polynomial.
         """
         with open(path) as handle:
             doc = json.load(handle)
         if not isinstance(doc, dict):
             raise ValueError(f"{path} does not hold a JSON object")
         if doc.get("format_version") != CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format in {path}")
-        n, table = doc.get("n"), doc.get("table")
+            raise ValueError(f"unsupported cache format in {path}: delete "
+                             "the file and the next run rebuilds it")
+        n, values, rows = doc.get("n"), doc.get("values"), doc.get("rows")
         if (type(n) is not int or not 1 <= n <= BRUHAT_TABLE_GUARD
-                or not isinstance(table, dict)):
+                or type(values) is not list or type(rows) is not dict):
             raise ValueError(f"{path} needs an integer 'n' in "
-                             f"[1, {BRUHAT_TABLE_GUARD}] and an object 'table'")
-        values = table.values()
-        if not (set(map(type, values)) <= {list} and set(
-                map(type, itertools.chain.from_iterable(values))) <= {int}):
-            bad = next(key for key, coeffs in table.items()
-                       if type(coeffs) is not list
-                       or any(type(c) is not int for c in coeffs))
-            raise ValueError(f"cache entry {bad} in {path} is not a "
-                             "list of integers")
+                             f"[1, {BRUHAT_TABLE_GUARD}], a list 'values' "
+                             "and an object 'rows'")
         cache = cls(n)
-        index, below = cache.table.index, cache.table.below
-        lengths = cache.table.lengths
-        size = len(index)
-        positions = {format_perm(v): k for v, k in index.items()}
-        for key, coeffs in table.items():
-            xword, _, yword = key.partition("|")
-            x, y = positions.get(xword), positions.get(yword)
-            if x is None or y is None:
-                raise ValueError(f"cache entry {key} in {path} is not x|y "
-                                 f"with x and y words of S_{n}")
-            if x == y or not below[y] >> x & 1:
-                raise ValueError(f"cache entry {key} in {path} is not a "
-                                 "pair x < y in Bruhat order")
-            p = checked(tuple(coeffs))
-            if p is None or 2 * len(p.coeffs) > lengths[y] - lengths[x] + 1:
-                raise ValueError(
-                    f"cache entry {key} in {path} is not a KL polynomial: it "
-                    "needs constant term 1, nonnegative coefficients and "
-                    "degree at most (l(y) - l(x) - 1) / 2")
-            cache._values[y * size + x] = p
+        table = cache.table
+        below, lengths = table.below, table.lengths
+        size = len(table.perms)
+        words = [format_perm(v) for v in table.perms]
+        positions = {word: k for k, word in enumerate(words)}
+        # at_least[t] holds the positions of length at least t.
+        at_least = [0] * (max(lengths) + 1)
+        for x, lx in enumerate(lengths):
+            at_least[lx] |= 1 << x
+        for t in reversed(range(len(at_least) - 1)):
+            at_least[t] |= at_least[t + 1]
+        # Class index -> its polynomial, None if it is no KL polynomial,
+        # or False if it is not a list of ints.
+        polys = {str(i): checked(tuple(coeffs))
+                 if type(coeffs) is list and set(map(type, coeffs)) <= {int}
+                 else False for i, coeffs in enumerate(values)}
+
+        def refuse(bad: int, y: int, why: str) -> ValueError:
+            x = (bad & -bad).bit_length() - 1
+            return ValueError(f"cache entry {words[x]}|{words[y]} in {path} "
+                              f"{why}")
+
+        store, limit = cache._values, 1 << size
+        for word, row in rows.items():
+            y = positions.get(word)
+            if y is None or type(row) is not dict:
+                raise ValueError(f"cache row {word} in {path} is not a "
+                                 f"compact word of S_{n} mapping class "
+                                 "indices to bitsets")
+            strictly_below, ly = below[y] ^ 1 << y, lengths[y]
+            base, seen = y * size, 0
+            for i, text in row.items():
+                try:
+                    bits = int(text, 16)
+                except (TypeError, ValueError):
+                    bits = 0
+                if (i not in polys or not 0 < bits < limit
+                        or format(bits, "x") != text):
+                    raise ValueError(
+                        f"cache row {word} in {path} maps {i!r} to {text!r}, "
+                        "not an index into 'values' to a nonzero lowercase "
+                        f"hex bitset over the {size} positions of S_{n}")
+                if bad := bits & ~strictly_below:
+                    raise refuse(bad, y, "is not a pair x < y in Bruhat order")
+                if bad := bits & seen:
+                    raise refuse(bad, y, "sits in two classes")
+                p = polys[i]
+                if p is False:
+                    raise refuse(bits, y, "is not a list of integers")
+                if bad := bits if p is None else bits & at_least[
+                        max(ly + 2 - 2 * len(p.coeffs), 0)]:
+                    raise refuse(
+                        bad, y, "is not a KL polynomial: it needs constant "
+                        "term 1, nonnegative coefficients and degree at "
+                        "most (l(y) - l(x) - 1) / 2")
+                seen |= bits
+                # The store fill is the one step per pair: the reversed
+                # binary digits flag the positions x, lowest first.
+                flags = format(bits, "b")[::-1].encode().translate(_BIT_FLAGS)
+                store.update(dict.fromkeys(
+                    itertools.compress(range(base, base + len(flags)), flags),
+                    p))
         return cache
 
 

@@ -156,12 +156,20 @@ def _case_rng(seed: int, suite: str, key: str) -> random.Random:
 
 
 def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
-    # randrange(1999) - 999 draws what randint(-999, 999) draws, from the
-    # same _randbelow call, with fewer steps around it.
-    draw = rng.randrange
-    return Matrix(tuple(
-        tuple(Fraction(draw(1999) - 999, draw(50) + 1) for _ in range(n))
-        for _ in range(n)))
+    # Each entry draws what Fraction(randint(-999, 999), randint(1, 50))
+    # draws: randrange(k) takes k.bit_length() bits until they fall below
+    # k, so this is the same stream with fewer steps around it.
+    bits, entries = rng.getrandbits, []
+    for _ in range(n * n):
+        num = bits(11)
+        while num >= 1999:
+            num = bits(11)
+        den = bits(6)
+        while den >= 50:
+            den = bits(6)
+        entries.append(Fraction(num - 999, den + 1))
+    return Matrix(tuple(tuple(entries[i:i + n])
+                        for i in range(0, n * n, n)))
 
 
 def _k_positive_samples(m: int, k: int, tag: str, count: int,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from klimm.errors import ShapeError
 from klimm.exactmat import Matrix
 from klimm.grid import Grid
-from klimm.klpoly import KLCache, kl_polynomial
+from klimm.klpoly import IntPolynomial, KLCache, kl_polynomial
 from klimm.perm import iter_bits
 from klimm.suites import _partitions_in_box
 
@@ -157,6 +157,20 @@ EDGE_MATRICES = {
 def kl_at_one(x, y, cache=None) -> int:
     """P_{x,y}(1), the multiplicity in the immanant sum (test oracle)."""
     return kl_polynomial(x, y, cache)(1)
+
+
+def store_holding(n: int, entries) -> KLCache:
+    """
+    A cache whose store holds {(x, y): coefficients} as given.  Load
+    refuses a value that is not a KL polynomial, so this is how a test
+    puts one where the recursion's checks, or load's after a save, must
+    meet it.
+    """
+    cache = KLCache(n)
+    index, size = cache.table.index, len(cache.table.perms)
+    for (x, y), coeffs in entries.items():
+        cache._values[index[y] * size + index[x]] = IntPolynomial(tuple(coeffs))
+    return cache
 
 
 @pytest.fixture(scope="session")

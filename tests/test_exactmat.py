@@ -194,6 +194,24 @@ def test_out_of_range_arguments_are_rejected(function, args, error, message):
         function(*args)
 
 
+@pytest.mark.parametrize("function,rows,cols", [
+    (minor, [True], [1]),
+    (minor, [1.0], [1]),
+    (minor, [1], [2, 1.0]),
+    (deleted_det, [1.0], [1]),
+    (deleted_det, [1], [True]),
+], ids=["minor-bool-row", "minor-float-row", "minor-float-column",
+        "deleted-float-row", "deleted-bool-column"])
+def test_indices_that_are_not_ints_are_rejected(function, rows, cols):
+    # True and 1.0 equal the index 1, so a set or range test alone reads
+    # them as row 1 (minor(FIXTURE, [True], [1]) was 22 and
+    # deleted_det(FIXTURE, [1.0], [1]) was -6) or fails with a bare
+    # TypeError when it indexes a row.  They are refused by type, as
+    # grid.as_multiset refuses labels.
+    with pytest.raises(ValueError, match="are not all ints"):
+        function(FIXTURE, rows, cols)
+
+
 def test_k_positivity_of_fixture():
     assert is_k_positive(FIXTURE, 2)
     assert not is_k_positive(FIXTURE, 3)

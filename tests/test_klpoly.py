@@ -2,13 +2,17 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kl_at_one
+from conftest import kl_at_one, store_holding
 from kl_every_candidate import kl_at_every_candidate
 from kl_via_r import (
     add,
@@ -255,35 +259,15 @@ def test_uncached_values_past_the_table_guard_are_rejected():
         kl_polynomial(e, (2, 1, 3, 4, 5, 6, 7, 8))
 
 
-def _cache_holding(tmp_path, n, entries):
-    """A cache loaded from a file holding {(x, y): coefficients}."""
-    path = tmp_path / f"kl.s{n}.json"
-    path.write_text(json.dumps({"n": n, "format_version": 1, "table": {
-        f"{format_perm(x)}|{format_perm(y)}": coeffs
-        for (x, y), coeffs in entries.items()}}))
-    return KLCache.load(str(path))
-
-
-def _store_holding(n, entries):
-    """
-    A cache whose store holds {(x, y): coefficients} as given.  Load
-    refuses a value that is not a KL polynomial, so this is how a
-    recursion test puts one where its own checks must meet it.
-    """
-    cache = KLCache(n)
-    index, size = cache.table.index, len(cache.table.perms)
-    for (x, y), coeffs in entries.items():
-        cache._values[index[y] * size + index[x]] = IntPolynomial(tuple(coeffs))
-    return cache
-
-
 def test_cached_values_past_the_table_guard_are_rejected_too(tmp_path):
     # Past the guard no cache file loads, so no stored value can answer
     # what the recursion could not check; a cache for S_8 still answers
     # the pairs that need no table.
     e, s1 = identity(8), (2, 1, 3, 4, 5, 6, 7, 8)
+    path = tmp_path / "kl.s8.json"
+    path.write_text(json.dumps(_format2(8, [[1]], {"21345678": {"0": "1"}})))
     with pytest.raises(ValueError, match="kl.s8.json"):
-        _cache_holding(tmp_path, 8, {(e, s1): [1]})
+        KLCache.load(str(path))
     cache = KLCache(8)
     assert kl_polynomial(s1, s1, cache) == ONE
     assert kl_polynomial(s1, e, cache) == ZERO
@@ -364,7 +348,7 @@ def test_cache_save_load_round_trip(tmp_path):
         IntPolynomial((1, 1))
     assert (loaded.hits, loaded.misses) == (1, 0)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1 and doc["n"] == 4
+    assert doc["format_version"] == 2 and doc["n"] == 4
 
 
 def test_cache_save_keeps_the_old_file_when_the_rename_fails(tmp_path,
@@ -403,7 +387,7 @@ def test_recursion_rejects_a_corrupt_cache_entry():
     # constant term breaks a property every KL polynomial has.
     # P_{123,231} has no q-term, so it is the stored P_{123,213}, which
     # is checked all the same.
-    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [2]})
+    cache = store_holding(3, {((1, 2, 3), (2, 1, 3)): [2]})
     with pytest.raises(ArithmeticError, match="constant term"):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
@@ -428,7 +412,7 @@ def test_a_miss_with_no_q_term_has_no_mu_sum_candidates():
 def test_recursion_reads_an_empty_stored_value_as_constant_term_0():
     # No file loads into an empty value, but one in the store must still
     # fail a check rather than an index.
-    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): []})
+    cache = store_holding(3, {((1, 2, 3), (2, 1, 3)): []})
     with pytest.raises(ArithmeticError, match="P_123,231 has constant term 0"):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
@@ -438,7 +422,7 @@ def test_recursion_checks_a_stored_value_it_reuses(x):
     # P_{x,4132} has no q-term, so no mu-term either: it is the stored
     # P_{1234,1432} (x or x s_1 is 1234).  A corrupt 1 - q there meets
     # the degree bound of both pairs; its sign must still be seen.
-    cache = _store_holding(4, {((1, 2, 3, 4), (1, 4, 3, 2)): [1, -1]})
+    cache = store_holding(4, {((1, 2, 3, 4), (1, 4, 3, 2)): [1, -1]})
     message = f"negative coefficient in P_{format_perm(x)},4132"
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, (4, 1, 3, 2), cache)
@@ -447,7 +431,7 @@ def test_recursion_checks_a_stored_value_it_reuses(x):
 def test_recursion_rejects_a_cached_term_past_the_degree_bound():
     # The corrupt term is longer than any polynomial the recursion could
     # build at this pair; it must fail a check, not index past a list.
-    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [1, 0, 0, 5]})
+    cache = store_holding(3, {((1, 2, 3), (2, 1, 3)): [1, 0, 0, 5]})
     with pytest.raises(ArithmeticError):
         kl_polynomial((1, 2, 3), (2, 3, 1), cache)
 
@@ -456,7 +440,7 @@ def test_recursion_bounds_the_degree_by_the_length_gap_of_the_pair():
     # P_{132,231} = P_{123,213}, read as its first descent term.  A
     # corrupt 1 + q there has degree 1, where l(231) - l(132) = 1 allows
     # 0; the bound counts l(x) against l(y), not with it.
-    cache = _store_holding(3, {((1, 2, 3), (2, 1, 3)): [1, 1]})
+    cache = store_holding(3, {((1, 2, 3), (2, 1, 3)): [1, 1]})
     with pytest.raises(ArithmeticError, match="degree bound"):
         kl_polynomial((1, 3, 2), (2, 3, 1), cache)
 
@@ -473,7 +457,7 @@ def test_recursion_rejects_a_corrupt_mu_sum_candidate(corrupt, x, y, message):
     # The corrupt entry is first read as the mu-sum candidate P_{z,ys} of
     # P_{1234,2431}, straight from the store; the checks must see it all
     # the same.
-    cache = _store_holding(4, {((2, 3, 1, 4), (2, 3, 4, 1)): corrupt})
+    cache = store_holding(4, {((2, 3, 1, 4), (2, 3, 4, 1)): corrupt})
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, y, cache)
 
@@ -498,7 +482,7 @@ def test_recursion_rejects_a_corrupt_mu_sum_candidate(corrupt, x, y, message):
 def test_recursion_rejects_a_corrupt_term_read_inline(corrupt, x, y, message):
     # A miss reads its terms straight from the store, not through a
     # recursive call; the sum they make is checked all the same.
-    cache = _store_holding(len(x), corrupt)
+    cache = store_holding(len(x), corrupt)
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, y, cache)
 
@@ -510,18 +494,36 @@ def _cold_s5_cache():
     return cache
 
 
+def _format2(n, values, rows):
+    """A cache document in the format save writes, built by hand."""
+    return {"n": n, "format_version": 2, "values": values, "rows": rows}
+
+
+def _bitset(*words):
+    """The hex bitset of these compact words' table positions."""
+    index = perm.bruhat_table(len(words[0])).index
+    return format(sum(1 << index[tuple(map(int, w))] for w in words), "x")
+
+
+def _entries(pairs):
+    """{"x|y": coefficients} as the {(x, y): coefficients} of store_holding."""
+    return {tuple(tuple(map(int, w)) for w in key.split("|")): coeffs
+            for key, coeffs in pairs.items()}
+
+
 @pytest.mark.parametrize("last_key", ["13245|11345", "11345|54321"])
 def test_cache_load_validates_the_words_of_the_last_key(tmp_path, last_key):
-    # Every earlier key reuses the same few words; the one malformed word
-    # comes last, so a load that stopped validating repeated words, or
-    # validated only the first occurrences, would accept the file.
+    # Every earlier row is keyed by a word of S_5; the one malformed key
+    # comes last, so a load that stopped validating row words early would
+    # accept the file.
     path = tmp_path / "kl.s5.json"
     _cold_s5_cache().save(str(path))
     doc = json.loads(path.read_text())
-    doc["table"][last_key] = [1]
+    doc["rows"][last_key] = {"0": "1"}
     path.write_text(json.dumps(doc))
-    assert list(json.loads(path.read_text())["table"])[-1] == last_key
-    with pytest.raises(ValueError):
+    assert list(json.loads(path.read_text())["rows"])[-1] == last_key
+    with pytest.raises(ValueError,
+                       match=re.escape(f"cache row {last_key} in {path} ")):
         KLCache.load(str(path))
 
 
@@ -539,61 +541,189 @@ def test_cold_s5_cache_round_trips_exactly(tmp_path):
     assert loaded.misses == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _cold_store(n):
+    """The store of a cold cache asked for every pair of S_n."""
+    cache = KLCache(n)
+    size = len(cache.table.perms)
+    for y in range(size):
+        for x in range(size):
+            kl_at(cache, x, y)
+    return tuple(cache._values.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 5]), share=st.floats(0, 1),
+       rng=st.randoms(use_true_random=False))
+def test_save_and_load_round_trip_any_sub_store(n, share, rng):
+    # A random share of a cold store, inserted in random order: load gives
+    # back the same pairs and values, and the bytes depend on the pairs
+    # alone, not on the order the store holds them in.
+    items = [item for item in _cold_store(n) if rng.random() < share]
+    rng.shuffle(items)
+    cache = KLCache(n)
+    cache._values.update(items)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = (os.path.join(tmp, f"{name}.s{n}.json")
+                         for name in "ab")
+        cache.save(first)
+        loaded = KLCache.load(first)
+        assert loaded._values == cache._values
+        in_order = KLCache(n)
+        in_order._values.update(sorted(items))
+        in_order.save(second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_cold_s5_save_writes_the_same_bytes_under_any_hash_seed(tmp_path):
+    # save sorts a set of value classes; the file must not follow the
+    # order that string hashing gives sets and dicts in one process.
+    script = ("import sys\n"
+              "from klimm.klpoly import KLCache, kl_at\n"
+              "cache = KLCache(5)\n"
+              "for y in range(120):\n"
+              "    for x in range(120):\n"
+              "        kl_at(cache, x, y)\n"
+              "cache.save(sys.argv[1])\n")
+    src = str(pathlib.Path(perm.__file__).parents[1])
+    written = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"seed{seed}.s5.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                       check=True, timeout=120)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["format_version"] == 2
+
+
 def test_cache_load_rejects_entries_of_another_size(tmp_path):
     path = tmp_path / "kl.s4.json"
-    path.write_text(json.dumps({"n": 4, "format_version": 1,
-                                "table": {"13245|34125": [1, 1]}}))
-    with pytest.raises(ValueError):
+    path.write_text(json.dumps(_format2(4, [[1, 1]], {"34125": {"0": "4"}})))
+    with pytest.raises(ValueError, match=re.escape(f"cache row 34125 in {path} ")):
         KLCache.load(str(path))
 
 
+def test_cache_load_refuses_a_format_1_file_with_a_hint(tmp_path):
+    # Format 1 held one "x|y" key per pair.  No reader for it is kept: the
+    # file is refused, and deleting it makes the next run rebuild it.
+    path = tmp_path / "kl.s4.json"
+    path.write_text(json.dumps({"n": 4, "format_version": 1,
+                                "table": {"1324|3412": [1, 1]}}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"unsupported cache format in {path}: delete the file")):
+        KLCache.load(str(path))
+
+
+# Documents refused before any entry is read; the error names the file.
 MALFORMED_CACHE_DOCS = {
     "document-is-a-list": [],
-    "n-missing": {"format_version": 1, "table": {}},
-    "n-not-an-int": {"n": 4.0, "format_version": 1,
-                     "table": {"1324|3412": [1, 1]}},
-    "table-not-an-object": {"n": 4, "format_version": 1, "table": []},
-    "key-not-x|y": {"n": 4, "format_version": 1,
-                    "table": {"1324|3412|4321": [1]}},
-    # Keys are read only in the compact form save writes.
-    "key-comma-words": {"n": 4, "format_version": 1,
-                        "table": {"1,3,2,4|3,4,1,2": [1, 1]}},
-    "key-padded-words": {"n": 4, "format_version": 1,
-                         "table": {" 1234 |2143": [1]}},
-    "coefficient-a-string": {"n": 4, "format_version": 1,
-                             "table": {"1324|3412": ["a"]}},
-    "coefficient-a-float": {"n": 4, "format_version": 1,
-                            "table": {"1324|3412": [1.5]}},
-    "coefficient-a-bool": {"n": 4, "format_version": 1,
-                           "table": {"1324|3412": [True]}},
-    "value-not-a-list": {"n": 4, "format_version": 1,
-                         "table": {"1324|3412": 2}},
-    "n-past-the-table-guard": {"n": 8, "format_version": 1,
-                               "table": {"12345678|21345678": [1]}},
+    "n-missing": {"format_version": 2, "values": [], "rows": {}},
+    "n-not-an-int": _format2(4.0, [[1, 1]], {"3412": {"0": _bitset("1324")}}),
+    "table-not-an-object": _format2(4, [[1, 1]], []),
+    "values-not-a-list": _format2(4, {"0": [1, 1]}, {}),
+    # Rows are keyed only by the compact words save writes.
+    "key-not-x|y": _format2(4, [[1]], {"1324|3412|4321": {"0": "1"}}),
+    "key-comma-words": _format2(4, [[1, 1]], {"3,4,1,2": {"0": "4"}}),
+    "key-padded-words": _format2(4, [[1]], {" 2143 ": {"0": "1"}}),
+    # A value is named where an entry uses it, as a list of ints.
+    "coefficient-a-string": _format2(4, [["a"]], {"3412": {"0": "4"}}),
+    "coefficient-a-float": _format2(4, [[1.5]], {"3412": {"0": "4"}}),
+    "coefficient-a-bool": _format2(4, [[True]], {"3412": {"0": "4"}}),
+    "value-not-a-list": _format2(4, [2], {"3412": {"0": "4"}}),
+    "n-past-the-table-guard": _format2(8, [[1]], {"21345678": {"0": "1"}}),
+}
+
+NOT_BELOW = "is not a pair x < y in Bruhat order"
+NOT_KL = "is not a KL polynomial"
+
+# Stores that save writes as they are and load refuses, each with the
+# entry the error names (x|y at the lowest offending bit) and why.
+CORRUPT_CACHE_STORES = {
     # The recursion stores only pairs x < y and never reads any other, so
-    # such an entry could only be counted and saved back.
-    "pair-above": {"n": 4, "format_version": 1,
-                   "table": {"1324|3412": [1, 1], "4321|1234": [7]}},
-    "pair-equal": {"n": 4, "format_version": 1,
-                   "table": {"1324|3412": [1, 1], "1234|1234": [5]}},
-    "pair-incomparable": {"n": 4, "format_version": 1,
-                          "table": {"1324|3412": [1, 1], "2143|1342": [1]}},
+    # such an entry could only be counted and saved back.  The degree
+    # bound refuses a pair with l(x) >= l(y) as well, and an incomparable
+    # pair with l(x) < l(y) only the Bruhat test refuses.
+    "pair-above": ({"1324|3412": [1, 1], "4321|1234": [7]}, "4321|1234",
+                   NOT_BELOW),
+    "pair-equal": ({"1324|3412": [1, 1], "1234|1234": [5]}, "1234|1234",
+                   NOT_BELOW),
+    "pair-incomparable": ({"1324|3412": [1, 1], "3124|1432": [1]},
+                          "3124|1432", NOT_BELOW),
     # Loaded values pass the checks the recursion puts on its own.
-    "value-constant-term-2": {"n": 4, "format_version": 1,
-                              "table": {"1324|3412": [2]}},
-    "value-empty": {"n": 4, "format_version": 1, "table": {"1324|3412": []}},
-    "value-negative": {"n": 4, "format_version": 1,
-                       "table": {"1324|3412": [1, -1]}},
-    "value-past-the-degree-bound": {"n": 4, "format_version": 1,
-                                    "table": {"1324|3412": [1, 0, 1]}},
+    "value-constant-term-2": ({"1324|3412": [2]}, "1324|3412", NOT_KL),
+    "value-empty": ({"1324|3412": []}, "1324|3412", NOT_KL),
+    "value-negative": ({"1324|3412": [1, -1]}, "1324|3412", NOT_KL),
+    "value-past-the-degree-bound": ({"1324|3412": [1, 0, 1]}, "1324|3412",
+                                    NOT_KL),
+    # Degree 2 where l(y) - l(x) = 4 allows 1: past the bound by one.
+    "value-one-past-the-degree-bound": ({"1234|3412": [1, 0, 1],
+                                         "1324|3412": [1, 1]},
+                                        "1234|3412", NOT_KL),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_CACHE_DOCS))
+@pytest.mark.parametrize("name", sorted(MALFORMED_CACHE_DOCS.keys()
+                                        | CORRUPT_CACHE_STORES.keys()))
 def test_cache_load_rejects_a_malformed_document(tmp_path, name):
     path = tmp_path / "kl.s4.json"
-    path.write_text(json.dumps(MALFORMED_CACHE_DOCS[name]))
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    if name in CORRUPT_CACHE_STORES:
+        pairs, entry, why = CORRUPT_CACHE_STORES[name]
+        store_holding(4, _entries(pairs)).save(str(path))
+        named = f"cache entry {entry} in {path} {why}"
+    else:
+        path.write_text(json.dumps(MALFORMED_CACHE_DOCS[name]))
+        named = str(path)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        KLCache.load(str(path))
+
+
+# Rows that load refuses before reading their entries, each put last in
+# a saved S_4 cache whose other rows are well formed: (row, classes).
+MALFORMED_ROWS = {
+    "row-not-an-object": ("4321", ["1"]),
+    "class-past-the-values": ("4321", {"2": "1"}),
+    "class-zero-padded": ("4321", {"01": "1"}),
+    "bitset-empty": ("4321", {"0": "0"}),
+    "bitset-zero-padded": ("4321", {"0": "01"}),
+    "bitset-0x": ("4321", {"0": "0x1"}),
+    "bitset-uppercase": ("4321", {"0": "F"}),
+    "bitset-negative": ("4321", {"0": "-1"}),
+    "bitset-padded": ("4321", {"0": " 1"}),
+    "bitset-not-hex": ("4321", {"0": "z"}),
+    "bitset-a-number": ("4321", {"0": 1}),
+    "bitset-past-the-table": ("4321", {"0": format(1 << 24, "x")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ROWS))
+def test_cache_load_names_a_malformed_row(tmp_path, name):
+    path = tmp_path / "kl.s4.json"
+    store_holding(4, _entries({"1324|3412": [1, 1], "1234|2143": [1]})).save(
+        str(path))
+    doc = json.loads(path.read_text())
+    word, classes = MALFORMED_ROWS[name]
+    doc["rows"][word] = classes
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"cache row {word} in {path} ")):
+        KLCache.load(str(path))
+
+
+def test_cache_load_refuses_a_pair_in_two_classes(tmp_path):
+    # P_{1234,3412} = 1 + q; the file also puts 1234 in the class of 1 in
+    # the same row, so the pair would take whichever class came last.
+    path = tmp_path / "kl.s4.json"
+    store_holding(4, _entries({"1234|3412": [1, 1], "1324|3412": [1, 1],
+                               "1243|3412": [1]})).save(str(path))
+    doc = json.loads(path.read_text())
+    assert doc["values"] == [[1], [1, 1]]
+    assert doc["rows"]["3412"] == {"0": _bitset("1243"),
+                                   "1": _bitset("1234", "1324")}
+    doc["rows"]["3412"]["0"] = _bitset("1243", "1234")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"cache entry 1234|3412 in {path} sits in two classes")):
         KLCache.load(str(path))
 
 
@@ -601,11 +731,16 @@ def test_cache_load_rejects_a_malformed_document(tmp_path, name):
                                  {"0": 1}, None, [[1]]],
                          ids=repr)
 def test_cache_load_names_the_entry_with_bad_coefficients(tmp_path, bad):
-    # Every other entry is well formed, before and after the bad one, so
-    # the one-pass type check must fall back to naming the right key.
+    # Every other value is well formed, before and after the bad one, and
+    # so is every other row, so the check must name the one entry in the
+    # bad value's class.
     path = tmp_path / "kl.s4.json"
-    path.write_text(json.dumps({"n": 4, "format_version": 1, "table": {
-        "1234|2143": [1], "1324|3412": bad, "2143|4321": [1, 1]}}))
+    store_holding(4, _entries({"1234|2143": [1], "1324|3412": [1, 1],
+                               "1234|4321": [1, 2]})).save(str(path))
+    doc = json.loads(path.read_text())
+    assert doc["values"] == [[1], [1, 1], [1, 2]]
+    doc["values"][1] = bad
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"cache entry 1324\|3412 "):
         KLCache.load(str(path))
 

@@ -7,12 +7,14 @@ import warnings
 import pytest
 
 import fixtures
+from conftest import store_holding
 from klimm import grid, suites
 from klimm.cli import main
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
 from klimm.grid import FORBIDDEN_PATTERNS
+from klimm.klpoly import KLCache, imm_terms
 from klimm.perm import format_perm
-from klimm.suites import Config, SuiteReport, run_search, run_suite
+from klimm.suites import Config, SuiteReport, _avoiders, run_search, run_suite
 
 
 def small_config(**kwargs):
@@ -322,12 +324,16 @@ def test_cli_kl_rejects_mislabelled_cache_file(tmp_path, capsys):
     assert s5.read_bytes() == before
 
 
+# 4 is the bitset of table position 2, which holds 1324 in S_4.
 @pytest.mark.parametrize("doc", [
-    {"format_version": 1, "table": {}},
+    {"format_version": 2, "values": [], "rows": {}},
     [],
-    {"n": 4, "format_version": 1, "table": {"1324|3412": ["a"]}},
-    {"n": 4, "format_version": 1, "table": {"1324|3412": [1.5]}},
-    {"n": 4, "format_version": 1, "table": {"1324|3412": [2]}},
+    {"n": 4, "format_version": 2, "values": [["a"]],
+     "rows": {"3412": {"0": "4"}}},
+    {"n": 4, "format_version": 2, "values": [[1.5]],
+     "rows": {"3412": {"0": "4"}}},
+    {"n": 4, "format_version": 2, "values": [[2]],
+     "rows": {"3412": {"0": "4"}}},
 ], ids=["n-missing", "list", "coefficient-a-string", "coefficient-a-float",
         "value-not-a-kl-polynomial"])
 def test_cli_kl_rejects_a_malformed_cache_file(tmp_path, capsys, doc):
@@ -342,16 +348,17 @@ def test_cli_kl_rejects_a_malformed_cache_file(tmp_path, capsys, doc):
 @pytest.mark.parametrize("key,value", [("1,3,2,4|3,4,1,2", [1, 1]),
                                        (" 1234 |2143", [1])])
 def test_cli_kl_refuses_keys_in_another_form(tmp_path, capsys, key, value):
-    # Each key names a true KL value, but not in the form save writes.
+    # Each key names a true KL value, but rows are keyed by the compact
+    # word of y alone, the one form save writes.
     path = tmp_path / "kl.s4.json"
-    path.write_text(json.dumps({"n": 4, "format_version": 1,
-                                "table": {key: value}}))
+    path.write_text(json.dumps({"n": 4, "format_version": 2,
+                                "values": [value], "rows": {key: {"0": "1"}}}))
     before = path.read_bytes()
     assert main(["kl", "1324", "3412",
                  "--kl-cache", str(tmp_path / "kl.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cache entry {key} in {path} ")
+    assert captured.err.startswith(f"error: cache row {key} in {path} ")
     assert path.read_bytes() == before
 
 
@@ -364,8 +371,7 @@ def test_cli_reports_a_kl_value_the_recursion_refutes(tmp_path, capsys, argv):
     # 1, so the file loads; the recursion then meets it as a term and
     # finds P_1234,4312 = 1 - q.
     path = tmp_path / "kl.s4.json"
-    path.write_text(json.dumps({"n": 4, "format_version": 1,
-                                "table": {"1234|3142": [1, 1]}}))
+    store_holding(4, {((1, 2, 3, 4), (3, 1, 4, 2)): [1, 1]}).save(str(path))
     before = path.read_bytes()
     assert main(argv + ["--kl-cache", str(tmp_path / "kl.json")]) == 1
     captured = capsys.readouterr()
@@ -378,8 +384,8 @@ def test_cli_kl_rejects_cache_entries_that_are_not_below(tmp_path, capsys):
     # Neither pair is x < y in Bruhat order, so the recursion would never
     # read them; the file is refused, not counted and saved back.
     path = tmp_path / "kl.s4.json"
-    path.write_text(json.dumps({"n": 4, "format_version": 1, "table": {
-        "4321|1234": [7], "1234|1234": [5]}}))
+    store_holding(4, {((4, 3, 2, 1), (1, 2, 3, 4)): [5],
+                      ((1, 2, 3, 4), (1, 2, 3, 4)): [7]}).save(str(path))
     before = path.read_bytes()
     assert main(["kl", "1324", "3412",
                  "--kl-cache", str(tmp_path / "kl.json")]) == 1
@@ -630,14 +636,16 @@ def test_grid_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of a cold prop-3.1 run's KL cache files and report, pinned from
-# the recursion that preceded the straight-line one: a faster kl_at or
-# KLCache.save must leave every byte of them alone.
+# SHA-256 of a cold prop-3.1 run's KL cache files and report.  The
+# report is pinned from the recursion that preceded the straight-line
+# one, so a faster kl_at must leave every byte of it alone.  The cache
+# files are pinned from format 2 (one bitset per row and value class);
+# the test below checks that they decode to exactly the cold store.
 PROP31_DIGESTS = {
     "kl.s4.json":
-        "74ecee46e9f3bfc97a7f2d449b3a0268293c5396f1edbfcdad45505d283e91d2",
+        "4135281a6b8e6ec809cac407a8447ed496243eca8c3428cd1c52f525da21b83d",
     "kl.s5.json":
-        "4cce1adb4108a90b7a4b347f6d864601b11a023d833765aa8c43290f6e5e8a14",
+        "f5cfc81356d0692e9a8cf02bfa7bfda97a5fb8249868e6a3d4c83db23f93a1e4",
     "r.json":
         "b799630160fdd21b01cb8ca26443260a3fe0f376341342646a0418d32982f791",
 }
@@ -649,6 +657,28 @@ def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PROP31_DIGESTS} == PROP31_DIGESTS
+
+
+def test_prop31_cache_files_decode_to_the_cold_store(tmp_path, capsys):
+    # prop-3.1 evaluates the defining sum of every avoider, so a cold
+    # recursion that walks the same KL rows stores exactly the pairs the
+    # files must hold, each with its value; S_1 stores none, and a cache
+    # that never missed writes no file.
+    assert main(["check", "prop-3.1", "--max-n", "5", "--samples", "1",
+                 "--seed", "0", "--kl-cache", str(tmp_path / "kl.json")]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [f"kl.s{n}.json" for n in range(2, 6)]
+    for n in range(1, 6):
+        cold = KLCache(n)
+        for v in _avoiders(n, FORBIDDEN_PATTERNS):
+            imm_terms(v, cold)
+        path = tmp_path / f"kl.s{n}.json"
+        if n == 1:
+            assert len(cold) == 0 and not path.exists()
+            continue
+        loaded = KLCache.load(str(path))
+        assert len(loaded) == len(cold) > 0
+        assert loaded._values == cold._values
 
 
 # SHA-256 of the random draws of the two rational suites, in suite order,
