@@ -201,10 +201,14 @@ class KLCache:
         }, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
+        # mkstemp makes its file 0600; the file gets the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -370,6 +370,21 @@ def test_cache_save_keeps_the_old_file_when_the_rename_fails(tmp_path,
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_cache_save_gives_the_file_the_mode_open_would(tmp_path, umask, mode):
+    cache = KLCache(4)
+    kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), cache)
+    old = os.umask(umask)
+    try:
+        cache.save(str(tmp_path / "kl.s4.json"))
+        (tmp_path / "r.json").write_text("{}")
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"kl.s4.json": mode, "r.json": mode}
+
+
 def test_cache_rejects_unknown_format(tmp_path):
     path = tmp_path / "kl.json"
     path.write_text(json.dumps({"n": 4, "format_version": 99, "table": {}}))

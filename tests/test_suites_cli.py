@@ -1,19 +1,36 @@
+import functools
 import gc
 import hashlib
+import itertools
 import json
 import os
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 from conftest import store_holding
+from kl_via_r import kl_table_via_r
 from klimm import grid, suites
 from klimm.cli import main
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
-from klimm.grid import FORBIDDEN_PATTERNS
-from klimm.klpoly import KLCache, imm_terms
-from klimm.perm import format_perm
+from klimm.grid import (
+    FORBIDDEN_PATTERNS,
+    graph_of_upper_interval,
+    is_admissible,
+    label_patterns,
+)
+from klimm.klpoly import ZERO, KLCache, imm_terms
+from klimm.perm import (
+    compose,
+    format_perm,
+    length,
+    longest_element,
+    symmetric_group,
+)
 from klimm.suites import Config, SuiteReport, _avoiders, run_search, run_suite
 
 
@@ -195,8 +212,10 @@ def test_searches_find_no_counterexamples(conjecture):
 
 @pytest.mark.parametrize("conjecture", ["5.1", "5.2", "5.3"])
 def test_search_witnesses_are_reverified(monkeypatch, conjecture):
-    # Force the one trial to fail: every immanant reads -1 and the sign
-    # law never holds, in the search and in its re-check alike.
+    # Force the one trial to fail: no immanant is identically zero, every
+    # one reads -1 and the sign law never holds, in the search and in its
+    # re-check alike.
+    monkeypatch.setattr(suites, "_identically_zero", lambda *args: False)
     monkeypatch.setattr(suites, "imm_definition", lambda *args: -1)
     monkeypatch.setattr(suites, "obeys_sign_law", lambda *args: False)
     report = run_search(conjecture, Config(max_n=3, samples=1))
@@ -267,6 +286,109 @@ def test_search_rejects_unknown_conjecture():
     with pytest.raises(ValueError, match=r"unknown conjecture '5.4'; "
                                          r"choose from \['5.1', '5.2', '5.3'\]"):
         run_search("5.4", small_config())
+
+
+# ---------------------------------------------------------------------------
+# Search 5.3's exact "identically zero"
+
+
+def test_vanishing_is_exactly_inadmissibility_up_to_n_4():
+    # The zero half of the main theorem: for v avoiding 1324 and 2143,
+    # Imm_v(x_{R,C}) is the zero polynomial iff the graph of [v, w0] is
+    # not (R, C)-admissible.
+    tally = {}
+    for n in range(1, 5):
+        cache, patterns = KLCache(n), label_patterns(n, n)
+        for v in _avoiders(n, FORBIDDEN_PATTERNS):
+            graph = graph_of_upper_interval(v)
+            for R, C in itertools.product(patterns, repeat=2):
+                zero = suites._identically_zero(v, R, C, cache)
+                assert zero != is_admissible(graph, R, C), (v, R, C)
+                cases, zeros = tally.get(n, (0, 0))
+                tally[n] = cases + 1, zeros + zero
+    assert tally == {1: (1, 0), 2: (8, 3), 3: (96, 63), 4: (1408, 1147)}
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion_weights(v):
+    """
+    (w, (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1)) for every w in S_n, with the
+    Kazhdan-Lusztig values of the R-polynomial route: neither the Bruhat
+    table nor the recursion behind imm_terms.
+    """
+    w0 = longest_element(len(v))
+    values = kl_table_via_r(compose(w0, v))
+    return [(w, (-1) ** (length(w) - length(v))
+             * values.get(compose(w0, w), ZERO)(1))
+            for w in symmetric_group(len(v))]
+
+
+def _vanishes_by_expansion(v, R, C):
+    """Whether Imm_v(x_{R,C}), summed over all of S_n with one coefficient
+    per monomial (the multiset of entries (R_i, C_{w(i)})), is zero."""
+    monomials = Counter()
+    for w, weight in _expansion_weights(v):
+        pairs = Counter((R[i], C[w[i] - 1]) for i in range(len(v)))
+        monomials[frozenset(pairs.items())] += weight
+    return all(c == 0 for c in monomials.values())
+
+
+@st.composite
+def label_multisets(draw):
+    """(n, R, C): n in {3, 4} and two weakly increasing n-tuples in [m],
+    m <= 4."""
+    n, m = draw(st.integers(3, 4)), draw(st.integers(1, 4))
+    labels = st.lists(st.integers(1, m), min_size=n, max_size=n)
+    return n, tuple(sorted(draw(labels))), tuple(sorted(draw(labels)))
+
+
+@given(label_multisets())
+@settings(max_examples=100, deadline=None)
+def test_identically_zero_matches_the_full_expansion(case):
+    # Every v, the ones containing 1324 or 2143 too, where admissibility
+    # is not the criterion.
+    n, R, C = case
+    cache = KLCache(n)
+    for v in symmetric_group(n):
+        assert suites._identically_zero(v, R, C, cache) == \
+            _vanishes_by_expansion(v, R, C), (v, R, C)
+
+
+def test_identically_zero_sees_one_flipped_sign(monkeypatch):
+    cases = [(v, R, C) for n in (3, 4) for v in symmetric_group(n)
+             for R, C in itertools.product(label_patterns(n, n), repeat=2)]
+
+    def answers():
+        caches = {n: KLCache(n) for n in (3, 4)}
+        return [suites._identically_zero(v, R, C, caches[len(v)])
+                for v, R, C in cases]
+
+    before = answers()
+    monkeypatch.setattr(suites, "imm_terms", lambda v, cache: [
+        (k, -c if i == 0 else c)
+        for i, (k, c) in enumerate(imm_terms(v, cache))])
+    assert answers() != before
+
+
+def test_search_53_decides_vanishing_without_evaluating(monkeypatch):
+    # At seed 0, 266 of 1000 trials are identically zero, decided with no
+    # random point drawn, and only the other 734 evaluate an immanant.
+    def no_draws(*args):
+        raise AssertionError("search 5.3 drew a random rational matrix")
+
+    evaluations = []
+    real = suites.imm_definition
+
+    def counting(*args):
+        evaluations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(suites, "_random_rational_matrix", no_draws)
+    monkeypatch.setattr(suites, "imm_definition", counting)
+    report = run_search("5.3", Config(max_n=4, max_m=4, samples=1000, seed=0))
+    assert report.ok and report.cases_run == 1000
+    assert report.notes["identically_zero_cases"] == 266
+    assert len(evaluations) == 734
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +849,10 @@ def test_prop32_draws_match_pinned_digest(monkeypatch):
 # is_admissible instead must leave every byte of them alone.  Searches
 # 5.1 and 5.3 also evaluate the defining sum outside prop-3.1; theirs
 # were pinned from the imm_definition that walked the KL store itself,
-# before it became a dot product of klpoly.imm_terms.  MATRIX stands for
-# the fixture matrix file.
+# before it became a dot product of klpoly.imm_terms.  5.3's was re-pinned
+# when its random-point vanishing test gave way to the exact one: only its
+# hypothesis_source text changed.  MATRIX stands for the fixture matrix
+# file.
 LABEL_DIGESTS = [
     (["check", "main-sq", "--max-n", "4", "--max-m", "4", "--samples", "1"],
      "b6550c20d967d749d1449a5dcb75a37a307a01b4993e26204bc80b165cc29210"),
@@ -741,7 +865,7 @@ LABEL_DIGESTS = [
     (["search", "5.2", "--samples", "200"],
      "4fe25ac2f1cf6af38df4ba1225eba56706c4b24a82aab62b7311aa35bb042a09"),
     (["search", "5.3", "--samples", "200"],
-     "ed4dc43d902fa735e18be418041a35330f7c4df7cee347fbb0a7a976882a9279"),
+     "d08660497b0bbb431f173e66c33b5480195c3f2ab8acd281919d1d58a58e169f"),
     (["imm", "2413", "--R", "1,2,2,3", "--C", "1,2,3,3", "-m", "MATRIX"],
      "6177fffff68be62108b6a031fb6a840313c7d9775c6ee57849cb3a5f8421c242"),
     (["graph", "2413"],
