@@ -21,12 +21,7 @@ from .exactmat import (
     gen_totally_positive,
     positivity_order,
 )
-from .grid import (
-    bounding_boxes,
-    graph_of_upper_interval,
-    is_admissible,
-    largest_square,
-)
+from .grid import bounding_boxes, graph_of_upper_interval, largest_square
 from .immanant import dual_canonical_eval
 from .klpoly import KLCacheRegistry, kl_polynomial
 from .perm import Perm, parse_perm
@@ -59,6 +54,9 @@ def cmd_imm(args) -> int:
     v = parse_perm(args.v)
     with open(args.matrix) as handle:
         M = Matrix.from_doc(json.load(handle))
+    if not (args.R and args.C) and M.rows < len(v):
+        raise ValueError(f"the {M.rows}x{M.cols} matrix is too small for the "
+                         f"default labels 1..{len(v)}; pass --R and --C")
     R = _parse_labels(args.R) if args.R else tuple(range(1, len(v) + 1))
     C = _parse_labels(args.C) if args.C else tuple(range(1, len(v) + 1))
     caches = KLCacheRegistry(args.kl_cache)
@@ -84,7 +82,6 @@ def cmd_imm(args) -> int:
 
 def _render_grid_ascii(v: Perm) -> str:
     P = graph_of_upper_interval(v)
-    identity_labels = range(1, P.n + 1)
     lines = []
     for i in range(1, P.n + 1):
         row = []
@@ -98,9 +95,7 @@ def _render_grid_ascii(v: Perm) -> str:
         lines.append(" ".join(row))
     lines.append("")
     lines.append(f"cells: {sum(mask.bit_count() for mask in P.rows)}"
-                 f"   largest square: {largest_square(P)}"
-                 f"   admissible (identity labels): "
-                 f"{is_admissible(P, identity_labels, identity_labels)}")
+                 f"   largest square: {largest_square(P)}")
     for box in bounding_boxes(v):
         corners = ", ".join(str(c) for c in box.corners)
         lines.append(f"box rows {box.rows[0]}-{box.rows[1]} "

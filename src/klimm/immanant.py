@@ -93,11 +93,11 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     of the row multipliers is exact.  Works for every v; the table guards
     the size at n <= 7.  A cache for another S_n raises SizeMismatchError.
     """
-    v = as_perm(v)
+    v = tuple(v)  # validated, with the cache, by imm_terms from n = 2 on
     n = len(v)
     _require_square(M, n)
-    cache = cache_for(cache, v)
     if n < 2:  # one term, w = v, whose KL value is 1
+        cache_for(cache, as_perm(v))
         return Fraction(M.entries[0][0] if n else 1)
     rows, denoms = M.cleared
     flat = [entry for row in rows for entry in row]

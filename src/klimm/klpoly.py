@@ -323,12 +323,17 @@ class KLCacheRegistry:
     """
     One :class:`KLCache` per group size, read from and written back to
     the per-n files under a base path (or kept in memory when there is
-    none).  A file whose size differs from the one its name says is
-    rejected, and a cache is written back only if it missed: each miss
-    that returns stores one new pair, and one that raises never gets here.
+    none); a base path that names a directory is refused.  A file whose
+    size differs from the one its name says is rejected, and a cache is
+    written back only if it missed: each miss that returns stores one new
+    pair, and one that raises never gets here.
     """
 
     def __init__(self, base_path: str | None):
+        if base_path and (os.path.isdir(base_path)
+                          or not os.path.basename(base_path)):
+            raise ValueError(f"KL cache base path {base_path!r} names a "
+                             "directory, not a file")
         self.base_path = base_path
         self._caches: dict[int, KLCache] = {}
 
@@ -512,7 +517,7 @@ def _kl_miss(cache: KLCache, x: int, y: int) -> IntPolynomial:
     return p
 
 
-def imm_terms(v: Perm, cache: KLCache) -> list[tuple[int, int]]:
+def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
     """
     Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
     with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1).  Left multiplication

@@ -232,58 +232,49 @@ def _draw_size_and_order(rng: random.Random, k: int | None,
 # failure, unless it also seeds the case's random draws.
 
 
-def _every_permutation(holds: Callable[[Perm], bool]) -> CaseGenerator:
-    """Sweep one predicate over every permutation of size 1..max_n."""
+def _every_permutation(holds: Callable[[Perm], bool],
+                       witness=lambda v: {}) -> CaseGenerator:
+    """Sweep one predicate over every permutation of size 1..max_n.  A word
+    whose hypotheses fail (``holds`` raises PreconditionError) is no case;
+    a failure's witness is the word and ``witness(v)``."""
     def cases(config: Config, caches: KLCacheRegistry,
               notes: dict) -> Iterator[Case]:
         for n in range(1, (config.max_n or 7) + 1):
             for v in symmetric_group(n):
-                if holds(v):
+                try:
+                    passed = holds(v)
+                except PreconditionError:
+                    continue
+                if passed:
                     yield None
                 else:
                     word = format_perm(v)
-                    yield f"n={n}:v={word}", {"v": word}
+                    yield f"n={n}:v={word}", {"v": word, **witness(v)}
     return cases
 
 
-def _interval_graph_matches_oracle(v: Perm) -> bool:
-    return (graph_of_upper_interval(v).rows
-            == graph_of_interval_bruteforce(v).rows)
-
-
-def _suite_alternation(config: Config, caches: KLCacheRegistry,
-                       notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 7
-    for n in range(1, max_n + 1):
-        for v in symmetric_group(n):
-            try:
-                passed = boxes_alternate(v)
-            except PreconditionError:
-                continue
-            if passed:
-                yield None
-            else:
-                word = format_perm(v)
-                yield f"n={n}:v={word}", {
-                    "v": word, "colors": [b.color for b in bounding_boxes(v)]}
+def _sampled_avoiders(config: Config, suite: str, first_n: int, max_n: int
+                      ) -> Iterator[tuple[str, Perm, random.Random]]:
+    """Each sample s of each 1324/2143-avoider v of size first_n..max_n,
+    with its case key and the random stream that key seeds."""
+    samples = config.samples or 3
+    for n in range(first_n, max_n + 1):
+        for v in _avoiders(n, FORBIDDEN_PATTERNS):
+            for s in range(samples):
+                key = f"n={n}:v={format_perm(v)}:s={s}"
+                yield key, v, _case_rng(config.seed, suite, key)
 
 
 def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
                                  notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 5
-    samples = config.samples or 3
-    for n in range(1, max_n + 1):
-        cache = caches.for_n(n)
-        for v in _avoiders(n, FORBIDDEN_PATTERNS):
-            for s in range(samples):
-                key = f"n={n}:v={format_perm(v)}:s={s}"
-                rng = _case_rng(config.seed, "prop-3.1", key)
-                M = _random_rational_matrix(n, rng)
-                lhs = imm_definition(v, M, cache)
-                rhs = imm_determinantal(v, M)
-                yield None if lhs == rhs else (key, {
-                    "v": format_perm(v), "matrix": M.to_doc(),
-                    "definition": str(lhs), "determinantal": str(rhs)})
+    for key, v, rng in _sampled_avoiders(config, "prop-3.1", 1,
+                                         config.max_n or 5):
+        M = _random_rational_matrix(len(v), rng)
+        lhs = imm_definition(v, M, caches.for_n(len(v)))
+        rhs = imm_determinantal(v, M)
+        yield None if lhs == rhs else (key, {
+            "v": format_perm(v), "matrix": M.to_doc(),
+            "definition": str(lhs), "determinantal": str(rhs)})
 
 
 def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
@@ -309,21 +300,16 @@ def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
 
 def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
                                notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 6
-    samples = config.samples or 3
-    for n in range(2, max_n + 1):
-        for v in _avoiders(n, FORBIDDEN_PATTERNS):
-            if block_antidiagonal_split(graph_of_upper_interval(v)) is None:
-                continue
-            for s in range(samples):
-                key = f"n={n}:v={format_perm(v)}:s={s}"
-                rng = _case_rng(config.seed, "prop-4.1", key)
-                M = _random_rational_matrix(n, rng)
-                product = factor_block_antidiagonal(v, M)
-                direct = imm_determinantal(v, M)
-                yield None if product == direct else (key, {
-                    "v": format_perm(v), "matrix": M.to_doc(),
-                    "product": str(product), "direct": str(direct)})
+    for key, v, rng in _sampled_avoiders(config, "prop-4.1", 2,
+                                         config.max_n or 6):
+        if block_antidiagonal_split(graph_of_upper_interval(v)) is None:
+            continue
+        M = _random_rational_matrix(len(v), rng)
+        product = factor_block_antidiagonal(v, M)
+        direct = imm_determinantal(v, M)
+        yield None if product == direct else (key, {
+            "v": format_perm(v), "matrix": M.to_doc(),
+            "product": str(product), "direct": str(direct)})
 
 
 def _suite_deletion(config: Config, caches: KLCacheRegistry,
@@ -421,13 +407,15 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
 
 # Each suite: its case generator and the description its report notes.
 SUITES: dict[str, tuple[CaseGenerator, str]] = {
-    "lemma-2.11": (_every_permutation(_interval_graph_matches_oracle),
+    "lemma-2.11": (_every_permutation(lambda v: graph_of_upper_interval(v)
+                                      == graph_of_interval_bruteforce(v)),
                    "interval graph equals its sandwiching description"),
     "lemma-2.12": (_every_permutation(squares_match_noninversions),
                    "largest square matches the non-inversion gap bound"),
     "lemma-2.16": (_every_permutation(boxes_cover_interval_graph),
                    "interval graph is covered by its bounding boxes"),
-    "prop-2.17": (_suite_alternation,
+    "prop-2.17": (_every_permutation(boxes_alternate, lambda v: {
+                      "colors": [b.color for b in bounding_boxes(v)]}),
                   "bounding boxes alternate blue/red when hypotheses hold"),
     "prop-3.1": (_suite_determinantal_formula,
                  "defining sum agrees with the determinantal formula"),

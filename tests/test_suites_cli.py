@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import fixtures
 from conftest import store_holding
 from kl_via_r import kl_table_via_r
-from klimm import grid, suites
+from klimm import grid, immanant, klpoly, perm, suites
 from klimm.cli import main
+from klimm.errors import PreconditionError
 from klimm.exactmat import Matrix, is_k_positive, positivity_order
 from klimm.grid import (
     FORBIDDEN_PATTERNS,
@@ -25,8 +26,10 @@ from klimm.grid import (
 )
 from klimm.klpoly import ZERO, KLCache, imm_terms
 from klimm.perm import (
+    avoids,
     compose,
     format_perm,
+    is_in_maximal_parabolic,
     length,
     longest_element,
     symmetric_group,
@@ -187,7 +190,66 @@ def test_passing_sweep_formats_no_case_key(monkeypatch):
                         lambda v: words.append(v) or format_perm(v))
     report = run_suite("lemma-2.12", Config(max_n=5))
     assert report.ok and report.cases_run == 1 + 2 + 6 + 24 + 120
+    # prop-2.17's cases are the words that avoid 2143 with w0 v outside
+    # every maximal parabolic, counted here apart from the sweep.
+    report = run_suite("prop-2.17", Config(max_n=5))
+    assert report.ok and report.cases_run == sum(
+        avoids(v, (2, 1, 4, 3)) and not is_in_maximal_parabolic(
+            compose(longest_element(n), v))
+        for n in range(1, 6) for v in symmetric_group(n))
     assert words == []
+
+
+def test_sweep_makes_no_case_of_a_word_whose_hypotheses_fail(monkeypatch):
+    # Words starting with 1 fail a hypothesis, and those ending with 1
+    # fail the check: only the latter are cases, keyed and witnessed.
+    def holds(v):
+        if v[0] == 1:
+            raise PreconditionError(f"{v} starts with 1")
+        return v[-1] != 1
+
+    words = []
+    monkeypatch.setattr(suites, "format_perm",
+                        lambda v: words.append(v) or format_perm(v))
+    sweep = suites._every_permutation(holds, lambda v: {"last": v[-1]})
+    report = suites._run("x", sweep, Config(max_n=4), {})
+    failing = [v for n in range(2, 5) for v in symmetric_group(n)
+               if v[-1] == 1]
+    assert report.cases_run == sum(
+        v[0] != 1 for n in range(1, 5) for v in symmetric_group(n))
+    assert words == failing
+    assert report.counterexamples == sorted(
+        ({"case": f"n={len(v)}:v={format_perm(v)}", "v": format_perm(v),
+          "last": 1} for v in failing), key=lambda doc: doc["case"])
+
+
+def test_sweep_lets_any_other_error_through():
+    def holds(v):
+        if v == (2, 1, 3):
+            raise ValueError("not a precondition")
+        return True
+
+    with pytest.raises(ValueError, match="not a precondition"):
+        suites._run("x", suites._every_permutation(holds), Config(max_n=3),
+                    {})
+
+
+def test_prop31_validates_each_word_once_per_case_past_n_1(monkeypatch):
+    # Cold, as a fresh CLI run: the defining sum leaves its word check to
+    # klpoly.imm_terms from n = 2 on, so each of the 484 cases there
+    # checks its word one time fewer than when it checked the word itself
+    # (2,812 calls).
+    for module in (grid, immanant, klpoly, perm, suites):
+        for value in vars(module).values():
+            if isinstance(value, functools._lru_cache_wrapper):
+                value.cache_clear()
+    calls = []
+    real = perm.is_permutation_word
+    monkeypatch.setattr(perm, "is_permutation_word",
+                        lambda word: calls.append(word) or real(word))
+    report = run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0))
+    assert report.ok and report.cases_run == 485
+    assert len(calls) == 2328
 
 
 def test_suite_uses_kl_cache_files(tmp_path):
@@ -592,6 +654,40 @@ def test_cli_imm_rejects_a_malformed_matrix_file(tmp_path, capsys, doc):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("base", ["kk", "newdir/"],
+                         ids=["existing-directory", "trailing-slash"])
+def test_cli_refuses_a_kl_cache_base_path_naming_a_directory(tmp_path, capsys,
+                                                             base):
+    # An existing directory would get kk.s4.json written beside it, and a
+    # trailing slash a hidden newdir/.s4.json inside.
+    (tmp_path / "kk").mkdir()
+    path = os.path.join(str(tmp_path), base)
+    for argv in (["kl", "1324", "3412"],
+                 ["check", "prop-3.1", "--max-n", "4", "--samples", "1"]):
+        assert main(argv + ["--kl-cache", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: KL cache base path {path!r}")
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == ["kk"]
+
+
+def test_cli_imm_says_the_matrix_is_too_small_for_its_default_labels(
+        tmp_path, capsys):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(
+        {"rows": 3, "cols": 3, "entries": [1, 0, 0, 0, 1, 0, 0, 0, 1]}))
+    message = ("error: the 3x3 matrix is too small for the default labels "
+               "1..4; pass --R and --C\n")
+    for labels in ([], ["--R", "1,2,2,3"], ["--C", "1,2,3,3"]):
+        assert main(["imm", "1324", "-m", str(matrix), "--method", "det",
+                     *labels]) == 1
+        assert capsys.readouterr().err == message
+    # With both label lists given, the labels are the user's own.
+    assert main(["imm", "2413", "-m", str(matrix), "--method", "det",
+                 "--R", "1,2,2,3", "--C", "1,2,3,3"]) == 0
+
+
 def test_cli_graph(tmp_path, capsys):
     assert main(["graph", "2413"]) == 0
     out = capsys.readouterr().out
@@ -851,8 +947,10 @@ def test_prop32_draws_match_pinned_digest(monkeypatch):
 # were pinned from the imm_definition that walked the KL store itself,
 # before it became a dot product of klpoly.imm_terms.  5.3's was re-pinned
 # when its random-point vanishing test gave way to the exact one: only its
-# hypothesis_source text changed.  MATRIX stands for the fixture matrix
-# file.
+# hypothesis_source text changed.  The graph 2413 ASCII output was
+# re-pinned when its "admissible (identity labels)" line, which identity
+# labels make always True, was dropped.  MATRIX stands for the fixture
+# matrix file.
 LABEL_DIGESTS = [
     (["check", "main-sq", "--max-n", "4", "--max-m", "4", "--samples", "1"],
      "b6550c20d967d749d1449a5dcb75a37a307a01b4993e26204bc80b165cc29210"),
@@ -869,7 +967,7 @@ LABEL_DIGESTS = [
     (["imm", "2413", "--R", "1,2,2,3", "--C", "1,2,3,3", "-m", "MATRIX"],
      "6177fffff68be62108b6a031fb6a840313c7d9775c6ee57849cb3a5f8421c242"),
     (["graph", "2413"],
-     "8b0fd752e67df255cc82b48b30d2a957db8a89851659f1bf605be73d57384452"),
+     "027a8b0636849e9fbebccaf137db428864f5b7122a89ce5c8f833508bd10af42"),
 ]
 
 
