@@ -15,10 +15,14 @@ A hit is a recursion term answered from the store: the pair asked for,
 a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
 stored ones are counted through the rows, all at once); :func:`imm_terms`
 counts its reads of a Kazhdan-Lusztig row the same way.  A miss is a pair
-computed and stored, by :func:`_kl_miss`, which with
-:meth:`KLCache.load` is all that writes the store; no other module reads
-it.  A miss whose only term is P_{lo,ys} reuses that value's
-coefficients, checked like any others.
+computed and stored.  Three writers fill the store, and no other module
+reads it: :func:`_kl_miss`, one pair at a time; the row fill
+:func:`_fill_row`, one whole row of :func:`imm_terms` that holds no pair
+yet, by value-class bitsets (a row takes few distinct values, as du
+Cloux's *Coxeter* uses); and :meth:`KLCache.load`.  The row fill stores
+and counts what :func:`_kl_miss` would, because the recursion asked for
+a whole row reads only whole rows.  A miss whose only term is P_{lo,ys}
+reuses that value's coefficients, checked like any others.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -45,6 +49,7 @@ from .perm import (
     bruhat_table,
     format_perm,
     iter_bits,
+    times_s_bits,
 )
 
 
@@ -112,16 +117,37 @@ CACHE_FORMAT_VERSION = 2
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _keys(bits: int, base: int) -> itertools.compress:
+    """base + x for the set bits x of ``bits``, ascending, with no loop
+    over the bits: the reversed binary digits flag them."""
+    flags = format(bits, "b")[::-1].encode().translate(_BIT_FLAGS)
+    return itertools.compress(range(base, base + len(flags)), flags)
+
+
+@lru_cache(maxsize=None)
+def _at_least(n: int) -> tuple[int, ...]:
+    """Bitset t holds the positions of S_n of length at least t."""
+    lengths = bruhat_table(n).lengths
+    at_least = [0] * (max(lengths) + 1)
+    for x, lx in enumerate(lengths):
+        at_least[lx] |= 1 << x
+    for t in reversed(range(len(at_least) - 1)):
+        at_least[t] |= at_least[t + 1]
+    return tuple(at_least)
+
+
 class KLCache:
     """Memo table for P_{x,y} over a single symmetric group S_n.
 
     Immutable values are stored by position in ``table``, the Bruhat
     table of S_n (built on first use); words appear only in the files of
-    :meth:`save` and :meth:`load`.  Only :func:`_kl_miss` and
-    :meth:`load` write the store, and ``rows`` mirrors it from the first
-    miss on.  ``hits`` counts the recursion terms answered from the
-    store, each stored mu-sum candidate among them, and the stored pairs
-    :func:`imm_terms` reads; ``misses`` counts the pairs computed.
+    :meth:`save` and :meth:`load`.  Only :func:`_kl_miss`,
+    :func:`_fill_row` and :meth:`load` write the store, ``rows`` mirrors
+    it from the first miss on, and ``_classes`` holds the value classes
+    of the full rows :func:`_fill_row` made or read.  ``hits`` counts
+    the recursion terms answered from the store, each stored mu-sum
+    candidate among them, and the stored pairs :func:`imm_terms` reads;
+    ``misses`` counts the pairs computed.
     The store is a plain dict, so use one writer at a time.
 
     A file holds the store by value class, as du Cloux's *Coxeter* holds
@@ -138,6 +164,7 @@ class KLCache:
     def __init__(self, n: int):
         self.n = n
         self._values: dict[int, IntPolynomial] = {}
+        self._classes: dict[int, dict[IntPolynomial, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -150,11 +177,11 @@ class KLCache:
         """
         Row bitsets (known, mu) over table positions: bit x of known[y] is
         set iff the store holds P_{x,y}, and bit x of mu[y] iff mu(x, y) is
-        not 0: as both writers enforce the degree bound, iff the stored
+        not 0: as every writer enforces the degree bound, iff the stored
         P_{x,y} has degree (l(y) - l(x) - 1) / 2, the test of
         :func:`_kl_miss`.  Built from the store at the first miss, after
-        which :func:`_kl_miss` keeps them up to date; a cache that only
-        ever hits never builds them.
+        which :func:`_kl_miss` and :func:`_fill_row` keep them up to date;
+        a cache that only ever hits never builds them.
         """
         size, lengths = len(self.table.perms), self.table.lengths
         known, mu = [0] * size, [0] * size
@@ -253,12 +280,7 @@ class KLCache:
         size = len(table.perms)
         words = [format_perm(v) for v in table.perms]
         positions = {word: k for k, word in enumerate(words)}
-        # at_least[t] holds the positions of length at least t.
-        at_least = [0] * (max(lengths) + 1)
-        for x, lx in enumerate(lengths):
-            at_least[lx] |= 1 << x
-        for t in reversed(range(len(at_least) - 1)):
-            at_least[t] |= at_least[t + 1]
+        at_least = _at_least(n)
         # Class index -> its polynomial, None if it is no KL polynomial,
         # or False if it is not a list of ints.
         polys = {str(i): checked(tuple(coeffs))
@@ -304,12 +326,8 @@ class KLCache:
                         "term 1, nonnegative coefficients and degree at "
                         "most (l(y) - l(x) - 1) / 2")
                 seen |= bits
-                # The store fill is the one step per pair: the reversed
-                # binary digits flag the positions x, lowest first.
-                flags = format(bits, "b")[::-1].encode().translate(_BIT_FLAGS)
-                store.update(dict.fromkeys(
-                    itertools.compress(range(base, base + len(flags)), flags),
-                    p))
+                # The store fill is the one step per pair.
+                store.update(dict.fromkeys(_keys(bits, base), p))
         return cache
 
 
@@ -502,13 +520,7 @@ def _kl_miss(cache: KLCache, x: int, y: int) -> IntPolynomial:
     # The degree bound 2 deg <= l(y) - l(x) - 1 depends on the pair.
     p = checked(tuple(coeffs))
     if p is None or (slack := ly - lengths[x] + 1 - 2 * len(p.coeffs)) < 0:
-        px, py = format_perm(table.perms[x]), format_perm(table.perms[y])
-        constant = coeffs[0] if coeffs else 0
-        if constant != 1:
-            raise ArithmeticError(f"P_{px},{py} has constant term {constant}")
-        if min(coeffs) < 0:
-            raise ArithmeticError(f"negative coefficient in P_{px},{py}")
-        raise ArithmeticError(f"degree bound violated for P_{px},{py}")
+        raise _not_kl(table, x, y, coeffs)
     store[y * size + x] = p
     known[y] |= 1 << x
     # slack 0 is mu(x, y) != 0, by the one test KLCache.rows states.
@@ -517,14 +529,163 @@ def _kl_miss(cache: KLCache, x: int, y: int) -> IntPolynomial:
     return p
 
 
+def _not_kl(table: BruhatTable, x: int, y: int, coeffs) -> ArithmeticError:
+    """The error for a computed P_{x,y} with these coefficients that
+    fails a check: its constant term, a sign, or else the degree bound."""
+    px, py = format_perm(table.perms[x]), format_perm(table.perms[y])
+    constant = coeffs[0] if coeffs else 0
+    if constant != 1:
+        return ArithmeticError(f"P_{px},{py} has constant term {constant}")
+    if min(coeffs) < 0:
+        return ArithmeticError(f"negative coefficient in P_{px},{py}")
+    return ArithmeticError(f"degree bound violated for P_{px},{py}")
+
+
+def _plus(a: tuple[int, ...], b: tuple[int, ...], factor: int,
+          shift: int) -> tuple[int, ...]:
+    """The coefficients of a + factor q^shift b, trailing zeros dropped."""
+    coeffs = list(a) + [0] * (shift + len(b) - len(a))
+    for d, c in enumerate(b, shift):
+        coeffs[d] += factor * c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _row_classes(cache: KLCache, z: int) -> tuple[dict[IntPolynomial, int], int]:
+    """
+    The classes of row z, once it is full, and how many of its pairs were
+    stored to make it so.  A class maps P to the bitset of the x <= z
+    with P_{x,z} = P, z itself in the class of 1.  An empty row is filled
+    by :func:`_fill_row`, a partly stored one pair by pair through
+    :func:`_kl_miss`, in ascending x, and a full one is read once and
+    kept in ``cache._classes``, where :func:`_fill_row` puts its own rows.
+    """
+    classes = cache._classes.get(z)
+    if classes is not None:
+        return classes, 0
+    table, known = cache.table, cache.rows[0]
+    missing = table.below[z] ^ 1 << z ^ known[z]
+    if z and not known[z]:
+        return _fill_row(cache, z), missing.bit_count()
+    for x in iter_bits(missing):
+        _kl_miss(cache, x, z)
+    row, store = z * len(table.perms), cache._values
+    classes = {ONE: 1 << z}
+    for x in iter_bits(table.below[z] ^ 1 << z):
+        p = store[row + x]
+        classes[p] = classes.get(p, 0) | 1 << x
+    cache._classes[z] = classes
+    return classes, missing.bit_count()
+
+
+def _fill_row(cache: KLCache, y: int) -> dict[IntPolynomial, int]:
+    """
+    Store the whole row of y != e, which holds no pair yet, and return
+    its classes; entries, hits, misses and ``cache.rows`` end as if
+    :func:`_kl_miss` had filled it in ascending x.  That holds because
+    the recursion, asked for a whole row, reads only whole rows: the row
+    of ys (s the first descent of y), and the row of each mu-sum
+    candidate z with mu(z, ys) != 0, as every x <= z has its q-term.  So
+    those rows are made full first, and the row of y is computed class
+    by class, one AND of bitsets per pair of classes, never pair by pair.
+
+    With S(b) the positions of b times s, a class C of the row of ys
+    gives P_{lo,ys} on (C & A) | S(C & A), A the positions without the
+    descent s, and P_{hi,ys} on (C & D) | S(C & D), D those with it;
+    these make the parts of the row, keyed by coefficients.  Each mu-row
+    z then splits the parts on below[z] by its classes, taking away
+    mu(z, ys) q^((l(y) - l(z)) / 2) P_{x,z}.  Each distinct part is
+    checked once, the degree bound by one AND, and a failure raises the
+    error of :func:`_kl_miss` for the lowest offending x.
+    """
+    table = cache.table
+    below, lengths = table.below, table.lengths
+    store, size = cache._values, len(table.perms)
+    known, mus = cache.rows
+    i = table.first_descent[y]
+    moves, descents = table.moves[i], table.descents[i]
+    ys, ly = table.times_s[i][y], lengths[y]
+    classes, created = _row_classes(cache, ys)
+    lows, highs, q_terms = [], [], 0
+    for p, bits in classes.items():
+        low, high = bits & ~descents, bits & descents
+        lows.append((p.coeffs, low | times_s_bits(low, moves)))
+        if high:
+            high |= times_s_bits(high, moves)
+            highs.append((p.coeffs, high))
+            q_terms |= high
+    parts: dict[tuple[int, ...], int] = {}
+    for a, low in lows:
+        if rest := low & ~q_terms:
+            parts[a] = parts.get(a, 0) | rest
+        for b, high in highs:
+            if both := low & high:
+                key = _plus(a, b, 1, 1)
+                parts[key] = parts.get(key, 0) | both
+    # The reads the recursion makes for the pairs of this row: each
+    # P_{lo,ys} but for x = ys, each q-term, each candidate P_{z,ys} for
+    # every x <= z, and each mu-term.  All are hits but the first read of
+    # each pair the dependency rows lacked (``created``), a miss there.
+    candidates = below[ys] & descents
+    odd = candidates & table.odd
+    candidates = odd if ly % 2 else candidates ^ odd
+    reads = below[y].bit_count() - 2 + q_terms.bit_count()
+    for z in iter_bits(candidates):
+        reads += below[z].bit_count()
+    for z in iter_bits(candidates & mus[ys]):
+        shift = (ly - lengths[z]) // 2
+        mu = store[ys * size + z].coeffs[shift - 1]
+        classes, made = _row_classes(cache, z)
+        created += made
+        inside = below[z]
+        reads += inside.bit_count() - 1
+        split: dict[tuple[int, ...], int] = {}
+        for a, bits in parts.items():
+            if rest := bits & ~inside:
+                split[a] = split.get(a, 0) | rest
+            if bits & inside:
+                for p, b in classes.items():
+                    if both := bits & b:
+                        key = _plus(a, p.coeffs, -mu, shift)
+                        split[key] = split.get(key, 0) | both
+        parts = split
+
+    pairs, at_least = below[y] ^ 1 << y, _at_least(cache.n)
+    polys, worst = [], None
+    for coeffs, bits in parts.items():
+        p, bad = checked(coeffs), bits & pairs
+        if p is not None:
+            bad &= at_least[max(ly + 2 - 2 * len(p.coeffs), 0)]
+        if bad and (worst is None or bad & -bad < worst[0]):
+            worst = bad & -bad, coeffs
+        polys.append((p, bits))
+    if worst:
+        raise _not_kl(table, worst[0].bit_length() - 1, y, worst[1])
+    classes, base, mu_bits = {}, y * size, 0
+    for p, bits in polys:
+        classes[p] = bits
+        bits &= pairs
+        store.update(dict.fromkeys(_keys(bits, base), p))
+        # mu(x, y) != 0 where the bound is met with equality.
+        if (top := ly + 1 - 2 * len(p.coeffs)) >= 0:
+            mu_bits |= bits & at_least[top]
+    known[y], mus[y] = pairs, mu_bits
+    cache._classes[y] = classes
+    cache.misses += pairs.bit_count()
+    cache.hits += reads - created
+    return classes
+
+
 def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
     """
     Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
     with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1).  Left multiplication
     by w0 reverses the table, so this is one pass over the x = w0 w below
-    y = w0 v.  Stored values count as hits all at once, x = y is 1, and
-    each pair the store lacks goes to :func:`_kl_miss`: entries, hits and
-    misses are as with one :func:`kl_at` call per w.  ``v`` is validated,
+    y = w0 v.  Stored values count as hits all at once, x = y is 1, a
+    row that holds no pair is filled whole by :func:`_fill_row`, and each
+    pair a partly stored row lacks goes to :func:`_kl_miss`: entries, hits
+    and misses are as with one :func:`kl_at` call per w.  ``v`` is validated,
     and a cache for another S_n raises SizeMismatchError.
     """
     v = as_perm(v)
@@ -533,6 +694,10 @@ def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
     top, lengths = len(table.perms) - 1, table.lengths
     y = top - table.index[v]
     ly, row, store = lengths[y], y * (top + 1), cache._values
+    # A row without P_{e,y} has a miss ahead, so the rows may be built.
+    filled = y and row not in store and not cache.rows[0][y]
+    if filled:
+        _fill_row(cache, y)
     stored, terms = 0, []
     for x in iter_bits(table.below[y]):
         p = store.get(row + x)
@@ -542,5 +707,6 @@ def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
             stored += 1
         c = sum(p.coeffs)
         terms.append((top - x, -c if (ly - lengths[x]) % 2 else c))
-    cache.hits += stored
+    if not filled:
+        cache.hits += stored
     return terms

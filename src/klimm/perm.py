@@ -291,9 +291,11 @@ class BruhatTable:
     ``perms[k][i] > perms[k][i + 1]`` (a right descent at the 0-based
     position i), and bit k of ``odd`` iff l(perms[k]) is odd.
     ``times_s[i][k]`` is the position of perms[k] times s_{i+1} (entries
-    i and i + 1 swapped), and ``first_descent[k]`` is the smallest such
-    descent i of perms[k], or -1 for the identity.  Left multiplication
-    by w_0 sends position k to ``len(perms) - 1 - k``.
+    i and i + 1 swapped), ``moves[i]`` pairs each offset
+    ``times_s[i][k] - k`` with the bitset of the k it moves by, ascending
+    (see :func:`times_s_bits`), and ``first_descent[k]`` is the smallest
+    such descent i of perms[k], or -1 for the identity.  Left
+    multiplication by w_0 sends position k to ``len(perms) - 1 - k``.
     """
 
     perms: tuple[Perm, ...]
@@ -304,6 +306,7 @@ class BruhatTable:
     descents: tuple[int, ...]
     odd: int
     times_s: tuple[tuple[int, ...], ...]
+    moves: tuple[tuple[tuple[int, int], ...], ...]
     first_descent: tuple[int, ...]
 
 
@@ -318,6 +321,25 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def times_s_bits(bits: int, moves: Iterable[tuple[int, int]]) -> int:
+    """
+    The positions of the products with s_{i+1} of the positions in
+    ``bits``, for ``moves`` = ``BruhatTable.moves[i]``: one masked shift
+    per offset.
+
+    >>> t = bruhat_table(3)
+    >>> [format_perm(t.perms[j]) for j in iter_bits(0b11)]
+    ['123', '132']
+    >>> [format_perm(t.perms[j]) for j in iter_bits(times_s_bits(0b11, t.moves[0]))]
+    ['213', '312']
+    """
+    out = 0
+    for offset, mask in moves:
+        part = bits & mask
+        out |= part << offset if offset > 0 else part >> -offset
+    return out
 
 
 def _first_hits(masks: Sequence[int], order: Iterable[int],
@@ -402,9 +424,9 @@ def bruhat_table(n: int) -> BruhatTable:
         for p, offset in pairs:
             blocks[offset] |= ((1 << run) - 1) << p
         repeat = sum(1 << start for start in starts)
-        moves.append([(offset, block * repeat)
-                      for offset, block in blocks.items()])
-    times_s = tuple(times_s)
+        moves.append(tuple((offset, block * repeat)
+                           for offset, block in sorted(blocks.items())))
+    times_s, moves = tuple(times_s), tuple(moves)
     # A descent is a move to a lexicographically smaller word.
     descents = tuple(sum(mask for offset, mask in groups if offset < 0)
                      for groups in moves)
@@ -415,11 +437,7 @@ def bruhat_table(n: int) -> BruhatTable:
 
     def lift(bits: int, i: int) -> int:
         """The positions in ``bits``, and their products with s_{i+1}."""
-        lifted = bits
-        for offset, mask in moves[i]:
-            part = bits & mask
-            lifted |= part << offset if offset > 0 else part >> -offset
-        return lifted
+        return bits | times_s_bits(bits, moves[i])
 
     below, above, lengths = [0] * size, [0] * size, [0] * size
     for k, i in enumerate(last_descent):
@@ -435,7 +453,7 @@ def bruhat_table(n: int) -> BruhatTable:
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
     return BruhatTable(perms, tuple(lengths), MappingProxyType(index),
                        tuple(below), tuple(above), descents, odd, times_s,
-                       first_descent)
+                       moves, first_descent)
 
 
 def parse_perm(text: str) -> Perm:

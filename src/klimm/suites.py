@@ -253,13 +253,17 @@ def _every_permutation(holds: Callable[[Perm], bool],
     return cases
 
 
-def _sampled_avoiders(config: Config, suite: str, first_n: int, max_n: int
+def _sampled_avoiders(config: Config, suite: str, first_n: int, max_n: int,
+                      keep: Callable[[Perm], bool] | None = None
                       ) -> Iterator[tuple[str, Perm, random.Random]]:
-    """Each sample s of each 1324/2143-avoider v of size first_n..max_n,
-    with its case key and the random stream that key seeds."""
+    """Each sample s of each 1324/2143-avoider v of size first_n..max_n
+    that ``keep`` takes (asked once per v, before any key is made), with
+    its case key and the random stream that key seeds."""
     samples = config.samples or 3
     for n in range(first_n, max_n + 1):
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
+            if keep is not None and not keep(v):
+                continue
             for s in range(samples):
                 key = f"n={n}:v={format_perm(v)}:s={s}"
                 yield key, v, _case_rng(config.seed, suite, key)
@@ -300,10 +304,9 @@ def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
 
 def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
                                notes: dict) -> Iterator[Case]:
-    for key, v, rng in _sampled_avoiders(config, "prop-4.1", 2,
-                                         config.max_n or 6):
-        if block_antidiagonal_split(graph_of_upper_interval(v)) is None:
-            continue
+    for key, v, rng in _sampled_avoiders(
+            config, "prop-4.1", 2, config.max_n or 6, lambda v:
+            block_antidiagonal_split(graph_of_upper_interval(v)) is not None):
         M = _random_rational_matrix(len(v), rng)
         product = factor_block_antidiagonal(v, M)
         direct = imm_determinantal(v, M)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from klimm.errors import ShapeError
 from klimm.exactmat import Matrix
 from klimm.grid import Grid
-from klimm.klpoly import IntPolynomial, KLCache, kl_polynomial
+from klimm.klpoly import IntPolynomial, KLCache, kl_at, kl_polynomial
 from klimm.perm import iter_bits
 from klimm.suites import _partitions_in_box
 
@@ -157,6 +157,19 @@ EDGE_MATRICES = {
 def kl_at_one(x, y, cache=None) -> int:
     """P_{x,y}(1), the multiplicity in the immanant sum (test oracle)."""
     return kl_polynomial(x, y, cache)(1)
+
+
+def per_w_terms(v, cache):
+    """
+    The signed terms as one kl_at call per w = perms[k] >= v, in the
+    order of ``above[v]``: the oracle of the terms, KL counts and store
+    that imm_terms's one walk over ``below[w0 v]`` leaves.
+    """
+    table = cache.table
+    iv, top = table.index[v], len(table.perms) - 1
+    return [(k, (-1) ** (table.lengths[k] - table.lengths[iv])
+             * kl_at(cache, top - k, top - iv)(1))
+            for k in iter_bits(table.above[iv])]
 
 
 def store_holding(n: int, entries) -> KLCache:

@@ -36,6 +36,11 @@ def test_no_assert_statements_in_the_package():
 
 
 
+# The per-cache state of KLCache besides its size: the store, the row
+# classes of the row fill, and the counters.
+KL_CACHE_STATE = {"_values", "_classes", "hits", "misses"}
+
+
 def test_only_klpoly_touches_the_kl_store_and_its_counters():
     # The store's layout and its hit policy are klpoly's alone, so a new
     # store changes one module.
@@ -45,8 +50,24 @@ def test_only_klpoly_touches_the_kl_store_and_its_counters():
              if path.name != "klpoly.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute)
-             and node.attr in {"_values", "hits", "misses"}]
+             and node.attr in KL_CACHE_STATE]
     assert found == []
+
+
+def test_the_guarded_kl_state_is_all_a_cache_sets_up():
+    # A new attribute of KLCache.__init__ must join KL_CACHE_STATE above,
+    # so that the guard covers it too.
+    tree = ast.parse(pathlib.Path(klimm.klpoly.__file__).read_text())
+    init = next(node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                and cls.name == "KLCache" for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assigned = {target.attr for node in ast.walk(init)
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Attribute)}
+    assert assigned == KL_CACHE_STATE | {"n"}
 
 # Functions and methods the package keeps without a caller of its own.
 UNCALLED_BY_DESIGN = {

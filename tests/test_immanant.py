@@ -17,6 +17,7 @@ from conftest import (
     identity_matrix,
     kl_at_one,
     non_inversions,
+    per_w_terms,
     random_rational_matrix,
     square_matrices,
     young_shapes,
@@ -61,13 +62,12 @@ from klimm.immanant import (
     SignProbeReport,
     young_sign_law,
 )
-from klimm.klpoly import ZERO, KLCache, imm_terms, kl_at
+from klimm.klpoly import ZERO, KLCache, imm_terms
 from klimm.perm import (
     avoids,
     bruhat_leq,
     compose,
     identity,
-    iter_bits,
     length,
     longest_element,
     symmetric_group,
@@ -183,24 +183,11 @@ def test_defining_sum_matches_the_unpruned_sum_on_edge_matrices(name):
         assert imm_definition(v, M) == _unpruned_definition(v, M)
 
 
-def _per_w_terms(v, cache):
-    """
-    The signed terms as one kl_at call per w = perms[k] >= v, in the
-    order of ``above[v]``: the oracle of the terms, KL counts and store
-    that imm_terms's one walk over ``below[w0 v]`` leaves.
-    """
-    table = cache.table
-    iv, top = table.index[v], len(table.perms) - 1
-    return [(k, (-1) ** (table.lengths[k] - table.lengths[iv])
-             * kl_at(cache, top - k, top - iv)(1))
-            for k in iter_bits(table.above[iv])]
-
-
 def _per_w_definition(v, M, cache):
-    """The defining sum over :func:`_per_w_terms`."""
+    """The defining sum over :func:`per_w_terms`."""
     perms = cache.table.perms
     return sum(c * prod(row[j - 1] for row, j in zip(M.entries, perms[k]))
-               for k, c in _per_w_terms(v, cache))
+               for k, c in per_w_terms(v, cache))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -214,7 +201,7 @@ def test_defining_sum_counts_like_one_kl_at_call_per_w(n):
     for v in symmetric_group(n):
         M = random_rational_matrix(n, rng)
         fast, slow = KLCache(n), KLCache(n)
-        assert sorted(imm_terms(v, fast)) == sorted(_per_w_terms(v, slow))
+        assert sorted(imm_terms(v, fast)) == sorted(per_w_terms(v, slow))
         assert fast.stats() == slow.stats()
         assert fast._values == slow._values
         fast, slow = KLCache(n), KLCache(n)

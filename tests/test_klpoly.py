@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kl_at_one, store_holding
+from conftest import kl_at_one, per_w_terms, store_holding
 from kl_every_candidate import kl_at_every_candidate
 from kl_via_r import (
     add,
@@ -35,6 +35,7 @@ from klimm.klpoly import (
     KLCache,
     KLCacheRegistry,
     cache_path_for,
+    imm_terms,
     kl_at,
     kl_polynomial,
 )
@@ -241,13 +242,16 @@ def test_rows_follow_the_store_through_save_and_load(tmp_path):
             kl_at(rest, x, y)
     assert rest._values == full._values
     assert rest.rows == _rows_from_the_store(rest)
-    # A cache that only ever hits never builds them.
+    # A cache that only ever hits never builds them, through kl_at or
+    # through imm_terms, which reads each stored pair of a row once.
     full.save(path)
     warm = KLCache.load(path)
     for y in range(size):
         for x in range(size):
             kl_at(warm, x, y)
-    assert warm.misses == 0 and warm.hits == len(full)
+    for v in symmetric_group(5):
+        imm_terms(v, warm)
+    assert warm.misses == 0 and warm.hits == 2 * len(full)
     assert "rows" not in vars(warm)
 
 
@@ -500,6 +504,148 @@ def test_recursion_rejects_a_corrupt_term_read_inline(corrupt, x, y, message):
     cache = store_holding(len(x), corrupt)
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, y, cache)
+
+
+def _walk_in_ascending_x(v, cache):
+    """The row of y = w0 v pair by pair: one kl_at per x below y, in
+    the ascending order of imm_terms's walk."""
+    table = cache.table
+    y = len(table.perms) - 1 - table.index[v]
+    for x in perm.iter_bits(table.below[y]):
+        kl_at(cache, x, y)
+
+
+def _raised(call, v, cache):
+    try:
+        call(v, cache)
+    except ArithmeticError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    ([2], "has constant term 2"),
+    ([1, -1], "negative coefficient"),
+    ([1, 0, 0, 0, 0, 1], "degree bound violated"),
+], ids=["constant-term", "negative", "degree"])
+def test_row_fill_raises_the_recursion_error_for_a_corrupt_dependency(
+        corrupt, message):
+    # Corrupt pairs in the row of ys, the row a fill reads whole first,
+    # for every y of S_4 (s its first descent): one pair at a time, and
+    # the whole row at once, where several parts fail and the lowest x
+    # must be named.  imm_terms, which fills the empty row of y, raises
+    # what the recursion raises pair by pair, in ascending x, or passes
+    # where it passes (a q-term with a corrupt constant term can still
+    # make a KL polynomial).
+    table = perm.bruhat_table(4)
+    top, raised = len(table.perms) - 1, []
+    for v in table.perms[:-1]:
+        y = top - table.index[v]
+        ys = table.times_s[table.first_descent[y]][y]
+        row = list(perm.iter_bits(table.below[ys] ^ 1 << ys))
+        for pairs in [[u] for u in row] + [row]:
+            entries = {(table.perms[u], table.perms[ys]): corrupt
+                       for u in pairs}
+            error = _raised(imm_terms, v, store_holding(4, entries))
+            assert error == _raised(_walk_in_ascending_x, v,
+                                    store_holding(4, entries)), (v, pairs)
+            raised.append(error)
+    assert any(message in error for error in raised if error)
+
+
+@st.composite
+def kl_calls(draw, n):
+    """
+    A mix of ("pair", x, y) for kl_at, x mostly below y, and ("row", v)
+    for imm_terms, over S_n.
+    """
+    table = perm.bruhat_table(n)
+    size = len(table.perms)
+
+    def pair(y, pick):
+        below = list(perm.iter_bits(table.below[y]))
+        return "pair", below[pick % len(below)], y
+
+    pairs = st.builds(pair, st.integers(0, size - 1), st.integers(0, 10 ** 6))
+    rows = st.tuples(st.just("row"), st.sampled_from(table.perms))
+    return draw(st.lists(st.one_of(pairs, rows), min_size=1,
+                         max_size=4 if n > 5 else 10))
+
+
+def _loaded_twice(n, warm_up, share, rng):
+    """
+    Two caches loaded from one file of partial rows: a random share of
+    the pairs that the kl_at calls ``warm_up`` stored.
+    """
+    source = KLCache(n)
+    for _, x, y in warm_up:
+        kl_at(source, x, y)
+    part = KLCache(n)
+    part._values.update(item for item in source._values.items()
+                        if rng.random() < share)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"kl.s{n}.json")
+        part.save(path)
+        return KLCache.load(path), KLCache.load(path)
+
+
+def _agrees_with_the_per_pair_path(fast, slow, calls):
+    """
+    ``calls`` through kl_at and imm_terms on ``fast``, and through kl_at
+    and one kl_at per w on ``slow``: values, counts after every call,
+    stores and rows must agree.
+    """
+    for call in calls:
+        if call[0] == "pair":
+            assert kl_at(fast, *call[1:]) == kl_at(slow, *call[1:]), call
+        else:
+            assert (sorted(imm_terms(call[1], fast))
+                    == sorted(per_w_terms(call[1], slow))), call
+        assert fast.stats() == slow.stats(), call
+    assert fast._values == slow._values
+    assert ("rows" in vars(fast)) == ("rows" in vars(slow))
+    assert fast.rows == slow.rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([2, 3, 4, 5]), loaded=st.booleans(),
+       share=st.floats(0, 1), rng=st.randoms(use_true_random=False))
+def test_row_fill_counts_like_the_per_pair_path(data, n, loaded, share, rng):
+    calls = data.draw(kl_calls(n))
+    if loaded:
+        warm_up = [c for c in data.draw(kl_calls(n)) if c[0] == "pair"]
+        fast, slow = _loaded_twice(n, warm_up, share, rng)
+    else:
+        fast, slow = KLCache(n), KLCache(n)
+    _agrees_with_the_per_pair_path(fast, slow, calls)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), loaded=st.booleans(), share=st.floats(0, 1),
+       rng=st.randoms(use_true_random=False))
+def test_row_fill_counts_like_the_per_pair_path_on_s6(data, loaded, share,
+                                                      rng):
+    calls = data.draw(kl_calls(6))
+    if loaded:
+        warm_up = [c for c in data.draw(kl_calls(6)) if c[0] == "pair"]
+        fast, slow = _loaded_twice(6, warm_up, share, rng)
+    else:
+        fast, slow = KLCache(6), KLCache(6)
+    _agrees_with_the_per_pair_path(fast, slow, calls)
+
+
+def test_cold_rows_of_every_s7_avoider_are_pinned(tmp_path):
+    # Pinned from one kl_at per pair of each row, in ascending x: the row
+    # fill must store, count and save exactly what it stored and counted.
+    cache = KLCache(7)
+    for v in _avoiders(7, FORBIDDEN_PATTERNS):
+        imm_terms(v, cache)
+    assert cache.stats() == {"n": 7, "entries": 905189, "hits": 14080902,
+                             "misses": 905189}
+    path = tmp_path / "kl.s7.json"
+    cache.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "058f0070db6af17f3c015e562064c48e8c8f7ee7a85836509d1a5cf0f533b0a4")
 
 
 def _cold_s5_cache():

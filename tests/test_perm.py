@@ -178,13 +178,20 @@ def bruhat_table_per_word(n):
     """
     Test oracle for the fields of ``bruhat_table`` that each word gives
     on its own: lengths by counting inversions, products by swapping the
-    entries of each word, descents and parity one position at a time.
+    entries of each word, the moves by grouping positions on how far
+    their product lies, descents and parity one position at a time.
     """
     perms = tuple(symmetric_group(n))
     index = {v: k for k, v in enumerate(perms)}
     times_s = tuple(
         tuple(index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for v in perms)
         for i in range(n - 1))
+    moves = []
+    for products in times_s:
+        groups = {}
+        for k, j in enumerate(products):
+            groups[j - k] = groups.get(j - k, 0) | 1 << k
+        moves.append(tuple(sorted(groups.items())))
     first_descent = tuple(
         next((i for i in range(n - 1) if v[i] > v[i + 1]), -1) for v in perms)
     descents = tuple(
@@ -194,7 +201,7 @@ def bruhat_table_per_word(n):
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
     return {"perms": perms, "lengths": lengths, "index": index,
             "descents": descents, "odd": odd, "times_s": times_s,
-            "first_descent": first_descent}
+            "moves": tuple(moves), "first_descent": first_descent}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])

@@ -854,6 +854,25 @@ def test_grid_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_prop41_decides_the_split_once_per_avoider(monkeypatch):
+    # Each avoider's block split is decided once, before a key is made or
+    # a stream seeded: an avoider that does not split makes no case.  The
+    # report bytes are pinned in DETERMINANT_DIGESTS.
+    seeded, splits = [], []
+    case_rng, split = suites._case_rng, suites.block_antidiagonal_split
+    monkeypatch.setattr(suites, "_case_rng", lambda seed, suite, key: (
+        seeded.append(key) or case_rng(seed, suite, key)))
+    monkeypatch.setattr(suites, "block_antidiagonal_split", lambda P: (
+        splits.append(P) or split(P)))
+    report = run_suite("prop-4.1", Config())
+    avoiders = [v for n in range(2, 7) for v in _avoiders(n, FORBIDDEN_PATTERNS)]
+    assert len(splits) == len(avoiders) == 484
+    kept = [v for v in avoiders
+            if split(grid.graph_of_upper_interval(v)) is not None]
+    assert len(seeded) == report.cases_run == 3 * len(kept) == 759
+    assert len(set(seeded)) == len(seeded)
+
+
 # SHA-256 of a cold prop-3.1 run's KL cache files and report.  The
 # report is pinned from the recursion that preceded the straight-line
 # one, so a faster kl_at must leave every byte of it alone.  The cache
