@@ -2,27 +2,25 @@
 Kazhdan-Lusztig polynomials P_{x,y}(q) for the symmetric group.
 
 They are computed by the classical recursion on a right descent of y,
-fully memoized in a :class:`KLCache`.  It works on positions in the
-cache's :func:`klimm.perm.bruhat_table`: comparisons, descents and their
-products are table lookups, and the mu-sum candidates are the set bits of
-one AND of table bitsets; the table, and so every value with x < y, is
-guarded at n <= 7.  The cache's row bitsets say which candidates are
-stored and which have mu != 0, so only those with mu != 0 are read one by
-one.  Values are interned: equal coefficient tuples share one
-:class:`IntPolynomial`.
+one whole row at a time, and kept in a :class:`KLCache` as rows of value
+classes: for each y, each distinct P with the bitset of the x <= y with
+P_{x,y} = P, over positions in the cache's
+:func:`klimm.perm.bruhat_table`.  A row takes few distinct values (S_6
+has 43,693 KL values but 14 distinct ones), which is how du Cloux's
+*Coxeter* keeps it.  The table, and so every value with x < y, is
+guarded at n <= 7.  Values are interned: equal coefficient tuples share
+one :class:`IntPolynomial`.
 
-A hit is a recursion term answered from the store: the pair asked for,
-a descent term, a mu-term P_{x,z}, or a mu-sum candidate P_{z,ys} (the
-stored ones are counted through the rows, all at once); :func:`imm_terms`
-counts its reads of a Kazhdan-Lusztig row the same way.  A miss is a pair
-computed and stored.  Three writers fill the store, and no other module
-reads it: :func:`_kl_miss`, one pair at a time; the row fill
-:func:`_fill_row`, one whole row of :func:`imm_terms` that holds no pair
-yet, by value-class bitsets (a row takes few distinct values, as du
-Cloux's *Coxeter* uses); and :meth:`KLCache.load`.  The row fill stores
-and counts what :func:`_kl_miss` would, because the recursion asked for
-a whole row reads only whole rows.  A miss whose only term is P_{lo,ys}
-reuses that value's coefficients, checked like any others.
+The row fill :func:`_fill_row` is the one engine that computes values.
+The recursion, asked for a whole row, reads only whole rows, so the fill
+makes those whole first and then computes its row class by class, by
+ANDs of table bitsets, never pair by pair.  Only the fill and
+:meth:`KLCache.load` write the store, each a whole row, and no other
+module reads it.  Counts are those of the pair-by-pair recursion walking
+the row in ascending x: a miss is a pair computed and stored, and a hit
+a recursion term answered from the store (a descent term, a mu-sum
+candidate P_{z,ys} or a mu-term P_{x,z}).  :func:`kl_at` counts one hit
+for a pair of a stored row, and :func:`imm_terms` one per pair of it.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -117,11 +115,11 @@ CACHE_FORMAT_VERSION = 2
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _keys(bits: int, base: int) -> itertools.compress:
-    """base + x for the set bits x of ``bits``, ascending, with no loop
-    over the bits: the reversed binary digits flag them."""
+def _from_top(bits: int, top: int) -> itertools.compress:
+    """top - x for the set bits x of ``bits``, in ascending x, with no
+    loop over the bits: the reversed binary digits flag them."""
     flags = format(bits, "b")[::-1].encode().translate(_BIT_FLAGS)
-    return itertools.compress(range(base, base + len(flags)), flags)
+    return itertools.compress(range(top, top - len(flags), -1), flags)
 
 
 @lru_cache(maxsize=None)
@@ -139,32 +137,28 @@ def _at_least(n: int) -> tuple[int, ...]:
 class KLCache:
     """Memo table for P_{x,y} over a single symmetric group S_n.
 
-    Immutable values are stored by position in ``table``, the Bruhat
-    table of S_n (built on first use); words appear only in the files of
-    :meth:`save` and :meth:`load`.  Only :func:`_kl_miss`,
-    :func:`_fill_row` and :meth:`load` write the store, ``rows`` mirrors
-    it from the first miss on, and ``_classes`` holds the value classes
-    of the full rows :func:`_fill_row` made or read.  ``hits`` counts
-    the recursion terms answered from the store, each stored mu-sum
-    candidate among them, and the stored pairs :func:`imm_terms` reads;
-    ``misses`` counts the pairs computed.
-    The store is a plain dict, so use one writer at a time.
+    ``_rows[y]`` maps each polynomial P to the bitset of the positions
+    x <= y in ``table``, the Bruhat table of S_n (built on first use),
+    with P_{x,y} = P; y itself sits in the class of 1.  A row is stored
+    whole or not at all, by :func:`_fill_row` or :meth:`load`; words
+    appear only in files.  ``hits`` and ``misses`` count as the module
+    docstring says.  The store is a plain dict, so use one writer at a
+    time.
 
-    A file holds the store by value class, as du Cloux's *Coxeter* holds
-    each P_{x,y} as a reference into one table of distinct polynomials:
-    ``{"n", "format_version": 2, "values": [[1], [1, 1], ...], "rows":
+    A file holds the rows as they are kept, each P an index into one
+    table of distinct polynomials, as du Cloux's *Coxeter* holds each
+    P_{x,y} as a reference into one such table: ``{"n",
+    "format_version": 2, "values": [[1], [1, 1], ...], "rows":
     {"<y word>": {"<i>": "<hex>"}}}``, where bit x of the hex bitset of
-    class i in the row of y is set iff P_{x,y} = ``values[i]``.  The S_6
-    cache of prop-3.1 holds 43,693 pairs but 14 distinct values, so a
-    load checks per row and class, and only the store fill is per pair.
+    class i in the row of y is set iff x < y and P_{x,y} = ``values[i]``.
+    So save and load work per row and class, never per pair.
     Persistence uses write-to-temp-then-rename so a crash cannot leave a
     torn file.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._values: dict[int, IntPolynomial] = {}
-        self._classes: dict[int, dict[IntPolynomial, int]] = {}
+        self._rows: dict[int, dict[IntPolynomial, int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -172,49 +166,32 @@ class KLCache:
     def table(self) -> BruhatTable:
         return bruhat_table(self.n)
 
-    @cached_property
-    def rows(self) -> tuple[list[int], list[int]]:
-        """
-        Row bitsets (known, mu) over table positions: bit x of known[y] is
-        set iff the store holds P_{x,y}, and bit x of mu[y] iff mu(x, y) is
-        not 0: as every writer enforces the degree bound, iff the stored
-        P_{x,y} has degree (l(y) - l(x) - 1) / 2, the test of
-        :func:`_kl_miss`.  Built from the store at the first miss, after
-        which :func:`_kl_miss` and :func:`_fill_row` keep them up to date;
-        a cache that only ever hits never builds them.
-        """
-        size, lengths = len(self.table.perms), self.table.lengths
-        known, mu = [0] * size, [0] * size
-        for key, p in self._values.items():
-            y, x = divmod(key, size)
-            known[y] |= 1 << x
-            if 2 * len(p.coeffs) == lengths[y] - lengths[x] + 1:
-                mu[y] |= 1 << x
-        return known, mu
-
     def __len__(self) -> int:
-        return len(self._values)
+        """The stored pairs x < y: every x of each row but y itself."""
+        return sum(bits.bit_count() for row in self._rows.values()
+                   for bits in row.values()) - len(self._rows)
 
     def stats(self) -> dict[str, int]:
-        return {"n": self.n, "entries": len(self._values),
+        return {"n": self.n, "entries": len(self),
                 "hits": self.hits, "misses": self.misses}
 
     def save(self, path: str) -> None:
         """
         Write the store in the format of the class docstring: the distinct
-        coefficient lists, sorted, and for each y that has stored pairs
-        one bitset per value it takes.  Keys are sorted too, so the bytes
+        coefficient lists, sorted, and for each stored row one bitset per
+        value it takes at some x < y.  Keys are sorted too, so the bytes
         follow from the store alone, not from its order or hash order.
         """
         # An empty store needs no table, so S_8 and up save one too.
-        perms = self.table.perms if self._values else ()
-        size = len(perms)
-        classes: dict[int, dict[tuple[int, ...], int]] = {}
-        for key, p in self._values.items():
-            y, x = divmod(key, size)
-            row = classes.setdefault(y, {})
-            row[p.coeffs] = row.get(p.coeffs, 0) | 1 << x
-        values = sorted({p.coeffs for p in self._values.values()})
+        perms = self.table.perms if self._rows else ()
+        rows = {}
+        for y, row in self._rows.items():
+            classes = {p.coeffs: bits for p, bits in row.items()}
+            # P_{y,y} = 1 is no pair, so a file leaves y out.
+            classes[ONE.coeffs] = classes.get(ONE.coeffs, 0) & ~(1 << y)
+            rows[format_perm(perms[y])] = {coeffs: bits for coeffs, bits
+                                           in classes.items() if bits}
+        values = sorted({coeffs for row in rows.values() for coeffs in row})
         index = {coeffs: str(i) for i, coeffs in enumerate(values)}
         # sort_keys orders rows and classes; one dumps call uses the C
         # encoder, which json.dump to a file never does.
@@ -222,9 +199,9 @@ class KLCache:
             "n": self.n,
             "format_version": CACHE_FORMAT_VERSION,
             "values": values,
-            "rows": {format_perm(perms[y]): {index[coeffs]: format(bits, "x")
-                                             for coeffs, bits in row.items()}
-                     for y, row in classes.items()},
+            "rows": {word: {index[coeffs]: format(bits, "x")
+                            for coeffs, bits in row.items()}
+                     for word, row in rows.items()},
         }, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
@@ -246,20 +223,21 @@ class KLCache:
     def load(cls, path: str) -> "KLCache":
         """
         Read a file written by :meth:`save`, rejecting a malformed one with
-        ValueError naming the file; a file of another format version is
-        refused with a hint to delete it, so that the next run rebuilds it.
-        Each row must be keyed by a compact word of S_n such as ``3412``,
-        the one form :meth:`save` writes, resolved through one dict built
-        from the table, and map indices into ``values`` to nonzero
-        lowercase hex bitsets over the table's positions.  Then every
-        check is one per row and class, and a refusal names the entry x|y
-        at its lowest offending bit: each pair must be x < y in Bruhat
-        order, the only pairs the recursion stores, and no pair may sit
-        in two classes.  Each value must be a list of ints passing the
-        checks the recursion applies to its own: constant term 1 and
-        nonnegative coefficients, once per distinct list, and the degree
-        bound, one AND with the positions x of length at least
-        l(y) + 2 - 2 * len.  Pairs of a class share one polynomial.
+        ValueError naming the file; a file of another format version, or
+        with a row that is not whole, is refused with a hint to delete it,
+        so that the next run rebuilds it.  Each row must be keyed by a
+        compact word of S_n such as ``3412``, the one form :meth:`save`
+        writes, resolved through one dict built from the table, and map
+        indices into ``values`` to nonzero lowercase hex bitsets over the
+        table's positions.  Then every check is one per row and class, and
+        a refusal names the entry x|y at its lowest offending bit: each
+        pair must be x < y in Bruhat order, the only pairs the recursion
+        stores, and no pair may sit in two classes.  Each value must be a
+        list of ints passing the checks the recursion applies to its own:
+        constant term 1 and nonnegative coefficients, once per distinct
+        list, and the degree bound, one AND with the positions x of length
+        at least l(y) + 2 - 2 * len.  Last, the classes of a row must
+        cover every x < y, as only whole rows are stored.
         """
         with open(path) as handle:
             doc = json.load(handle)
@@ -292,7 +270,7 @@ class KLCache:
             return ValueError(f"cache entry {words[x]}|{words[y]} in {path} "
                               f"{why}")
 
-        store, limit = cache._values, 1 << size
+        limit = 1 << size
         for word, row in rows.items():
             y = positions.get(word)
             if y is None or type(row) is not dict:
@@ -300,7 +278,7 @@ class KLCache:
                                  f"compact word of S_{n} mapping class "
                                  "indices to bitsets")
             strictly_below, ly = below[y] ^ 1 << y, lengths[y]
-            base, seen = y * size, 0
+            classes, seen = {ONE: 1 << y}, 0
             for i, text in row.items():
                 try:
                     bits = int(text, 16)
@@ -326,8 +304,12 @@ class KLCache:
                         "term 1, nonnegative coefficients and degree at "
                         "most (l(y) - l(x) - 1) / 2")
                 seen |= bits
-                # The store fill is the one step per pair.
-                store.update(dict.fromkeys(_keys(bits, base), p))
+                classes[p] = classes.get(p, 0) | bits
+            if seen != strictly_below:
+                raise ValueError(f"cache row {word} in {path} is not a whole "
+                                 "row: delete the file and the next run "
+                                 "rebuilds it")
+            cache._rows[y] = classes
         return cache
 
 
@@ -343,8 +325,8 @@ class KLCacheRegistry:
     the per-n files under a base path (or kept in memory when there is
     none); a base path that names a directory is refused.  A file whose
     size differs from the one its name says is rejected, and a cache is
-    written back only if it missed: each miss that returns stores one new
-    pair, and one that raises never gets here.
+    written back only if it missed: each row fill that returns stores a
+    whole new row, and one that raises never gets here.
     """
 
     def __init__(self, base_path: str | None):
@@ -404,129 +386,33 @@ def kl_polynomial(x: Perm, y: Perm, cache: KLCache | None = None) -> IntPolynomi
 
 
 def kl_at(cache: KLCache, x: int, y: int) -> IntPolynomial:
-    """P_{x,y} for the permutations at positions x and y of ``cache.table``."""
+    """
+    P_{x,y} for the permutations at positions x and y of ``cache.table``:
+    a class lookup in the row of y, which counts one hit if the row is
+    stored and is filled whole first if not.
+    """
     if x == y:
         return ONE
-    table = cache.table
-    if not table.below[y] >> x & 1:
+    if not cache.table.below[y] >> x & 1:
         return ZERO
-    # Every read of the store is keyed y * n! + x and counted.
-    known = cache._values.get(y * len(table.perms) + x)
-    if known is not None:
+    classes, made = _row(cache, y)
+    if not made:
         cache.hits += 1
-        return known
-    return _kl_miss(cache, x, y)
+    return next(p for p, bits in classes.items() if bits >> x & 1)
 
 
-def _kl_miss(cache: KLCache, x: int, y: int) -> IntPolynomial:
+def _row(cache: KLCache, y: int) -> tuple[dict[IntPolynomial, int], int]:
     """
-    P_{x,y} for a pair x < y the store lacks: counted as a miss, computed
-    and stored.  Each term of the recursion is read straight from the
-    store, a term it lacks is computed here first, and the miss adds its
-    own hits to ``cache.hits`` once, at the end.
+    The classes of row y, and how many pairs were stored to make them:
+    a row the store lacks is filled whole first.  The row of e, which
+    holds no pair, is {1: e} and is never stored.
     """
-    cache.misses += 1
-    table = cache.table
-    below, lengths = table.below, table.lengths
-    size = len(table.perms)
-    store = cache._values
-    known, mus = cache.rows
-
-    i = table.first_descent[y]
-    times, descents = table.times_s[i], table.descents[i]
-    ys, xs = times[y], times[x]
-    row = ys * size
-    ly = lengths[y]
-    hits = 0
-    # P_{x,y} = P_{lo,ys} + q P_{hi,ys} - (mu-sum), where {lo, hi} =
-    # {x, xs} and hi has the descent s.  By the lifting property lo <= ys,
-    # and hi differs from ys, which lacks the descent.  Positions are in
-    # lexicographic order, so x has the descent iff xs comes first.
-    lo, hi = (xs, x) if xs < x else (x, xs)
-    if lo == ys:
-        low = ONE
-    else:
-        low = store.get(row + lo)
-        if low is None:
-            low = _kl_miss(cache, lo, ys)
-        else:
-            hits += 1
-    if not below[ys] >> hi & 1:
-        # No q-term means no mu-sum either: a candidate z (below ys, with
-        # the descent s, and x <= z) has hi <= z, as hi is x or, by the
-        # lifting property, xs.  So P_{x,y} is P_{lo,ys}, whose
-        # coefficients are checked below like any others, with no list
-        # built.
-        coeffs = low.coeffs
-    else:
-        high = store.get(row + hi)
-        if high is None:
-            high = _kl_miss(cache, hi, ys)
-        else:
-            hits += 1
-        # Lists grow to fit each term, not to the degree bound, so a
-        # corrupt cached term fails the checks below rather than indexing
-        # past them.
-        coeffs = list(low.coeffs)
-        if len(coeffs) <= len(high.coeffs):
-            coeffs += [0] * (len(high.coeffs) + 1 - len(coeffs))
-        for d, a in enumerate(high.coeffs, 1):
-            coeffs[d] += a
-        # The mu-sum runs over x <= z < ys with zs < z and l(ys) - l(z)
-        # odd, i.e. l(z) = l(y) mod 2: the set bits of one AND of
-        # Bruhat-table bitsets, in symmetric_group order, not a scan of
-        # S_n.  Every such z is below ys and differs from it, and x is at
-        # or below z, so the store holds P_{z,ys} and P_{x,z} (for z != x)
-        # once they are known.
-        mask = below[ys] & table.above[x] & descents
-        odd = mask & table.odd
-        mask = odd if ly % 2 else mask ^ odd
-        # Each candidate P_{z,ys} is one read.  The stored ones are hits
-        # at once, and the others are computed first, in order: every pair
-        # a miss reads has a second entry shorter than its own, so no
-        # candidate's miss stores another candidate.  Only the z with
-        # mu(z, ys) != 0 are then read.
-        stored = mask & known[ys]
-        hits += stored.bit_count()
-        todo = mask ^ stored
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            _kl_miss(cache, bit.bit_length() - 1, ys)
-        mask &= mus[ys]
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            z = bit.bit_length() - 1
-            # mu(z, ys) is the q^((l(ys) - l(z) - 1) / 2) coefficient of
-            # P_{z,ys}; its term is shifted by one more.
-            shift = (ly - lengths[z]) // 2
-            mu = store[row + z].coeffs[shift - 1]
-            if z == x:
-                pxz = ONE
-            else:
-                pxz = store.get(z * size + x)
-                if pxz is None:
-                    pxz = _kl_miss(cache, x, z)
-                else:
-                    hits += 1
-            term = pxz.coeffs
-            if len(coeffs) < shift + len(term):
-                coeffs += [0] * (shift + len(term) - len(coeffs))
-            for d, a in enumerate(term, shift):
-                coeffs[d] -= mu * a
-    cache.hits += hits
-
-    # The degree bound 2 deg <= l(y) - l(x) - 1 depends on the pair.
-    p = checked(tuple(coeffs))
-    if p is None or (slack := ly - lengths[x] + 1 - 2 * len(p.coeffs)) < 0:
-        raise _not_kl(table, x, y, coeffs)
-    store[y * size + x] = p
-    known[y] |= 1 << x
-    # slack 0 is mu(x, y) != 0, by the one test KLCache.rows states.
-    if not slack:
-        mus[y] |= 1 << x
-    return p
+    classes = cache._rows.get(y)
+    if classes is not None:
+        return classes, 0
+    if not y:
+        return {ONE: 1}, 0
+    return _fill_row(cache, y), cache.table.below[y].bit_count() - 1
 
 
 def _not_kl(table: BruhatTable, x: int, y: int, coeffs) -> ArithmeticError:
@@ -552,43 +438,17 @@ def _plus(a: tuple[int, ...], b: tuple[int, ...], factor: int,
     return tuple(coeffs)
 
 
-def _row_classes(cache: KLCache, z: int) -> tuple[dict[IntPolynomial, int], int]:
-    """
-    The classes of row z, once it is full, and how many of its pairs were
-    stored to make it so.  A class maps P to the bitset of the x <= z
-    with P_{x,z} = P, z itself in the class of 1.  An empty row is filled
-    by :func:`_fill_row`, a partly stored one pair by pair through
-    :func:`_kl_miss`, in ascending x, and a full one is read once and
-    kept in ``cache._classes``, where :func:`_fill_row` puts its own rows.
-    """
-    classes = cache._classes.get(z)
-    if classes is not None:
-        return classes, 0
-    table, known = cache.table, cache.rows[0]
-    missing = table.below[z] ^ 1 << z ^ known[z]
-    if z and not known[z]:
-        return _fill_row(cache, z), missing.bit_count()
-    for x in iter_bits(missing):
-        _kl_miss(cache, x, z)
-    row, store = z * len(table.perms), cache._values
-    classes = {ONE: 1 << z}
-    for x in iter_bits(table.below[z] ^ 1 << z):
-        p = store[row + x]
-        classes[p] = classes.get(p, 0) | 1 << x
-    cache._classes[z] = classes
-    return classes, missing.bit_count()
-
-
 def _fill_row(cache: KLCache, y: int) -> dict[IntPolynomial, int]:
     """
-    Store the whole row of y != e, which holds no pair yet, and return
-    its classes; entries, hits, misses and ``cache.rows`` end as if
-    :func:`_kl_miss` had filled it in ascending x.  That holds because
-    the recursion, asked for a whole row, reads only whole rows: the row
-    of ys (s the first descent of y), and the row of each mu-sum
-    candidate z with mu(z, ys) != 0, as every x <= z has its q-term.  So
-    those rows are made full first, and the row of y is computed class
-    by class, one AND of bitsets per pair of classes, never pair by pair.
+    Compute and store the whole row of y != e, which the store lacks, and
+    return its classes.  Misses count its pairs, and hits the reads the
+    pair-by-pair recursion would make for them in ascending x, less the
+    first read of each pair it stored in the rows it read.  That
+    recursion, asked for a whole row, reads only whole rows: the row of
+    ys (s the first descent of y), and the row of each mu-sum candidate z
+    with mu(z, ys) != 0, as every x <= z has its q-term.  So those rows
+    are made whole first, and the row of y is computed class by class,
+    one AND of bitsets per pair of classes, never pair by pair.
 
     With S(b) the positions of b times s, a class C of the row of ys
     gives P_{lo,ys} on (C & A) | S(C & A), A the positions without the
@@ -597,16 +457,14 @@ def _fill_row(cache: KLCache, y: int) -> dict[IntPolynomial, int]:
     z then splits the parts on below[z] by its classes, taking away
     mu(z, ys) q^((l(y) - l(z)) / 2) P_{x,z}.  Each distinct part is
     checked once, the degree bound by one AND, and a failure raises the
-    error of :func:`_kl_miss` for the lowest offending x.
+    error of :func:`_not_kl` for the lowest offending x.
     """
     table = cache.table
     below, lengths = table.below, table.lengths
-    store, size = cache._values, len(table.perms)
-    known, mus = cache.rows
     i = table.first_descent[y]
     moves, descents = table.moves[i], table.descents[i]
     ys, ly = table.times_s[i][y], lengths[y]
-    classes, created = _row_classes(cache, ys)
+    classes, created = _row(cache, ys)
     lows, highs, q_terms = [], [], 0
     for p, bits in classes.items():
         low, high = bits & ~descents, bits & descents
@@ -633,10 +491,17 @@ def _fill_row(cache: KLCache, y: int) -> dict[IntPolynomial, int]:
     reads = below[y].bit_count() - 2 + q_terms.bit_count()
     for z in iter_bits(candidates):
         reads += below[z].bit_count()
-    for z in iter_bits(candidates & mus[ys]):
+    # mu(z, ys) != 0 iff P_{z,ys} meets the degree bound with equality,
+    # l(z) = l(y) - 2 len, and then mu is its top coefficient.
+    at_least, mus = _at_least(cache.n), {}
+    for p, bits in classes.items():
+        if p.coeffs and (lz := ly - 2 * len(p.coeffs)) >= 0:
+            for z in iter_bits(bits & candidates
+                               & at_least[lz] & ~at_least[lz + 1]):
+                mus[z] = p.coeffs[-1]
+    for z in sorted(mus):
         shift = (ly - lengths[z]) // 2
-        mu = store[ys * size + z].coeffs[shift - 1]
-        classes, made = _row_classes(cache, z)
+        classes, made = _row(cache, z)
         created += made
         inside = below[z]
         reads += inside.bit_count() - 1
@@ -647,31 +512,21 @@ def _fill_row(cache: KLCache, y: int) -> dict[IntPolynomial, int]:
             if bits & inside:
                 for p, b in classes.items():
                     if both := bits & b:
-                        key = _plus(a, p.coeffs, -mu, shift)
+                        key = _plus(a, p.coeffs, -mus[z], shift)
                         split[key] = split.get(key, 0) | both
         parts = split
 
-    pairs, at_least = below[y] ^ 1 << y, _at_least(cache.n)
-    polys, worst = [], None
+    pairs, classes, worst = below[y] ^ 1 << y, {}, None
     for coeffs, bits in parts.items():
         p, bad = checked(coeffs), bits & pairs
         if p is not None:
             bad &= at_least[max(ly + 2 - 2 * len(p.coeffs), 0)]
         if bad and (worst is None or bad & -bad < worst[0]):
             worst = bad & -bad, coeffs
-        polys.append((p, bits))
+        classes[p] = bits
     if worst:
         raise _not_kl(table, worst[0].bit_length() - 1, y, worst[1])
-    classes, base, mu_bits = {}, y * size, 0
-    for p, bits in polys:
-        classes[p] = bits
-        bits &= pairs
-        store.update(dict.fromkeys(_keys(bits, base), p))
-        # mu(x, y) != 0 where the bound is met with equality.
-        if (top := ly + 1 - 2 * len(p.coeffs)) >= 0:
-            mu_bits |= bits & at_least[top]
-    known[y], mus[y] = pairs, mu_bits
-    cache._classes[y] = classes
+    cache._rows[y] = classes
     cache.misses += pairs.bit_count()
     cache.hits += reads - created
     return classes
@@ -681,32 +536,27 @@ def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
     """
     Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
     with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1).  Left multiplication
-    by w0 reverses the table, so this is one pass over the x = w0 w below
-    y = w0 v.  Stored values count as hits all at once, x = y is 1, a
-    row that holds no pair is filled whole by :func:`_fill_row`, and each
-    pair a partly stored row lacks goes to :func:`_kl_miss`: entries, hits
-    and misses are as with one :func:`kl_at` call per w.  ``v`` is validated,
+    by w0 reverses the table, so these are the x = w0 w below y = w0 v,
+    built per value class of the row of y: P(1) is one sum per class, and
+    the sign the parity of l(y) - l(x), one AND with ``table.odd``.  A
+    stored row counts one hit per pair x < y, as one :func:`kl_at` call
+    per w would, and a row the store lacks is filled whole by
+    :func:`_fill_row`, which does its own counting.  ``v`` is validated,
     and a cache for another S_n raises SizeMismatchError.
     """
     v = as_perm(v)
     cache = cache_for(cache, v)
     table = cache.table
-    top, lengths = len(table.perms) - 1, table.lengths
+    top = len(table.perms) - 1
     y = top - table.index[v]
-    ly, row, store = lengths[y], y * (top + 1), cache._values
-    # A row without P_{e,y} has a miss ahead, so the rows may be built.
-    filled = y and row not in store and not cache.rows[0][y]
-    if filled:
-        _fill_row(cache, y)
-    stored, terms = 0, []
-    for x in iter_bits(table.below[y]):
-        p = store.get(row + x)
-        if p is None:
-            p = ONE if x == y else _kl_miss(cache, x, y)
-        else:
-            stored += 1
-        c = sum(p.coeffs)
-        terms.append((top - x, -c if (ly - lengths[x]) % 2 else c))
-    if not filled:
-        cache.hits += stored
+    classes, made = _row(cache, y)
+    if not made:
+        cache.hits += table.below[y].bit_count() - 1
+    # l(y) - l(x) is even iff x has the parity of y.
+    even = table.odd if table.lengths[y] % 2 else ~table.odd
+    terms = []
+    for p, bits in classes.items():
+        c, plus = sum(p.coeffs), bits & even
+        terms += zip(_from_top(plus, top), itertools.repeat(c))
+        terms += zip(_from_top(bits ^ plus, top), itertools.repeat(-c))
     return terms

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from kl_every_candidate import kl_at_every_candidate
 from klimm.errors import ShapeError
 from klimm.exactmat import Matrix
 from klimm.grid import Grid
-from klimm.klpoly import IntPolynomial, KLCache, kl_at, kl_polynomial
+from klimm.klpoly import ONE, IntPolynomial, KLCache, kl_at, kl_polynomial
 from klimm.perm import iter_bits
 from klimm.suites import _partitions_in_box
 
@@ -159,30 +160,37 @@ def kl_at_one(x, y, cache=None) -> int:
     return kl_polynomial(x, y, cache)(1)
 
 
-def per_w_terms(v, cache):
+def per_w_terms(v, oracle):
     """
-    The signed terms as one kl_at call per w = perms[k] >= v, in the
-    order of ``above[v]``: the oracle of the terms, KL counts and store
-    that imm_terms's one walk over ``below[w0 v]`` leaves.
+    The signed terms as one per-pair oracle call per w = perms[k] >= v,
+    in the order of ``above[v]``: the terms, KL counts and store that
+    imm_terms's one read of the row of w0 v must match.
     """
-    table = cache.table
+    table = oracle.table
     iv, top = table.index[v], len(table.perms) - 1
     return [(k, (-1) ** (table.lengths[k] - table.lengths[iv])
-             * kl_at(cache, top - k, top - iv)(1))
+             * kl_at_every_candidate(oracle, top - k, top - iv)(1))
             for k in iter_bits(table.above[iv])]
 
 
 def store_holding(n: int, entries) -> KLCache:
     """
-    A cache whose store holds {(x, y): coefficients} as given.  Load
-    refuses a value that is not a KL polynomial, so this is how a test
-    puts one where the recursion's checks, or load's after a save, must
-    meet it.
+    A cache whose store holds the cold rows of the y that ``entries``,
+    {(x, y): coefficients}, names, each x moved to the class of the
+    coefficients given.  Load refuses a value that is not a KL
+    polynomial, so this is how a test puts one where the row fill's
+    checks, or load's after a save, must meet it.
     """
-    cache = KLCache(n)
-    index, size = cache.table.index, len(cache.table.perms)
+    cold, cache = KLCache(n), KLCache(n)
+    index = cache.table.index
     for (x, y), coeffs in entries.items():
-        cache._values[index[y] * size + index[x]] = IntPolynomial(tuple(coeffs))
+        x, y = index[x], index[y]
+        kl_at(cold, 0, y)
+        row = cache._rows.get(y) or cold._rows.get(y, {ONE: 1})
+        row = {p: bits & ~(1 << x) for p, bits in row.items()}
+        p = IntPolynomial(tuple(coeffs))
+        row[p] = row.get(p, 0) | 1 << x
+        cache._rows[y] = {p: bits for p, bits in row.items() if bits}
     return cache
 
 

@@ -36,9 +36,9 @@ def test_no_assert_statements_in_the_package():
 
 
 
-# The per-cache state of KLCache besides its size: the store, the row
-# classes of the row fill, and the counters.
-KL_CACHE_STATE = {"_values", "_classes", "hits", "misses"}
+# The per-cache state of KLCache besides its size: the store of whole
+# rows of value classes, and the counters.
+KL_CACHE_STATE = {"_rows", "hits", "misses"}
 
 
 def test_only_klpoly_touches_the_kl_store_and_its_counters():
@@ -68,6 +68,38 @@ def test_the_guarded_kl_state_is_all_a_cache_sets_up():
                                else [node.target])
                 if isinstance(target, ast.Attribute)}
     assert assigned == KL_CACHE_STATE | {"n"}
+
+
+def _stored_into(node):
+    """What an assignment, deletion or mutating dict call writes into:
+    each target with its subscripts stripped."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in {"update", "setdefault", "pop", "popitem",
+                                 "clear"}):
+        targets = [node.func.value]
+    else:
+        targets = []
+    for target in targets:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        yield target
+
+
+def test_only_the_row_fill_and_load_write_kl_rows():
+    # Each row is stored whole by one of two writers, so no other code in
+    # klpoly may write into the store; __init__ only sets it up empty.
+    tree = ast.parse(pathlib.Path(klimm.klpoly.__file__).read_text())
+    writers = {scope.name for scope in ast.walk(tree)
+               if isinstance(scope, ast.FunctionDef)
+               for node in ast.walk(scope) for target in _stored_into(node)
+               if isinstance(target, ast.Attribute)
+               and target.attr == "_rows"}
+    assert writers == {"__init__", "_fill_row", "load"}
+
 
 # Functions and methods the package keeps without a caller of its own.
 UNCALLED_BY_DESIGN = {

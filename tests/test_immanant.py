@@ -24,6 +24,7 @@ from conftest import (
     zero_matrix,
 )
 import fixtures
+from kl_every_candidate import Oracle, pairs_of
 from kl_via_r import kl_table_via_r
 from klimm import exactmat
 from klimm.errors import (
@@ -192,22 +193,23 @@ def _per_w_definition(v, M, cache):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_defining_sum_counts_like_one_kl_at_call_per_w(n):
-    # Cold: each v on fresh caches, so every miss and hit of the walk
-    # shows, for the terms alone and for the sum.  Warm: the store holds
-    # the whole row, so each walk adds one hit per x < y and nothing else.
+    # Cold: each v on a fresh cache and a fresh oracle store, so every
+    # miss and hit of the walk shows, for the terms alone and for the sum.
+    # Warm: the store holds the whole row, so each walk adds one hit per
+    # x < y and nothing else.
     rng = random.Random(n)
     warm = KLCache(n)
     table = warm.table
     for v in symmetric_group(n):
         M = random_rational_matrix(n, rng)
-        fast, slow = KLCache(n), KLCache(n)
+        fast, slow = KLCache(n), Oracle(n)
         assert sorted(imm_terms(v, fast)) == sorted(per_w_terms(v, slow))
         assert fast.stats() == slow.stats()
-        assert fast._values == slow._values
-        fast, slow = KLCache(n), KLCache(n)
+        assert pairs_of(fast) == slow.values
+        fast, slow = KLCache(n), Oracle(n)
         assert imm_definition(v, M, fast) == _per_w_definition(v, M, slow)
         assert fast.stats() == slow.stats()
-        assert fast._values == slow._values
+        assert pairs_of(fast) == slow.values
         imm_definition(v, M, warm)
         y = len(table.perms) - 1 - table.index[v]
         for walk in (lambda: imm_terms(v, warm),

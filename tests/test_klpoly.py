@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kl_at_one, per_w_terms, store_holding
-from kl_every_candidate import kl_at_every_candidate
+from kl_every_candidate import (
+    Oracle,
+    kl_at_by_rows,
+    kl_at_every_candidate,
+    pairs_of,
+)
 from kl_via_r import (
     add,
     coeff,
@@ -26,6 +32,7 @@ from kl_via_r import (
     sub,
 )
 from klimm import perm
+from klimm.cli import main
 from klimm.errors import SizeGuardError, SizeMismatchError
 from klimm.grid import FORBIDDEN_PATTERNS
 from klimm.klpoly import (
@@ -42,7 +49,6 @@ from klimm.klpoly import (
 from klimm.perm import (
     avoids,
     bruhat_leq,
-    format_perm,
     identity,
     length,
     longest_element,
@@ -145,15 +151,16 @@ def test_prop31_kl_lookup_pattern_is_pinned(monkeypatch):
 
 def _agrees_with_the_every_candidate_oracle(n, queries):
     """
-    Run ``queries``, pairs of table positions, through ``kl_at`` and the
-    every-candidate oracle, each on a cold cache of its own: the values,
-    the counts after every query and the final stores must agree.
+    Run ``queries``, pairs of table positions, through ``kl_at`` on a
+    cold cache and through the every-candidate oracle on a cold store of
+    its own, which walks the whole row of y on a miss: the values, the
+    counts after every query and the final stores must agree.
     """
-    fast, slow = KLCache(n), KLCache(n)
+    fast, slow = KLCache(n), Oracle(n)
     for x, y in queries:
-        assert kl_at(fast, x, y) == kl_at_every_candidate(slow, x, y), (x, y)
+        assert kl_at(fast, x, y) == kl_at_by_rows(slow, x, y), (x, y)
         assert fast.stats() == slow.stats(), (x, y)
-    assert fast._values == slow._values
+    assert pairs_of(fast) == slow.values
     return fast
 
 
@@ -164,17 +171,27 @@ def test_kl_at_matches_the_every_candidate_oracle_on_all_pairs(n):
         n, [(x, y) for y in range(size) for x in range(size)])
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_kl_at_matches_the_every_candidate_oracle_in_shuffled_order(n):
+    # Pairs of long rows come early, so a fill finds some of the rows it
+    # reads stored already and fills the others itself.
+    size = len(perm.bruhat_table(n).perms)
+    queries = [(x, y) for y in range(size) for x in range(size)]
+    random.Random(n).shuffle(queries)
+    _agrees_with_the_every_candidate_oracle(n, queries)
+
+
 def test_kl_at_matches_the_every_candidate_oracle_in_prop31_order():
-    # The pairs a cold prop-3.1 run asks of S_6, in its order: for each
-    # avoider v, every x below y = w0 v, the row its defining sum walks.
-    table = perm.bruhat_table(6)
-    top = len(table.perms) - 1
-    queries = [(x, y) for y in (top - table.index[v]
-                                for v in _avoiders(6, FORBIDDEN_PATTERNS))
-               for x in perm.iter_bits(table.below[y])]
-    cache = _agrees_with_the_every_candidate_oracle(6, queries)
-    assert cache.stats() == {"n": 6, "entries": 43693, "hits": 224640,
-                             "misses": 43693}
+    # The rows a cold prop-3.1 run asks of S_6, in its order: for each
+    # avoider v, imm_terms reads the row of y = w0 v its defining sum
+    # needs, and the oracle walks every x below y, once per w.
+    fast, slow = KLCache(6), Oracle(6)
+    for v in _avoiders(6, FORBIDDEN_PATTERNS):
+        assert sorted(imm_terms(v, fast)) == sorted(per_w_terms(v, slow)), v
+        assert fast.stats() == slow.stats(), v
+    assert pairs_of(fast) == slow.values
+    assert fast.stats() == {"n": 6, "entries": 43693, "hits": 224640,
+                            "misses": 43693}
 
 
 @st.composite
@@ -203,26 +220,12 @@ def test_kl_at_matches_the_every_candidate_oracle_on_s7(queries):
     _agrees_with_the_every_candidate_oracle(7, queries)
 
 
-def _rows_from_the_store(cache):
-    """(known, mu) recomputed pair by pair from the store of ``cache``."""
-    perms = cache.table.perms
-    size = len(perms)
-    known, mu = [0] * size, [0] * size
-    for key, p in cache._values.items():
-        y, x = divmod(key, size)
-        known[y] |= 1 << x
-        gap = length(perms[y]) - length(perms[x])
-        if gap % 2 and coeff(p, (gap - 1) // 2) != 0:
-            mu[y] |= 1 << x
-    return known, mu
-
-
 def test_rows_follow_the_store_through_save_and_load(tmp_path):
-    # Rows are built from the store at a cache's first miss and kept up
-    # to date by kl_at; a loaded cache builds them from what it loaded.
-    # The halves are every other y, so each holds long y as well as short
-    # ones, and the loaded half holds the one value of S_5 whose mu sits
-    # past an inner zero (1 + q^2 at l(y) - l(x) = 5).
+    # A loaded row serves the fill as the row it was saved from: the fill
+    # reads its mu bits off its classes.  The halves are every other y,
+    # so each holds long y as well as short ones, and the loaded half
+    # holds the one value of S_5 whose mu sits past an inner zero (1 + q^2
+    # at l(y) - l(x) = 5).
     size = 120
     full = KLCache(5)
     for y in range(size):
@@ -232,18 +235,20 @@ def test_rows_follow_the_store_through_save_and_load(tmp_path):
     for y in range(0, size, 2):
         for x in range(size):
             kl_at(half, x, y)
-    assert half.rows == _rows_from_the_store(half)
     path = str(tmp_path / "kl.s5.json")
     half.save(path)
-    assert KLCache.load(path).rows == _rows_from_the_store(half)
+    assert KLCache.load(path)._rows == half._rows
+    lengths = half.table.lengths
+    assert any(p.coeffs == (1, 0, 1) and lengths[y] - lengths[x] == 5
+               for y, row in half._rows.items() for p, bits in row.items()
+               for x in perm.iter_bits(bits))
     rest = KLCache.load(path)
     for y in range(1, size, 2):
         for x in range(size):
             kl_at(rest, x, y)
-    assert rest._values == full._values
-    assert rest.rows == _rows_from_the_store(rest)
-    # A cache that only ever hits never builds them, through kl_at or
-    # through imm_terms, which reads each stored pair of a row once.
+    assert rest._rows == full._rows
+    # A cache that only ever hits counts one hit per pair, through kl_at
+    # or through imm_terms, which reads each stored row once.
     full.save(path)
     warm = KLCache.load(path)
     for y in range(size):
@@ -252,7 +257,6 @@ def test_rows_follow_the_store_through_save_and_load(tmp_path):
     for v in symmetric_group(5):
         imm_terms(v, warm)
     assert warm.misses == 0 and warm.hits == 2 * len(full)
-    assert "rows" not in vars(warm)
 
 
 def test_uncached_values_past_the_table_guard_are_rejected():
@@ -440,9 +444,11 @@ def test_recursion_reads_an_empty_stored_value_as_constant_term_0():
 def test_recursion_checks_a_stored_value_it_reuses(x):
     # P_{x,4132} has no q-term, so no mu-term either: it is the stored
     # P_{1234,1432} (x or x s_1 is 1234).  A corrupt 1 - q there meets
-    # the degree bound of both pairs; its sign must still be seen.
+    # the degree bound of both pairs; its sign must still be seen.  Either
+    # pair fills the whole row of 4132, which names its lowest offending
+    # x, 1234.
     cache = store_holding(4, {((1, 2, 3, 4), (1, 4, 3, 2)): [1, -1]})
-    message = f"negative coefficient in P_{format_perm(x)},4132"
+    message = "negative coefficient in P_1234,4132"
     with pytest.raises(ArithmeticError, match=message):
         kl_polynomial(x, (4, 1, 3, 2), cache)
 
@@ -506,13 +512,13 @@ def test_recursion_rejects_a_corrupt_term_read_inline(corrupt, x, y, message):
         kl_polynomial(x, y, cache)
 
 
-def _walk_in_ascending_x(v, cache):
-    """The row of y = w0 v pair by pair: one kl_at per x below y, in
-    the ascending order of imm_terms's walk."""
-    table = cache.table
+def _walk_in_ascending_x(v, oracle):
+    """The row of y = w0 v pair by pair: one oracle call per x below y,
+    in ascending x."""
+    table = oracle.table
     y = len(table.perms) - 1 - table.index[v]
     for x in perm.iter_bits(table.below[y]):
-        kl_at(cache, x, y)
+        kl_at_every_candidate(oracle, x, y)
 
 
 def _raised(call, v, cache):
@@ -534,9 +540,9 @@ def test_row_fill_raises_the_recursion_error_for_a_corrupt_dependency(
     # for every y of S_4 (s its first descent): one pair at a time, and
     # the whole row at once, where several parts fail and the lowest x
     # must be named.  imm_terms, which fills the empty row of y, raises
-    # what the recursion raises pair by pair, in ascending x, or passes
-    # where it passes (a q-term with a corrupt constant term can still
-    # make a KL polynomial).
+    # what the every-candidate oracle raises pair by pair, in ascending
+    # x, on the same rows, or passes where it passes (a q-term with a
+    # corrupt constant term can still make a KL polynomial).
     table = perm.bruhat_table(4)
     top, raised = len(table.perms) - 1, []
     for v in table.perms[:-1]:
@@ -546,9 +552,11 @@ def test_row_fill_raises_the_recursion_error_for_a_corrupt_dependency(
         for pairs in [[u] for u in row] + [row]:
             entries = {(table.perms[u], table.perms[ys]): corrupt
                        for u in pairs}
-            error = _raised(imm_terms, v, store_holding(4, entries))
-            assert error == _raised(_walk_in_ascending_x, v,
-                                    store_holding(4, entries)), (v, pairs)
+            cache = store_holding(4, entries)
+            oracle = Oracle(4, pairs_of(cache))
+            error = _raised(imm_terms, v, cache)
+            assert error == _raised(_walk_in_ascending_x, v, oracle), (v,
+                                                                      pairs)
             raised.append(error)
     assert any(message in error for error in raised if error)
 
@@ -572,39 +580,38 @@ def kl_calls(draw, n):
                          max_size=4 if n > 5 else 10))
 
 
-def _loaded_twice(n, warm_up, share, rng):
+def _loaded_with_its_oracle(n, warm_up, share, rng):
     """
-    Two caches loaded from one file of partial rows: a random share of
-    the pairs that the kl_at calls ``warm_up`` stored.
+    A cache loaded from a file of a random share of the whole rows that
+    the kl_at calls ``warm_up`` stored, and an oracle holding the same.
     """
     source = KLCache(n)
     for _, x, y in warm_up:
         kl_at(source, x, y)
     part = KLCache(n)
-    part._values.update(item for item in source._values.items()
-                        if rng.random() < share)
+    part._rows.update(item for item in source._rows.items()
+                      if rng.random() < share)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"kl.s{n}.json")
         part.save(path)
-        return KLCache.load(path), KLCache.load(path)
+        return KLCache.load(path), Oracle(n, pairs_of(part))
 
 
 def _agrees_with_the_per_pair_path(fast, slow, calls):
     """
-    ``calls`` through kl_at and imm_terms on ``fast``, and through kl_at
-    and one kl_at per w on ``slow``: values, counts after every call,
-    stores and rows must agree.
+    ``calls`` through kl_at and imm_terms on ``fast``, and through the
+    oracle on ``slow``, one call per w for a row: values, counts after
+    every call and stores must agree.
     """
     for call in calls:
         if call[0] == "pair":
-            assert kl_at(fast, *call[1:]) == kl_at(slow, *call[1:]), call
+            assert kl_at(fast, *call[1:]) == kl_at_by_rows(slow, *call[1:]), \
+                call
         else:
             assert (sorted(imm_terms(call[1], fast))
                     == sorted(per_w_terms(call[1], slow))), call
         assert fast.stats() == slow.stats(), call
-    assert fast._values == slow._values
-    assert ("rows" in vars(fast)) == ("rows" in vars(slow))
-    assert fast.rows == slow.rows
+    assert pairs_of(fast) == slow.values
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,9 +621,9 @@ def test_row_fill_counts_like_the_per_pair_path(data, n, loaded, share, rng):
     calls = data.draw(kl_calls(n))
     if loaded:
         warm_up = [c for c in data.draw(kl_calls(n)) if c[0] == "pair"]
-        fast, slow = _loaded_twice(n, warm_up, share, rng)
+        fast, slow = _loaded_with_its_oracle(n, warm_up, share, rng)
     else:
-        fast, slow = KLCache(n), KLCache(n)
+        fast, slow = KLCache(n), Oracle(n)
     _agrees_with_the_per_pair_path(fast, slow, calls)
 
 
@@ -628,15 +635,16 @@ def test_row_fill_counts_like_the_per_pair_path_on_s6(data, loaded, share,
     calls = data.draw(kl_calls(6))
     if loaded:
         warm_up = [c for c in data.draw(kl_calls(6)) if c[0] == "pair"]
-        fast, slow = _loaded_twice(6, warm_up, share, rng)
+        fast, slow = _loaded_with_its_oracle(6, warm_up, share, rng)
     else:
-        fast, slow = KLCache(6), KLCache(6)
+        fast, slow = KLCache(6), Oracle(6)
     _agrees_with_the_per_pair_path(fast, slow, calls)
 
 
 def test_cold_rows_of_every_s7_avoider_are_pinned(tmp_path):
-    # Pinned from one kl_at per pair of each row, in ascending x: the row
-    # fill must store, count and save exactly what it stored and counted.
+    # Pinned from the pair-by-pair recursion walking each row in
+    # ascending x: the row fill must store, count and save exactly what
+    # it stored and counted.
     cache = KLCache(7)
     for v in _avoiders(7, FORBIDDEN_PATTERNS):
         imm_terms(v, cache)
@@ -702,36 +710,40 @@ def test_cold_s5_cache_round_trips_exactly(tmp_path):
     assert loaded.misses == 0
 
 
-@functools.lru_cache(maxsize=None)
-def _cold_store(n):
-    """The store of a cold cache asked for every pair of S_n."""
-    cache = KLCache(n)
-    size = len(cache.table.perms)
-    for y in range(size):
-        for x in range(size):
-            kl_at(cache, x, y)
-    return tuple(cache._values.items())
+@pytest.fixture(scope="module")
+def cold_rows():
+    """The rows of a cold cache asked for every pair of S_n, n = 4 and 5,
+    built once before any example runs."""
+    rows = {}
+    for n in (4, 5):
+        cache = KLCache(n)
+        size = len(cache.table.perms)
+        for y in range(size):
+            for x in range(size):
+                kl_at(cache, x, y)
+        rows[n] = tuple(cache._rows.items())
+    return rows
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([4, 5]), share=st.floats(0, 1),
        rng=st.randoms(use_true_random=False))
-def test_save_and_load_round_trip_any_sub_store(n, share, rng):
-    # A random share of a cold store, inserted in random order: load gives
-    # back the same pairs and values, and the bytes depend on the pairs
-    # alone, not on the order the store holds them in.
-    items = [item for item in _cold_store(n) if rng.random() < share]
+def test_save_and_load_round_trip_any_sub_store(cold_rows, n, share, rng):
+    # A random share of the whole rows of a cold store, inserted in random
+    # order: load gives back the same rows, and the bytes depend on the
+    # rows alone, not on the order the store holds them in.
+    items = [item for item in cold_rows[n] if rng.random() < share]
     rng.shuffle(items)
     cache = KLCache(n)
-    cache._values.update(items)
+    cache._rows.update(items)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = (os.path.join(tmp, f"{name}.s{n}.json")
                          for name in "ab")
         cache.save(first)
         loaded = KLCache.load(first)
-        assert loaded._values == cache._values
+        assert loaded._rows == cache._rows
         in_order = KLCache(n)
-        in_order._values.update(sorted(items))
+        in_order._rows.update(sorted(items, key=lambda item: item[0]))
         in_order.save(second)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
@@ -875,13 +887,12 @@ def test_cache_load_refuses_a_pair_in_two_classes(tmp_path):
     # P_{1234,3412} = 1 + q; the file also puts 1234 in the class of 1 in
     # the same row, so the pair would take whichever class came last.
     path = tmp_path / "kl.s4.json"
-    store_holding(4, _entries({"1234|3412": [1, 1], "1324|3412": [1, 1],
-                               "1243|3412": [1]})).save(str(path))
+    store_holding(4, _entries({"1234|3412": [1, 1]})).save(str(path))
     doc = json.loads(path.read_text())
+    row = doc["rows"]["3412"]
     assert doc["values"] == [[1], [1, 1]]
-    assert doc["rows"]["3412"] == {"0": _bitset("1243"),
-                                   "1": _bitset("1234", "1324")}
-    doc["rows"]["3412"]["0"] = _bitset("1243", "1234")
+    assert row["1"] == _bitset("1234", "1324")
+    row["0"] = format(int(row["0"], 16) | int(_bitset("1234"), 16), "x")
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(
             f"cache entry 1234|3412 in {path} sits in two classes")):
@@ -896,14 +907,46 @@ def test_cache_load_names_the_entry_with_bad_coefficients(tmp_path, bad):
     # so is every other row, so the check must name the one entry in the
     # bad value's class.
     path = tmp_path / "kl.s4.json"
-    store_holding(4, _entries({"1234|2143": [1], "1324|3412": [1, 1],
+    store_holding(4, _entries({"1234|2143": [1], "1324|4321": [1, 1],
                                "1234|4321": [1, 2]})).save(str(path))
     doc = json.loads(path.read_text())
     assert doc["values"] == [[1], [1, 1], [1, 2]]
     doc["values"][1] = bad
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"cache entry 1324\|3412 "):
+    with pytest.raises(ValueError, match=r"cache entry 1324\|4321 "):
         KLCache.load(str(path))
+
+
+# What `klimm kl 1324 3412 --kl-cache kl.json` wrote for S_4 while the
+# recursion stored pairs one at a time: the rows of 1342, 3142 and 3412
+# hold only the pairs that one query needed.
+PARTIAL_ROWS_S4 = _format2(4, [[1], [1, 1]], {
+    "1324": {"0": "1"}, "1342": {"0": "5"}, "3142": {"0": "5"},
+    "3412": {"1": "4"}})
+
+
+def test_load_and_the_cli_refuse_a_partial_row(tmp_path, capsys):
+    # The engine reads and stores whole rows only, so a row missing a pair
+    # has no class to answer it from; the file is refused, not
+    # mis-answered, and deleting it, as the hint says, lets the next run
+    # rebuild it.
+    path, base = tmp_path / "kl.s4.json", str(tmp_path / "kl.json")
+    path.write_text(json.dumps(PARTIAL_ROWS_S4))
+    hint = (f"cache row 1342 in {path} is not a whole row: delete the file "
+            "and the next run rebuilds it")
+    with pytest.raises(ValueError, match=re.escape(hint)):
+        KLCache.load(str(path))
+    before = path.read_bytes()
+    assert main(["kl", "1324", "3412", "--kl-cache", base]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {hint}\n"
+    assert path.read_bytes() == before
+    path.unlink()
+    assert main(["kl", "1324", "3412", "--kl-cache", base]) == 0
+    assert capsys.readouterr().out.startswith("1 + q\n")
+    cold = KLCache(4)
+    kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2), cold)
+    assert KLCache.load(str(path))._rows == cold._rows
 
 
 def test_registry_rejects_a_file_named_for_another_size(tmp_path):

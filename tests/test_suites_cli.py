@@ -915,7 +915,7 @@ def test_prop31_cache_files_decode_to_the_cold_store(tmp_path, capsys):
             continue
         loaded = KLCache.load(str(path))
         assert len(loaded) == len(cold) > 0
-        assert loaded._values == cold._values
+        assert loaded._rows == cold._rows
 
 
 # SHA-256 of the random draws of the two rational suites, in suite order,
