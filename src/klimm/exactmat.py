@@ -1,10 +1,13 @@
 """
 Exact rational matrices and the minor machinery built on them.
 
-Entries are :class:`fractions.Fraction`, so every sign decision in the
-positivity tests is exact.  Determinants go through fraction-free
-Bareiss elimination on integers after clearing denominators, which keeps
-intermediate growth polynomial.  k-positivity needs only the solid minors
+A matrix is its cleared integer rows: each row times the lcm of its
+reduced denominators, and those multipliers.  Its entries, as
+:class:`fractions.Fraction`, are built only when something asks for
+them.  Every reader works on the integer rows, so every sign decision in
+the positivity tests is exact.  Determinants go through fraction-free
+Bareiss elimination on those integers, which keeps intermediate growth
+polynomial.  k-positivity needs only the solid minors
 (Fekete's criterion), which Dodgson condensation builds from Lewis
 Carroll's identity.  The 0 x 0 determinant is 1; the
 two-rows-two-columns-removed form of Lewis Carroll's identity at n = 2
@@ -24,33 +27,96 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .grid import Grid
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix of Fractions; entry access is 1-indexed."""
+def _rectangular(rows: Iterable[Iterable]) -> tuple[tuple, ...]:
+    """The rows as tuples; ShapeError unless they all have one length."""
+    rows = tuple(map(tuple, rows))
+    if len(set(map(len, rows))) > 1:
+        raise ShapeError(f"matrix rows have unequal lengths "
+                         f"{[len(row) for row in rows]}")
+    return rows
 
-    entries: tuple[tuple[Fraction, ...], ...]
+
+@dataclass(frozen=True, init=False, repr=False)
+class Matrix:
+    """
+    Immutable dense rational matrix; entry access is 1-indexed.  Its state
+    is ``cleared``: each row times the lcm of its reduced denominators,
+    and those multipliers, so each row's multiplier is the least that
+    makes it integral and ``==`` and ``hash`` compare that canonical form.
+    ``Matrix(entries)`` takes rows of ints and Fractions, and keeps them
+    as ``entries`` when they are all Fractions; otherwise, and for
+    :meth:`from_cleared`, which takes integer rows and multipliers,
+    ``entries`` is built only when something reads it.
+    """
+
+    cleared: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+    def __init__(self, entries: Iterable[Iterable[Fraction | int]]) -> None:
+        rows = _rectangular(entries)
+        # By type, not by value: True equals 1 and 0.5 is no Fraction.
+        kinds = {type(x) for row in rows for x in row}
+        if not kinds <= {int, Fraction}:
+            raise ValueError("matrix entries must be ints or Fractions")
+        denoms = tuple(lcm(*(x.denominator for x in row)) for row in rows)
+        object.__setattr__(self, "cleared", (
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                  for row, d in zip(rows, denoms)), denoms))
+        if int not in kinds:  # already the Fraction view
+            self.__dict__["entries"] = rows
+
+    @classmethod
+    def from_cleared(cls, rows: Iterable[Iterable[int]],
+                     multipliers: Iterable[int]) -> "Matrix":
+        """
+        The matrix whose row i is rows[i] / multipliers[i], each row
+        divided by its gcd with its multiplier.
+
+        >>> Matrix.from_cleared([[2, 4], [3, 0]], [6, 1]) == Matrix(
+        ...     ((Fraction(1, 3), Fraction(2, 3)), (Fraction(3), Fraction(0))))
+        True
+        """
+        rows, multipliers = _rectangular(rows), tuple(multipliers)
+        if len(multipliers) != len(rows):
+            raise ShapeError(f"{len(rows)} rows but {len(multipliers)} "
+                             f"multipliers")
+        if not {type(x) for row in rows for x in row} <= {int}:
+            raise ValueError("cleared rows must hold ints only")
+        if not all(type(d) is int and d > 0 for d in multipliers):
+            raise ValueError(f"multipliers {multipliers} are not all "
+                             f"positive ints")
+        gcds = [gcd(d, *row) for row, d in zip(rows, multipliers)]
+        M = cls.__new__(cls)
+        object.__setattr__(M, "cleared", (
+            tuple(row if g == 1 else tuple(x // g for x in row)
+                  for row, g in zip(rows, gcds)),
+            tuple(d // g for d, g in zip(multipliers, gcds))))
+        return M
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built from the cleared rows once."""
+        rows, denoms = self.cleared
+        return tuple(tuple(Fraction(x, d) for x in row)
+                     for row, d in zip(rows, denoms))
+
+    def __repr__(self) -> str:
+        return f"Matrix(entries={self.entries!r})"
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.cleared[0])
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @cached_property
-    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Each row times the lcm of its denominators, and those multipliers."""
-        denoms = tuple(lcm(*(x.denominator for x in r)) for r in self.entries)
-        return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                     for row, d in zip(self.entries, denoms)), denoms
+        rows = self.cleared[0]
+        return len(rows[0]) if rows else 0
 
     def to_doc(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,

@@ -96,10 +96,10 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
     v = tuple(v)  # validated, with the cache, by imm_terms from n = 2 on
     n = len(v)
     _require_square(M, n)
+    rows, denoms = M.cleared
     if n < 2:  # one term, w = v, whose KL value is 1
         cache_for(cache, as_perm(v))
-        return Fraction(M.entries[0][0] if n else 1)
-    rows, denoms = M.cleared
+        return Fraction(rows[0][0] if n else 1, prod(denoms))
     flat = [entry for row in rows for entry in row]
     getters = _monomial_getters(n)
     return Fraction(sum(c * prod(getters[k](flat))

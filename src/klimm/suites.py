@@ -25,8 +25,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterator
 
 from .errors import PreconditionError
@@ -159,18 +159,26 @@ def _case_rng(seed: int, suite: str, key: str) -> random.Random:
 def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
     # Each entry draws what Fraction(randint(-999, 999), randint(1, 50))
     # draws: randrange(k) takes k.bit_length() bits until they fall below
-    # k, so this is the same stream with fewer steps around it.
-    bits, entries = rng.getrandbits, []
-    for _ in range(n * n):
-        num = bits(11)
-        while num >= 1999:
+    # k, so this is the same stream with fewer steps around it.  Each row
+    # is cleared straight from its drawn numerators and denominators, over
+    # the lcm of the latter, and Matrix.from_cleared reduces it by its gcd
+    # with that lcm: no Fraction is made.
+    bits, rows, multipliers = rng.getrandbits, [], []
+    for _ in range(n):
+        nums, dens = [], []
+        for _ in range(n):
             num = bits(11)
-        den = bits(6)
-        while den >= 50:
+            while num >= 1999:
+                num = bits(11)
             den = bits(6)
-        entries.append(Fraction(num - 999, den + 1))
-    return Matrix(tuple(tuple(entries[i:i + n])
-                        for i in range(0, n * n, n)))
+            while den >= 50:
+                den = bits(6)
+            nums.append(num - 999)
+            dens.append(den + 1)
+        d = lcm(*dens)
+        rows.append([a * (d // b) for a, b in zip(nums, dens)])
+        multipliers.append(d)
+    return Matrix.from_cleared(rows, multipliers)
 
 
 def _k_positive_samples(m: int, k: int, tag: str, count: int,

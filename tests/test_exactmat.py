@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -162,6 +163,80 @@ def test_cleared_form_is_left_alone_by_every_reader():
         imm_definition(v, M)
         assert M.cleared == _lcm_scaled(M)
         assert det(M) == _cofactor_det(M)
+
+
+def _from_its_cleared_rows(M: Matrix, factor: int = 1) -> Matrix:
+    rows, denoms = M.cleared
+    return Matrix.from_cleared([[x * factor for x in row] for row in rows],
+                               [d * factor for d in denoms])
+
+
+@pytest.mark.parametrize("name", ["0x0"] + sorted(EDGE_MATRICES))
+@pytest.mark.parametrize("factor", [1, 6])
+def test_both_constructors_give_one_matrix(name, factor):
+    M = Matrix(()) if name == "0x0" else EDGE_MATRICES[name]
+    N = _from_its_cleared_rows(M, factor)
+    assert (N.rows, N.cols) == (M.rows, M.cols)
+    assert "entries" not in vars(N)  # rows and cols read the cleared rows
+    assert N == M and hash(N) == hash(M) and N.cleared == M.cleared
+    assert repr(N) == repr(M) and N.entries == M.entries
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-60, 60), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.integers(1, 60), min_size=n, max_size=n))))
+@settings(max_examples=100, deadline=None)
+def test_from_cleared_divides_each_row_by_its_multiplier(rows_and_multipliers):
+    rows, multipliers = rows_and_multipliers
+    M = Matrix.from_cleared(rows, multipliers)
+    expected = Matrix(tuple(tuple(Fraction(x, d) for x in row)
+                            for row, d in zip(rows, multipliers)))
+    assert M == expected and hash(M) == hash(expected)
+    assert M.cleared == expected.cleared == _lcm_scaled(expected)
+
+
+def test_matrix_is_frozen():
+    M = _from_its_cleared_rows(EDGE_MATRICES["zero-row"])
+    for name in ("cleared", "entries", "rows"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(M, name, None)
+    assert M == EDGE_MATRICES["zero-row"]
+
+
+RAGGED = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4), Fraction(5)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(RAGGED),
+    lambda: Matrix.from_cleared([[1, 2], [3, 4, 5]], [1, 1]),
+    lambda: Matrix.from_cleared([[1, 2], [3, 4]], [1]),
+], ids=["entries", "cleared", "multipliers"])
+def test_ragged_rows_are_rejected(build):
+    # A shape read off row 0 alone would pass this as 2 x 2 and give it
+    # det 5, positivity order 1 and an immanant of -2.
+    with pytest.raises(ShapeError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(((1, 0.5), (0, 1))),
+    lambda: Matrix(((True, 0), (0, 1))),
+    lambda: Matrix((("1", 0), (0, 1))),
+    lambda: Matrix.from_cleared([[1, Fraction(1, 2)], [0, 1]], [1, 1]),
+    lambda: Matrix.from_cleared([[1, True], [0, 1]], [1, 1]),
+    lambda: Matrix.from_cleared([[1, 2.0], [0, 1]], [1, 1]),
+], ids=["float", "bool", "str", "cleared-fraction", "cleared-bool",
+        "cleared-float"])
+def test_entries_that_are_not_ints_or_fractions_are_rejected(build):
+    with pytest.raises(ValueError, match="ints"):
+        build()
+
+
+@pytest.mark.parametrize("multiplier", [0, -2, True, 2.0, Fraction(2)])
+def test_multipliers_that_are_not_positive_ints_are_rejected(multiplier):
+    with pytest.raises(ValueError, match="positive ints"):
+        Matrix.from_cleared([[1, 2], [3, 4]], [1, multiplier])
 
 
 def test_repeat_submatrix_examples():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import warnings
 from collections import Counter
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from conftest import store_holding
+from conftest import random_rational_matrix, store_holding
 from kl_via_r import kl_table_via_r
 from klimm import grid, immanant, klpoly, perm, suites
 from klimm.cli import main
@@ -943,6 +944,44 @@ def test_prop31_draws_match_pinned_digest(monkeypatch):
     assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
     assert len(drawn) == 485
     assert _sha256_of_json([M.to_doc() for M in drawn]) == PROP31_DRAWS_DIGEST
+
+
+@given(st.integers(0, 7), st.integers(0, 2**64))
+@settings(max_examples=60, deadline=None)
+def test_draw_matches_the_randint_reference(n, seed):
+    # prop-3.2 draws its indices from the same generator after the matrix.
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    M = suites._random_rational_matrix(n, rng)
+    reference = random_rational_matrix(n, reference_rng)
+    assert rng.getstate() == reference_rng.getstate()
+    assert M == reference and hash(M) == hash(reference)
+    assert M.cleared == reference.cleared
+    assert M.entries == reference.entries
+    assert M.to_doc() == reference.to_doc()
+
+
+def test_prop31_draws_build_no_entries_until_a_case_fails(monkeypatch):
+    drawn = []
+    draw = suites._random_rational_matrix
+
+    def recording(n, rng):
+        drawn.append(draw(n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(suites, "_random_rational_matrix", recording)
+    config = Config(max_n=5, samples=1)
+    assert run_suite("prop-3.1", config).ok
+    assert drawn and not any("entries" in vars(M) for M in drawn)
+
+    determinantal = suites.imm_determinantal
+    monkeypatch.setattr(suites, "imm_determinantal",
+                        lambda v, M: determinantal(v, M) + 1)
+    report = run_suite("prop-3.1", config)
+    assert len(report.counterexamples) == report.cases_run == len(drawn) // 2
+    for witness in report.counterexamples:
+        rng = suites._case_rng(config.seed, "prop-3.1", witness["case"])
+        reference = random_rational_matrix(len(witness["v"]), rng)
+        assert witness["matrix"] == reference.to_doc()
 
 
 def test_prop32_draws_match_pinned_digest(monkeypatch):
