@@ -13,7 +13,6 @@ from .errors import (
 )
 from .exactmat import (
     Matrix,
-    antidiagonal_transpose,
     det,
     gen_k_positive_not_higher,
     gen_totally_positive,

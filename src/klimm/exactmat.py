@@ -2,24 +2,25 @@
 Exact rational matrices and the minor machinery built on them.
 
 A matrix is its cleared integer rows: each row times the lcm of its
-reduced denominators, and those multipliers.  Its entries, as
-:class:`fractions.Fraction`, are built only when something asks for
-them.  Every reader works on the integer rows, so every sign decision in
-the positivity tests is exact.  Determinants go through fraction-free
-Bareiss elimination on those integers, which keeps intermediate growth
-polynomial.  k-positivity needs only the solid minors
-(Fekete's criterion), which Dodgson condensation builds from Lewis
-Carroll's identity.  The 0 x 0 determinant is 1; the
-two-rows-two-columns-removed form of Lewis Carroll's identity at n = 2
-needs exactly that convention.
+reduced denominators, and those multipliers.  Every constructor, every
+transform and every reader works on those rows, so every sign decision
+in the positivity tests is exact; :class:`fractions.Fraction` appears
+only for the entries of a document and for determinant values.
+Determinants go through fraction-free Bareiss elimination on those
+integers, which keeps intermediate growth polynomial.  k-positivity
+needs only the solid minors (Fekete's criterion), which Dodgson
+condensation builds from Lewis Carroll's identity.  The 0 x 0
+determinant is 1; the two-rows-two-columns-removed form of Lewis
+Carroll's identity at n = 2 needs exactly that convention.
 
 Generators take explicit seeds and are deterministic given their
 arguments.  Total positivity is produced constructively from a product
 of elementary lower bidiagonal factors, a positive diagonal, and
 elementary upper bidiagonal factors along reduced words of the longest
-permutation, each applied as one row or column operation.  A matrix that
-is k-positive but not (k+1)-positive is built in one step by lowering a
-corner of a totally positive one.  Every generated matrix is verified.
+permutation, each applied as one row or column operation on integer
+rows.  A matrix that is k-positive but not (k+1)-positive is built in
+one step by lowering a corner of a totally positive one.  Every
+generated matrix is verified.
 """
 from __future__ import annotations
 
@@ -51,9 +52,9 @@ class Matrix:
     and those multipliers, so each row's multiplier is the least that
     makes it integral and ``==`` and ``hash`` compare that canonical form.
     ``Matrix(entries)`` takes rows of ints and Fractions, and keeps them
-    as ``entries`` when they are all Fractions; otherwise, and for
-    :meth:`from_cleared`, which takes integer rows and multipliers,
-    ``entries`` is built only when something reads it.
+    as ``entries`` when they are all Fractions; for :meth:`from_cleared`,
+    which takes integer rows and multipliers and builds every transform
+    here, ``entries`` is built only when something reads it.
     """
 
     cleared: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
@@ -224,27 +225,25 @@ def deleted_det(M: Matrix, gone_rows: Iterable[int],
                  every - _index_set(gone_cols))
 
 
-def restrict(M: Matrix, P: Grid) -> Matrix:
-    """Zero out every entry outside the grid."""
-    n = _require_square(M)
-    if P.n != n:
-        raise ShapeError(f"grid size {P.n} does not match matrix size {n}")
-    zero = Fraction(0)
-    return Matrix(tuple(
-        tuple(M.entries[i - 1][j - 1] if P.has_cell(i, j) else zero
-              for j in range(1, n + 1))
-        for i in range(1, n + 1)))
-
-
-def _restricted_det(M: Matrix, P: Grid) -> Fraction:
-    """det(restrict(M, P)), zeroing the cells outside P on M's integer rows."""
+def _cut(M: Matrix, P: Grid) -> tuple[list[list[int]], tuple[int, ...]]:
+    """M's cleared rows, zeroed outside the grid, and their multipliers."""
     n = _require_square(M)
     if P.n != n:
         raise ShapeError(f"grid size {P.n} does not match matrix size {n}")
     int_rows, denoms = M.cleared
-    return Fraction(_bareiss_int_det(
-        [[x if mask >> j & 1 else 0 for j, x in enumerate(row, 1)]
-         for row, mask in zip(int_rows, P.rows)]), prod(denoms))
+    return [[x if mask >> j & 1 else 0 for j, x in enumerate(row, 1)]
+            for row, mask in zip(int_rows, P.rows)], denoms
+
+
+def restrict(M: Matrix, P: Grid) -> Matrix:
+    """Zero out every entry outside the grid."""
+    return Matrix.from_cleared(*_cut(M, P))
+
+
+def _restricted_det(M: Matrix, P: Grid) -> Fraction:
+    """det(restrict(M, P)), eliminating on the cut integer rows."""
+    int_rows, denoms = _cut(M, P)
+    return Fraction(_bareiss_int_det(int_rows), prod(denoms))
 
 
 def repeat_submatrix(M: Matrix, R: Sequence[int], C: Sequence[int]) -> Matrix:
@@ -260,7 +259,10 @@ def repeat_submatrix(M: Matrix, R: Sequence[int], C: Sequence[int]) -> Matrix:
         raise IndexError(f"row labels {tuple(R)} out of range [1, {M.rows}]")
     if any(not 1 <= c <= M.cols for c in C):
         raise IndexError(f"column labels {tuple(C)} out of range [1, {M.cols}]")
-    return Matrix(tuple(tuple(M.entries[r - 1][c - 1] for c in C) for r in R))
+    int_rows, denoms = M.cleared
+    return Matrix.from_cleared(
+        [[int_rows[r - 1][c - 1] for c in C] for r in R],
+        [denoms[r - 1] for r in R])
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -329,20 +331,25 @@ def gen_totally_positive(n: int, seed: int) -> Matrix:
         raise ValueError("n must be at least 1")
     rng = random.Random(f"tp:{n}:{seed}")
 
-    def parameter() -> Fraction:
-        return Fraction(rng.randint(1, 8), rng.randint(1, 8))
+    def parameter() -> tuple[int, int]:  # the parameter a / b
+        return rng.randint(1, 8), rng.randint(1, 8)
 
-    rows = [[parameter() if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
+    # Row i is rows[i] / denoms[i], in integers throughout.
+    rows, denoms = [[0] * n for _ in range(n)], [1] * n
+    for i in range(n):
+        rows[i][i], denoms[i] = parameter()
     # Each elementary factor as one row (left) or column (right) operation.
     for i in _longest_word(n):
-        t = parameter()
-        rows[i] = [a + t * b for a, b in zip(rows[i], rows[i - 1])]
+        (a, b), d, e = parameter(), denoms[i], denoms[i - 1]
+        rows[i] = [x * b * e + a * d * y for x, y in zip(rows[i], rows[i - 1])]
+        denoms[i] = b * d * e
     for i in reversed(_longest_word(n)):
-        t = parameter()
-        for row in rows:
-            row[i] += t * row[i - 1]
-    M = Matrix(tuple(map(tuple, rows)))
+        a, b = parameter()
+        for r, row in enumerate(rows):  # row keeps the unscaled entries
+            rows[r] = [x * b for x in row]
+            rows[r][i] += a * row[i - 1]
+        denoms = [d * b for d in denoms]
+    M = Matrix.from_cleared(rows, denoms)
     if positivity_order(M) != n:
         raise ArithmeticError("generated matrix failed total positivity check")
     return M
@@ -355,24 +362,27 @@ def gen_k_positive_not_higher(n: int, k: int, seed: int) -> Matrix:
     Carroll's identity gives r_1 > ... > r_n > 0.  Lowering m11 by delta
     makes det M[1..s] = det M[2..s] (r_s - delta) and keeps every other
     solid minor, so delta strictly between r_{k+1} and r_k gives order k
-    (Fekete).  Corner (n, n), drawn as often, goes the same way through
-    the antidiagonal transpose.  The result is verified exactly.
+    (Fekete).  Corner (n, n), drawn as often, is lowered in place by
+    r_s = det M[n-s+1..n] / det M[n-s+1..n-1].  The result is verified.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     rng = random.Random(f"kpos:{n}:{k}:{seed}")
     M = gen_totally_positive(n, seed=rng.randint(0, 2**30))
-    far_corner = rng.randrange(2)
-    if far_corner:
-        M = antidiagonal_transpose(M)
-    high, low = (minor(M, range(1, s + 1), range(1, s + 1))  # r_k, r_{k+1}
-                 / minor(M, range(2, s + 1), range(2, s + 1))
-                 for s in (k, k + 1))
-    rows = [list(row) for row in M.entries]
-    rows[0][0] -= low + (high - low) * Fraction(rng.randint(1, 99), 100)
-    C = Matrix(tuple(map(tuple, rows)))
-    if far_corner:
-        C = antidiagonal_transpose(C)
+    corner = n - 1 if rng.randrange(2) else 0
+
+    def ratio(s: int) -> Fraction:  # r_s at the corner
+        solid = range(n - s + 1, n + 1) if corner else range(1, s + 1)
+        inner = solid[:-1] if corner else solid[1:]
+        return minor(M, solid, solid) / minor(M, inner, inner)
+
+    high, low = ratio(k), ratio(k + 1)
+    delta = low + (high - low) * Fraction(rng.randint(1, 99), 100)
+    rows, denoms = map(list, M.cleared)
+    row = [x * delta.denominator for x in rows[corner]]
+    row[corner] -= delta.numerator * denoms[corner]
+    rows[corner], denoms[corner] = row, denoms[corner] * delta.denominator
+    C = Matrix.from_cleared(rows, denoms)
     if positivity_order(C) != k:
         raise ArithmeticError("constructed matrix has the wrong order")
     return C
@@ -394,15 +404,3 @@ def lewis_carroll_residual(M: Matrix, a: int, a2: int,
     right = (deleted_det(M, {a}, {b}) * deleted_det(M, {a2}, {b2})
              - deleted_det(M, {a}, {b2}) * deleted_det(M, {a2}, {b}))
     return left - right
-
-
-def antidiagonal_transpose(M: Matrix) -> Matrix:
-    """
-    Reflect across the antidiagonal (conjugate the transpose by the
-    reversal permutation matrix).  Preserves the determinant, every minor
-    up to relabeling, and hence k-positivity for every k.
-    """
-    n = _require_square(M)
-    return Matrix(tuple(
-        tuple(M.entries[n - 1 - j][n - 1 - i] for j in range(n))
-        for i in range(n)))

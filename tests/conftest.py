@@ -1,11 +1,19 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from kl_every_candidate import kl_at_every_candidate
-from klimm.exactmat import Matrix
+from klimm.errors import ShapeError
+from klimm.exactmat import (
+    Matrix,
+    _require_square,
+    gen_totally_positive,
+    minor,
+    positivity_order,
+)
 from klimm.grid import Grid
 from klimm.klpoly import ONE, IntPolynomial, KLCache, kl_at, kl_polynomial
 from klimm.perm import iter_bits
@@ -132,6 +140,82 @@ def random_rational_matrix(n: int, rng: random.Random,
     return from_rows(
         [[Fraction(rng.randint(-span, span), rng.randint(1, den))
           for _ in range(n)] for _ in range(n)])
+
+
+def antidiagonal_transpose(M: Matrix) -> Matrix:
+    """
+    Reflect across the antidiagonal (conjugate the transpose by the
+    reversal permutation matrix).  Preserves the determinant, every minor
+    up to relabeling, and hence k-positivity for every k.
+    """
+    n = _require_square(M)
+    return Matrix(tuple(
+        tuple(M.entries[n - 1 - j][n - 1 - i] for j in range(n))
+        for i in range(n)))
+
+
+# The Fraction versions of three exactmat functions, each of which now
+# works on cleared integer rows: the oracles those must equal.  Each
+# builds every entry as a Fraction and clears the result again.
+
+
+def fraction_restrict(M: Matrix, P: Grid) -> Matrix:
+    """Zero out every entry outside the grid."""
+    n = _require_square(M)
+    if P.n != n:
+        raise ShapeError(f"grid size {P.n} does not match matrix size {n}")
+    zero = Fraction(0)
+    return Matrix(tuple(
+        tuple(M.entries[i - 1][j - 1] if P.has_cell(i, j) else zero
+              for j in range(1, n + 1))
+        for i in range(1, n + 1)))
+
+
+def fraction_repeat_submatrix(M: Matrix, R: Sequence[int],
+                              C: Sequence[int]) -> Matrix:
+    """
+    The matrix whose (i, j) entry is M[r_i, c_j] for weakly increasing
+    int label multisets R and C; repeated labels give repeated rows/columns.
+    """
+    if len(R) != len(C):
+        raise ShapeError("row and column label multisets must have equal size")
+    if not {*map(type, R), *map(type, C)} <= {int}:
+        raise ValueError(f"labels {tuple(R)}, {tuple(C)} are not all ints")
+    if any(not 1 <= r <= M.rows for r in R):
+        raise IndexError(f"row labels {tuple(R)} out of range [1, {M.rows}]")
+    if any(not 1 <= c <= M.cols for c in C):
+        raise IndexError(f"column labels {tuple(C)} out of range [1, {M.cols}]")
+    return Matrix(tuple(tuple(M.entries[r - 1][c - 1] for c in C) for r in R))
+
+
+def fraction_gen_k_positive_not_higher(n: int, k: int, seed) -> Matrix:
+    """
+    Positivity order exactly k, in one step from a totally positive M.
+    With r_s = det M[1..s] / det M[2..s] (leading solid minors), Lewis
+    Carroll's identity gives r_1 > ... > r_n > 0.  Lowering m11 by delta
+    makes det M[1..s] = det M[2..s] (r_s - delta) and keeps every other
+    solid minor, so delta strictly between r_{k+1} and r_k gives order k
+    (Fekete).  Corner (n, n), drawn as often, goes the same way through
+    the antidiagonal transpose.  The result is verified exactly.
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    rng = random.Random(f"kpos:{n}:{k}:{seed}")
+    M = gen_totally_positive(n, seed=rng.randint(0, 2**30))
+    far_corner = rng.randrange(2)
+    if far_corner:
+        M = antidiagonal_transpose(M)
+    high, low = (minor(M, range(1, s + 1), range(1, s + 1))  # r_k, r_{k+1}
+                 / minor(M, range(2, s + 1), range(2, s + 1))
+                 for s in (k, k + 1))
+    rows = [list(row) for row in M.entries]
+    rows[0][0] -= low + (high - low) * Fraction(rng.randint(1, 99), 100)
+    C = Matrix(tuple(map(tuple, rows)))
+    if far_corner:
+        C = antidiagonal_transpose(C)
+    if positivity_order(C) != k:
+        raise ArithmeticError("constructed matrix has the wrong order")
+    return C
 
 
 # Matrices the Hypothesis strategy rarely draws.  In the large-denominator

@@ -6,12 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     EDGE_MATRICES,
+    antidiagonal_transpose,
     bar,
+    fraction_gen_k_positive_not_higher,
+    fraction_repeat_submatrix,
+    fraction_restrict,
     from_rows,
     grid,
     identity_matrix,
@@ -24,7 +28,6 @@ from klimm import exactmat
 from klimm.errors import ShapeError
 from klimm.exactmat import (
     Matrix,
-    antidiagonal_transpose,
     deleted_det,
     det,
     gen_k_positive_not_higher,
@@ -385,11 +388,62 @@ def _tp_by_elementary_product(n: int, seed) -> Matrix:
     return M
 
 
+# Plain int seeds, and string seeds of the forms the suites pass.
+generator_seeds = st.one_of(
+    st.integers(0, 2**64),
+    st.builds("{}:5.{}:{}:k{}".format, st.integers(0, 9), st.integers(1, 3),
+              st.integers(0, 999), st.integers(0, 9)),
+    st.builds("{}:young:{}:{}:tp{}".format, st.integers(0, 9),
+              st.sampled_from(["2,1,0,0", "3,3,1", "0,0,0,0"]),
+              st.sampled_from("dc"), st.integers(0, 9)))
+
+
+def _assert_same_matrix(M: Matrix, reference: Matrix) -> None:
+    assert M == reference and hash(M) == hash(reference)
+    assert M.cleared == reference.cleared
+    assert M.to_doc() == reference.to_doc()
+
+
 @pytest.mark.parametrize("n", range(1, 8))
-def test_totally_positive_matches_the_elementary_product(n):
-    for seed in (0, 1, 17, "0:young:2,1,0,0:c:tp3"):
-        assert gen_totally_positive(n, seed) == _tp_by_elementary_product(
-            n, seed)
+@given(seed=generator_seeds)
+@settings(max_examples=8, deadline=None)
+@example(seed=0)
+@example(seed=1)
+@example(seed=17)
+@example(seed="0:young:2,1,0,0:c:tp3")
+def test_totally_positive_matches_the_elementary_product(n, seed):
+    _assert_same_matrix(gen_totally_positive(n, seed),
+                        _tp_by_elementary_product(n, seed))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8)
+                                 for k in range(1, n)])
+@given(seed=generator_seeds)
+@settings(max_examples=8, deadline=None)
+@example(seed=11)
+@example(seed="0:5.1:7:k0")
+def test_k_positive_sampler_matches_its_reference(n, k, seed):
+    _assert_same_matrix(gen_k_positive_not_higher(n, k, seed),
+                        fraction_gen_k_positive_not_higher(n, k, seed))
+
+
+@given(matrices_and_grids())
+@settings(max_examples=50, deadline=None)
+def test_restrict_matches_its_reference(M_P):
+    _assert_same_matrix(restrict(*M_P), fraction_restrict(*M_P))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_repeat_submatrix_matches_its_reference(data):
+    M = data.draw(st.integers(1, 6).flatmap(square_matrices)
+                  | st.sampled_from(list(EDGE_MATRICES.values())))
+    n = M.rows
+    size = data.draw(st.integers(0, n + 2))
+    R, C = (sorted(data.draw(st.lists(st.integers(1, n), min_size=size,
+                                      max_size=size))) for _ in "RC")
+    _assert_same_matrix(repeat_submatrix(M, R, C),
+                        fraction_repeat_submatrix(M, R, C))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

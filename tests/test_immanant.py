@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     EDGE_MATRICES,
+    antidiagonal_transpose,
     bar,
     cells_of,
     durfee,
@@ -36,7 +37,6 @@ from klimm.errors import (
 )
 from klimm.exactmat import (
     Matrix,
-    antidiagonal_transpose,
     det,
     gen_totally_positive,
     is_k_positive,

@@ -932,15 +932,21 @@ def _sha256_of_json(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _record_draws(monkeypatch, name: str) -> list[Matrix]:
+    """Every matrix suites.<name> returns from now on, in order."""
+    drawn, draw = [], getattr(suites, name)
+
+    def recording(*args):
+        out = draw(*args)
+        drawn.extend(out if isinstance(out, list) else [out])
+        return out
+
+    monkeypatch.setattr(suites, name, recording)
+    return drawn
+
+
 def test_prop31_draws_match_pinned_digest(monkeypatch):
-    drawn = []
-    draw = suites._random_rational_matrix
-
-    def recording(n, rng):
-        drawn.append(draw(n, rng))
-        return drawn[-1]
-
-    monkeypatch.setattr(suites, "_random_rational_matrix", recording)
+    drawn = _record_draws(monkeypatch, "_random_rational_matrix")
     assert run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0)).ok
     assert len(drawn) == 485
     assert _sha256_of_json([M.to_doc() for M in drawn]) == PROP31_DRAWS_DIGEST
@@ -961,14 +967,7 @@ def test_draw_matches_the_randint_reference(n, seed):
 
 
 def test_prop31_draws_build_no_entries_until_a_case_fails(monkeypatch):
-    drawn = []
-    draw = suites._random_rational_matrix
-
-    def recording(n, rng):
-        drawn.append(draw(n, rng))
-        return drawn[-1]
-
-    monkeypatch.setattr(suites, "_random_rational_matrix", recording)
+    drawn = _record_draws(monkeypatch, "_random_rational_matrix")
     config = Config(max_n=5, samples=1)
     assert run_suite("prop-3.1", config).ok
     assert drawn and not any("entries" in vars(M) for M in drawn)
@@ -982,6 +981,46 @@ def test_prop31_draws_build_no_entries_until_a_case_fails(monkeypatch):
         rng = suites._case_rng(config.seed, "prop-3.1", witness["case"])
         reference = random_rational_matrix(len(witness["v"]), rng)
         assert witness["matrix"] == reference.to_doc()
+
+
+# Passing runs whose drawn matrices are read only through their cleared
+# rows: prop-4.1's random draws and every other run's k-positive samples.
+PASSING_RUNS = {
+    "prop-4.1": Config(),
+    "main-sq": Config(max_n=3, max_m=3, samples=2),
+    "young": Config(max_n=3, max_m=3, samples=2),
+    "sgn-probe": Config(max_n=4, samples=1),
+    "5.1": Config(samples=100),
+    "5.2": Config(samples=100),
+    "5.3": Config(samples=100),
+}
+
+
+@pytest.mark.parametrize("name", PASSING_RUNS)
+def test_passing_runs_build_no_entries(monkeypatch, name):
+    drawn = _record_draws(monkeypatch, "_random_rational_matrix"
+                          if name == "prop-4.1" else "_k_positive_samples")
+    run = run_search if name in suites.SEARCHES else run_suite
+    assert run(name, PASSING_RUNS[name]).ok
+    assert drawn and not any("entries" in vars(M) for M in drawn)
+
+
+# SHA-256 of every matrix the searches and main-sq sample, pinned from the
+# Fraction-built sampler.  A passing report holds no matrix, so only this
+# pin sees a changed draw.
+SAMPLED_MATRICES_DIGEST = (
+    "e943034c722317672fd973a998441259f05cd6285ccf66da018473dd6885afd0")
+
+
+def test_sampled_matrices_match_pinned_digest(monkeypatch):
+    drawn = _record_draws(monkeypatch, "_k_positive_samples")
+    for conjecture in ("5.1", "5.2", "5.3"):
+        assert run_search(conjecture, Config(max_n=4, max_m=4, samples=200,
+                                             seed=0)).ok
+    assert run_suite("main-sq", Config(max_n=3, max_m=3, samples=2)).ok
+    assert len(drawn) == 569
+    assert (_sha256_of_json([M.to_doc() for M in drawn])
+            == SAMPLED_MATRICES_DIGEST)
 
 
 def test_prop32_draws_match_pinned_digest(monkeypatch):
