@@ -339,10 +339,14 @@ def gen_totally_positive(n: int, seed: int) -> Matrix:
     for i in range(n):
         rows[i][i], denoms[i] = parameter()
     # Each elementary factor as one row (left) or column (right) operation.
+    # A row step takes the lcm of the two multipliers, not their product,
+    # which would compound along the word and grow exponentially in n.
     for i in _longest_word(n):
         (a, b), d, e = parameter(), denoms[i], denoms[i - 1]
-        rows[i] = [x * b * e + a * d * y for x, y in zip(rows[i], rows[i - 1])]
-        denoms[i] = b * d * e
+        m = lcm(d, b * e)
+        u, v = m // d, a * (m // (b * e))
+        rows[i] = [x * u + v * y for x, y in zip(rows[i], rows[i - 1])]
+        denoms[i] = m
     for i in reversed(_longest_word(n)):
         a, b = parameter()
         for r, row in enumerate(rows):  # row keeps the unscaled entries

@@ -9,6 +9,7 @@ from kl_every_candidate import kl_at_every_candidate
 from klimm.errors import ShapeError
 from klimm.exactmat import (
     Matrix,
+    _longest_word,
     _require_square,
     gen_totally_positive,
     minor,
@@ -154,9 +155,31 @@ def antidiagonal_transpose(M: Matrix) -> Matrix:
         for i in range(n)))
 
 
-# The Fraction versions of three exactmat functions, each of which now
+# The Fraction versions of four exactmat functions, each of which now
 # works on cleared integer rows: the oracles those must equal.  Each
 # builds every entry as a Fraction and clears the result again.
+
+
+def fraction_gen_totally_positive(n: int, seed) -> Matrix:
+    """
+    gen_totally_positive with a Fraction per entry: the same parameter
+    draws, each applied as one row or column operation.
+    """
+    rng = random.Random(f"tp:{n}:{seed}")
+
+    def parameter() -> Fraction:
+        return Fraction(rng.randint(1, 8), rng.randint(1, 8))
+
+    rows = [[parameter() if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)]
+    for i in _longest_word(n):
+        t = parameter()
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[i - 1])]
+    for i in reversed(_longest_word(n)):
+        t = parameter()
+        for row in rows:
+            row[i] += t * row[i - 1]
+    return Matrix(tuple(map(tuple, rows)))
 
 
 def fraction_restrict(M: Matrix, P: Grid) -> Matrix:

@@ -14,6 +14,7 @@ from conftest import (
     antidiagonal_transpose,
     bar,
     fraction_gen_k_positive_not_higher,
+    fraction_gen_totally_positive,
     fraction_repeat_submatrix,
     fraction_restrict,
     from_rows,
@@ -414,6 +415,17 @@ def _assert_same_matrix(M: Matrix, reference: Matrix) -> None:
 def test_totally_positive_matches_the_elementary_product(n, seed):
     _assert_same_matrix(gen_totally_positive(n, seed),
                         _tp_by_elementary_product(n, seed))
+
+
+# Multiplying the two row multipliers in each row step, instead of taking
+# their lcm, compounds along the word: at n = 20 the multipliers reach
+# about a million bits and one draw takes seconds, past the deadline.
+@given(seed=generator_seeds)
+@settings(max_examples=3, deadline=1000)
+@example(seed=0)
+def test_totally_positive_matches_its_reference_at_large_n(seed):
+    _assert_same_matrix(gen_totally_positive(20, seed),
+                        fraction_gen_totally_positive(20, seed))
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8)
