@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .grid import Grid
+from .grid import Grid, _index_set
 
 
 def _rectangular(rows: Iterable[Iterable]) -> tuple[tuple, ...]:
@@ -188,15 +188,6 @@ def det(M: Matrix) -> Fraction:
     _require_square(M)
     int_rows, denoms = M.cleared
     return Fraction(_bareiss_int_det(list(map(list, int_rows))), prod(denoms))
-
-
-def _index_set(indices: Iterable[int]) -> set[int]:
-    """The set of 1-based indices, each of which must be an int."""
-    ids = tuple(indices)
-    # By type, not by value: True and 1.0 equal 1 but index nothing.
-    if not set(map(type, ids)) <= {int}:
-        raise ValueError(f"indices {ids} are not all ints")
-    return set(ids)
 
 
 def minor(M: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Fraction:

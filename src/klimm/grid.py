@@ -11,9 +11,9 @@ basis element matter only to admissibility, so they are arguments of
 unlabeled theory a special case of the labeled one.
 
 A grid is stored as one bitmask per row, bit j of row i marking the
-cell (i, j).  Admissibility, squares, deletions and block splits are
-mask arithmetic; the set of (row, col) pairs is derived only when asked
-for.
+cell (i, j).  Admissibility, deletions and block splits are mask
+arithmetic on the rows; squares grow on one int that packs every row;
+the set of (row, col) pairs is derived only when asked for.
 """
 from __future__ import annotations
 
@@ -188,13 +188,22 @@ def largest_square(P: Grid) -> int:
     >>> largest_square(graph_of_upper_interval((2, 4, 1, 3)))
     2
     """
-    # Bit j of level[i] marks the full side x side square whose top-left
-    # cell is (i + 1, j); each pass grows every square by one.
-    level = list(P.rows)
+    # The rows packed into one int, row i + 1 at bit i * stride: bit
+    # i * stride + j of level marks the full side x side square whose
+    # top-left cell is (i + 1, j).  Each pass grows every square by one,
+    # keeping a square whose neighbour below, then whose neighbour to the
+    # right, is also full.  Grid rejects bits outside 1..n, so bit 0 of
+    # every row is clear and the shift by one never carries a cell of the
+    # next row into column n.
+    stride = P.n + 1
+    level = 0
+    for row in reversed(P.rows):
+        level = level << stride | row
     side = 0
-    while any(level):
+    while level:
         side += 1
-        level = [a & b & (a & b) >> 1 for a, b in zip(level, level[1:])]
+        level &= level >> stride
+        level &= level >> 1
     return side
 
 
@@ -246,13 +255,22 @@ def is_admissible(P: Grid, R: Sequence[int], C: Sequence[int]) -> bool:
             and len(set(zip(C, cols))) == P.n)
 
 
+def _index_set(indices: Iterable[int]) -> set[int]:
+    """The set of 1-based indices, each of which must be an int."""
+    ids = tuple(indices)
+    # By type, not by value: True and 1.0 equal 1 but index nothing.
+    if not set(map(type, ids)) <= {int}:
+        raise ValueError(f"indices {ids} are not all ints")
+    return set(ids)
+
+
 def delete_rows_cols(P: Grid, I: Iterable[int], J: Iterable[int]) -> Grid:
     """
     Delete rows I and columns J, reindexing the survivors by the unique
-    order-preserving maps.
+    order-preserving maps.  An index that is not an int raises ValueError.
     """
-    rows_gone = frozenset(I)
-    cols_gone = frozenset(J)
+    rows_gone = _index_set(I)
+    cols_gone = _index_set(J)
     if len(rows_gone) != len(cols_gone):
         raise ValueError("must delete equally many rows and columns")
     if any(not 1 <= i <= P.n for i in rows_gone | cols_gone):

@@ -265,9 +265,14 @@ def is_in_maximal_parabolic(w: Perm) -> bool:
     >>> is_in_maximal_parabolic((4, 3, 2, 1))
     False
     """
-    top = 0
-    for j in range(1, len(w)):
-        top = max(top, w[j - 1])
+    # The running maximum of w_1..w_j equals j iff w([j]) = [j].  A
+    # comparison and a counter, not max() and enumerate: the structural
+    # sweeps call this once per word.
+    top = j = 0
+    for x in w[:-1]:
+        j += 1
+        if x > top:
+            top = x
         if top == j:
             return True
     return False

@@ -244,12 +244,19 @@ def test_delete_rows_cols_basics():
      "deletion index out of range"),
     (delete_rows_cols, (graph_of_upper_interval(V2413), {1}, {0}), IndexError,
      "deletion index out of range"),
+    (delete_rows_cols, (graph_of_upper_interval(V2413), {1.5}, {2}),
+     ValueError, r"indices \(1\.5,\) are not all ints"),
+    (delete_rows_cols, (graph_of_upper_interval(V2413), {1}, {True}),
+     ValueError, r"indices \(True,\) are not all ints"),
+    (delete_rows_cols, (graph_of_upper_interval(V2413), {"1"}, {2}),
+     ValueError, r"indices \('1',\) are not all ints"),
     (young_diagram_grid, ((1, 1, 1, 1), 3), ValueError,
      r"partition \(1, 1, 1, 1\) has more than 3 parts"),
     (young_diagram_grid, ((4,), 3), ValueError,
      r"partition \(4,\) does not fit in a 3x3 box"),
 ], ids=["label-below", "label-above", "label-float", "label-bool",
-        "row-index", "column-index", "too-many-parts", "part-too-large"])
+        "row-index", "column-index", "index-float", "index-bool",
+        "index-str", "too-many-parts", "part-too-large"])
 def test_out_of_range_arguments_are_rejected(function, args, error, message):
     with pytest.raises(error, match=message):
         function(*args)
@@ -576,13 +583,37 @@ def near_block_grids(draw):
     return grid(n, cells | stray)
 
 
-@given(grids())
+@given(grids(max_n=9))
 @settings(max_examples=300, deadline=None)
 def test_largest_square_matches_the_cell_dp(P):
     assert largest_square(P) == square_dp_oracle(P)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def row_boundary_grids():
+    """
+    Cells on both sides of the boundary between two rows, where the packed
+    rows of largest_square meet: (i, n) with (i + 1, 1), a column-n pair
+    beside a column-1 pair one row lower, and 2x2 blocks in the last or
+    first two columns, alone and with a 2x2 block across the boundary.
+    """
+    for n in range(2, 10):
+        for i in range(1, n):
+            last = [(i, n - 1), (i, n), (i + 1, n - 1), (i + 1, n)]
+            first = [(i, 1), (i, 2), (i + 1, 1), (i + 1, 2)]
+            yield grid(n, [(i, n), (i + 1, 1)])
+            yield grid(n, last)
+            yield grid(n, first)
+            if i + 2 <= n:
+                yield grid(n, [(i, n), (i + 1, n), (i + 1, 1), (i + 2, 1)])
+                yield grid(n, last + [(r + 1, c) for r, c in first])
+
+
+def test_largest_square_at_the_row_boundary():
+    for P in row_boundary_grids():
+        assert largest_square(P) == square_dp_oracle(P), P
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_largest_square_of_empty_and_full_grids(n):
     square = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     assert largest_square(grid(n, [])) == 0

@@ -437,6 +437,14 @@ def test_maximal_parabolic():
     assert not is_in_maximal_parabolic((1,))  # no proper initial segment
 
 
+def test_maximal_parabolic_matches_its_definition():
+    words = [()] + [w for n in range(1, 8) for w in symmetric_group(n)]
+    for w in words:
+        fixes_a_segment = any(set(w[:j]) == set(range(1, j + 1))
+                              for j in range(1, len(w)))
+        assert is_in_maximal_parabolic(w) == fixes_a_segment, w
+
+
 @given(perms_upto_5, st.integers(min_value=1, max_value=4))
 @settings(max_examples=150, deadline=None)
 def test_adjacent_transposition_changes_length_by_one(v, i):
