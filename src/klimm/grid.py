@@ -43,12 +43,19 @@ Cell = tuple[int, int]
 FORBIDDEN_PATTERNS: tuple[Perm, Perm] = ((1, 3, 2, 4), (2, 1, 4, 3))
 
 
+def _ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple, each of which must be an int."""
+    values = tuple(values)
+    # By type, not by value: True and 1.0 equal 1 but are no label, index
+    # or part.
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} {values} are not all ints")
+    return values
+
+
 def as_multiset(entries: Iterable[int], m: int) -> tuple[int, ...]:
     """Sort int labels into a weakly increasing tuple over [m]."""
-    ms = tuple(entries)
-    if not set(map(type, ms)) <= {int}:
-        raise ValueError(f"labels {ms} are not all ints")
-    ms = tuple(sorted(ms))
+    ms = tuple(sorted(_ints(entries, "labels")))
     if any(not 1 <= e <= m for e in ms):
         raise ValueError(f"labels {ms} not all in [1, {m}]")
     return ms
@@ -165,19 +172,22 @@ def _value_bitsets(n: int) -> tuple[tuple[int, ...], ...]:
 
 def graph_of_interval_bruteforce(v: Perm) -> Grid:
     """
-    Oracle for :func:`graph_of_upper_interval`: list [v, w_0] from
-    ``above[v]`` of :func:`klimm.perm.bruhat_table` (itself tested against
-    ``bruhat_leq``), not from the sandwich description, and union the
-    permutation graphs: (i, x) is a cell iff some member has the value x
-    at i, one AND of ``above[v]`` with a bitset of the table.  Guarded at
-    n <= 7 with the table.
+    Oracle for :func:`graph_of_upper_interval`: list [v, w_0] from the
+    ``below`` bitsets of :func:`klimm.perm.bruhat_table` (themselves
+    tested against ``bruhat_leq``), not from the sandwich description,
+    and union the permutation graphs.  u >= v iff w_0 u <= w_0 v, and
+    w_0 u has the value n + 1 - x wherever u has x, so (i, n + 1 - x) is
+    a cell iff some member of ``below`` at w_0 v has the value x at i:
+    one AND per position and value.  Guarded at n <= 7 with the table.
     """
     v = as_perm(v)
-    table = bruhat_table(len(v))
-    interval = table.above[table.index[v]]
-    return Grid(len(v), tuple(
-        sum(1 << x for x, members in enumerate(by_value) if interval & members)
-        for by_value in _value_bitsets(len(v))))
+    n = len(v)
+    table = bruhat_table(n)
+    mirrored = table.below[len(table.perms) - 1 - table.index[v]]
+    return Grid(n, tuple(
+        sum(1 << n + 1 - x for x, members in enumerate(by_value)
+            if mirrored & members)
+        for by_value in _value_bitsets(n)))
 
 
 def largest_square(P: Grid) -> int:
@@ -257,11 +267,7 @@ def is_admissible(P: Grid, R: Sequence[int], C: Sequence[int]) -> bool:
 
 def _index_set(indices: Iterable[int]) -> set[int]:
     """The set of 1-based indices, each of which must be an int."""
-    ids = tuple(indices)
-    # By type, not by value: True and 1.0 equal 1 but index nothing.
-    if not set(map(type, ids)) <= {int}:
-        raise ValueError(f"indices {ids} are not all ints")
-    return set(ids)
+    return set(_ints(indices, "indices"))
 
 
 def delete_rows_cols(P: Grid, I: Iterable[int], J: Iterable[int]) -> Grid:
@@ -399,13 +405,13 @@ def boxes_alternate(v: Perm) -> bool:
 
 
 def young_diagram_grid(parts: Sequence[int], n: int) -> Grid:
-    """The grid {(i, j) : j <= lambda_i} inside [n]^2."""
+    """The grid {(i, j) : j <= lambda_i} inside [n]^2; int parts only."""
     padded = _validated_partition(parts, n)
     return Grid(n, tuple(_columns(1, p) for p in padded))
 
 
 def young_complement_grid(parts: Sequence[int], n: int) -> Grid:
-    """The grid {(i, j) : j > mu_i} inside [n]^2, for mu = parts."""
+    """The grid {(i, j) : j > mu_i} inside [n]^2, for int parts mu."""
     padded = _validated_partition(parts, n)
     return Grid(n, tuple(_columns(p + 1, n) for p in padded))
 
@@ -430,13 +436,14 @@ def is_young_shaped(P: Grid) -> bool:
 
 
 def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
-    padded = tuple(parts) + (0,) * (n - len(parts))
+    parts = _ints(parts, "parts")
+    padded = parts + (0,) * (n - len(parts))
     if len(padded) != n:
-        raise ValueError(f"partition {tuple(parts)} has more than {n} parts")
+        raise ValueError(f"partition {parts} has more than {n} parts")
     if any(p < 0 or p > n for p in padded):
-        raise ValueError(f"partition {tuple(parts)} does not fit in a {n}x{n} box")
+        raise ValueError(f"partition {parts} does not fit in a {n}x{n} box")
     if any(a < b for a, b in zip(padded, padded[1:])):
-        raise ValueError(f"parts must be weakly decreasing: {tuple(parts)}")
+        raise ValueError(f"parts must be weakly decreasing: {parts}")
     return padded
 
 

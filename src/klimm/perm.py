@@ -291,8 +291,7 @@ class BruhatTable:
     """
     S_n in :func:`symmetric_group` order, with its Bruhat order as
     Python-int bitsets over positions in that order: bit j of ``below[k]``
-    is set iff perms[j] <= perms[k], and bit j of ``above[k]`` iff
-    perms[j] >= perms[k].  Bit k of ``descents[i]`` is set iff
+    is set iff perms[j] <= perms[k].  Bit k of ``descents[i]`` is set iff
     ``perms[k][i] > perms[k][i + 1]`` (a right descent at the 0-based
     position i), and bit k of ``odd`` iff l(perms[k]) is odd.
     ``times_s[i][k]`` is the position of perms[k] times s_{i+1} (entries
@@ -300,14 +299,15 @@ class BruhatTable:
     ``times_s[i][k] - k`` with the bitset of the k it moves by, ascending
     (see :func:`times_s_bits`), and ``first_descent[k]`` is the smallest
     such descent i of perms[k], or -1 for the identity.  Left
-    multiplication by w_0 sends position k to ``len(perms) - 1 - k``.
+    multiplication by w_0 sends position k to ``len(perms) - 1 - k`` and
+    reverses the order, so the upper interval of perms[k] is
+    ``below[len(perms) - 1 - k]`` read through that map.
     """
 
     perms: tuple[Perm, ...]
     lengths: tuple[int, ...]
     index: Mapping[Perm, int]
     below: tuple[int, ...]
-    above: tuple[int, ...]
     descents: tuple[int, ...]
     odd: int
     times_s: tuple[tuple[int, ...], ...]
@@ -367,15 +367,12 @@ def _first_hits(masks: Sequence[int], order: Iterable[int],
 def bruhat_table(n: int) -> BruhatTable:
     """
     The :class:`BruhatTable` of S_n (guarded at n <= 7, where it holds
-    2 * 5040 bitsets of 5040 bits).
+    5040 bitsets of 5040 bits).
 
     ``below`` comes from the lifting property, not from comparisons: if
     s is a right descent of w, then u <= w iff u <= ws or us <= ws, so
     below(w) = below(ws) | below(ws)s.  Swapping a descent pair makes
-    the word lexicographically smaller, so ws is built before w.  Left
-    multiplication by w_0 reverses the order and keeps right products,
-    so above(w) = above(ws) | above(ws)s for a right ascent s of w, and
-    ``above`` is built from the last position down.
+    the word lexicographically smaller, so ws is built before w.
 
     A bitset is multiplied by s_{i+1} with masked shifts, not bit by bit.
     Of the Lehmer digits of a lexicographic index, only the pair (a, b)
@@ -383,18 +380,16 @@ def bruhat_table(n: int) -> BruhatTable:
     (b + 1, a) and a descent becomes (b, a - 1), so the index moves by
     an offset fixed by b - a, or by a - b.  That makes 2(n - 1 - i)
     groups of positions, each moved by one shift, and the last descent
-    (or ascent) of w, with the fewest groups, is the s used.  The same
-    offsets give ``times_s`` run by run, and each lift of ``below`` gives
+    of w, with the fewest groups, is the s used.  The same offsets give
+    ``times_s`` run by run, and each lift of ``below`` gives
     l(w) = l(ws) + 1.  The groups that move down make ``descents``, and
-    each position's first descent, last descent and last ascent are the
-    first mask that holds it, read in order or in reverse.  So no word
-    is sliced, hashed, counted or scanned for them.
+    each position's first and last descent are the first mask that holds
+    it, read in order or in reverse.  So no word is sliced, hashed,
+    counted or scanned for them.
 
     >>> t = bruhat_table(3)
     >>> [format_perm(t.perms[j]) for j in iter_bits(t.below[t.index[(2, 3, 1)]])]
     ['123', '132', '213', '231']
-    >>> [format_perm(t.perms[j]) for j in iter_bits(t.above[t.index[(2, 1, 3)]])]
-    ['213', '231', '312', '321']
     """
     if n > BRUHAT_TABLE_GUARD:
         raise SizeGuardError(
@@ -435,30 +430,20 @@ def bruhat_table(n: int) -> BruhatTable:
     # A descent is a move to a lexicographically smaller word.
     descents = tuple(sum(mask for offset, mask in groups if offset < 0)
                      for groups in moves)
-    ascents = [((1 << size) - 1) ^ mask for mask in descents]
     first_descent = _first_hits(descents, range(n - 1), size)
     last_descent = _first_hits(descents, reversed(range(n - 1)), size)
-    last_ascent = _first_hits(ascents, reversed(range(n - 1)), size)
-
-    def lift(bits: int, i: int) -> int:
-        """The positions in ``bits``, and their products with s_{i+1}."""
-        return bits | times_s_bits(bits, moves[i])
-
-    below, above, lengths = [0] * size, [0] * size, [0] * size
+    below, lengths = [0] * size, [0] * size
     for k, i in enumerate(last_descent):
         if i >= 0:
             ws = times_s[i][k]
-            below[k] = lift(below[ws], i)
+            below[k] = below[ws] | times_s_bits(below[ws], moves[i])
             lengths[k] = lengths[ws] + 1
         else:
             below[k] = 1 << k
-    for k in reversed(range(size)):
-        i = last_ascent[k]
-        above[k] = lift(above[times_s[i][k]], i) if i >= 0 else 1 << k
     odd = sum(1 << k for k, lv in enumerate(lengths) if lv % 2)
     return BruhatTable(perms, tuple(lengths), MappingProxyType(index),
-                       tuple(below), tuple(above), descents, odd, times_s,
-                       moves, first_descent)
+                       tuple(below), descents, odd, times_s, moves,
+                       first_descent)
 
 
 def parse_perm(text: str) -> Perm:

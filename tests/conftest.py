@@ -5,7 +5,6 @@ from typing import Sequence
 import pytest
 from hypothesis import strategies as st
 
-from kl_every_candidate import kl_at_every_candidate
 from klimm.errors import ShapeError
 from klimm.exactmat import (
     Matrix,
@@ -17,7 +16,7 @@ from klimm.exactmat import (
 )
 from klimm.grid import Grid
 from klimm.klpoly import ONE, IntPolynomial, KLCache, kl_at, kl_polynomial
-from klimm.perm import iter_bits
+from klimm.perm import BruhatTable, iter_bits
 from klimm.suites import _partitions_in_box
 
 rationals = st.fractions(
@@ -258,22 +257,19 @@ EDGE_MATRICES = {
 }
 
 
+def above(table: BruhatTable, k: int) -> int:
+    """
+    The upper interval of ``table.perms[k]``: bit j is set iff
+    perms[j] >= perms[k].  It is ``below`` of the w_0 mirror, position
+    size - 1 - k, with its bits reversed.
+    """
+    size = len(table.perms)
+    return int(format(table.below[size - 1 - k], f"0{size}b")[::-1], 2)
+
+
 def kl_at_one(x, y, cache=None) -> int:
     """P_{x,y}(1), the multiplicity in the immanant sum (test oracle)."""
     return kl_polynomial(x, y, cache)(1)
-
-
-def per_w_terms(v, oracle):
-    """
-    The signed terms as one per-pair oracle call per w = perms[k] >= v,
-    in the order of ``above[v]``: the terms, KL counts and store that
-    imm_terms's one read of the row of w0 v must match.
-    """
-    table = oracle.table
-    iv, top = table.index[v], len(table.perms) - 1
-    return [(k, (-1) ** (table.lengths[k] - table.lengths[iv])
-             * kl_at_every_candidate(oracle, top - k, top - iv)(1))
-            for k in iter_bits(table.above[iv])]
 
 
 def store_holding(n: int, entries) -> KLCache:

@@ -5,8 +5,10 @@ by one, to learn mu(z, ys), and counts each read as a hit or a miss.
 Its store is its own, an :class:`Oracle`: one dict of pairs, keyed
 y * n! + x, with the counts ``KLCache`` keeps.  :func:`kl_at_by_rows` is
 the per-pair counterpart of ``kl_at``, and :func:`pairs_of` reads a
-``KLCache``'s rows as the oracle keeps its store.
+``KLCache``'s rows as the oracle keeps its store.  :func:`per_w_terms`
+is the per-pair counterpart of ``imm_terms``.
 """
+from conftest import above
 from klimm.klpoly import ONE, ZERO, IntPolynomial, KLCache, _not_kl, checked
 from klimm.perm import bruhat_table, iter_bits
 
@@ -91,7 +93,7 @@ def kl_at_every_candidate(oracle: Oracle, x: int, y: int) -> IntPolynomial:
     lengths = table.lengths
     ly = lengths[y]
     parity = table.odd if ly % 2 else ~table.odd
-    mask = below[ys] & table.above[x] & table.descents[i] & parity
+    mask = below[ys] & above(table, x) & table.descents[i] & parity
     while mask:
         bit = mask & -mask
         mask ^= bit
@@ -126,3 +128,16 @@ def kl_at_every_candidate(oracle: Oracle, x: int, y: int) -> IntPolynomial:
         raise _not_kl(table, x, y, coeffs)
     store[y * size + x] = p
     return p
+
+
+def per_w_terms(v, oracle):
+    """
+    The signed terms as one per-pair oracle call per w = perms[k] >= v,
+    in the order of the upper interval of v: the terms, KL counts and
+    store that imm_terms's one read of the row of w0 v must match.
+    """
+    table = oracle.table
+    iv, top = table.index[v], len(table.perms) - 1
+    return [(k, (-1) ** (table.lengths[k] - table.lengths[iv])
+             * kl_at_every_candidate(oracle, top - k, top - iv)(1))
+            for k in iter_bits(above(table, iv))]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    above,
     cells_of,
     cells_sandwiched_only_by,
     col_support,
@@ -47,6 +48,7 @@ from klimm.grid import (
     _upper_interval_rows,
 )
 from klimm.perm import (
+    bruhat_leq,
     bruhat_table,
     delete_entry,
     identity,
@@ -88,14 +90,20 @@ def test_upper_interval_matches_bruteforce(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bruteforce_matches_a_union_over_the_members_of_above(n):
-    # The oracle reads its cells from position/value bitsets; this union
-    # walks the members of above[v] one by one instead.
+    # The oracle reads its cells from position/value bitsets of the w_0
+    # mirror of below; this union walks the members of [v, w_0] one by
+    # one instead.  They come from bruhat_leq over all of S_n up to S_5,
+    # not from the table, and from the conftest mirror at S_6, where
+    # every pair through bruhat_leq would cost too much tier-1 time.
     table = bruhat_table(n)
     for k, v in enumerate(table.perms):
+        if n <= 5:
+            members = [u for u in table.perms if bruhat_leq(v, u)]
+        else:
+            members = [table.perms[j] for j in iter_bits(above(table, k))]
         rows = [0] * n
-        for member in iter_bits(table.above[k]):
-            rows = [mask | 1 << x
-                    for mask, x in zip(rows, table.perms[member])]
+        for u in members:
+            rows = [mask | 1 << x for mask, x in zip(rows, u)]
         assert graph_of_interval_bruteforce(v).rows == tuple(rows)
 
 
@@ -254,9 +262,24 @@ def test_delete_rows_cols_basics():
      r"partition \(1, 1, 1, 1\) has more than 3 parts"),
     (young_diagram_grid, ((4,), 3), ValueError,
      r"partition \(4,\) does not fit in a 3x3 box"),
+    (young_diagram_grid, ((1.5,), 2), ValueError,
+     r"parts \(1\.5,\) are not all ints"),
+    (young_diagram_grid, ((2.0, 1), 2), ValueError,
+     r"parts \(2\.0, 1\) are not all ints"),
+    (young_diagram_grid, ((True,), 2), ValueError,
+     r"parts \(True,\) are not all ints"),
+    (young_complement_grid, ((1.5,), 2), ValueError,
+     r"parts \(1\.5,\) are not all ints"),
+    (young_complement_grid, ((2.0, 1), 2), ValueError,
+     r"parts \(2\.0, 1\) are not all ints"),
+    (young_complement_grid, ((True,), 2), ValueError,
+     r"parts \(True,\) are not all ints"),
 ], ids=["label-below", "label-above", "label-float", "label-bool",
         "row-index", "column-index", "index-float", "index-bool",
-        "index-str", "too-many-parts", "part-too-large"])
+        "index-str", "too-many-parts", "part-too-large",
+        "young-part-float", "young-parts-float", "young-part-bool",
+        "complement-part-float", "complement-parts-float",
+        "complement-part-bool"])
 def test_out_of_range_arguments_are_rejected(function, args, error, message):
     with pytest.raises(error, match=message):
         function(*args)

@@ -18,14 +18,13 @@ from conftest import (
     identity_matrix,
     kl_at_one,
     non_inversions,
-    per_w_terms,
     random_rational_matrix,
     square_matrices,
     young_shapes,
     zero_matrix,
 )
 import fixtures
-from kl_every_candidate import Oracle, pairs_of
+from kl_every_candidate import Oracle, pairs_of, per_w_terms
 from kl_via_r import kl_table_via_r
 from klimm import exactmat
 from klimm.errors import (

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kl_at_one, per_w_terms, store_holding
+from conftest import above, kl_at_one, store_holding
 from kl_every_candidate import (
     Oracle,
     kl_at_by_rows,
     kl_at_every_candidate,
     pairs_of,
+    per_w_terms,
 )
 from kl_via_r import (
     add,
@@ -429,7 +430,7 @@ def test_a_miss_with_no_q_term_has_no_mu_sum_candidates():
                 xs = t.times_s[i][x]
                 assert descents >> x & 1 == (xs < x)
                 if not t.below[ys] >> max(x, xs) & 1:
-                    assert not t.below[ys] & t.above[x] & descents
+                    assert not t.below[ys] & above(t, x) & descents
 
 
 def test_recursion_reads_an_empty_stored_value_as_constant_term_0():
