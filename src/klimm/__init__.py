@@ -28,13 +28,11 @@ from .grid import (
     Grid,
     block_antidiagonal_split,
     bounding_boxes,
-    boxes_alternate,
     delete_rows_cols,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     is_admissible,
     largest_square,
-    squares_match_noninversions,
 )
 from .immanant import (
     ImmanantResult,

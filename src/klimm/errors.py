@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Precondition failures are deliberately distinct classes so that harness
-code can tell "the formula does not apply here" apart from "the formula
-applied and gave the wrong answer".
+A precondition failure raises a class of its own, so that a caller can
+tell "the formula does not apply here" from "the formula applied and gave
+the wrong answer".  The structural sweeps test hypotheses as bools instead.
 """
 
 

@@ -23,15 +23,13 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .errors import PatternPreconditionError, PreconditionError
 from .perm import (
     Perm,
+    _contains_2143,
     as_perm,
-    avoids,
     bruhat_table,
     compose,
     delete_entry,
-    format_perm,
     is_in_maximal_parabolic,
     iter_bits,
     longest_element,
@@ -94,8 +92,9 @@ class Grid:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.rows, tuple) or len(self.rows) != self.n:
-            raise ValueError("rows must be a tuple of n masks")
+        if (type(self.n) is not int or not isinstance(self.rows, tuple)
+                or len(self.rows) != self.n):
+            raise ValueError("rows must be a tuple of n masks, n an int")
         if reduce(operator.or_, self.rows, 0) & ~_columns(1, self.n):
             raise ValueError(f"row mask with a column outside [1, {self.n}]")
 
@@ -114,11 +113,12 @@ class Grid:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)  # room for the 5,913 words of S_1..S_7
 def _upper_interval_rows(v: Perm, skip: int = 0) -> tuple[int, ...]:
     """
     Row masks of the graph of v and of the span of every non-inversion
-    that does not involve position ``skip`` (0 skips none).
+    that does not involve position ``skip`` (0 skips none).  v must be a
+    checked permutation: a bool or float word hits an equal int entry.
 
     The kept spans through row i nest inside the one from the least kept
     value at or before i to the greatest kept value at or after i: when
@@ -127,7 +127,7 @@ def _upper_interval_rows(v: Perm, skip: int = 0) -> tuple[int, ...]:
     running minimum, taken forward, and a running maximum, taken backward
     in the pass that writes the rows.
     """
-    n = len(as_perm(v))
+    n = len(v)
     skipped = skip - 1  # 0-based; -1 leaves every position in
     lows, low = [], n + 1
     for i, x in enumerate(v):
@@ -152,7 +152,7 @@ def graph_of_upper_interval(v: Perm) -> Grid:
     >>> graph_of_upper_interval((2, 4, 1, 3)).to_doc()["cells"][:3]
     [[1, 2], [1, 3], [1, 4]]
     """
-    return Grid(len(v), _upper_interval_rows(tuple(v)))
+    return Grid(len(v), _upper_interval_rows(as_perm(v)))
 
 
 @lru_cache(maxsize=None)
@@ -198,16 +198,21 @@ def largest_square(P: Grid) -> int:
     >>> largest_square(graph_of_upper_interval((2, 4, 1, 3)))
     2
     """
+    return _square_side(P.n, P.rows)
+
+
+def _square_side(n: int, rows: tuple[int, ...]) -> int:
+    """:func:`largest_square` of the grid with these n row masks."""
     # The rows packed into one int, row i + 1 at bit i * stride: bit
     # i * stride + j of level marks the full side x side square whose
     # top-left cell is (i + 1, j).  Each pass grows every square by one,
     # keeping a square whose neighbour below, then whose neighbour to the
-    # right, is also full.  Grid rejects bits outside 1..n, so bit 0 of
-    # every row is clear and the shift by one never carries a cell of the
-    # next row into column n.
-    stride = P.n + 1
+    # right, is also full.  Only bits 1..n are set (Grid rejects others),
+    # so bit 0 of every row is clear and the shift by one never carries a
+    # cell of the next row into column n.
+    stride = n + 1
     level = 0
-    for row in reversed(P.rows):
+    for row in reversed(rows):
         level = level << stride | row
     side = 0
     while level:
@@ -217,11 +222,11 @@ def largest_square(P: Grid) -> int:
     return side
 
 
-def squares_match_noninversions(v: Perm) -> bool:
+def _squares_match_noninversions(v: Perm) -> bool:
     """
-    Self-check: the largest square in the upper-interval graph equals one
-    plus the best min(j - i, v_j - v_i) over non-inversions <i, j> (zero
-    when there is none), and the empty word has no square at all.
+    Lemma 2.12 on a checked permutation: the largest square of the
+    upper-interval graph is one plus the best min(j - i, v_j - v_i) over
+    its non-inversions <i, j> (zero if none), and 0 for the empty word.
 
     A pair can beat the best gap so far only if j - i does, so each row
     of pairs starts past it.
@@ -232,8 +237,8 @@ def squares_match_noninversions(v: Perm) -> bool:
             rise = v[j] - x
             if rise > best:
                 best = min(j - i, rise)
-    predicted = best + 1 if v else 0
-    return largest_square(graph_of_upper_interval(v)) == predicted
+    return _square_side(len(v), _upper_interval_rows(v)) == (
+        best + 1 if v else 0)
 
 
 def is_admissible(P: Grid, R: Sequence[int], C: Sequence[int]) -> bool:
@@ -361,9 +366,9 @@ def bounding_boxes(v: Perm) -> list[BoundingBox]:
             for lo, hi, corners, color in _maximal_spans(v)]
 
 
-def boxes_cover_interval_graph(v: Perm) -> bool:
-    """Self-check: the maximal bounding boxes cover the upper-interval graph."""
-    rows = _upper_interval_rows(tuple(v))
+def _boxes_cover_interval_graph(v: Perm) -> bool:
+    """Lemma 2.16 on a checked permutation: its boxes cover its graph."""
+    rows = _upper_interval_rows(v)
     n = len(rows)
     cover = [0] * n
     for lo, hi, _, _ in _maximal_spans(v):
@@ -378,26 +383,21 @@ def spanning_corners(v: Perm) -> frozenset[Cell]:
     return frozenset(c for box in bounding_boxes(v) for c in box.corners)
 
 
-def boxes_alternate(v: Perm) -> bool:
+def _alternation_applies(v: Perm) -> bool:
+    """Prop. 2.17 applies: v avoids 2143, w_0 v is in no maximal parabolic."""
+    return not (_contains_2143(v) or is_in_maximal_parabolic(
+        compose(longest_element(len(v)), v)))
+
+
+def _boxes_alternate(v: Perm) -> bool:
     """
-    Under the stated hypotheses (v avoids 2143 and w_0 v is not inside a
-    maximal parabolic), the bounding boxes, read from the top, must
-    alternate strictly between blue and red with no purple box.  A single
-    box passes vacuously.  Hypothesis failures raise, so a sweep can tell
-    them apart from genuine violations.
+    Prop. 2.17 where its hypotheses hold: the bounding boxes, read from
+    the top, alternate strictly between blue and red with no purple box.
+    A single box passes vacuously.
     """
-    if not avoids(v, (2, 1, 4, 3)):
-        raise PatternPreconditionError(
-            f"{format_perm(v)} contains the pattern 2143")
-    if is_in_maximal_parabolic(compose(longest_element(len(v)), v)):
-        raise PreconditionError(
-            f"w0 * {format_perm(v)} lies in a maximal parabolic subgroup")
     colors = [color for _, _, _, color in _maximal_spans(v)]
-    if len(colors) <= 1:
-        return True
-    if any(c not in ("blue", "red") for c in colors):
-        return False
-    return all(a != b for a, b in zip(colors, colors[1:]))
+    return len(colors) <= 1 or (set(colors) <= {"blue", "red"} and all(
+        a != b for a, b in zip(colors, colors[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +436,8 @@ def is_young_shaped(P: Grid) -> bool:
 
 
 def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
+    if type(n) is not int:  # as in Grid
+        raise ValueError(f"grid size {n!r} is not an int")
     parts = _ints(parts, "parts")
     padded = parts + (0,) * (n - len(parts))
     if len(padded) != n:
@@ -468,14 +470,16 @@ def block_antidiagonal_split(P: Grid) -> tuple[int, Grid, Grid] | None:
     return None
 
 
-def _deletes_to_interval_graph(v: Perm, i: int, rows: tuple[int, ...]) -> bool:
+def _deletes_to_interval_graph(v: Perm, i: int, *skip: int) -> bool:
     """
-    Deleting row i and column v_i from ``rows`` leaves the interval graph
-    of the word with v_i deleted.
+    Deleting row i and column v_i from the rows of v, pruned at position
+    ``skip`` if given (else the cache entry graph_of_upper_interval
+    reads), leaves the interval graph of v with v_i deleted.
     """
-    x = delete_entry(v, i)
-    reduced = delete_rows_cols(Grid(len(v), rows), {i}, {v[i - 1]})
-    return reduced.rows == _upper_interval_rows(x)
+    v = as_perm(v)
+    reduced = delete_rows_cols(Grid(len(v), _upper_interval_rows(v, *skip)),
+                               {i}, {v[i - 1]})
+    return reduced.rows == _upper_interval_rows(delete_entry(v, i))
 
 
 def deletion_pruned_grid_identity(v: Perm, i: int) -> bool:
@@ -485,7 +489,7 @@ def deletion_pruned_grid_identity(v: Perm, i: int) -> bool:
     Those cells are what the interval graph loses when the non-inversions
     through i are left out of it.
     """
-    return _deletes_to_interval_graph(v, i, _upper_interval_rows(tuple(v), i))
+    return _deletes_to_interval_graph(v, i, i)
 
 
 def deletion_grid_identity(v: Perm, i: int) -> bool:
@@ -494,4 +498,4 @@ def deletion_grid_identity(v: Perm, i: int) -> bool:
     plain row/column deletion of the upper-interval graph already gives
     the graph for the shortened word.
     """
-    return _deletes_to_interval_graph(v, i, _upper_interval_rows(tuple(v)))
+    return _deletes_to_interval_graph(v, i)

@@ -29,7 +29,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterator
 
-from .errors import PreconditionError
 from .exactmat import (
     Matrix,
     gen_k_positive_not_higher,
@@ -40,10 +39,13 @@ from .exactmat import (
 )
 from .grid import (
     FORBIDDEN_PATTERNS,
+    _alternation_applies,
+    _boxes_alternate,
+    _boxes_cover_interval_graph,
+    _squares_match_noninversions,
+    _upper_interval_rows,
     block_antidiagonal_split,
     bounding_boxes,
-    boxes_alternate,
-    boxes_cover_interval_graph,
     deletion_grid_identity,
     deletion_pruned_grid_identity,
     graph_of_interval_bruteforce,
@@ -51,7 +53,6 @@ from .grid import (
     label_patterns,
     largest_square,
     spanning_corners,
-    squares_match_noninversions,
     young_complement_grid,
     young_diagram_grid,
 )
@@ -240,20 +241,16 @@ def _draw_size_and_order(rng: random.Random, k: int | None,
 # failure, unless it also seeds the case's random draws.
 
 
-def _every_permutation(holds: Callable[[Perm], bool],
-                       witness=lambda v: {}) -> CaseGenerator:
-    """Sweep one predicate over every permutation of size 1..max_n.  A word
-    whose hypotheses fail (``holds`` raises PreconditionError) is no case;
-    a failure's witness is the word and ``witness(v)``."""
+def _every_permutation(holds: Callable[[Perm], bool], witness=lambda v: {},
+                       applies=None) -> CaseGenerator:
+    """Sweep ``holds`` over every permutation of size 1..max_n, unchecked.  A
+    word ``applies`` rejects (None keeps all: none is empty) is no case and
+    never reaches ``holds``; a failure's witness is v and ``witness(v)``."""
     def cases(config: Config, caches: KLCacheRegistry,
               notes: dict) -> Iterator[Case]:
         for n in range(1, (config.max_n or 7) + 1):
-            for v in symmetric_group(n):
-                try:
-                    passed = holds(v)
-                except PreconditionError:
-                    continue
-                if passed:
+            for v in filter(applies, symmetric_group(n)):
+                if holds(v):
                     yield None
                 else:
                     word = format_perm(v)
@@ -418,15 +415,16 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
 
 # Each suite: its case generator and the description its report notes.
 SUITES: dict[str, tuple[CaseGenerator, str]] = {
-    "lemma-2.11": (_every_permutation(lambda v: graph_of_upper_interval(v)
-                                      == graph_of_interval_bruteforce(v)),
+    "lemma-2.11": (_every_permutation(lambda v: _upper_interval_rows(v)
+                                      == graph_of_interval_bruteforce(v).rows),
                    "interval graph equals its sandwiching description"),
-    "lemma-2.12": (_every_permutation(squares_match_noninversions),
+    "lemma-2.12": (_every_permutation(_squares_match_noninversions),
                    "largest square matches the non-inversion gap bound"),
-    "lemma-2.16": (_every_permutation(boxes_cover_interval_graph),
+    "lemma-2.16": (_every_permutation(_boxes_cover_interval_graph),
                    "interval graph is covered by its bounding boxes"),
-    "prop-2.17": (_every_permutation(boxes_alternate, lambda v: {
-                      "colors": [b.color for b in bounding_boxes(v)]}),
+    "prop-2.17": (_every_permutation(_boxes_alternate, lambda v: {
+                      "colors": [b.color for b in bounding_boxes(v)]},
+                      _alternation_applies),
                   "bounding boxes alternate blue/red when hypotheses hold"),
     "prop-3.1": (_suite_determinantal_formula,
                  "defining sum agrees with the determinantal formula"),

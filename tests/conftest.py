@@ -5,7 +5,11 @@ from typing import Sequence
 import pytest
 from hypothesis import strategies as st
 
-from klimm.errors import ShapeError
+from klimm.errors import (
+    PatternPreconditionError,
+    PreconditionError,
+    ShapeError,
+)
 from klimm.exactmat import (
     Matrix,
     _longest_word,
@@ -14,9 +18,23 @@ from klimm.exactmat import (
     minor,
     positivity_order,
 )
-from klimm.grid import Grid
+from klimm.grid import (
+    Grid,
+    _boxes_alternate,
+    _boxes_cover_interval_graph,
+    _squares_match_noninversions,
+)
 from klimm.klpoly import ONE, IntPolynomial, KLCache, kl_at, kl_polynomial
-from klimm.perm import BruhatTable, iter_bits
+from klimm.perm import (
+    BruhatTable,
+    as_perm,
+    avoids,
+    compose,
+    format_perm,
+    is_in_maximal_parabolic,
+    iter_bits,
+    longest_element,
+)
 from klimm.suites import _partitions_in_box
 
 rationals = st.fractions(
@@ -133,6 +151,45 @@ def cells_sandwiched_only_by(v, i: int) -> frozenset:
                     and all(i in (k, l) for (k, l) in witnesses)):
                 out.add((r, c))
     return frozenset(out)
+
+
+# The public forms of the structural sweeps' kernels: each checks its word,
+# which the sweeps, running on the words they generate, leave out.
+
+
+def squares_match_noninversions(v) -> bool:
+    """
+    Lemma 2.12: the largest square in the upper-interval graph equals one
+    plus the best min(j - i, v_j - v_i) over non-inversions <i, j> (zero
+    when there is none), and the empty word has no square at all.  A word
+    that is not a permutation raises ValueError.
+    """
+    return _squares_match_noninversions(as_perm(v))
+
+
+def boxes_cover_interval_graph(v) -> bool:
+    """
+    Lemma 2.16: the maximal bounding boxes cover the upper-interval graph.
+    A word that is not a permutation raises ValueError.
+    """
+    return _boxes_cover_interval_graph(as_perm(v))
+
+
+def boxes_alternate(v) -> bool:
+    """
+    Prop. 2.17: under its hypotheses (v avoids 2143 and w_0 v is not
+    inside a maximal parabolic), the bounding boxes, read from the top,
+    alternate strictly between blue and red with no purple box.  A single
+    box passes vacuously.  A failed hypothesis raises, so a caller can
+    tell it apart from a violation.
+    """
+    if not avoids(v, (2, 1, 4, 3)):
+        raise PatternPreconditionError(
+            f"{format_perm(v)} contains the pattern 2143")
+    if is_in_maximal_parabolic(compose(longest_element(len(v)), v)):
+        raise PreconditionError(
+            f"w0 * {format_perm(v)} lies in a maximal parabolic subgroup")
+    return _boxes_alternate(tuple(v))
 
 
 def random_rational_matrix(n: int, rng: random.Random,

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     above,
+    boxes_alternate,
+    boxes_cover_interval_graph,
     cells_of,
     cells_sandwiched_only_by,
     col_support,
@@ -17,6 +19,7 @@ from conftest import (
     non_inversions,
     permutation_graph,
     row_support,
+    squares_match_noninversions,
     young_shapes,
 )
 import fixtures
@@ -31,9 +34,8 @@ from klimm.grid import (
     as_multiset,
     block_antidiagonal_split,
     bounding_boxes,
-    boxes_alternate,
-    boxes_cover_interval_graph,
     delete_rows_cols,
+    deletion_grid_identity,
     deletion_pruned_grid_identity,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
@@ -42,9 +44,12 @@ from klimm.grid import (
     label_patterns,
     largest_square,
     spanning_corners,
-    squares_match_noninversions,
     young_complement_grid,
     young_diagram_grid,
+    _alternation_applies,
+    _boxes_alternate,
+    _boxes_cover_interval_graph,
+    _squares_match_noninversions,
     _upper_interval_rows,
 )
 from klimm.perm import (
@@ -124,9 +129,42 @@ def test_interval_graph_rejects_words_that_are_not_permutations(word):
         graph_of_upper_interval(word)
     with pytest.raises(ValueError, match="not a permutation"):
         deletion_pruned_grid_identity(word, 1)
-    for kernel in (bounding_boxes, boxes_cover_interval_graph):
+    for reader in (bounding_boxes, boxes_cover_interval_graph,
+                   squares_match_noninversions,
+                   lambda v: deletion_grid_identity(v, 1)):
         with pytest.raises(ValueError, match="not a permutation"):
-            kernel(word)
+            reader(word)
+
+
+# Every reader of the row cache, and every public form of a sweep kernel.
+# The int twins of the words below, (1, 2) and (1, 3, 2), meet the
+# hypotheses of boxes_alternate, so only the word check can raise.
+WORD_READERS = {
+    "graph_of_upper_interval": graph_of_upper_interval,
+    "bounding_boxes": bounding_boxes,
+    "deletion_grid_identity": lambda v: deletion_grid_identity(v, 1),
+    "deletion_pruned_grid_identity":
+        lambda v: deletion_pruned_grid_identity(v, 1),
+    "squares_match_noninversions": squares_match_noninversions,
+    "boxes_cover_interval_graph": boxes_cover_interval_graph,
+    "boxes_alternate": boxes_alternate,
+}
+
+
+@pytest.mark.parametrize("reader", WORD_READERS.values(),
+                         ids=WORD_READERS.keys())
+@pytest.mark.parametrize("word", [(True, 2), (1.0, 2), (1, 2.0),
+                                  (True, 3, 2), (1.0, 3, 2)])
+def test_a_warm_cache_lets_no_bool_or_float_word_through(reader, word):
+    # The word equals, and hashes as, an int permutation whose rows are
+    # cached: the row kernel would return them for it, so each reader
+    # checks the word before it reads the cache.
+    twin = tuple(map(int, word))
+    assert reader(twin) is not None
+    assert _upper_interval_rows(word) == _upper_interval_rows(twin)
+    with pytest.raises(ValueError, match="must be a permutation|"
+                                         "not a permutation"):
+        reader(word)
 
 
 def sandwiched_by(v, k, l):
@@ -187,7 +225,7 @@ def test_predicted_square_matches_the_gap_oracle_at_8_and_9(v):
     # more, the answer depends on the predicted side alone.
     bound = gap_bound(v)
     for side, expected in ((bound, True), (bound + 1, False)):
-        with mock.patch("klimm.grid.largest_square", return_value=side):
+        with mock.patch("klimm.grid._square_side", return_value=side):
             assert squares_match_noninversions(v) is expected
     assert squares_match_noninversions(v)
 
@@ -381,6 +419,48 @@ def test_boxes_cover_matches_the_cell_set_cover_at_8(v):
     covered = sandwiched_cells(v) <= cells_of_boxes(
         _bounding_boxes_by_pairwise_containment(v))
     assert boxes_cover_interval_graph(v) == covered
+
+
+def assert_kernels_match_their_wrappers(v):
+    assert _squares_match_noninversions(v) == squares_match_noninversions(
+        list(v))
+    assert _boxes_cover_interval_graph(v) == boxes_cover_interval_graph(
+        list(v))
+    try:
+        alternate = boxes_alternate(list(v))
+    except PreconditionError:
+        assert not _alternation_applies(v)
+    else:
+        assert _alternation_applies(v) and _boxes_alternate(v) == alternate
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sweep_kernels_match_their_checking_wrappers(n):
+    # The sweeps call the kernels, on their own words, and test the
+    # hypotheses of Prop. 2.17 as a predicate, where the wrappers check
+    # the word and raise on a failed hypothesis.
+    applies = 0
+    for v in symmetric_group(n):
+        assert_kernels_match_their_wrappers(v)
+        applies += _alternation_applies(v)
+    assert applies == {1: 1, 2: 1, 3: 3, 4: 12, 5: 56, 6: 289, 7: 1603}[n]
+
+
+@given(st.integers(8, 9).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_sweep_kernels_match_their_checking_wrappers_at_8_and_9(v):
+    assert_kernels_match_their_wrappers(v)
+
+
+def test_interval_row_cache_is_bounded():
+    # Past S_7 the sweeps' rows would fill memory: over S_8 the cache
+    # keeps at most maxsize entries, which hold all of S_1..S_7.
+    maxsize = _upper_interval_rows.cache_info().maxsize
+    assert 1 + 2 + 6 + 24 + 120 + 720 + 5040 <= maxsize
+    for v in symmetric_group(8):
+        _upper_interval_rows(v)
+    assert _upper_interval_rows.cache_info().currsize <= maxsize
 
 
 def test_alternation_preconditions():
@@ -705,6 +785,16 @@ def test_grid_doc_round_trip_arbitrary(P):
 def test_labeled_grid_rejects_malformed_rows(rows):
     with pytest.raises(ValueError):
         Grid(3, rows)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 0.0])
+def test_grid_and_young_builders_reject_a_size_that_is_not_an_int(n):
+    # True equals 1 and 2.0 equals 2, yet neither is a grid size.
+    with pytest.raises(ValueError, match="n an int"):
+        Grid(n, (0,) * int(n))
+    for build in (young_diagram_grid, young_complement_grid):
+        with pytest.raises(ValueError, match=f"grid size {n!r} is not an int"):
+            build((1,), n)
 
 
 def test_grid_rejects_cells_outside_the_square():

@@ -203,21 +203,25 @@ def test_passing_sweep_formats_no_case_key(monkeypatch):
 
 def test_sweep_makes_no_case_of_a_word_whose_hypotheses_fail(monkeypatch):
     # Words starting with 1 fail a hypothesis, and those ending with 1
-    # fail the check: only the latter are cases, keyed and witnessed.
+    # fail the check: only the latter are cases, keyed and witnessed, and
+    # the check never sees the former.
+    checked = []
+
     def holds(v):
-        if v[0] == 1:
-            raise PreconditionError(f"{v} starts with 1")
+        checked.append(v)
         return v[-1] != 1
 
     words = []
     monkeypatch.setattr(suites, "format_perm",
                         lambda v: words.append(v) or format_perm(v))
-    sweep = suites._every_permutation(holds, lambda v: {"last": v[-1]})
+    sweep = suites._every_permutation(holds, lambda v: {"last": v[-1]},
+                                      lambda v: v[0] != 1)
     report = suites._run("x", sweep, Config(max_n=4), {})
     failing = [v for n in range(2, 5) for v in symmetric_group(n)
                if v[-1] == 1]
-    assert report.cases_run == sum(
-        v[0] != 1 for n in range(1, 5) for v in symmetric_group(n))
+    assert checked == [v for n in range(1, 5) for v in symmetric_group(n)
+                       if v[0] != 1]
+    assert report.cases_run == len(checked) == 1 + 4 + 18
     assert words == failing
     assert report.counterexamples == sorted(
         ({"case": f"n={len(v)}:v={format_perm(v)}", "v": format_perm(v),
@@ -225,14 +229,58 @@ def test_sweep_makes_no_case_of_a_word_whose_hypotheses_fail(monkeypatch):
 
 
 def test_sweep_lets_any_other_error_through():
-    def holds(v):
-        if v == (2, 1, 3):
-            raise ValueError("not a precondition")
-        return True
+    # Hypotheses are a predicate, so a sweep catches no error at all, not
+    # even a PreconditionError from its check.
+    for error in (ValueError("not a precondition"),
+                  PreconditionError("raised by the check")):
+        def holds(v):
+            if v == (2, 1, 3):
+                raise error
+            return True
 
-    with pytest.raises(ValueError, match="not a precondition"):
-        suites._run("x", suites._every_permutation(holds), Config(max_n=3),
-                    {})
+        with pytest.raises(type(error), match=str(error)):
+            suites._run("x", suites._every_permutation(holds),
+                        Config(max_n=3), {})
+
+
+# is_permutation_word calls of one sweep over S_1..S_7.  The kernels take
+# each word as generated; lemma-2.11's oracle, graph_of_interval_bruteforce,
+# keeps its public entry point, which checks each word once.
+SWEEP_WORD_CHECKS = {"lemma-2.11": 5913, "lemma-2.12": 0, "lemma-2.16": 0,
+                     "prop-2.17": 0}
+
+
+@pytest.mark.parametrize("suite", sorted(SWEEP_WORD_CHECKS))
+def test_sweep_kernels_check_no_word(monkeypatch, suite):
+    # prop-2.17 reads the boxes of exactly the words that meet its
+    # hypotheses, counted here apart from the sweep.
+    meets = [v for n in range(1, 8) for v in symmetric_group(n)
+             if avoids(v, (2, 1, 4, 3)) and not is_in_maximal_parabolic(
+                 compose(longest_element(n), v))]
+    calls, read = [], []
+    real = perm.is_permutation_word
+    monkeypatch.setattr(perm, "is_permutation_word",
+                        lambda word: calls.append(word) or real(word))
+    spans = grid._maximal_spans
+    monkeypatch.setattr(grid, "_maximal_spans",
+                        lambda v: read.append(v) or spans(v))
+    report = run_suite(suite, Config(max_n=7))
+    assert report.ok and len(calls) == SWEEP_WORD_CHECKS[suite]
+    if suite == "prop-2.17":
+        assert read == meets and report.cases_run == len(meets) == 1965
+    else:
+        assert report.cases_run == 5913
+
+
+def test_lemma_216_hits_every_row_lemma_212_computed():
+    # The bounded row cache holds all of S_1..S_7, as the sweep unit of
+    # the benchmark runs these two in one process.
+    grid._upper_interval_rows.cache_clear()
+    assert run_suite("lemma-2.12", Config(max_n=7)).ok
+    assert grid._upper_interval_rows.cache_info().misses == 5913
+    assert run_suite("lemma-2.16", Config(max_n=7)).ok
+    info = grid._upper_interval_rows.cache_info()
+    assert (info.misses, info.hits) == (5913, 5913)
 
 
 def test_prop31_validates_each_word_once_per_case_past_n_1(monkeypatch):
@@ -1081,17 +1129,17 @@ def test_label_outputs_match_pinned_digests(tmp_path, capsys, argv, digest):
 # SHA-256 of a lemma-2.12 report with failures, pinned from the runner
 # that sorted every case by its key: streaming the cases and keying only
 # the failures must leave every byte of a failing report alone too.
-# largest_square is raised by one on the graphs that hold the cell (2, 1)
-# at n >= 5, that is, on the 288 words with 1 in one of their first two
-# places.
+# The square side the sweep reads off the rows, grid._square_side, is
+# raised by one on the graphs that hold the cell (2, 1) at n >= 5, that
+# is, on the 288 words with 1 in one of their first two places.
 LEMMA_212_FAILURE_DIGEST = (
     "743a405ea2e91be1fe2ec7ae2188edffb77340984fabcb2aa89bcde0fd37ddc8")
 
 
 def test_failing_report_matches_pinned_digest(tmp_path, capsys, monkeypatch):
-    real = grid.largest_square
-    monkeypatch.setattr(grid, "largest_square", lambda P: real(P) + (
-        P.n >= 5 and P.rows[1] >> 1 & 1))
+    real = grid._square_side
+    monkeypatch.setattr(grid, "_square_side", lambda n, rows: real(n, rows) + (
+        n >= 5 and rows[1] >> 1 & 1))
     out = tmp_path / "doc.json"
     assert main(["check", "lemma-2.12", "--max-n", "6",
                  "--out", str(out)]) == 1
