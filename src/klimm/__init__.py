@@ -37,9 +37,7 @@ from .grid import (
 from .immanant import (
     ImmanantResult,
     SignProbeReport,
-    deletion_det_identity,
     dual_canonical_eval,
-    factor_block_antidiagonal,
     imm_definition,
     imm_determinantal,
     lewis_carroll_sign_probe,

@@ -92,6 +92,14 @@ class Matrix:
         if not all(type(d) is int and d > 0 for d in multipliers):
             raise ValueError(f"multipliers {multipliers} are not all "
                              f"positive ints")
+        return cls._reduced(rows, multipliers)
+
+    @classmethod
+    def _reduced(cls, rows: tuple[tuple[int, ...], ...],
+                 multipliers: tuple[int, ...]) -> "Matrix":
+        """:meth:`from_cleared` on rows and multipliers that already pass
+        its checks, as tuples: each row divided by its gcd with its
+        multiplier."""
         gcds = [gcd(d, *row) for row, d in zip(rows, multipliers)]
         M = cls.__new__(cls)
         object.__setattr__(M, "cleared", (
@@ -216,25 +224,34 @@ def deleted_det(M: Matrix, gone_rows: Iterable[int],
                  every - _index_set(gone_cols))
 
 
-def _cut(M: Matrix, P: Grid) -> tuple[list[list[int]], tuple[int, ...]]:
-    """M's cleared rows, zeroed outside the grid, and their multipliers."""
+def _cut(M: Matrix, masks: Sequence[int]) -> list[list[int]]:
+    """M's cleared rows, each zeroed outside its row mask (bit j keeps
+    column j), unchecked: M is square of the size of ``masks``."""
+    return [[x if mask >> j & 1 else 0 for j, x in enumerate(row, 1)]
+            for row, mask in zip(M.cleared[0], masks)]
+
+
+def _grid_masks(M: Matrix, P: Grid) -> tuple[int, ...]:
+    """P's row masks; ShapeError unless M is square of P's size."""
     n = _require_square(M)
     if P.n != n:
         raise ShapeError(f"grid size {P.n} does not match matrix size {n}")
-    int_rows, denoms = M.cleared
-    return [[x if mask >> j & 1 else 0 for j, x in enumerate(row, 1)]
-            for row, mask in zip(int_rows, P.rows)], denoms
+    return P.rows
 
 
 def restrict(M: Matrix, P: Grid) -> Matrix:
     """Zero out every entry outside the grid."""
-    return Matrix.from_cleared(*_cut(M, P))
+    return Matrix.from_cleared(_cut(M, _grid_masks(M, P)), M.cleared[1])
+
+
+def _masked_det(M: Matrix, masks: Sequence[int]) -> Fraction:
+    """det of M cut on the row masks (see :func:`_cut`), unchecked."""
+    return Fraction(_bareiss_int_det(_cut(M, masks)), prod(M.cleared[1]))
 
 
 def _restricted_det(M: Matrix, P: Grid) -> Fraction:
     """det(restrict(M, P)), eliminating on the cut integer rows."""
-    int_rows, denoms = _cut(M, P)
-    return Fraction(_bareiss_int_det(int_rows), prod(denoms))
+    return _masked_det(M, _grid_masks(M, P))
 
 
 def repeat_submatrix(M: Matrix, R: Sequence[int], C: Sequence[int]) -> Matrix:

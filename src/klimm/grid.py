@@ -453,6 +453,19 @@ def _validated_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
 # Block-antidiagonal structure and deletions.
 
 
+def _antidiagonal_split(rows: tuple[int, ...]) -> int | None:
+    """The least j such that the cells of ``rows`` fit inside an
+    upper-right block of size n - j and a lower-left block of size j, or
+    None when there is none."""
+    n = len(rows)
+    for j in range(1, n):
+        s = n - j
+        if (not any(mask & _columns(1, j) for mask in rows[:s])
+                and all(mask < 2 << j for mask in rows[s:])):
+            return j
+    return None
+
+
 def block_antidiagonal_split(P: Grid) -> tuple[int, Grid, Grid] | None:
     """
     If the cells fit inside an upper-right block of size n - j and a
@@ -460,42 +473,30 @@ def block_antidiagonal_split(P: Grid) -> tuple[int, Grid, Grid] | None:
     blocks reindexed to their own coordinates.
     Returns None when no such split exists.
     """
-    n = P.n
-    for j in range(1, n):
-        s = n - j
-        top, bottom = P.rows[:s], P.rows[s:]
-        if (not any(mask & _columns(1, j) for mask in top)
-                and all(mask < 2 << j for mask in bottom)):
-            return j, Grid(s, tuple(mask >> j for mask in top)), Grid(j, bottom)
-    return None
+    j = _antidiagonal_split(P.rows)
+    if j is None:
+        return None
+    s = P.n - j
+    return (j, Grid(s, tuple(mask >> j for mask in P.rows[:s])),
+            Grid(j, P.rows[s:]))
+
+
+def _deleted_interval_rows(v: Perm, i: int, *skip: int) -> tuple[int, ...]:
+    """The rows of a checked permutation v, pruned at position ``skip`` if
+    given, with row i and column v_i deleted."""
+    return delete_rows_cols(Grid(len(v), _upper_interval_rows(v, *skip)),
+                            {i}, {v[i - 1]}).rows
 
 
 def _deletes_to_interval_graph(v: Perm, i: int, *skip: int) -> bool:
     """
-    Deleting row i and column v_i from the rows of v, pruned at position
-    ``skip`` if given (else the cache entry graph_of_upper_interval
-    reads), leaves the interval graph of v with v_i deleted.
+    The deletion identities on a checked permutation v: deleting row i and
+    column v_i from the rows of v, pruned at position ``skip`` if given,
+    leaves the interval graph of v with v_i deleted.  Pruned at i, this
+    matches removing row i, column v_i and the cells sandwiched only
+    through position i, which the interval graph loses when the
+    non-inversions through i are left out of it.  Unpruned, it is the
+    stronger statement available when (i, v_i) spans no maximal box.
     """
-    v = as_perm(v)
-    reduced = delete_rows_cols(Grid(len(v), _upper_interval_rows(v, *skip)),
-                               {i}, {v[i - 1]})
-    return reduced.rows == _upper_interval_rows(delete_entry(v, i))
-
-
-def deletion_pruned_grid_identity(v: Perm, i: int) -> bool:
-    """
-    Deleting v_i from the word matches, at the level of grids, removing
-    row i, column v_i, and the cells sandwiched only through position i.
-    Those cells are what the interval graph loses when the non-inversions
-    through i are left out of it.
-    """
-    return _deletes_to_interval_graph(v, i, i)
-
-
-def deletion_grid_identity(v: Perm, i: int) -> bool:
-    """
-    The stronger statement available when (i, v_i) spans no maximal box:
-    plain row/column deletion of the upper-interval graph already gives
-    the graph for the shortened word.
-    """
-    return _deletes_to_interval_graph(v, i)
+    return (_deleted_interval_rows(v, i, *skip)
+            == _upper_interval_rows(delete_entry(v, i)))

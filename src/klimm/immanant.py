@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import PatternPreconditionError, PreconditionError, ShapeError
 from .exactmat import (
     Matrix,
+    _masked_det,
     _require_square,
     _restricted_det,
     deleted_det,
@@ -34,16 +36,17 @@ from .exactmat import (
 from .grid import (
     FORBIDDEN_PATTERNS,
     Grid,
+    _antidiagonal_split,
+    _deleted_interval_rows,
+    _upper_interval_rows,
     as_multiset,
-    block_antidiagonal_split,
     bounding_boxes,
-    delete_rows_cols,
     graph_of_upper_interval,
     is_admissible,
     is_young_shaped,
     largest_square,
 )
-from .klpoly import KLCache, cache_for, imm_terms
+from .klpoly import KLCache, _bit_flags, _imm_classes, cache_for
 from .perm import (
     Perm,
     as_perm,
@@ -75,35 +78,50 @@ def obeys_sign_law(signed: Fraction, positive: bool) -> bool:
 @lru_cache(maxsize=None)
 def _monomial_getters(n: int) -> tuple[itemgetter, ...]:
     """
-    One getter per position k of the Bruhat table of S_n (n >= 2): it
-    reads the factors of the monomial of w = perms[k], the entries
-    (i, w(i)), off an n x n matrix flattened row by row.
+    One getter per position x of the Bruhat table of S_n (n >= 2): it
+    reads the factors of the monomial of w = w0 perms[x] = perms[top - x],
+    the entries (i, w(i)), off an n x n matrix flattened row by row.  So
+    bit x of a class of :func:`klimm.klpoly._imm_classes` selects getter x.
     """
     return tuple(itemgetter(*(i * n + c - 1 for i, c in enumerate(w)))
-                 for w in bruhat_table(n).perms)
+                 for w in reversed(bruhat_table(n).perms))
 
 
 def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction:
     """
-    The defining sum: the dot product of the signed terms of
-    :func:`klimm.klpoly.imm_terms` (one per w >= v; all other
-    Kazhdan-Lusztig values vanish) with the w-monomials of M.  The
-    monomials are products of M's cleared integer rows; every monomial
-    takes one entry from each row, so the integer total over the product
-    of the row multipliers is exact.  Works for every v; the table guards
-    the size at n <= 7.  A cache for another S_n raises SizeMismatchError.
+    The defining sum: one signed Kazhdan-Lusztig value times the
+    w-monomial of M per w >= v (all other values vanish).  Works for
+    every v; the table guards the size at n <= 7.  A matrix of the wrong
+    size raises ShapeError, a word that is not a permutation ValueError,
+    and then a cache for another S_n SizeMismatchError.
     """
-    v = tuple(v)  # validated, with the cache, by imm_terms from n = 2 on
+    v = tuple(v)
+    _require_square(M, len(v))
+    return _imm_definition(as_perm(v), M, cache_for(cache, v))
+
+
+def _imm_definition(v: Perm, M: Matrix, cache: KLCache) -> Fraction:
+    """
+    :func:`imm_definition` of a checked v on an n x n M and a cache for
+    S_n, summed per value class of the row of w0 v: each class's
+    monomials in one pass, times its P(1) once.  The monomials are
+    products of M's cleared integer rows, each taking one entry from every
+    row, so the integer total over the product of the row multipliers is
+    exact.
+    """
     n = len(v)
-    _require_square(M, n)
     rows, denoms = M.cleared
     if n < 2:  # one term, w = v, whose KL value is 1
-        cache_for(cache, as_perm(v))
         return Fraction(rows[0][0] if n else 1, prod(denoms))
-    flat = [entry for row in rows for entry in row]
+    read = methodcaller("__call__", list(chain.from_iterable(rows)))
     getters = _monomial_getters(n)
-    return Fraction(sum(c * prod(getters[k](flat))
-                        for k, c in imm_terms(v, cache)), prod(denoms))
+
+    def monomials(bits: int) -> int:
+        return sum(map(prod, map(read, compress(getters, _bit_flags(bits)))))
+
+    return Fraction(sum(c * (monomials(plus) - monomials(minus))
+                        for c, plus, minus in _imm_classes(v, cache)),
+                    prod(denoms))
 
 
 def imm_determinantal(v: Perm, M: Matrix) -> Fraction:
@@ -114,7 +132,13 @@ def imm_determinantal(v: Perm, M: Matrix) -> Fraction:
     v = tuple(v)
     _require_avoiding(v)
     _require_square(M, len(v))
-    value = _restricted_det(M, graph_of_upper_interval(v))
+    return _imm_determinantal(v, M)
+
+
+def _imm_determinantal(v: Perm, M: Matrix) -> Fraction:
+    """:func:`imm_determinantal` of a checked 1324- and 2143-avoiding v
+    on an n x n M, cut on the cached rows of its interval graph."""
+    value = _masked_det(M, _upper_interval_rows(v))
     return -value if length(v) % 2 else value
 
 
@@ -181,45 +205,37 @@ def dual_canonical_eval(v: Perm, R: Sequence[int], C: Sequence[int],
     )
 
 
-def factor_block_antidiagonal(v: Perm, M: Matrix) -> Fraction:
+# The block parts and the deleted word below hold a pattern only where v
+# does, so they avoid 1324 and 2143 as v does and are not checked again.
+
+
+def _factor_block_antidiagonal(v: Perm, M: Matrix) -> Fraction:
     """
-    When the upper-interval graph splits into an upper-right and a
-    lower-left antidiagonal block, the immanant factors as the product
-    of the block immanants on the corresponding submatrices.
+    Prop. 4.1 on a checked 1324- and 2143-avoiding v whose graph of
+    [v, w0] splits into an upper-right and a lower-left antidiagonal
+    block, and an n x n M: the immanant is the product of the block
+    immanants on the corresponding submatrices.
     """
-    v = tuple(v)
-    _require_avoiding(v)
     n = len(v)
-    _require_square(M, n)
-    split = block_antidiagonal_split(graph_of_upper_interval(v))
-    if split is None:
-        raise PreconditionError(
-            f"the graph of [{format_perm(v)}, w0] is not block-antidiagonal")
-    j, _, _ = split
+    j = _antidiagonal_split(_upper_interval_rows(v))
     s = n - j
-    upper_perm = tuple(v[i] - j for i in range(s))
-    lower_perm = tuple(v[i] for i in range(s, n))
-    upper_part = imm_determinantal(
-        upper_perm, repeat_submatrix(M, range(1, s + 1), range(j + 1, n + 1)))
-    lower_part = imm_determinantal(
-        lower_perm, repeat_submatrix(M, range(s + 1, n + 1), range(1, j + 1)))
+    upper_part = _imm_determinantal(
+        tuple(x - j for x in v[:s]),
+        repeat_submatrix(M, range(1, s + 1), range(j + 1, n + 1)))
+    lower_part = _imm_determinantal(
+        v[s:], repeat_submatrix(M, range(s + 1, n + 1), range(1, j + 1)))
     return upper_part * lower_part
 
 
-def deletion_det_identity(v: Perm, i: int, M: Matrix) -> bool:
+def _deletion_det_identity(v: Perm, i: int, M: Matrix) -> bool:
     """
-    Deleting v_i from the word and restricting M to the shortened
+    On a checked 1324- and 2143-avoiding v and an (n - 1) x (n - 1) M:
+    deleting v_i from the word and restricting M to the shortened
     interval graph gives the same determinant as restricting M to the
-    original graph with row i and column v_i struck out.  M is supplied
-    at the shortened size n - 1.
+    original graph with row i and column v_i struck out.
     """
-    v = tuple(v)
-    _require_avoiding(v)
-    _require_square(M, len(v) - 1)
-    x = delete_entry(v, i)
-    reduced = delete_rows_cols(graph_of_upper_interval(v), {i}, {v[i - 1]})
-    return (_restricted_det(M, graph_of_upper_interval(x))
-            == _restricted_det(M, reduced))
+    return (_masked_det(M, _upper_interval_rows(delete_entry(v, i)))
+            == _masked_det(M, _deleted_interval_rows(v, i)))
 
 
 def young_sign_law(P: Grid, R: Sequence[int], C: Sequence[int],

@@ -20,7 +20,9 @@ module reads it.  Counts are those of the pair-by-pair recursion walking
 the row in ascending x: a miss is a pair computed and stored, and a hit
 a recursion term answered from the store (a descent term, a mu-sum
 candidate P_{z,ys} or a mu-term P_{x,z}).  :func:`kl_at` counts one hit
-for a pair of a stored row, and :func:`imm_terms` one per pair of it.
+for a pair of a stored row, and :func:`_imm_classes`, the one reader of
+the row of w0 v behind :func:`imm_terms` and the defining sum of
+:mod:`klimm.immanant`, one per pair of it.
 
 Conventions: P_{x,y} = 0 unless x <= y in Bruhat order, P_{y,y} = 1, and
 for x < y the degree is at most (l(y) - l(x) - 1) / 2 with constant term
@@ -115,10 +117,16 @@ CACHE_FORMAT_VERSION = 2
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bit_flags(bits: int) -> bytes:
+    """Byte x is 1 iff bit x of ``bits`` is set, up to its top bit: the
+    selectors of :func:`itertools.compress` for the set bits, with no
+    loop over them."""
+    return format(bits, "b")[::-1].encode().translate(_BIT_FLAGS)
+
+
 def _from_top(bits: int, top: int) -> itertools.compress:
-    """top - x for the set bits x of ``bits``, in ascending x, with no
-    loop over the bits: the reversed binary digits flag them."""
-    flags = format(bits, "b")[::-1].encode().translate(_BIT_FLAGS)
+    """top - x for the set bits x of ``bits``, in ascending x."""
+    flags = _bit_flags(bits)
     return itertools.compress(range(top, top - len(flags), -1), flags)
 
 
@@ -532,31 +540,41 @@ def _fill_row(cache: KLCache, y: int) -> dict[IntPolynomial, int]:
     return classes
 
 
-def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
+def _imm_classes(v: Perm, cache: KLCache) -> list[tuple[int, int, int]]:
     """
-    Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
-    with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1).  Left multiplication
-    by w0 reverses the table, so these are the x = w0 w below y = w0 v,
-    built per value class of the row of y: P(1) is one sum per class, and
-    the sign the parity of l(y) - l(x), one AND with ``table.odd``.  A
-    stored row counts one hit per pair x < y, as one :func:`kl_at` call
-    per w would, and a row the store lacks is filled whole by
-    :func:`_fill_row`, which does its own counting.  ``v`` is validated,
-    and a cache for another S_n raises SizeMismatchError.
+    Imm_v by value class of the row of y = w0 v: one (P(1), plus, minus)
+    per class, the bitsets of its x with l(y) - l(x) even and odd.  Left
+    multiplication by w0 reverses the table, so x stands for the term of
+    w = ``cache.table.perms[top - x]`` >= v, with sign (-1)^(l(w) - l(v)),
+    the parity of l(y) - l(x).  A stored row counts one hit per pair
+    x < y, as one :func:`kl_at` call per w would, and a row the store
+    lacks is filled whole by :func:`_fill_row`, which does its own
+    counting.  v must be a checked permutation of the cache's S_n: a bool
+    or float word finds the position of the equal int word.
     """
-    v = as_perm(v)
-    cache = cache_for(cache, v)
     table = cache.table
-    top = len(table.perms) - 1
-    y = top - table.index[v]
+    y = len(table.perms) - 1 - table.index[v]
     classes, made = _row(cache, y)
     if not made:
         cache.hits += table.below[y].bit_count() - 1
     # l(y) - l(x) is even iff x has the parity of y.
     even = table.odd if table.lengths[y] % 2 else ~table.odd
+    return [(sum(p.coeffs), bits & even, bits & ~even)
+            for p, bits in classes.items()]
+
+
+def imm_terms(v: Perm, cache: KLCache | None) -> list[tuple[int, int]]:
+    """
+    Imm_v as signed terms: one (k, c) per w = ``cache.table.perms[k]`` >= v,
+    with c = (-1)^(l(w) - l(v)) P_{w0 w, w0 v}(1), expanded from the
+    classes of :func:`_imm_classes`, which counts as it says.  ``v`` is
+    validated, and a cache for another S_n raises SizeMismatchError.
+    """
+    v = as_perm(v)
+    cache = cache_for(cache, v)
+    top = len(cache.table.perms) - 1
     terms = []
-    for p, bits in classes.items():
-        c, plus = sum(p.coeffs), bits & even
+    for c, plus, minus in _imm_classes(v, cache):
         terms += zip(_from_top(plus, top), itertools.repeat(c))
-        terms += zip(_from_top(bits ^ plus, top), itertools.repeat(-c))
+        terms += zip(_from_top(minus, top), itertools.repeat(-c))
     return terms

@@ -39,15 +39,15 @@ from .exactmat import (
 )
 from .grid import (
     FORBIDDEN_PATTERNS,
+    Grid,
     _alternation_applies,
     _boxes_alternate,
     _boxes_cover_interval_graph,
+    _deletes_to_interval_graph,
     _squares_match_noninversions,
     _upper_interval_rows,
     block_antidiagonal_split,
     bounding_boxes,
-    deletion_grid_identity,
-    deletion_pruned_grid_identity,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     label_patterns,
@@ -57,11 +57,12 @@ from .grid import (
     young_diagram_grid,
 )
 from .immanant import (
-    deletion_det_identity,
+    _deletion_det_identity,
+    _factor_block_antidiagonal,
+    _imm_definition,
+    _imm_determinantal,
     dual_canonical_eval,
-    factor_block_antidiagonal,
     imm_definition,
-    imm_determinantal,
     lewis_carroll_sign_probe,
     obeys_sign_law,
     sign_probe_anchor,
@@ -71,6 +72,8 @@ from .klpoly import KLCache, KLCacheRegistry, imm_terms
 from .perm import (
     BRUHAT_TABLE_GUARD,
     Perm,
+    _contains_1324,
+    _contains_2143,
     avoids,
     format_perm,
     identity,
@@ -162,8 +165,9 @@ def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
     # draws: randrange(k) takes k.bit_length() bits until they fall below
     # k, so this is the same stream with fewer steps around it.  Each row
     # is cleared straight from its drawn numerators and denominators, over
-    # the lcm of the latter, and Matrix.from_cleared reduces it by its gcd
-    # with that lcm: no Fraction is made.
+    # the lcm of the latter, as a tuple of ints, and the gcd step of
+    # Matrix.from_cleared reduces it by its gcd with that lcm, with no
+    # type check of what was just drawn: no Fraction is made.
     bits, rows, multipliers = rng.getrandbits, [], []
     for _ in range(n):
         nums, dens = [], []
@@ -177,9 +181,9 @@ def _random_rational_matrix(n: int, rng: random.Random) -> Matrix:
             nums.append(num - 999)
             dens.append(den + 1)
         d = lcm(*dens)
-        rows.append([a * (d // b) for a, b in zip(nums, dens)])
+        rows.append(tuple(a * (d // b) for a, b in zip(nums, dens)))
         multipliers.append(d)
-    return Matrix.from_cleared(rows, multipliers)
+    return Matrix._reduced(tuple(rows), tuple(multipliers))
 
 
 def _k_positive_samples(m: int, k: int, tag: str, count: int,
@@ -208,6 +212,11 @@ def _k_positive_samples(m: int, k: int, tag: str, count: int,
 
 @lru_cache(maxsize=None)
 def _avoiders(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """The words of S_n that avoid every pattern; the generated words
+    need no check, so 1324 and 2143 go straight to their kernels."""
+    if patterns == FORBIDDEN_PATTERNS:
+        return tuple(v for v in symmetric_group(n)
+                     if not (_contains_1324(v) or _contains_2143(v)))
     return tuple(v for v in symmetric_group(n) if avoids(v, *patterns))
 
 
@@ -279,8 +288,8 @@ def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
     for key, v, rng in _sampled_avoiders(config, "prop-3.1", 1,
                                          config.max_n or 5):
         M = _random_rational_matrix(len(v), rng)
-        lhs = imm_definition(v, M, caches.for_n(len(v)))
-        rhs = imm_determinantal(v, M)
+        lhs = _imm_definition(v, M, caches.for_n(len(v)))
+        rhs = _imm_determinantal(v, M)
         yield None if lhs == rhs else (key, {
             "v": format_perm(v), "matrix": M.to_doc(),
             "definition": str(lhs), "determinantal": str(rhs)})
@@ -311,10 +320,11 @@ def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
                                notes: dict) -> Iterator[Case]:
     for key, v, rng in _sampled_avoiders(
             config, "prop-4.1", 2, config.max_n or 6, lambda v:
-            block_antidiagonal_split(graph_of_upper_interval(v)) is not None):
+            block_antidiagonal_split(Grid(len(v), _upper_interval_rows(v)))
+            is not None):
         M = _random_rational_matrix(len(v), rng)
-        product = factor_block_antidiagonal(v, M)
-        direct = imm_determinantal(v, M)
+        product = _factor_block_antidiagonal(v, M)
+        direct = _imm_determinantal(v, M)
         yield None if product == direct else (key, {
             "v": format_perm(v), "matrix": M.to_doc(),
             "product": str(product), "direct": str(direct)})
@@ -329,17 +339,16 @@ def _suite_deletion(config: Config, caches: KLCacheRegistry,
             corners = spanning_corners(v)
             word = format_perm(v)
             for i in range(1, n + 1):
-                if (i, v[i - 1]) in corners:
-                    passed = deletion_pruned_grid_identity(v, i)
-                else:
-                    passed = deletion_grid_identity(v, i)
+                # Pruned at a spanning corner, plain elsewhere.
+                skip = (i,) if (i, v[i - 1]) in corners else ()
+                passed = _deletes_to_interval_graph(v, i, *skip)
                 yield None if passed else (f"n={n}:v={word}:i={i}:grid", {
                     "v": word, "i": i, "failure": "grid deletion mismatch"})
                 for s in range(samples):
                     key = f"n={n}:v={word}:i={i}:s={s}"
                     rng = _case_rng(config.seed, "deletion", key)
                     M = _random_rational_matrix(n - 1, rng)
-                    yield None if deletion_det_identity(v, i, M) else (key, {
+                    yield None if _deletion_det_identity(v, i, M) else (key, {
                         "v": word, "i": i, "matrix": M.to_doc()})
 
 

@@ -22,7 +22,15 @@ from klimm.grid import (
     Grid,
     _boxes_alternate,
     _boxes_cover_interval_graph,
+    _deletes_to_interval_graph,
     _squares_match_noninversions,
+    block_antidiagonal_split,
+    graph_of_upper_interval,
+)
+from klimm.immanant import (
+    _deletion_det_identity,
+    _factor_block_antidiagonal,
+    _require_avoiding,
 )
 from klimm.klpoly import ONE, IntPolynomial, KLCache, kl_at, kl_polynomial
 from klimm.perm import (
@@ -190,6 +198,60 @@ def boxes_alternate(v) -> bool:
         raise PreconditionError(
             f"w0 * {format_perm(v)} lies in a maximal parabolic subgroup")
     return _boxes_alternate(tuple(v))
+
+
+def deletion_pruned_grid_identity(v, i: int) -> bool:
+    """
+    Deleting v_i from the word matches, at the level of grids, removing
+    row i, column v_i, and the cells sandwiched only through position i.
+    A word that is not a permutation raises ValueError.
+    """
+    return _deletes_to_interval_graph(as_perm(v), i, i)
+
+
+def deletion_grid_identity(v, i: int) -> bool:
+    """
+    The stronger statement available when (i, v_i) spans no maximal box:
+    plain row/column deletion of the upper-interval graph already gives
+    the graph for the shortened word.  A word that is not a permutation
+    raises ValueError.
+    """
+    return _deletes_to_interval_graph(as_perm(v), i)
+
+
+# The public forms of the prop-4.1 and deletion suites' kernels, which the
+# suites, running on the words they generate, call unchecked.
+
+
+def factor_block_antidiagonal(v, M: Matrix) -> Fraction:
+    """
+    Prop. 4.1: when the graph of [v, w0] splits into an upper-right and a
+    lower-left antidiagonal block, the immanant factors as the product of
+    the block immanants on the corresponding submatrices.  Checks the
+    word (ValueError, PatternPreconditionError), the matrix (ShapeError)
+    and the split (PreconditionError), in that order.
+    """
+    v = tuple(v)
+    _require_avoiding(v)
+    _require_square(M, len(v))
+    if block_antidiagonal_split(graph_of_upper_interval(v)) is None:
+        raise PreconditionError(
+            f"the graph of [{format_perm(v)}, w0] is not block-antidiagonal")
+    return _factor_block_antidiagonal(v, M)
+
+
+def deletion_det_identity(v, i: int, M: Matrix) -> bool:
+    """
+    Deleting v_i from the word and restricting M to the shortened
+    interval graph gives the same determinant as restricting M to the
+    original graph with row i and column v_i struck out.  M is supplied
+    at the shortened size n - 1.  Checks the word, then the matrix; a
+    position out of range raises IndexError.
+    """
+    v = tuple(v)
+    _require_avoiding(v)
+    _require_square(M, len(v) - 1)
+    return _deletion_det_identity(v, i, M)
 
 
 def random_rational_matrix(n: int, rng: random.Random,

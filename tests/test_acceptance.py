@@ -8,7 +8,12 @@ import time
 
 import pytest
 
-from conftest import cells_of, col_support, row_support
+from conftest import (
+    cells_of,
+    col_support,
+    deletion_pruned_grid_identity,
+    row_support,
+)
 import fixtures
 from kl_via_r import coeff, degree, kl_table_via_r
 from klimm.exactmat import (
@@ -20,7 +25,6 @@ from klimm.exactmat import (
 from klimm.grid import (
     block_antidiagonal_split,
     bounding_boxes,
-    deletion_pruned_grid_identity,
     graph_of_upper_interval,
     spanning_corners,
 )

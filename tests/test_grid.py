@@ -14,6 +14,8 @@ from conftest import (
     cells_of,
     cells_sandwiched_only_by,
     col_support,
+    deletion_grid_identity,
+    deletion_pruned_grid_identity,
     durfee,
     grid,
     non_inversions,
@@ -35,8 +37,6 @@ from klimm.grid import (
     block_antidiagonal_split,
     bounding_boxes,
     delete_rows_cols,
-    deletion_grid_identity,
-    deletion_pruned_grid_identity,
     graph_of_interval_bruteforce,
     graph_of_upper_interval,
     is_admissible,

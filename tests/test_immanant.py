@@ -13,7 +13,9 @@ from conftest import (
     antidiagonal_transpose,
     bar,
     cells_of,
+    deletion_det_identity,
     durfee,
+    factor_block_antidiagonal,
     from_rows,
     identity_matrix,
     kl_at_one,
@@ -26,7 +28,7 @@ from conftest import (
 import fixtures
 from kl_every_candidate import Oracle, pairs_of, per_w_terms
 from kl_via_r import kl_table_via_r
-from klimm import exactmat
+from klimm import exactmat, grid
 from klimm.errors import (
     PatternPreconditionError,
     PreconditionError,
@@ -52,9 +54,7 @@ from klimm.grid import (
     young_diagram_grid,
 )
 from klimm.immanant import (
-    deletion_det_identity,
     dual_canonical_eval,
-    factor_block_antidiagonal,
     imm_definition,
     imm_determinantal,
     lewis_carroll_sign_probe,
@@ -220,6 +220,26 @@ def test_defining_sum_counts_like_one_kl_at_call_per_w(n):
         assert imm_definition(v, M, warm) == _per_w_definition(v, M, slow)
 
 
+def test_per_class_sum_matches_the_per_term_dot_product_on_s6():
+    # Every v of S_6, on one cache per route, so each call is cold or warm
+    # alike on both.  S_6 has non-smooth w0 v, whose rows hold several
+    # value classes, some with P(1) > 1: prop-3.1's avoiders reach none.
+    n = 6
+    M = random_rational_matrix(n, random.Random(6))
+    rows, denoms = M.cleared
+    per_class, per_term = KLCache(n), KLCache(n)
+    perms = per_term.table.perms
+    weights = set()
+    for v in symmetric_group(n):
+        terms = imm_terms(v, per_term)
+        weights |= {abs(c) for _, c in terms}
+        dot = sum(c * prod(row[j - 1] for row, j in zip(rows, perms[k]))
+                  for k, c in terms)
+        assert imm_definition(v, M, per_class) == Fraction(dot, prod(denoms))
+        assert per_class.stats() == per_term.stats(), v
+    assert max(weights) > 1 and per_class.stats()["misses"] > 0
+
+
 def test_one_prop31_case_clears_its_matrix_once(monkeypatch):
     # Both sides of a case read M's one integer form: one lcm per row.
     calls = []
@@ -357,6 +377,48 @@ def test_labels_that_are_not_ints_are_rejected(label):
 def test_matrix_shape_is_checked_with_its_message(function, args, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
         function(*args)
+
+
+# The public evaluators of the KL and matrix suites, each on a word and a
+# KL cache for its size.  The int twins of the words below avoid 1324 and
+# 2143, and (2, 1) splits into blocks, so only the word check can raise.
+EVALUATORS = {
+    "imm_definition":
+        lambda v, cache: imm_definition(v, identity_matrix(len(v)), cache),
+    "imm_determinantal":
+        lambda v, cache: imm_determinantal(v, identity_matrix(len(v))),
+    "factor_block_antidiagonal":
+        lambda v, cache: factor_block_antidiagonal(
+            v, identity_matrix(len(v))),
+    "deletion_det_identity":
+        lambda v, cache: deletion_det_identity(
+            v, 1, identity_matrix(len(v) - 1)),
+}
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS.values(),
+                         ids=EVALUATORS.keys())
+@pytest.mark.parametrize("word", [(True, 2), (1.0, 2), (2, True), (2.0, 1),
+                                  (True, 3, 2), (1.0, 3, 2)])
+def test_a_warm_cache_lets_no_bool_or_float_word_through_an_evaluator(
+        evaluate, word):
+    # The word equals, and hashes as, an int permutation whose interval
+    # rows and KL row are cached: the kernels would read them for it, so
+    # each public evaluator must check the word before it calls one.
+    twin = tuple(map(int, word))
+    cache = KLCache(len(twin))
+    for warm in EVALUATORS.values():
+        try:
+            warm(twin, cache)
+        except PreconditionError:  # (1, 2) and (1, 3, 2) do not split
+            pass
+    info = grid._upper_interval_rows.cache_info()
+    grid._upper_interval_rows(twin)
+    assert grid._upper_interval_rows.cache_info().hits == info.hits + 1
+    y = len(cache.table.perms) - 1 - cache.table.index[twin]
+    assert y in cache._rows or twin == longest_element(len(twin))
+    with pytest.raises(ValueError, match="permutation"):
+        evaluate(word, cache)
 
 
 def test_dual_canonical_eval_repeated_labels_match_definition(kl_cache_s4):

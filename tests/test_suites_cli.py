@@ -77,9 +77,8 @@ def test_partitions_in_box_come_in_decreasing_order():
 
 def test_deletion_suite_has_one_grid_case_per_position(monkeypatch):
     # Fail every grid case, so that each one shows its key.
-    monkeypatch.setattr(suites, "deletion_grid_identity", lambda v, i: False)
-    monkeypatch.setattr(suites, "deletion_pruned_grid_identity",
-                        lambda v, i: False)
+    monkeypatch.setattr(suites, "_deletes_to_interval_graph",
+                        lambda v, i, *skip: False)
     config = Config(max_n=5, samples=3, seed=0)
     cases = list(suites._suite_deletion(config, None, {}))
     grid_keys = [key for key, _ in filter(None, cases)]
@@ -283,22 +282,48 @@ def test_lemma_216_hits_every_row_lemma_212_computed():
     assert (info.misses, info.hits) == (5913, 5913)
 
 
-def test_prop31_validates_each_word_once_per_case_past_n_1(monkeypatch):
-    # Cold, as a fresh CLI run: the defining sum leaves its word check to
-    # klpoly.imm_terms from n = 2 on, so each of the 484 cases there
-    # checks its word one time fewer than when it checked the word itself
-    # (2,812 calls).
+# Cold runs of the sampled KL and matrix suites, with their word checks:
+# (is_permutation_word calls, avoids calls, words generated).  Each suite
+# takes its words from suites._avoiders, which filters the words of S_n,
+# and runs kernels on them; only deletion's spanning_corners checks its
+# word, once per avoider.  When the suites called the checking public
+# evaluators once per sample, the same runs made (2328, 1358) at the
+# kl-cold config and (1224, 510), (7428, 3908) and (5770, 1802) on the
+# three defaults.
+WORD_CHECKS = {
+    "prop-3.1-kl-cold": ("prop-3.1", Config(max_n=6, samples=1), (0, 0, 873)),
+    "prop-3.1": ("prop-3.1", Config(), (0, 0, 153)),
+    "prop-4.1": ("prop-4.1", Config(), (0, 0, 872)),
+    "deletion": ("deletion", Config(), (118, 0, 152)),
+}
+
+
+@pytest.mark.parametrize("name", WORD_CHECKS)
+def test_sampled_suites_check_no_generated_word_twice(monkeypatch, name):
+    suite, config, pinned = WORD_CHECKS[name]
     for module in (grid, immanant, klpoly, perm, suites):
         for value in vars(module).values():
             if isinstance(value, functools._lru_cache_wrapper):
                 value.cache_clear()
-    calls = []
-    real = perm.is_permutation_word
-    monkeypatch.setattr(perm, "is_permutation_word",
-                        lambda word: calls.append(word) or real(word))
-    report = run_suite("prop-3.1", Config(max_n=6, samples=1, seed=0))
-    assert report.ok and report.cases_run == 485
-    assert len(calls) == 2328
+    calls = Counter()
+    generated = []
+    for check in ("is_permutation_word", "avoids"):
+        real = getattr(perm, check)
+
+        def counting(*args, real=real, check=check):
+            calls[check] += 1
+            return real(*args)
+
+        for module in (grid, immanant, klpoly, perm, suites):
+            if getattr(module, check, None) is real:
+                monkeypatch.setattr(module, check, counting)
+    symmetric = suites.symmetric_group
+    monkeypatch.setattr(suites, "symmetric_group", lambda n: (
+        v for v in symmetric(n) if not generated.append(v)))
+    assert run_suite(suite, config).ok
+    counted = (calls["is_permutation_word"], calls["avoids"], len(generated))
+    assert counted == pinned
+    assert max(counted[:2]) <= len(generated)
 
 
 def test_suite_uses_kl_cache_files(tmp_path):
@@ -945,6 +970,22 @@ def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
             for name in PROP31_DIGESTS} == PROP31_DIGESTS
 
 
+# SHA-256 of the cold prop-3.1 report at --max-n 6 --samples 1 --seed 0,
+# the command of perfbench's kl-cold workload, which prints the same
+# digest for it.  It is pinned from the per-term defining sum, before
+# the sum went per KL value class.
+KL_COLD_REPORT_DIGEST = (
+    "0d8fe85e48e0f4f96114d1c5adda073db6a1acb01fce4933270ec86a18361208")
+
+
+def test_kl_cold_report_matches_pinned_digest(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["check", "prop-3.1", "--max-n", "6", "--samples", "1",
+                 "--seed", "0", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == KL_COLD_REPORT_DIGEST
+
+
 def test_prop31_cache_files_decode_to_the_cold_store(tmp_path, capsys):
     # prop-3.1 evaluates the defining sum of every avoider, so a cold
     # recursion that walks the same KL rows stores exactly the pairs the
@@ -1020,8 +1061,8 @@ def test_prop31_draws_build_no_entries_until_a_case_fails(monkeypatch):
     assert run_suite("prop-3.1", config).ok
     assert drawn and not any("entries" in vars(M) for M in drawn)
 
-    determinantal = suites.imm_determinantal
-    monkeypatch.setattr(suites, "imm_determinantal",
+    determinantal = suites._imm_determinantal
+    monkeypatch.setattr(suites, "_imm_determinantal",
                         lambda v, M: determinantal(v, M) + 1)
     report = run_suite("prop-3.1", config)
     assert len(report.counterexamples) == report.cases_run == len(drawn) // 2
