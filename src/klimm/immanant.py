@@ -216,15 +216,15 @@ def _factor_block_antidiagonal(v: Perm, M: Matrix) -> Fraction:
     block, and an n x n M: the immanant is the product of the block
     immanants on the corresponding submatrices.
     """
-    n = len(v)
     j = _antidiagonal_split(_upper_interval_rows(v))
-    s = n - j
-    upper_part = _imm_determinantal(
-        tuple(x - j for x in v[:s]),
-        repeat_submatrix(M, range(1, s + 1), range(j + 1, n + 1)))
-    lower_part = _imm_determinantal(
-        v[s:], repeat_submatrix(M, range(s + 1, n + 1), range(1, j + 1)))
-    return upper_part * lower_part
+    s = len(v) - j
+    # The blocks are cut from M's cleared rows: rows 1..s by columns
+    # j+1..n, and rows s+1..n by columns 1..j.
+    rows, denoms = M.cleared
+    upper = Matrix._reduced(tuple(row[j:] for row in rows[:s]), denoms[:s])
+    lower = Matrix._reduced(tuple(row[:j] for row in rows[s:]), denoms[s:])
+    return (_imm_determinantal(tuple(x - j for x in v[:s]), upper)
+            * _imm_determinantal(v[s:], lower))
 
 
 def _deletion_det_identity(v: Perm, i: int, M: Matrix) -> bool:

@@ -24,7 +24,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterator
@@ -84,7 +84,7 @@ from .perm import (
 
 @dataclass
 class Config:
-    """Run parameters; unset fields fall back to per-suite defaults."""
+    """Run parameters; unset bounds fall back to the run's defaults."""
 
     max_n: int | None = None
     max_m: int | None = None
@@ -94,14 +94,15 @@ class Config:
     k: int | None = None  # pin the positivity order in searches
 
     def __post_init__(self):
-        if self.max_n is not None and not 1 <= self.max_n <= BRUHAT_TABLE_GUARD:
-            raise ValueError(f"max_n must lie in [1, {BRUHAT_TABLE_GUARD}]")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be positive")
-        if self.max_m is not None and self.max_m < 1:
-            raise ValueError("max_m must be positive")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be positive")
+        for name in ("seed", "max_n", "max_m", "samples", "k"):
+            value = getattr(self, name)
+            if value is None and name != "seed":
+                continue  # an unset bound takes the run's default
+            # By type, as grid._ints: True and 2.0 equal ints but are none.
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -154,6 +155,18 @@ class SuiteReport:
 # A case yields None when it passes and (key, witness) when it fails.
 Case = tuple[str, dict] | None
 CaseGenerator = Callable[[Config, KLCacheRegistry, dict], Iterator[Case]]
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One suite or search: its case generator, the text its report notes,
+    the defaults of the bounds the generator reads (none for k), and the
+    max_n range it accepts."""
+
+    cases: CaseGenerator
+    note: str
+    defaults: dict
+    max_n_range: tuple[int, int] = (1, BRUHAT_TABLE_GUARD)
 
 
 def _case_rng(seed: int, suite: str, key: str) -> random.Random:
@@ -257,7 +270,7 @@ def _every_permutation(holds: Callable[[Perm], bool], witness=lambda v: {},
     never reaches ``holds``; a failure's witness is v and ``witness(v)``."""
     def cases(config: Config, caches: KLCacheRegistry,
               notes: dict) -> Iterator[Case]:
-        for n in range(1, (config.max_n or 7) + 1):
+        for n in range(1, config.max_n + 1):
             for v in filter(applies, symmetric_group(n)):
                 if holds(v):
                     yield None
@@ -267,26 +280,24 @@ def _every_permutation(holds: Callable[[Perm], bool], witness=lambda v: {},
     return cases
 
 
-def _sampled_avoiders(config: Config, suite: str, first_n: int, max_n: int,
+def _sampled_avoiders(config: Config, suite: str, first_n: int,
                       keep: Callable[[Perm], bool] | None = None
                       ) -> Iterator[tuple[str, Perm, random.Random]]:
     """Each sample s of each 1324/2143-avoider v of size first_n..max_n
     that ``keep`` takes (asked once per v, before any key is made), with
     its case key and the random stream that key seeds."""
-    samples = config.samples or 3
-    for n in range(first_n, max_n + 1):
+    for n in range(first_n, config.max_n + 1):
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
             if keep is not None and not keep(v):
                 continue
-            for s in range(samples):
+            for s in range(config.samples):
                 key = f"n={n}:v={format_perm(v)}:s={s}"
                 yield key, v, _case_rng(config.seed, suite, key)
 
 
 def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
                                  notes: dict) -> Iterator[Case]:
-    for key, v, rng in _sampled_avoiders(config, "prop-3.1", 1,
-                                         config.max_n or 5):
+    for key, v, rng in _sampled_avoiders(config, "prop-3.1", 1):
         M = _random_rational_matrix(len(v), rng)
         lhs = _imm_definition(v, M, caches.for_n(len(v)))
         rhs = _imm_determinantal(v, M)
@@ -297,12 +308,8 @@ def _suite_determinantal_formula(config: Config, caches: KLCacheRegistry,
 
 def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
                          notes: dict) -> Iterator[Case]:
-    samples = config.samples or 200
-    max_n = config.max_n or 6
-    if max_n < 2:
-        raise ValueError(f"prop-3.2 needs max_n >= 2, got {max_n}")
-    for t in range(samples):
-        n = 2 + t % (max_n - 1)  # sizes 2 through max_n
+    for t in range(config.samples):
+        n = 2 + t % (config.max_n - 1)  # sizes 2 through max_n
         key = f"t={t:04d}:n={n}"
         rng = _case_rng(config.seed, "prop-3.2", key)
         M = _random_rational_matrix(n, rng)
@@ -318,8 +325,7 @@ def _suite_lewis_carroll(config: Config, caches: KLCacheRegistry,
 
 def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
                                notes: dict) -> Iterator[Case]:
-    for key, v, rng in _sampled_avoiders(
-            config, "prop-4.1", 2, config.max_n or 6, lambda v:
+    for key, v, rng in _sampled_avoiders(config, "prop-4.1", 2, lambda v:
             block_antidiagonal_split(Grid(len(v), _upper_interval_rows(v)))
             is not None):
         M = _random_rational_matrix(len(v), rng)
@@ -332,9 +338,7 @@ def _suite_block_factorization(config: Config, caches: KLCacheRegistry,
 
 def _suite_deletion(config: Config, caches: KLCacheRegistry,
                     notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 5
-    samples = config.samples or 3
-    for n in range(2, max_n + 1):
+    for n in range(2, config.max_n + 1):
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
             corners = spanning_corners(v)
             word = format_perm(v)
@@ -344,7 +348,7 @@ def _suite_deletion(config: Config, caches: KLCacheRegistry,
                 passed = _deletes_to_interval_graph(v, i, *skip)
                 yield None if passed else (f"n={n}:v={word}:i={i}:grid", {
                     "v": word, "i": i, "failure": "grid deletion mismatch"})
-                for s in range(samples):
+                for s in range(config.samples):
                     key = f"n={n}:v={word}:i={i}:s={s}"
                     rng = _case_rng(config.seed, "deletion", key)
                     M = _random_rational_matrix(n - 1, rng)
@@ -354,9 +358,7 @@ def _suite_deletion(config: Config, caches: KLCacheRegistry,
 
 def _suite_young(config: Config, caches: KLCacheRegistry,
                  notes: dict) -> Iterator[Case]:
-    n = config.max_n or 4
-    m = config.max_m or 4
-    samples = config.samples or 5
+    n, m, samples = config.max_n, config.max_m, config.samples
     patterns = label_patterns(n, m)
     for shape in _partitions_in_box(n):
         shape_text = ",".join(str(p) for p in shape)
@@ -376,9 +378,7 @@ def _suite_young(config: Config, caches: KLCacheRegistry,
 
 def _suite_main_sq(config: Config, caches: KLCacheRegistry,
                    notes: dict) -> Iterator[Case]:
-    n = config.max_n or 4
-    m = config.max_m or 4
-    samples = config.samples or 5
+    n, m, samples = config.max_n, config.max_m, config.samples
     patterns = label_patterns(n, m)
     for v in _avoiders(n, FORBIDDEN_PATTERNS):
         word = format_perm(v)
@@ -397,10 +397,8 @@ def _suite_main_sq(config: Config, caches: KLCacheRegistry,
 
 def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
                       notes: dict) -> Iterator[Case]:
-    max_n = config.max_n or 5
-    samples = config.samples or 2
     skipped = 0
-    for n in range(3, max_n + 1):
+    for n in range(3, config.max_n + 1):
         patterns = label_patterns(n, n)
         for v in _avoiders(n, FORBIDDEN_PATTERNS):
             if sign_probe_anchor(v)[0] is None:
@@ -408,7 +406,7 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
             word = format_perm(v)
             k = largest_square(graph_of_upper_interval(v))
             mats = _k_positive_samples(
-                n, k, f"{config.seed}:sgn:{word}", samples, notes)
+                n, k, f"{config.seed}:sgn:{word}", config.samples, notes)
             for R, C, (s, M) in itertools.product(patterns, patterns,
                                                   enumerate(mats)):
                 report = lewis_carroll_sign_probe(v, R, C, M)
@@ -422,46 +420,61 @@ def _suite_sign_probe(config: Config, caches: KLCacheRegistry,
     notes["preconditions_not_met"] = skipped
 
 
-# Each suite: its case generator and the description its report notes.
-SUITES: dict[str, tuple[CaseGenerator, str]] = {
-    "lemma-2.11": (_every_permutation(lambda v: _upper_interval_rows(v)
-                                      == graph_of_interval_bruteforce(v).rows),
-                   "interval graph equals its sandwiching description"),
-    "lemma-2.12": (_every_permutation(_squares_match_noninversions),
-                   "largest square matches the non-inversion gap bound"),
-    "lemma-2.16": (_every_permutation(_boxes_cover_interval_graph),
-                   "interval graph is covered by its bounding boxes"),
-    "prop-2.17": (_every_permutation(_boxes_alternate, lambda v: {
-                      "colors": [b.color for b in bounding_boxes(v)]},
-                      _alternation_applies),
-                  "bounding boxes alternate blue/red when hypotheses hold"),
-    "prop-3.1": (_suite_determinantal_formula,
-                 "defining sum agrees with the determinantal formula"),
-    "prop-3.2": (_suite_lewis_carroll,
-                 "two-rows-two-columns determinant identity has zero "
-                 "residual"),
-    "prop-4.1": (_suite_block_factorization,
-                 "block-antidiagonal graphs factor the immanant"),
-    "deletion": (_suite_deletion,
-                 "word deletion matches grid row/column deletion, "
-                 "pruned at spanning corners"),
-    "young": (_suite_young,
-              "sign laws for Young-diagram grids and their complements"),
-    "main-sq": (_suite_main_sq,
-                "signed value positive iff the labeled grid is admissible"),
-    "sgn-probe": (_suite_sign_probe,
-                  "two-term sign relation around the last two boxes"),
+# The sweeps at n = 8 and 9 build no Bruhat table; lemma-2.11's oracle does.
+_FROM_TWO = (2, BRUHAT_TABLE_GUARD)  # for runs whose sizes start at 2
+SUITES: dict[str, Spec] = {
+    "lemma-2.11": Spec(_every_permutation(
+        lambda v: _upper_interval_rows(v)
+        == graph_of_interval_bruteforce(v).rows),
+        "interval graph equals its sandwiching description", {"max_n": 7}),
+    "lemma-2.12": Spec(_every_permutation(_squares_match_noninversions),
+                       "largest square matches the non-inversion gap bound",
+                       {"max_n": 7}, (1, 9)),
+    "lemma-2.16": Spec(_every_permutation(_boxes_cover_interval_graph),
+                       "interval graph is covered by its bounding boxes",
+                       {"max_n": 7}, (1, 9)),
+    "prop-2.17": Spec(_every_permutation(_boxes_alternate, lambda v: {
+        "colors": [b.color for b in bounding_boxes(v)]}, _alternation_applies),
+        "bounding boxes alternate blue/red when hypotheses hold",
+        {"max_n": 7}, (1, 9)),
+    "prop-3.1": Spec(_suite_determinantal_formula,
+                     "defining sum agrees with the determinantal formula",
+                     {"max_n": 5, "samples": 3}),
+    "prop-3.2": Spec(_suite_lewis_carroll, "two-rows-two-columns determinant "
+                     "identity has zero residual",
+                     {"max_n": 6, "samples": 200}, _FROM_TWO),
+    "prop-4.1": Spec(_suite_block_factorization,
+                     "block-antidiagonal graphs factor the immanant",
+                     {"max_n": 6, "samples": 3}),
+    "deletion": Spec(_suite_deletion, "word deletion matches grid row/column "
+                     "deletion, pruned at spanning corners",
+                     {"max_n": 5, "samples": 3}),
+    "young": Spec(_suite_young,
+                  "sign laws for Young-diagram grids and their complements",
+                  {"max_n": 4, "max_m": 4, "samples": 5}),
+    "main-sq": Spec(_suite_main_sq,
+                    "signed value positive iff the labeled grid is admissible",
+                    {"max_n": 4, "max_m": 4, "samples": 5}),
+    "sgn-probe": Spec(_suite_sign_probe,
+                      "two-term sign relation around the last two boxes",
+                      {"max_n": 5, "samples": 2}),
 }
 
 
-def _run(suite: str, cases: CaseGenerator, config: Config,
-         notes: dict) -> SuiteReport:
-    """Run one case generator and assemble its deterministic report."""
+def _run(suite: str, spec: Spec, config: Config, note: str) -> SuiteReport:
+    """Run one Spec at its defaults and assemble its deterministic report."""
+    resolved = replace(config, **{b: d for b, d in spec.defaults.items()
+                                  if getattr(config, b) is None})
+    low, high = spec.max_n_range
+    if not low <= resolved.max_n <= high:
+        raise ValueError(f"{suite} takes max_n in [{low}, {high}], "
+                         f"got {resolved.max_n}")
+    notes = {note: spec.note}
     caches = KLCacheRegistry(config.kl_cache_path)
     start = time.perf_counter()
     cases_run = 0
     failures = []
-    for cases_run, case in enumerate(cases(config, caches, notes), start=1):
+    for cases_run, case in enumerate(spec.cases(resolved, caches, notes), 1):
         if case is not None:
             failures.append(case)
     elapsed = time.perf_counter() - start
@@ -494,8 +507,7 @@ def run_suite(name: str, config: Config) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)}")
-    cases, description = SUITES[name]
-    return _run(name, cases, config, {"description": description})
+    return _run(name, SUITES[name], config, "description")
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +519,10 @@ def _search_plain_immanant(config: Config, caches: KLCacheRegistry,
     # For sampled (n, k, v) with v avoiding the increasing pattern of
     # length k+1, the plain immanant should be positive on verified
     # k-positive matrices.
-    cases = config.samples or 1000
-    max_n = config.max_n or 4
-    for t in range(cases):
+    for t in range(config.samples):
         key = f"t={t:05d}"
         rng = _case_rng(config.seed, "search-5.1", key)
-        n, k = _draw_size_and_order(rng, config.k, max_n)
+        n, k = _draw_size_and_order(rng, config.k, config.max_n)
         pool = _avoiders(n, (identity(k + 1),))
         v = pool[rng.randrange(len(pool))]
         M = _k_positive_samples(n, k, f"{config.seed}:5.1:{t}", 1, notes)[0]
@@ -542,14 +552,11 @@ def _search_sign_control(config: Config, caches: KLCacheRegistry,
     # Hypothesis source: the proven sufficient condition (avoid 1324 and
     # 2143 with largest square at most k) stands in for "the plain
     # immanant is k-positive", which sampling cannot decide.
-    cases = config.samples or 1000
-    max_n = config.max_n or 4
-    max_m = config.max_m or 4
     pools: dict[int, tuple[Perm, ...]] = {}
-    for t in range(cases):
+    for t in range(config.samples):
         key = f"t={t:05d}"
         rng = _case_rng(config.seed, "search-5.2", key)
-        n = rng.randint(2, max_n)
+        n = rng.randint(2, config.max_n)
         if n not in pools:
             # Never empty: it holds w0, whose graph has largest square 1.
             pools[n] = tuple(
@@ -559,7 +566,7 @@ def _search_sign_control(config: Config, caches: KLCacheRegistry,
         pool = pools[n]
         v = pool[rng.randrange(len(pool))]
         k = config.k or largest_square(graph_of_upper_interval(v))
-        m = rng.randint(n, max(n, max_m))
+        m = rng.randint(n, max(n, config.max_m))
         R = _random_multiset(m, n, rng)
         C = _random_multiset(m, n, rng)
         M = _k_positive_samples(m, k, f"{config.seed}:5.2:{t}", 1, notes)[0]
@@ -587,15 +594,12 @@ def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
     # of length k+1: when the repeated-label immanant is not identically
     # zero (decided exactly, monomial by monomial), it should be positive
     # on verified k-positive matrices.
-    cases = config.samples or 1000
-    max_n = config.max_n or 4
-    max_m = config.max_m or 4
     vacuous = 0
-    for t in range(cases):
+    for t in range(config.samples):
         key = f"t={t:05d}"
         rng = _case_rng(config.seed, "search-5.3", key)
-        n, k = _draw_size_and_order(rng, config.k, max_n)
-        m = rng.randint(n, max(n, max_m))
+        n, k = _draw_size_and_order(rng, config.k, config.max_n)
+        m = rng.randint(n, max(n, config.max_m))
         pool = _avoiders(n, (identity(k + 1),))
         v = pool[rng.randrange(len(pool))]
         R = _random_multiset(m, n, rng)
@@ -616,17 +620,17 @@ def _search_pattern_positivity(config: Config, caches: KLCacheRegistry,
     notes["identically_zero_cases"] = vacuous
 
 
-# Each search: its case generator and the source of its hypotheses.
-SEARCHES: dict[str, tuple[CaseGenerator, str]] = {
-    "5.1": (_search_plain_immanant,
-            "sampled verified k-positive matrices; v avoids the increasing "
-            "(k+1)-pattern"),
-    "5.2": (_search_sign_control,
-            "proven sufficient condition: v avoids 1324 and 2143 with "
-            "largest square <= k"),
-    "5.3": (_search_pattern_positivity,
-            "v avoids the increasing (k+1)-pattern; identically zero "
-            "decided exactly, monomial by monomial"),
+SEARCHES: dict[str, Spec] = {
+    "5.1": Spec(_search_plain_immanant, "sampled verified k-positive "
+                "matrices; v avoids the increasing (k+1)-pattern",
+                {"max_n": 4, "samples": 1000}, _FROM_TWO),
+    "5.2": Spec(_search_sign_control, "proven sufficient condition: v "
+                "avoids 1324 and 2143 with largest square <= k",
+                {"max_n": 4, "max_m": 4, "samples": 1000}, _FROM_TWO),
+    "5.3": Spec(_search_pattern_positivity, "v avoids the increasing "
+                "(k+1)-pattern; identically zero decided exactly, monomial "
+                "by monomial", {"max_n": 4, "max_m": 4, "samples": 1000},
+                _FROM_TWO),
 }
 
 
@@ -635,11 +639,8 @@ def run_search(conjecture: str, config: Config) -> SuiteReport:
     if conjecture not in SEARCHES:
         raise ValueError(f"unknown conjecture {conjecture!r}; choose from "
                          f"{sorted(SEARCHES)}")
-    cases, hypothesis_source = SEARCHES[conjecture]
-    if config.max_n is not None and config.max_n < 2:
-        raise ValueError(f"searches need max_n >= 2, got {config.max_n}")
-    report = _run(f"search-{conjecture}", cases, config,
-                  {"hypothesis_source": hypothesis_source})
+    report = _run(f"search-{conjecture}", SEARCHES[conjecture], config,
+                  "hypothesis_source")
     if report.counterexamples:
         report.notes["conclusion"] = (
             f"{len(report.counterexamples)} candidate counterexample(s) "

@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import json
 import os
+import pathlib
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -42,6 +44,13 @@ def small_config(**kwargs):
     defaults = dict(max_n=4, max_m=4, samples=2, seed=0)
     defaults.update(kwargs)
     return Config(**defaults)
+
+
+def run_cases(cases, config=None):
+    """Run a bare case generator through the runner as suite "x", whose
+    one default is max_n = 7."""
+    return suites._run("x", suites.Spec(cases, "", {"max_n": 7}),
+                       config or Config(), "description")
 
 
 @pytest.mark.parametrize("suite", [
@@ -109,14 +118,115 @@ def test_unknown_suite_and_config_validation():
     with pytest.raises(ValueError,
                        match=r"unknown suite 'nope'; choose from \['deletion'"):
         run_suite("nope", small_config())
-    with pytest.raises(ValueError, match=r"max_n must lie in \[1, 7\]"):
-        Config(max_n=8)
+    with pytest.raises(ValueError,
+                       match=r"lemma-2.11 takes max_n in \[1, 7\], got 8"):
+        run_suite("lemma-2.11", Config(max_n=8))
+    with pytest.raises(ValueError, match="max_n must be positive"):
+        Config(max_n=0)
     with pytest.raises(ValueError):
         Config(samples=0)
     with pytest.raises(ValueError, match="k must be positive"):
         Config(k=0)
     with pytest.raises(ValueError, match="max_m must be positive"):
         Config(max_m=0)
+
+
+@pytest.mark.parametrize("field", ["seed", "max_n", "max_m", "samples", "k"])
+def test_config_refuses_bounds_that_are_not_ints(field):
+    # By type: True and 2.0 equal ints but are no bound and no seed.
+    for value in (True, 2.0):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an int, not {value!r}"):
+            Config(**{field: value})
+    if field == "seed":
+        assert Config(seed=0).seed == 0
+    else:
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            Config(**{field: 0})
+
+
+RECORDS = {**suites.SUITES, **suites.SEARCHES}
+# Bounds small enough for every suite and search, and other values for
+# the bounds a record leaves out.
+SMALL_BOUNDS = {"max_n": 3, "max_m": 3, "samples": 5}
+OTHER_BOUNDS = {"max_m": 5, "samples": 7, "k": 2}
+
+
+def _run_record(name, config):
+    run = run_search if name in suites.SEARCHES else run_suite
+    return run(name, config)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_each_record_declares_the_bounds_its_generator_reads(name):
+    # A bound the record does not declare changes no case; k is read by
+    # every search and defaulted by none, so it is left to the searches.
+    spec = RECORDS[name]
+    small = {bound: SMALL_BOUNDS[bound] for bound in spec.defaults}
+    if name == "sgn-probe":
+        small["max_n"] = 4  # S_3 holds no word it probes
+    base = _run_record(name, Config(**small))
+    unread = OTHER_BOUNDS.keys() - spec.defaults.keys()
+    if name in suites.SEARCHES:
+        unread -= {"k"}
+    for bound in unread:
+        moved = _run_record(name, Config(**small,
+                                         **{bound: OTHER_BOUNDS[bound]}))
+        assert (moved.cases_run, moved.counterexamples) == (
+            base.cases_run, base.counterexamples), bound
+    # And each declared bound is read: the generator, handed a config
+    # that records its reads, reads every declared bound.
+    read = set()
+
+    class Recording(Config):
+        def __getattribute__(self, attribute):
+            read.add(attribute)
+            return super().__getattribute__(attribute)
+
+    config = Recording(**small)
+    read.clear()
+    for _ in spec.cases(config, klpoly.KLCacheRegistry(None), {}):
+        pass
+    assert read & {"max_n", "max_m", "samples", "k"} == set(spec.defaults) | (
+        {"k"} if name in suites.SEARCHES else set())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "lemma-2.11", "--max-n", "8"],
+     "lemma-2.11 takes max_n in [1, 7], got 8"),
+    (["check", "prop-3.1", "--max-n", "8"],
+     "prop-3.1 takes max_n in [1, 7], got 8"),
+    (["search", "5.1", "--max-n", "1"],
+     "search-5.1 takes max_n in [2, 7], got 1"),
+])
+def test_cli_refuses_max_n_outside_the_range(capsys, argv, message):
+    assert main(argv) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_grid_sweep_runs_past_the_bruhat_table_guard(tmp_path):
+    # prop-2.17 builds no Bruhat table, so its range reaches S_8 and S_9.
+    assert suites.SUITES["prop-2.17"].max_n_range == (1, 9)
+    out = tmp_path / "report.json"
+    assert main(["check", "prop-2.17", "--max-n", "8",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cases_run"] == doc["cases_passed"] == 11356
+
+
+def test_readme_tables_state_each_records_defaults_and_range():
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and cells[0].strip("`") in RECORDS:
+            rows[cells[0].strip("`")] = cells[2:]
+    assert rows == {
+        name: [", ".join(f"{bound}={value}"
+                         for bound, value in spec.defaults.items()),
+               "{}-{}".format(*spec.max_n_range)]
+        for name, spec in RECORDS.items()}
 
 
 def test_reports_are_byte_deterministic():
@@ -156,14 +266,13 @@ def test_runner_counts_every_case_and_sorts_only_the_failures():
         yield "a", {"w": 4}
         yield None
 
-    report = suites._run("x", cases, Config(), {})
+    report = run_cases(cases)
     assert (report.cases_run, report.cases_passed) == (8, 4)
     assert report.counterexamples == [
         {"case": "a", "w": 2}, {"case": "a", "w": 4},
         {"case": "b", "w": 3}, {"case": "c", "w": 1}]
     for passes in (0, 3):
-        report = suites._run("x", lambda *_: iter([None] * passes),
-                             Config(), {})
+        report = run_cases(lambda *_: iter([None] * passes))
         assert (report.cases_run, report.cases_passed) == (passes, passes)
         assert report.ok
 
@@ -181,7 +290,7 @@ def test_runner_rejects_a_failure_without_a_witness_or_key(failure, message):
         yield failure
 
     with pytest.raises(ValueError, match=message):
-        suites._run("x", cases, Config(), {})
+        run_cases(cases)
 
 
 def test_passing_sweep_formats_no_case_key(monkeypatch):
@@ -215,7 +324,7 @@ def test_sweep_makes_no_case_of_a_word_whose_hypotheses_fail(monkeypatch):
                         lambda v: words.append(v) or format_perm(v))
     sweep = suites._every_permutation(holds, lambda v: {"last": v[-1]},
                                       lambda v: v[0] != 1)
-    report = suites._run("x", sweep, Config(max_n=4), {})
+    report = run_cases(sweep, Config(max_n=4))
     failing = [v for n in range(2, 5) for v in symmetric_group(n)
                if v[-1] == 1]
     assert checked == [v for n in range(1, 5) for v in symmetric_group(n)
@@ -238,8 +347,7 @@ def test_sweep_lets_any_other_error_through():
             return True
 
         with pytest.raises(type(error), match=str(error)):
-            suites._run("x", suites._every_permutation(holds),
-                        Config(max_n=3), {})
+            run_cases(suites._every_permutation(holds), Config(max_n=3))
 
 
 # is_permutation_word calls of one sweep over S_1..S_7.  The kernels take
@@ -386,10 +494,11 @@ def test_positivity_order_above_the_matrix_size(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("conjecture", ["5.1", "5.2", "5.3"])
 def test_searches_need_two_by_two(capsys, conjecture):
-    with pytest.raises(ValueError, match="max_n >= 2, got 1"):
+    message = f"search-{conjecture} takes max_n in [2, 7], got 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_search(conjecture, Config(max_n=1))
     assert main(["search", conjecture, "--max-n", "1"]) == 1
-    assert "max_n >= 2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("conjecture,max_n,k", [("5.1", 4, 2), ("5.3", 3, 1)])
@@ -791,7 +900,8 @@ def test_lewis_carroll_suite_honours_max_n(monkeypatch):
     assert cases == [None] * 5
     assert keys == ["t=0000:n=2", "t=0001:n=3", "t=0002:n=2",
                     "t=0003:n=3", "t=0004:n=2"]
-    with pytest.raises(ValueError, match="max_n >= 2, got 1"):
+    with pytest.raises(ValueError,
+                       match=r"prop-3.2 takes max_n in \[2, 7\], got 1"):
         run_suite("prop-3.2", Config(max_n=1))
 
 
@@ -1089,8 +1199,7 @@ PASSING_RUNS = {
 def test_passing_runs_build_no_entries(monkeypatch, name):
     drawn = _record_draws(monkeypatch, "_random_rational_matrix"
                           if name == "prop-4.1" else "_k_positive_samples")
-    run = run_search if name in suites.SEARCHES else run_suite
-    assert run(name, PASSING_RUNS[name]).ok
+    assert _run_record(name, PASSING_RUNS[name]).ok
     assert drawn and not any("entries" in vars(M) for M in drawn)
 
 
