@@ -9,6 +9,16 @@ matrix to the upper-interval graph and only applies when the indexing
 permutation avoids 1324 and 2143.  Where both apply they must agree, and
 the harness leans on that agreement as its main oracle.
 
+The defining sum does not visit [v, w0] term by term.  Taking every
+value P_{w0 w, w0 v}(1) as 1 leaves the signed sum of the monomials of
+w >= v, and by Ehresmann's tableau criterion (Bjorner and Brenti,
+*Combinatorics of Coxeter Groups*, Thm 2.6.3) w >= v is a condition on
+the prefix value sets of w alone.  So that sum is a Laplace expansion
+down the rows over at most 2^n column sets of n steps each, not up to n!
+monomials.  Only the Kazhdan-Lusztig value classes with P(1) != 1 are
+then summed monomial by monomial, weighted by P(1) - 1; a 1324- and
+2143-avoiding v has none.
+
 Pattern preconditions are hard errors rather than silent fallbacks: a
 sweep must never confuse "the formula holds" with "we quietly switched
 to the defining sum".
@@ -20,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import prod
-from operator import itemgetter, methodcaller
+from operator import ge, itemgetter, methodcaller
 from typing import Sequence
 
 from .errors import PatternPreconditionError, PreconditionError, ShapeError
@@ -87,13 +97,81 @@ def _monomial_getters(n: int) -> tuple[itemgetter, ...]:
                  for w in reversed(bruhat_table(n).perms))
 
 
+@lru_cache(maxsize=None)
+def _gale_steps(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """
+    The tables of :func:`_interval_sum` on S_n, indexed by the sets of
+    0-based columns as bitsets: ``up[S]`` lists the sets T of the size of
+    S that are >= S in the Gale order (the i-th least member of T is at
+    least that of S, for every i), and ``steps[T]`` holds the pairs
+    (j, T - j) of the members j of T, taken down from the greatest, in
+    two tuples: those at even places (sign +) and those at odd places
+    (sign -).
+    """
+    members = [tuple(j for j in range(n) if T >> j & 1) for T in range(1 << n)]
+    sized = [[T for T in range(1 << n) if T.bit_count() == k]
+             for k in range(n + 1)]
+    up = tuple(tuple(T for T in sized[len(low)] if all(map(ge, members[T], low)))
+               for low in members)
+    steps = [tuple((j, T ^ 1 << j) for j in reversed(elems))
+             for T, elems in enumerate(members)]
+    return up, tuple((pairs[::2], pairs[1::2]) for pairs in steps)
+
+
+def _interval_sum(v: Perm, rows: Sequence[Sequence[int]]) -> int:
+    """
+    The sum of sgn(w) rows[0][w(1) - 1] ... rows[n - 1][w(n) - 1] over
+    the w >= v, for a checked permutation v of [n] and n rows of n ints.
+
+    By the tableau criterion, w >= v iff each prefix set {w(1), ..., w(k)}
+    is >= {v(1), ..., v(k)} in the Gale order.  So the sum is the Laplace
+    expansion of the determinant down the rows that keeps only such
+    prefix sets: f(T), for a set T of k columns admissible at k, is the
+    signed sum over the fillings of rows 1..k with T whose prefixes are
+    all admissible, and f(T) = sum of +-rows[k - 1][j] f(T - j) over the
+    j in T, the signs alternating down T from + at its greatest member.
+    A set never admissible at its size keeps f = 0 and is skipped.  That
+    is at most 2^n sets of at most n steps, not |[v, w0]| <= n! products.
+
+    v = e leaves every set admissible, which gives the determinant; v = w0
+    leaves only w0, which gives its signed antidiagonal monomial:
+
+    >>> from klimm.exactmat import det
+    >>> rows = ((1, 2, 3), (4, 5, 6), (7, 8, 10))
+    >>> M = Matrix(tuple(tuple(map(Fraction, row)) for row in rows))
+    >>> _interval_sum((1, 2, 3), rows), det(M)
+    (-3, Fraction(-3, 1))
+    >>> _interval_sum((3, 2, 1), rows), -3 * 5 * 7
+    (-105, -105)
+    """
+    up, steps = _gale_steps(len(v))
+    f = [0] * (1 << len(v))  # the sets of size k are written at row k only
+    f[0] = 1
+    seen = 0
+    for row, x in zip(rows, v):
+        seen |= 1 << x - 1
+        for T in up[seen]:
+            total = 0
+            plus, minus = steps[T]
+            for j, rest in plus:
+                if f[rest]:
+                    total += row[j] * f[rest]
+            for j, rest in minus:
+                if f[rest]:
+                    total -= row[j] * f[rest]
+            f[T] = total
+    return f[-1]
+
+
 def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction:
     """
     The defining sum: one signed Kazhdan-Lusztig value times the
-    w-monomial of M per w >= v (all other values vanish).  Works for
-    every v; the table guards the size at n <= 7.  A matrix of the wrong
-    size raises ShapeError, a word that is not a permutation ValueError,
-    and then a cache for another S_n SizeMismatchError.
+    w-monomial of M per w >= v (all other values vanish), summed by the
+    tableau criterion in at most 2^n n steps plus a correction for the
+    values P(1) != 1 (see :func:`_imm_definition`).  Works for every v;
+    the KL table guards the size at n <= 7.  A matrix of the wrong size
+    raises ShapeError, a word that is not a permutation ValueError, and
+    then a cache for another S_n SizeMismatchError.
     """
     v = tuple(v)
     _require_square(M, len(v))
@@ -103,25 +181,29 @@ def imm_definition(v: Perm, M: Matrix, cache: KLCache | None = None) -> Fraction
 def _imm_definition(v: Perm, M: Matrix, cache: KLCache) -> Fraction:
     """
     :func:`imm_definition` of a checked v on an n x n M and a cache for
-    S_n, summed per value class of the row of w0 v: each class's
-    monomials in one pass, times its P(1) once.  The monomials are
-    products of M's cleared integer rows, each taking one entry from every
-    row, so the integer total over the product of the row multipliers is
-    exact.
+    S_n.  With every P(1) taken as 1, the sum is (-1)^l(v) times
+    :func:`_interval_sum` on M's cleared integer rows, in at most 2^n n
+    steps.  Each value class of the row of w0 v with P(1) != 1 then adds
+    P(1) - 1 times its signed monomials, summed in one pass per class;
+    the row is read first in any case, for its KL counts and the table's
+    size guard.  Each monomial takes one entry from every row, so the
+    integer total over the product of the row multipliers is exact.
     """
     n = len(v)
     rows, denoms = M.cleared
-    if n < 2:  # one term, w = v, whose KL value is 1
-        return Fraction(rows[0][0] if n else 1, prod(denoms))
-    read = methodcaller("__call__", list(chain.from_iterable(rows)))
-    getters = _monomial_getters(n)
+    classes = _imm_classes(v, cache) if n > 1 else ()  # n < 2: P = 1 only
+    total = (-1) ** length(v) * _interval_sum(v, rows)
+    corrections = [(c - 1, plus, minus) for c, plus, minus in classes if c != 1]
+    if corrections:
+        read = methodcaller("__call__", list(chain.from_iterable(rows)))
+        getters = _monomial_getters(n)
 
-    def monomials(bits: int) -> int:
-        return sum(map(prod, map(read, compress(getters, _bit_flags(bits)))))
+        def monomials(bits: int) -> int:
+            return sum(map(prod, map(read, compress(getters, _bit_flags(bits)))))
 
-    return Fraction(sum(c * (monomials(plus) - monomials(minus))
-                        for c, plus, minus in _imm_classes(v, cache)),
-                    prod(denoms))
+        total += sum(c * (monomials(plus) - monomials(minus))
+                     for c, plus, minus in corrections)
+    return Fraction(total, prod(denoms))
 
 
 def imm_determinantal(v: Perm, M: Matrix) -> Fraction:
@@ -192,7 +274,8 @@ def dual_canonical_eval(v: Perm, R: Sequence[int], C: Sequence[int],
         value = imm_determinantal(v, repeated)
     else:
         value = imm_definition(v, repeated, cache)
-    graph = graph_of_upper_interval(v)
+    # Either evaluator has checked v, so the graph is read unchecked.
+    graph = Grid(len(v), _upper_interval_rows(v))
     return ImmanantResult(
         value=value,
         method=method,

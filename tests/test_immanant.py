@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 from math import prod
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     EDGE_MATRICES,
+    above,
     antidiagonal_transpose,
     bar,
     cells_of,
@@ -28,7 +30,7 @@ from conftest import (
 import fixtures
 from kl_every_candidate import Oracle, pairs_of, per_w_terms
 from kl_via_r import kl_table_via_r
-from klimm import exactmat, grid
+from klimm import exactmat, grid, perm
 from klimm.errors import (
     PatternPreconditionError,
     PreconditionError,
@@ -54,6 +56,7 @@ from klimm.grid import (
     young_diagram_grid,
 )
 from klimm.immanant import (
+    _interval_sum,
     dual_canonical_eval,
     imm_definition,
     imm_determinantal,
@@ -62,10 +65,11 @@ from klimm.immanant import (
     SignProbeReport,
     young_sign_law,
 )
-from klimm.klpoly import ZERO, KLCache, imm_terms
+from klimm.klpoly import ZERO, KLCache, _bit_flags, imm_terms
 from klimm.perm import (
     avoids,
     bruhat_leq,
+    bruhat_table,
     compose,
     identity,
     length,
@@ -238,6 +242,64 @@ def test_per_class_sum_matches_the_per_term_dot_product_on_s6():
         assert imm_definition(v, M, per_class) == Fraction(dot, prod(denoms))
         assert per_class.stats() == per_term.stats(), v
     assert max(weights) > 1 and per_class.stats()["misses"] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_perms(n):
+    return [(w, -1 if length(w) % 2 else 1) for w in symmetric_group(n)]
+
+
+def _bruhat_leq_interval_sum(v, rows):
+    """The signed monomials of the w >= v of S_n, found by bruhat_leq."""
+    return sum(sign * prod(row[x - 1] for row, x in zip(rows, w))
+               for w, sign in _signed_perms(len(v)) if bruhat_leq(v, w))
+
+
+def test_interval_sum_matches_the_bruhat_leq_sum_on_s1_to_s6():
+    # The recursion alone, on cleared integer rows: one random rational
+    # matrix per size, and the edge fixtures (a zero row, negatives, large
+    # coprime denominators) at theirs.
+    rng = random.Random(43)
+    for n in range(1, 7):
+        matrices = [random_rational_matrix(n, rng)] + [
+            M for M in EDGE_MATRICES.values() if M.rows == n]
+        for v in symmetric_group(n):
+            for M in matrices:
+                rows = M.cleared[0]
+                assert _interval_sum(v, rows) == _bruhat_leq_interval_sum(
+                    v, rows), (v, M)
+
+
+@given(st.permutations(list(range(1, 8))).map(tuple), square_matrices(7))
+@settings(max_examples=25, deadline=None)
+def test_interval_sum_matches_the_bruhat_leq_sum_on_s7(v, M):
+    rows = M.cleared[0]
+    assert _interval_sum(v, rows) == _bruhat_leq_interval_sum(v, rows)
+
+
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_interval_sum_matches_the_bruhat_table_on_every_v(n):
+    # On distinct primes each monomial names its w, so the sums agree iff
+    # the recursion's prefix sets and the table's [v, w0] hold the same w:
+    # an exhaustive check of the table against the tableau criterion.
+    rows = [_primes(n * n)[i * n:(i + 1) * n] for i in range(n)]
+    table = bruhat_table(n)
+    signed = [(-1 if length(w) % 2 else 1)
+              * prod(row[x - 1] for row, x in zip(rows, w))
+              for w in table.perms]
+    for k, v in enumerate(table.perms):
+        assert _interval_sum(v, rows) == sum(
+            compress(signed, _bit_flags(above(table, k)))), v
 
 
 def test_one_prop31_case_clears_its_matrix_once(monkeypatch):
@@ -431,6 +493,23 @@ def test_dual_canonical_eval_repeated_labels_match_definition(kl_cache_s4):
         b = dual_canonical_eval((2, 4, 1, 3), R, C, M, "definition",
                                 kl_cache_s4)
         assert a.value == b.value
+
+
+@pytest.mark.parametrize("method", ["determinantal", "definition"])
+def test_dual_canonical_eval_checks_its_word_once(monkeypatch, method):
+    # The evaluator checks v; the graph, the admissibility and l(v) after
+    # it read the checked word.  Cold and warm, fresh cache or not.
+    calls = []
+    real = perm.is_permutation_word
+    monkeypatch.setattr(perm, "is_permutation_word",
+                        lambda word: calls.append(word) or real(word))
+    cache = KLCache(4)
+    for _ in range(2):
+        for v in [(2, 4, 1, 3), (1, 2, 3, 4), (4, 3, 2, 1)]:
+            before = len(calls)
+            dual_canonical_eval(v, (1, 2, 3, 4), (1, 2, 3, 4), FIXTURE,
+                                method, cache)
+            assert len(calls) == before + 1, v
 
 
 def test_block_factorization_worked_example():

@@ -434,6 +434,22 @@ def test_sampled_suites_check_no_generated_word_twice(monkeypatch, name):
     assert max(counted[:2]) <= len(generated)
 
 
+def test_prop31_sums_no_defining_sum_term_by_term(monkeypatch):
+    # Every avoider's row of w0 v is one class with P(1) = 1, so prop-3.1
+    # takes the interval sum alone and never builds the per-w getters; a
+    # word that contains 1324 has a class with P(1) = 2 and builds them.
+    calls = []
+    real = immanant._monomial_getters
+    monkeypatch.setattr(immanant, "_monomial_getters",
+                        lambda n: calls.append(n) or real(n))
+    for config in (Config(max_n=6, samples=1), Config()):
+        assert run_suite("prop-3.1", config).ok
+    assert calls == []
+    immanant.imm_definition((1, 3, 2, 4), random_rational_matrix(
+        4, random.Random(4)))
+    assert calls == [4]
+
+
 def test_suite_uses_kl_cache_files(tmp_path):
     base = str(tmp_path / "kl.json")
     report = run_suite("prop-3.1", Config(max_n=3, samples=1, seed=0,
@@ -1083,7 +1099,7 @@ def test_prop31_cache_files_and_report_match_pinned_digests(tmp_path, capsys):
 # SHA-256 of the cold prop-3.1 report at --max-n 6 --samples 1 --seed 0,
 # the command of perfbench's kl-cold workload, which prints the same
 # digest for it.  It is pinned from the per-term defining sum, before
-# the sum went per KL value class.
+# the sum went per KL value class and then by the interval recursion.
 KL_COLD_REPORT_DIGEST = (
     "0d8fe85e48e0f4f96114d1c5adda073db6a1acb01fce4933270ec86a18361208")
 
