@@ -152,7 +152,8 @@ def graph_of_upper_interval(v: Perm) -> Grid:
     >>> graph_of_upper_interval((2, 4, 1, 3)).to_doc()["cells"][:3]
     [[1, 2], [1, 3], [1, 4]]
     """
-    return Grid(len(v), _upper_interval_rows(as_perm(v)))
+    v = as_perm(v)
+    return Grid(len(v), _upper_interval_rows(v))
 
 
 @lru_cache(maxsize=None)
@@ -201,19 +202,33 @@ def largest_square(P: Grid) -> int:
     return _square_side(P.n, P.rows)
 
 
+def _packed(n: int, rows: Sequence[int]) -> int:
+    """
+    Row masks of an n x n grid packed into one int, row i + 1 at bit
+    i * (n + 1), so bit i * (n + 1) + j is the cell (i + 1, j).  Masks
+    below 2 ** (n + 1) never overlap; a grid row sets only bits 1..n (Grid
+    rejects others), so bit 0 of every packed grid row is clear.
+    """
+    stride = n + 1
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << stride | row
+    return packed
+
+
 def _square_side(n: int, rows: tuple[int, ...]) -> int:
-    """:func:`largest_square` of the grid with these n row masks."""
-    # The rows packed into one int, row i + 1 at bit i * stride: bit
-    # i * stride + j of level marks the full side x side square whose
+    """
+    :func:`largest_square` of the grid with these n row masks, grown on
+    the rows packed by :func:`_packed`, the layout that the cover check of
+    :func:`_boxes_cover_interval_graph` shares.
+    """
+    # Bit i * stride + j of level marks the full side x side square whose
     # top-left cell is (i + 1, j).  Each pass grows every square by one,
     # keeping a square whose neighbour below, then whose neighbour to the
-    # right, is also full.  Only bits 1..n are set (Grid rejects others),
-    # so bit 0 of every row is clear and the shift by one never carries a
-    # cell of the next row into column n.
+    # right, is also full.  Bit 0 of every row is clear, so the shift by
+    # one never carries a cell of the next row into column n.
     stride = n + 1
-    level = 0
-    for row in reversed(rows):
-        level = level << stride | row
+    level = _packed(n, rows)
     side = 0
     while level:
         side += 1
@@ -313,10 +328,11 @@ class BoundingBox:
     color: Color
 
 
-def _maximal_spans(v: Perm) -> list[tuple[int, int, tuple[Cell, ...], Color]]:
+def _maximal_spans(v: Perm) -> list[tuple[int, int, Color]]:
     """
-    (lo, hi, corners, color) of each maximal box of :func:`bounding_boxes`,
-    in its order, for a word already checked to be a permutation.
+    (lo, hi, color) of each maximal box of :func:`bounding_boxes`, in its
+    order, for a word already checked to be a permutation.  The colour
+    names the points that span the box, so the record holds no corners.
 
     The box at (i, v_i) spans the rows {i, n + 1 - v_i} and the mirrored
     columns {v_i, n + 1 - i}, so rows lo..hi come with columns
@@ -336,20 +352,22 @@ def _maximal_spans(v: Perm) -> list[tuple[int, int, tuple[Cell, ...], Color]]:
     reach = 0
     for lo, x in enumerate(v, start=1):
         b = row_of[n + 1 - lo]  # the row of the value n + 1 - lo
-        hi = max(n + 1 - x, b)
+        hi = n + 1 - x
+        if b > hi:
+            hi = b
         if hi <= reach:
             continue
         reach = hi
         # The corner above the antidiagonal is (lo, x), below it
         # (hi, n + 1 - lo).
         if lo == hi:
-            spans.append((lo, hi, ((lo, x),), "green"))
+            spans.append((lo, hi, "green"))
         elif b != hi:
-            spans.append((lo, hi, ((lo, x),), "blue"))
+            spans.append((lo, hi, "blue"))
         elif x + hi != n + 1:
-            spans.append((lo, hi, ((hi, n + 1 - lo),), "red"))
+            spans.append((lo, hi, "red"))
         else:
-            spans.append((lo, hi, ((lo, x), (hi, n + 1 - lo)), "purple"))
+            spans.append((lo, hi, "purple"))
     return spans
 
 
@@ -360,22 +378,51 @@ def bounding_boxes(v: Perm) -> list[BoundingBox]:
     colors it red, on the antidiagonal green; a region spanned from both
     sides at once is purple.  A word that is not a permutation raises
     ValueError.
+
+    The corners are rebuilt from each (lo, hi, color) record of
+    :func:`_maximal_spans` and the checked word: a green or blue box is
+    spanned from (lo, v_lo), a red one from (hi, n + 1 - lo), and a
+    purple one from both.
     """
-    n = len(as_perm(v))
-    return [BoundingBox((lo, hi), (n + 1 - hi, n + 1 - lo), corners, color)
-            for lo, hi, corners, color in _maximal_spans(v)]
+    v = as_perm(v)
+    n = len(v)
+    boxes = []
+    for lo, hi, color in _maximal_spans(v):
+        above, below = (lo, v[lo - 1]), (hi, n + 1 - lo)
+        corners = ((below,) if color == "red" else
+                   (above, below) if color == "purple" else (above,))
+        boxes.append(BoundingBox((lo, hi), (n + 1 - hi, n + 1 - lo),
+                                 corners, color))
+    return boxes
+
+
+@lru_cache(maxsize=None)
+def _stacked_row_units(n: int) -> tuple[int, ...]:
+    """
+    Entry k has bit 0 of each of the rows 1..k set in the layout of
+    :func:`_packed`, so rows lo..hi are ``stacked[hi] ^ stacked[lo - 1]``.
+    """
+    return tuple(_packed(n, (1,) * k) for k in range(n + 1))
 
 
 def _boxes_cover_interval_graph(v: Perm) -> bool:
-    """Lemma 2.16 on a checked permutation: its boxes cover its graph."""
+    """
+    Lemma 2.16 on a checked permutation: its boxes cover its graph.
+
+    The cover is one int in the layout of :func:`_packed`: a box adds its
+    column mask times the units of its rows.  A column mask sets no bit
+    past n, below the stride, so the product is that mask copied into
+    each row with no carry.  The test is exact for any list of boxes,
+    nested or not.
+    """
     rows = _upper_interval_rows(v)
     n = len(rows)
-    cover = [0] * n
-    for lo, hi, _, _ in _maximal_spans(v):
-        span = _columns(n + 1 - hi, n + 1 - lo)
-        for i in range(lo - 1, hi):
-            cover[i] |= span
-    return not any(row & ~covered for row, covered in zip(rows, cover))
+    stacked = _stacked_row_units(n)
+    cover = 0
+    for lo, hi, _ in _maximal_spans(v):
+        cover |= _columns(n + 1 - hi, n + 1 - lo) * (
+            stacked[hi] ^ stacked[lo - 1])
+    return not _packed(n, rows) & ~cover
 
 
 def spanning_corners(v: Perm) -> frozenset[Cell]:
@@ -395,7 +442,7 @@ def _boxes_alternate(v: Perm) -> bool:
     the top, alternate strictly between blue and red with no purple box.
     A single box passes vacuously.
     """
-    colors = [color for _, _, _, color in _maximal_spans(v)]
+    colors = [color for _, _, color in _maximal_spans(v)]
     return len(colors) <= 1 or (set(colors) <= {"blue", "red"} and all(
         a != b for a, b in zip(colors, colors[1:])))
 

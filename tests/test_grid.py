@@ -49,6 +49,7 @@ from klimm.grid import (
     _alternation_applies,
     _boxes_alternate,
     _boxes_cover_interval_graph,
+    _maximal_spans,
     _squares_match_noninversions,
     _upper_interval_rows,
 )
@@ -419,6 +420,56 @@ def test_boxes_cover_matches_the_cell_set_cover_at_8(v):
     covered = sandwiched_cells(v) <= cells_of_boxes(
         _bounding_boxes_by_pairwise_containment(v))
     assert boxes_cover_interval_graph(v) == covered
+
+
+def planted_defects(spans):
+    """The (lo, hi, color) records with each box dropped in turn, then with
+    each box's bottom row (and so its leftmost column) taken off."""
+    for k, (lo, hi, color) in enumerate(spans):
+        yield spans[:k] + spans[k + 1:]
+        yield spans[:k] + [(lo, hi - 1, color)] + spans[k + 1:]
+
+
+def assert_cover_matches_the_cells_of_planted_boxes(v):
+    # The lemma holds for every v, so a kernel that always said yes would
+    # pass on the true boxes; on planted ones some covers must fail.
+    n = len(v)
+    graph = sandwiched_cells(v)
+    verdicts = set()
+    for planted in planted_defects(_maximal_spans(v)):
+        cells = {(i, j) for lo, hi, _ in planted for i in range(lo, hi + 1)
+                 for j in range(n + 1 - hi, n + 2 - lo)}
+        covered = graph <= cells
+        with mock.patch("klimm.grid._maximal_spans", return_value=planted):
+            assert _boxes_cover_interval_graph(v) == covered
+        verdicts.add(covered)
+    return verdicts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_boxes_cover_matches_the_cell_set_cover_under_planted_defects(n):
+    verdicts = set()
+    for v in symmetric_group(n):
+        verdicts |= assert_cover_matches_the_cells_of_planted_boxes(v)
+    assert False in verdicts
+
+
+@given(st.one_of(st.permutations(list(range(1, 8))).map(tuple), perms_of_8))
+@settings(max_examples=100, deadline=None)
+def test_boxes_cover_matches_the_cell_set_cover_under_planted_defects_at_7_and_8(
+        v):
+    assert_cover_matches_the_cells_of_planted_boxes(v)
+
+
+@pytest.mark.parametrize("reader", [graph_of_upper_interval, bounding_boxes],
+                         ids=["graph_of_upper_interval", "bounding_boxes"])
+def test_grid_readers_read_an_iterator_as_its_tuple(reader):
+    for n in range(1, 6):
+        for v in symmetric_group(n):
+            assert reader(iter(v)) == reader(v)
+    for word in [(True, 2), (1.0, 2), (1, 2.0), (True, 3, 2)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            reader(iter(word))
 
 
 def assert_kernels_match_their_wrappers(v):

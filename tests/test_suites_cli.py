@@ -1331,8 +1331,8 @@ def test_failing_alternation_report_matches_pinned_digest(tmp_path, capsys,
     def purple_last_box(v):
         spans = real(v)
         if len(v) == 6 and v[0] == 2:
-            lo, hi, corners, _ = spans[-1]
-            spans = spans[:-1] + [(lo, hi, corners, "purple")]
+            lo, hi, _ = spans[-1]
+            spans = spans[:-1] + [(lo, hi, "purple")]
         return spans
 
     monkeypatch.setattr(grid, "_maximal_spans", purple_last_box)
@@ -1348,3 +1348,35 @@ def test_failing_alternation_report_matches_pinned_digest(tmp_path, capsys,
         assert len(witness["colors"]) > 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         PROP_217_FAILURE_DIGEST
+
+
+# SHA-256 of a lemma-2.16 report with failures, pinned from the engine
+# whose box records still carried their corners, (lo, hi, corners,
+# color).  The first maximal box of every word of S_6 that starts with 2
+# loses its bottom row, and with it its leftmost column; all 120 of those
+# words then leave a cell of their graph uncovered.  A cover that also
+# counted the rows above a box would pass 44 of them.
+LEMMA_216_FAILURE_DIGEST = (
+    "fb40f47d6c374ccf9e45a16fe09096933d478d0f7068f0dd5e9c581c31bdacd0")
+
+
+def test_failing_cover_report_matches_pinned_digest(tmp_path, capsys,
+                                                    monkeypatch):
+    real = grid._maximal_spans
+
+    def short_first_box(v):
+        spans = real(v)
+        if len(v) == 6 and v[0] == 2:
+            lo, hi, color = spans[0]
+            spans = [(lo, hi - 1, color)] + spans[1:]
+        return spans
+
+    monkeypatch.setattr(grid, "_maximal_spans", short_first_box)
+    out = tmp_path / "doc.json"
+    assert main(["check", "lemma-2.16", "--max-n", "6",
+                 "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["cases_run"], doc["cases_passed"]) == (873, 753)
+    assert {witness["v"][0] for witness in doc["counterexamples"]} == {"2"}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        LEMMA_216_FAILURE_DIGEST
